@@ -125,24 +125,162 @@ def _check_vanishing(u: np.ndarray, kind: str, grid: SpaceTimeGrid) -> None:
             raise ValueError("time derivative does not vanish at the caps")
 
 
-def _sigma_plus_trace_sq(
-    u: np.ndarray, grid: SpaceTimeGrid, mask: GammaPlusMask, weight_st: np.ndarray
-) -> float:
-    """tau-lambda-phi weighted squared normal trace over the plus boundary."""
-    total = 0.0
-    for f in range(grid.num_faces):
-        m = mask.face_masks[f]
-        if not np.any(m):
-            continue
-        levels = np.stack(
-            [np.asarray(_face_trace(u[..., j], grid, f)).reshape(-1) for j in range(grid.nt)],
-            axis=-1,
-        )
-        w_face = grid.face_weights(f)[grid.face_mask(f)]
-        w_cell = weight_st[grid.face_mask(f), :]
-        contrib = np.abs(levels[m, :]) ** 2 * w_cell[m, :] * w_face[m][:, None]
-        total += float(np.sum(contrib * grid.time_weights))
-    return total
+_DMU_KINDS = ("wave_full", "wave_lower_order", "parabolic_full", "schrodinger_full", "elliptic")
+_LATERAL_DT_KINDS = ("parabolic_full", "schrodinger_full")
+
+
+def _factors(kind: str, tau: float, lam: float) -> tuple[float, float, float]:
+    """LHS |u|^2 and gradient factors and the source factor of one cell."""
+    if kind == "wave_single_param":
+        return tau**4, tau**2, tau
+    plain = kind == "elliptic" or kind.startswith("parabolic")
+    return tau**3 * lam**4, tau * (lam**2 if plain else lam), 1.0
+
+
+class _Audit:
+    """The (tau, lambda)-independent part of one audit: psi, A(x) and measures.
+
+    Every side of every kind is a sum of terms c(tau, lam) * sum(env * phi**p
+    * m * d), with env = exp(2 tau (phi - phi_max)), m a quadrature measure
+    restricted to the nodes where it lives (interior, lateral boundary, time
+    caps, plus boundary) and d a density of the member alone: |u|^2, the
+    gradient energy, |Lu|^2, |dt u|^2 or the squared normal trace.  So each
+    member's densities are computed once, and each (tau, lambda) cell costs
+    one exp over the nodes and a few dot products.
+    """
+
+    def __init__(self, spec, field, lower, kind, grid, plus_mask=None):
+        if kind not in INEQUALITY_KINDS:
+            raise ValueError(f"unknown inequality kind {kind!r}")
+        if kind in _BOUNDARY_KINDS and plus_mask is None:
+            raise ValueError("boundary kinds need the plus-boundary mask")
+        self.spec, self.field, self.lower, self.kind, self.grid = spec, field, lower, kind, grid
+        self.spatial = kind == "elliptic"
+        nt = 1 if self.spatial else grid.nt
+        tw = np.ones(1) if self.spatial else grid.time_weights
+        self.nt, self.sw, self.tw = nt, grid.space_weights.ravel(), tw
+        with_a = kind.startswith("wave") and kind != "wave_single_param"
+        self.a_vals = field(grid.space_points) if with_a else None
+
+        def nodes(space_idx, levels):  # flat space-time indices
+            return (space_idx[:, None] * nt + levels).ravel()
+
+        lat = np.flatnonzero(grid.boundary_mask)
+        lat_w = np.outer(grid.lateral_weights.ravel()[lat], tw).ravel()
+        self.lateral = (nodes(lat, np.arange(nt)), lat_w)
+        self.dmu = [self.lateral]  # dsigma dt, plus dx on the two time caps
+        if not self.spatial:
+            caps = nodes(np.arange(self.sw.size), np.array([0, nt - 1]))
+            self.dmu.append((caps, np.repeat(self.sw, 2)))
+        self.plus = []  # (face, its plus nodes, their dsigma dt weights)
+        idx = []
+        for f in range(grid.num_faces if kind in _BOUNDARY_KINDS else 0):
+            m = plus_mask.face_masks[f]
+            if np.any(m):
+                gm = grid.face_mask(f)
+                self.plus.append((f, m, np.outer(grid.face_weights(f)[gm][m], tw).ravel()))
+                idx.append(nodes(np.flatnonzero(gm)[m], np.arange(nt)))
+        self.plus_idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
+
+    def _check(self, u: np.ndarray) -> None:
+        grid, kind = self.grid, self.kind
+        if self.spatial and u.shape != grid.space_shape:
+            raise ValueError(f"expected spatial shape {grid.space_shape}, got {u.shape}")
+        if not self.spatial and u.shape != grid.shape:
+            raise ValueError(f"expected space-time shape {grid.shape}, got {u.shape}")
+        if kind in _BOUNDARY_KINDS:
+            _check_vanishing(u, kind, grid)
+        if kind == "wave_single_param":
+            if float(np.max(np.abs(u[grid.boundary_mask, :]))) > 0 or float(
+                np.max(np.abs(u[..., [0, -1]]))
+            ) > 0:
+                raise ValueError("single-parameter audit needs fields vanishing on dQ")
+
+    def _densities(self, u: np.ndarray) -> dict:
+        """Member densities, weighted by their measures, as flat arrays."""
+        grid, kind = self.grid, self.kind
+        grad = gradient_space(u, grid)
+        if self.a_vals is None:
+            gsq = np.sum(np.abs(grad) ** 2, axis=-1).ravel()
+        else:
+            a = self.a_vals[..., None, :, :]
+            gsq = np.einsum("...k,...kl,...l->...", grad, a, np.conj(grad)).real.ravel()
+        del grad
+        d = {}
+        if not self.spatial:
+            dtsq = (np.abs(gradient_time(u, grid)) ** 2).ravel()
+            if kind.startswith("wave"):
+                gsq += dtsq
+            if kind in _LATERAL_DT_KINDS:
+                d["dt_lat"] = dtsq[self.lateral[0]] * self.lateral[1]
+            del dtsq
+        usq = (np.abs(u) ** 2).ravel()
+        if kind in _DMU_KINDS:
+            d["dmu"] = [(idx, usq[idx] * m, gsq[idx] * m) for idx, m in self.dmu]
+        if self.plus:
+            d["plus"] = np.concatenate([
+                np.abs(_face_trace(u, grid, f).reshape(-1, self.nt)[m]).ravel() ** 2 * w
+                for f, m, w in self.plus
+            ])
+        op_kind = _OPERATOR_KIND[kind]
+        src = (np.abs(apply_operator(op_kind, self.field, self.lower, u, grid)) ** 2).ravel()
+        for dens in (usq, gsq, src):  # interior trapezoid weights, in place
+            view = dens.reshape(-1, self.nt)
+            view *= self.sw[:, None]
+            view *= self.tw
+        d.update(usq=usq, gsq=gsq, src=src)
+        return d
+
+    def member_sides(self, u, taus, lams) -> list[list[CarlemanSideValues]]:
+        """Both sides of the inequality for one member at every (tau, lambda)."""
+        u = np.asarray(u)
+        self._check(u)
+        d = self._densities(u)
+        columns = [self._column(d, taus, lam) for lam in lams]
+        return [list(row) for row in zip(*columns)]
+
+    def _column(self, d: dict, taus, lam: float) -> list[CarlemanSideValues]:
+        """One lambda, every tau: the phi powers are shared down the column."""
+        kind, spec, grid, lat = self.kind, self.spec, self.grid, self.lateral[0]
+        out = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            psi = spec.psi_space(grid) if self.spatial else spec.psi_values(grid)
+            phi = np.exp(lam * psi.ravel())
+            del psi
+            phi_max = float(np.max(phi))
+            single = kind == "wave_single_param"
+            usq = d["usq"] if single else d["usq"] * phi**3
+            gsq = d["gsq"] if single else d["gsq"] * phi
+            dmu = [(idx, b_u * phi[idx] ** 3, b_g * phi[idx]) for idx, b_u, b_g in d.get("dmu", ())]
+            dt_lat = d["dt_lat"] / phi[lat] if "dt_lat" in d else None
+            plus = d["plus"] * phi[self.plus_idx] if self.plus else None
+            env = np.empty_like(phi)
+            for tau in taus:
+                np.subtract(phi, phi_max, out=env)
+                env *= 2.0 * tau
+                np.exp(env, out=env)
+                cu, cg, cs = _factors(kind, tau, lam)
+                rhs_dmu = sum(
+                    tau**3 * lam**3 * (env[idx] @ b_u) + tau * lam * (env[idx] @ b_g)
+                    for idx, b_u, b_g in dmu
+                )
+                if dt_lat is not None:
+                    rhs_dmu += (env[lat] @ dt_lat) / (tau * lam)
+                values = CarlemanSideValues(
+                    kind=kind,
+                    tau=tau,
+                    lam=lam,
+                    lhs_interior=float(cu * (env @ usq) + cg * (env @ gsq)),
+                    rhs_source=float(cs * (env @ d["src"])),
+                    rhs_boundary_dmu=float(rhs_dmu),
+                    rhs_boundary_sigma_plus=(
+                        float(tau * lam * (env[self.plus_idx] @ plus)) if self.plus else 0.0
+                    ),
+                    phi_max=phi_max,
+                )
+                _check_finite_sides(values)
+                out.append(values)
+        return out
 
 
 def evaluate_sides(
@@ -155,155 +293,14 @@ def evaluate_sides(
     grid: SpaceTimeGrid,
     plus_mask: GammaPlusMask | None = None,
 ) -> CarlemanSideValues:
-    """Integrate LHS and RHS terms of the selected inequality for one field."""
-    if kind not in INEQUALITY_KINDS:
-        raise ValueError(f"unknown inequality kind {kind!r}")
+    """Integrate LHS and RHS terms of the selected inequality for one field.
+
+    The one-cell, one-member case of ``sweep_audit``.
+    """
+    audit = _Audit(spec, field, lower, kind, grid, plus_mask)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    op_kind = _OPERATOR_KIND[kind]
-    u = np.asarray(u)
-    lam = spec.lam
-
-    if kind == "elliptic":
-        return _evaluate_elliptic(u, spec, field, lower, tau, grid)
-
-    if u.shape != grid.shape:
-        raise ValueError(f"expected space-time shape {grid.shape}, got {u.shape}")
-    if kind in _BOUNDARY_KINDS:
-        _check_vanishing(u, kind, grid)
-    if kind == "wave_single_param":
-        bmask = grid.boundary_mask
-        if float(np.max(np.abs(u[bmask, :]))) > 0 or float(
-            np.max(np.abs(u[..., [0, -1]]))
-        ) > 0:
-            raise ValueError("single-parameter audit needs fields vanishing on dQ")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(spec.lam * spec.psi_values(grid))
-    phi_max = float(np.max(phi))
-    env = np.exp(2.0 * tau * (phi - phi_max))
-
-    a_vals = field(grid.space_points)
-    grad = gradient_space(u, grid)
-    dtu = gradient_time(u, grid)
-    grad_a_sq = np.einsum("...k,...kl,...l->...", grad, a_vals[..., None, :, :], np.conj(grad)).real
-    grad_sq = np.sum(np.abs(grad) ** 2, axis=-1)
-    usq = np.abs(u) ** 2
-    dtsq = np.abs(dtu) ** 2
-    w = grid.space_weights[..., None] * grid.time_weights
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "wave_single_param":
-            lhs_density = tau**4 * usq + tau**2 * (grad_sq + dtsq)
-        elif kind.startswith("wave"):
-            lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam * phi * (
-                grad_a_sq + dtsq
-            )
-        elif kind.startswith("parabolic"):
-            lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam**2 * phi * grad_sq
-        else:  # schrodinger
-            lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam * phi * grad_sq
-        lhs = float(np.sum(env * lhs_density * w))
-
-    lu = apply_operator(op_kind, field, lower, u, grid)
-    src_density = np.abs(lu) ** 2
-    rhs_source = float(np.sum(env * src_density * w))
-    if kind == "wave_single_param":
-        rhs_source *= tau
-
-    rhs_dmu = 0.0
-    rhs_sigma_plus = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind in ("wave_full", "wave_lower_order"):
-            bdens = tau**3 * lam**3 * phi**3 * usq + tau * lam * phi * (
-                grad_a_sq + dtsq
-            )
-            rhs_dmu = _integrate_dmu_weighted(env * bdens, grid)
-        elif kind in ("parabolic_full", "schrodinger_full"):
-            bdens = tau**3 * lam**3 * phi**3 * usq + tau * lam * phi * grad_sq
-            rhs_dmu = _integrate_dmu_weighted(env * bdens, grid)
-            inv_dens = env * dtsq / (tau * lam * phi)
-            rhs_dmu += _integrate_lateral_weighted(inv_dens, grid)
-        elif kind in _BOUNDARY_KINDS:
-            if plus_mask is None:
-                raise ValueError("boundary kinds need the plus-boundary mask")
-            weight_st = env * tau * lam * phi
-            rhs_sigma_plus = _sigma_plus_trace_sq(u, grid, plus_mask, weight_st)
-
-    values = CarlemanSideValues(
-        kind=kind,
-        tau=tau,
-        lam=lam,
-        lhs_interior=lhs,
-        rhs_source=rhs_source,
-        rhs_boundary_dmu=rhs_dmu,
-        rhs_boundary_sigma_plus=rhs_sigma_plus,
-        phi_max=phi_max,
-    )
-    _check_finite_sides(values)
-    return values
-
-
-def _integrate_dmu_weighted(dens: np.ndarray, grid: SpaceTimeGrid) -> float:
-    total = _integrate_lateral_weighted(dens, grid)
-    total += float(np.sum(dens[..., 0] * grid.space_weights))
-    total += float(np.sum(dens[..., -1] * grid.space_weights))
-    return total
-
-
-def _integrate_lateral_weighted(dens: np.ndarray, grid: SpaceTimeGrid) -> float:
-    total = 0.0
-    for f in range(grid.num_faces):
-        gm = grid.face_mask(f)
-        w = grid.face_weights(f)[gm]
-        total += float(np.sum(dens[gm, :] * w[:, None] * grid.time_weights))
-    return total
-
-
-def _evaluate_elliptic(
-    u: np.ndarray,
-    spec: WeightSpec,
-    field: MatrixField,
-    lower: LowerOrderCoeffs | None,
-    tau: float,
-    grid: SpaceTimeGrid,
-) -> CarlemanSideValues:
-    if u.shape != grid.space_shape:
-        raise ValueError(f"expected spatial shape {grid.space_shape}, got {u.shape}")
-    lam = spec.lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(lam * spec.psi_space(grid))
-        phi_max = float(np.max(phi))
-        env = np.exp(2.0 * tau * (phi - phi_max))
-        grad = gradient_space(u, grid)
-        grad_sq = np.sum(np.abs(grad) ** 2, axis=-1)
-        usq = np.abs(u) ** 2
-
-        lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam**2 * phi * grad_sq
-        lhs = float(np.sum(env * lhs_density * grid.space_weights))
-
-        lu = apply_operator("elliptic", field, lower, u, grid)
-        rhs_source = float(np.sum(env * np.abs(lu) ** 2 * grid.space_weights))
-
-        bdens = env * (tau**3 * lam**3 * phi**3 * usq + tau * lam * phi * grad_sq)
-        boundary = 0.0
-        for f in range(grid.num_faces):
-            gm = grid.face_mask(f)
-            w = grid.face_weights(f)[gm]
-            boundary += float(np.sum(bdens[gm] * w))
-
-    values = CarlemanSideValues(
-        kind="elliptic",
-        tau=tau,
-        lam=lam,
-        lhs_interior=lhs,
-        rhs_source=rhs_source,
-        rhs_boundary_dmu=boundary,
-        rhs_boundary_sigma_plus=0.0,
-        phi_max=phi_max,
-    )
-    _check_finite_sides(values)
-    return values
+    return audit.member_sides(u, [tau], [spec.lam])[0][0]
 
 
 # -- ensembles ---------------------------------------------------------------------
@@ -448,7 +445,6 @@ def sweep_audit(
     lams,
     grid: SpaceTimeGrid,
     target: float = 0.0,
-    threads: int = 1,
     psi0_for_mask=None,
     stamp: str | None = None,
     admissibility_codes: list[str] | None = None,
@@ -462,28 +458,14 @@ def sweep_audit(
     if kind in _BOUNDARY_KINDS:
         plus_mask = gamma_plus(field, psi0_for_mask or spec.psi0, grid)
 
-    cells = [(i, j) for i in range(len(taus)) for j in range(len(lams))]
-
-    def eval_cell(ij):
-        i, j = ij
-        wspec = spec.with_lambda(lams[j])
-        vals = []
-        for u in ensemble:
-            side = evaluate_sides(u, wspec, field, lower, kind, taus[i], grid, plus_mask)
-            vals.append(side.ratio)
-        return i, j, vals
-
-    ratios = np.full((len(taus), len(lams), len(ensemble)), np.nan)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, j, vals in pool.map(eval_cell, cells):
-                ratios[i, j, :] = vals
-    else:
-        for ij in cells:
-            i, j, vals = eval_cell(ij)
-            ratios[i, j, :] = vals
+    if not taus or not lams:
+        raise ValueError("need at least one tau and one lambda")
+    if min(taus) <= 0 or min(lams) <= 0:
+        raise ValueError("tau and lambda must be positive")
+    audit = _Audit(spec, field, lower, kind, grid, plus_mask)
+    ratios = np.empty((len(taus), len(lams), len(ensemble)))
+    for m, u in enumerate(ensemble):
+        ratios[..., m] = [[side.ratio for side in row] for row in audit.member_sides(u, taus, lams)]
 
     aleph = np.empty((len(taus), len(lams)))
     for i in range(len(taus)):
@@ -533,7 +515,6 @@ def negative_control(
     grid: SpaceTimeGrid,
     admissibility: WeightAdmissibility,
     target: float = 0.0,
-    threads: int = 1,
 ) -> AuditReport:
     """Exploratory audit of a weight that failed admissibility.
 
@@ -551,7 +532,6 @@ def negative_control(
         lams,
         grid,
         target=target,
-        threads=threads,
         stamp="INADMISSIBLE WEIGHT: exploratory",
         admissibility_codes=admissibility.codes(),
     )

@@ -22,6 +22,7 @@ import yaml
 
 from . import __version__
 from .audit import (
+    INEQUALITY_KINDS,
     compare_refinement,
     default_ensemble,
     negative_control,
@@ -39,9 +40,10 @@ from .operators import (
 )
 from .polynomials import Polynomial, poly_from_table
 from .pseudoconvex import (
-    certify_pseudoconvex,
+    certificate_from_scan,
     flatten_and_certify_hypersurface,
     theta_decomposition,
+    theta_scan,
 )
 from .solvers import (
     HeatData,
@@ -292,10 +294,14 @@ def emit_plots(paths, outdir: Path | None = None) -> list[Path]:
         if not path.exists():
             raise ConfigError(f"report file {path} does not exist")
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ConfigError(f"report file {path} is empty (no header)")
-        header, body = rows[0], rows[1:]
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"report file {path} is empty (no header)")
+            trace = header[:1] == ["face"] and "trace_re" in header
+            # trace exports run to 10^4 rows and more: plot them as they stream by
+            trace_svg = _trace_plot_from_rows(header, reader) if trace else None
+            body = list(reader)
         target_dir = Path(outdir) if outdir is not None else path.parent
         if header == ["tau", "lambda", "member", "ratio"]:
             out = target_dir / f"{path.stem}_heatmap.svg"
@@ -308,9 +314,9 @@ def emit_plots(paths, outdir: Path | None = None) -> list[Path]:
                 out.write_text(line_svg([("energy", ts, es)], "energy record", "t", "E"))
             else:
                 out.write_text(line_svg([], "energy record"))
-        elif header[:1] == ["face"] and "trace_re" in header:
+        elif trace:
             out = target_dir / f"{path.stem}.svg"
-            out.write_text(_trace_plot_from_rows(header, body))
+            out.write_text(trace_svg)
         elif header == ["label", "data_norm", "trace_norm", "ratio", "flag"]:
             out = target_dir / f"{path.stem}_hist.svg"
             vals = [float(r[3]) for r in body if r[3] not in ("", "nan")]
@@ -343,9 +349,7 @@ def _sweep_heatmap_from_rows(body: list[list[str]]) -> str:
     )
 
 
-def _trace_plot_from_rows(header: list[str], body: list[list[str]]) -> str:
-    if not body:
-        return line_svg([], "normal trace time series")
+def _trace_plot_from_rows(header: list[str], body) -> str:
     t_col = header.index("t")
     re_col = header.index("trace_re")
     series: dict[str, tuple[list[float], list[float]]] = {}
@@ -359,6 +363,8 @@ def _trace_plot_from_rows(header: list[str], body: list[list[str]]) -> str:
         xs, ys = series.setdefault(f"face {face}", ([], []))
         xs.append(float(row[t_col]))
         ys.append(float(row[re_col]))
+    if not series:
+        return line_svg([], "normal trace time series")
     return line_svg(
         [(label, xs, ys) for label, (xs, ys) in series.items()],
         "normal trace time series", "t", "dnu u",
@@ -385,7 +391,7 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 # -- commands -------------------------------------------------------------------------
 
 
-def _cmd_certify(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     c = cfg.get("coefficients", {})
     ell = certify_ellipticity(
@@ -410,7 +416,7 @@ def _cmd_certify(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     return (0 if ok else 2), []
 
 
-def _cmd_theta(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     spec, _ = build_weight_from(cfg, field, grid)
     block = cfg.get("theta", {})
@@ -427,13 +433,11 @@ def _cmd_theta(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
                     "theta_sym_min": dec.theta_sym_min,
                 }
             )
-    cert = certify_pseudoconvex(field, spec.psi0, grid)
+    smin, gnorm = theta_scan(field, spec.psi0, grid.space_points)
+    cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
     rows = []
     pts = grid.space_points.reshape(-1, grid.n)
-    from .pseudoconvex import theta_scan
-
-    smin, gnorm = theta_scan(field, spec.psi0, grid.space_points)
     for coords, s, g in zip(pts, smin.reshape(-1), gnorm.reshape(-1)):
         rows.append([*map(float, coords), float(s), float(g)])
     write_csv(
@@ -444,7 +448,7 @@ def _cmd_theta(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     return 0, []
 
 
-def _cmd_flatten(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("flatten", {})
     terms = block.get("surface_terms", [])
@@ -470,22 +474,33 @@ def _cmd_flatten(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     return (0 if ok else 2), []
 
 
-def _cmd_audit(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _positive_list(block: dict, key: str, default: list[float]) -> list[float]:
+    values = block.get(key, default)
+    try:
+        values = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"audit: {key} must be a list of numbers") from exc
+    if not values:
+        raise ConfigError(f"audit: {key} must not be empty")
+    if not all(v > 0 for v in values):
+        raise ConfigError(f"audit: {key} must be positive, got {values}")
+    return values
+
+
+def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("audit", {})
     kind = block.get("kind", "wave_full")
-    eq_kind = {
-        "wave": "wave",
-        "elliptic": "elliptic",
-        "parabolic": "parabolic",
-        "schrodinger": "schrodinger",
-    }[kind.split("_")[0]]
+    if kind not in INEQUALITY_KINDS:
+        known = ", ".join(INEQUALITY_KINDS)
+        raise ConfigError(f"audit: unknown kind {kind!r}; expected one of {known}")
+    eq_kind = kind.split("_")[0]
+    taus = _positive_list(block, "taus", [2.0, 4.0, 8.0, 16.0])
+    lams = _positive_list(block, "lambdas", [1.0, 2.0, 4.0])
     spec, extras = build_weight_from(cfg, field, grid)
     lower = build_lower_from(cfg, eq_kind, grid.n)
     ell = certify_ellipticity(field, grid)
     adm = check_admissibility(spec, field, grid, eq_kind, ellipticity=ell)
-    taus = [float(t) for t in block.get("taus", [2.0, 4.0, 8.0, 16.0])]
-    lams = [float(l) for l in block.get("lambdas", [1.0, 2.0, 4.0])]
     count = int(block.get("ensemble", 20))
     target = float(block.get("target", 0.0))
     complex_fields = eq_kind == "schrodinger"
@@ -497,13 +512,13 @@ def _cmd_audit(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     if adm.passed:
         report = sweep_audit(
             ensemble, spec, field, lower, kind, taus, lams, grid,
-            target=target, threads=threads,
+            target=target,
         )
         status = 0 if report.tau_star is not None else 2
     else:
         report = negative_control(
             ensemble, spec, field, lower, kind, taus, lams, grid, adm,
-            target=target, threads=threads,
+            target=target,
         )
         flags.append("inadmissible-weight")
         status = 2
@@ -521,7 +536,7 @@ def _cmd_audit(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
         )
         fine_report = sweep_audit(
             fine_ensemble, fine_spec, fine_field, build_lower_from(cfg, eq_kind, fine.n),
-            kind, taus, lams, fine, target=target, threads=threads,
+            kind, taus, lams, fine, target=target,
         )
         drift, stable = compare_refinement(report, fine_report)
         drift_info = {"max_drift": float(np.nanmax(drift)), "stable": stable}
@@ -552,7 +567,7 @@ def _cmd_audit(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     return status, flags
 
 
-def _cmd_ucp(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     block = cfg.get("ucp", {})
     c = float(_get(block, "c", "ucp"))
     eps = float(_get(block, "eps", "ucp"))
@@ -587,7 +602,7 @@ def _mode_data(grid: SpaceTimeGrid, mode) -> np.ndarray:
     return u
 
 
-def _cmd_solve(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("solve", {})
     kind = block.get("kind", "wave")
@@ -605,22 +620,20 @@ def _cmd_solve(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
         raise ConfigError(f"unknown solve kind {kind!r}")
     state = solve_evolution(kind, field, lower if kind == "wave" else None, data, t_final, grid)
 
-    rows = []
-    for f in range(grid.num_faces):
-        tr = state.traces[f]
-        face_nodes = grid.space_points[grid.face_mask(f)]
-        flat = tr.reshape(-1, grid.nt)
-        for b in range(flat.shape[0]):
-            for m in range(grid.nt):
-                val = flat[b, m]
-                rows.append(
-                    [f, *[float(x) for x in face_nodes[b]], float(grid.times[m]),
-                     float(np.real(val)), float(np.imag(val))]
-                )
+    def rows():  # streamed: a 41^2 x 97 solve writes 15,908 trace rows
+        for f in range(grid.num_faces):
+            face_nodes = grid.space_points[grid.face_mask(f)]
+            flat = state.traces[f].reshape(-1, grid.nt)
+            for b in range(flat.shape[0]):
+                for m in range(grid.nt):
+                    val = flat[b, m]
+                    yield [f, *[float(x) for x in face_nodes[b]], float(grid.times[m]),
+                           float(np.real(val)), float(np.imag(val))]
+
     write_csv(
         outdir / "solve_traces.csv",
         ["face"] + [f"x{i}" for i in range(grid.n)] + ["t", "trace_re", "trace_im"],
-        rows,
+        rows(),
     )
     write_csv(
         outdir / "solve_energy.csv",
@@ -640,7 +653,7 @@ def _cmd_solve(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
     return 0, []
 
 
-def _cmd_observability(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("observability", {})
     kind = block.get("kind", "wave")
@@ -687,7 +700,7 @@ def _cmd_observability(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]
     return status, report.flags
 
 
-def _cmd_identities(cfg, grid, outdir, seed, threads) -> tuple[int, list[str]]:
+def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("identities", {})
     results = {}
@@ -750,15 +763,14 @@ _DISPATCH = {
 }
 
 
-def run_command(name: str, cfg: dict, outdir: Path, seed: int, threads: int,
-                strict: bool = False) -> int:
+def run_command(name: str, cfg: dict, outdir: Path, seed: int, strict: bool = False) -> int:
     """Dispatch one command; returns the process exit status."""
     if name not in _DISPATCH:
         raise ConfigError(f"unknown command {name!r}")
     outdir.mkdir(parents=True, exist_ok=True)
     grid = build_grid_from(cfg)
     write_manifest(outdir, name, cfg, seed)
-    status, flags = _DISPATCH[name](cfg, grid, outdir, seed, threads)
+    status, flags = _DISPATCH[name](cfg, grid, outdir, seed)
     if strict and flags and status == 0:
         status = 2
     return status
@@ -772,7 +784,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--strict", action="store_true")
     try:
         args = parser.parse_args(argv)
@@ -780,9 +791,7 @@ def main(argv=None) -> int:
             raise ConfigError("no command given")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        return run_command(
-            args.command, cfg, Path(args.out), seed, args.threads, args.strict
-        )
+        return run_command(args.command, cfg, Path(args.out), seed, args.strict)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     h = coords[1] - coords[0]
     w = np.full(coords.shape, h)
@@ -153,13 +158,22 @@ class SpaceTimeGrid:
         return nu
 
     def face_mask(self, face: int) -> np.ndarray:
-        """Geometric membership mask over space nodes (corners on 2+ faces)."""
-        axis, side = self.face_axis_side(face)
-        mask = np.zeros(self.space_shape, dtype=bool)
-        idx = [slice(None)] * self.n
-        idx[axis] = 0 if side == 0 else -1
-        mask[tuple(idx)] = True
-        return mask
+        """Geometric membership mask over space nodes (corners on 2+ faces).
+
+        Cached per face and read-only."""
+        return self._face_masks[face]
+
+    @cached_property
+    def _face_masks(self) -> tuple[np.ndarray, ...]:
+        masks = []
+        for face in range(self.num_faces):
+            axis, side = self.face_axis_side(face)
+            mask = np.zeros(self.space_shape, dtype=bool)
+            idx = [slice(None)] * self.n
+            idx[axis] = 0 if side == 0 else -1
+            mask[tuple(idx)] = True
+            masks.append(_read_only(mask))
+        return tuple(masks)
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -177,21 +191,30 @@ class SpaceTimeGrid:
         return owner
 
     def face_weights(self, face: int) -> np.ndarray:
-        """Tangential trapezoid weights on the face nodes, 0 elsewhere."""
-        axis, side = self.face_axis_side(face)
-        w = np.array(1.0)
-        for i in range(self.n):
-            wi = (
-                np.ones(1)
-                if i == axis
-                else _trapezoid_weights(self.domain.axis_coords(i))
-            )
-            w = np.multiply.outer(w, wi)
-        full = np.zeros(self.space_shape)
-        idx = [slice(None)] * self.n
-        idx[axis] = slice(0, 1) if side == 0 else slice(-1, None)
-        full[tuple(idx)] = w.reshape(full[tuple(idx)].shape)
-        return full
+        """Tangential trapezoid weights on the face nodes, 0 elsewhere.
+
+        Cached per face and read-only."""
+        return self._face_weights[face]
+
+    @cached_property
+    def _face_weights(self) -> tuple[np.ndarray, ...]:
+        weights = []
+        for face in range(self.num_faces):
+            axis, side = self.face_axis_side(face)
+            w = np.array(1.0)
+            for i in range(self.n):
+                wi = (
+                    np.ones(1)
+                    if i == axis
+                    else _trapezoid_weights(self.domain.axis_coords(i))
+                )
+                w = np.multiply.outer(w, wi)
+            full = np.zeros(self.space_shape)
+            idx = [slice(None)] * self.n
+            idx[axis] = slice(0, 1) if side == 0 else slice(-1, None)
+            full[tuple(idx)] = w.reshape(full[tuple(idx)].shape)
+            weights.append(_read_only(full))
+        return tuple(weights)
 
     @cached_property
     def lateral_weights(self) -> np.ndarray:

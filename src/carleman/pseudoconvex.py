@@ -32,6 +32,7 @@ __all__ = [
     "theta_tensors",
     "theta_scan",
     "certify_pseudoconvex",
+    "certificate_from_scan",
     "flatten_and_certify_hypersurface",
     "subellipticity_bracket",
     "symbol_probe",
@@ -161,7 +162,13 @@ def certify_pseudoconvex(
         pts = np.asarray(grid_or_points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty grid")
-    smin, gnorm = theta_scan(field, h, pts)
+    return certificate_from_scan(*theta_scan(field, h, pts), pts, grad_tol)
+
+
+def certificate_from_scan(
+    smin: np.ndarray, gnorm: np.ndarray, pts: np.ndarray, grad_tol: float = DEFAULT_GRAD_TOL
+) -> PseudoconvexCertificate:
+    """Certificate from a ``theta_scan`` of the points ``pts``."""
     flat_smin = smin.reshape(-1)
     flat_gnorm = gnorm.reshape(-1)
     flat_pts = pts.reshape(-1, pts.shape[-1])

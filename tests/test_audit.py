@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,16 @@ from carleman import (
     negative_control,
     sweep_audit,
 )
-from carleman.audit import compare_refinement, default_ensemble, evaluate_sides
+from carleman.audit import (
+    INEQUALITY_KINDS,
+    compare_refinement,
+    default_ensemble,
+    evaluate_sides,
+)
+from carleman.operators import LowerOrderCoeffs
 from carleman.solvers import gamma_plus
 from conftest import interior_bump_spacetime, interior_bump_space
+from reference_sides import reference_sides
 
 
 @pytest.fixture
@@ -139,14 +148,74 @@ def test_sweep_reports_thresholds(canonical):
     assert report.aleph_overall is not None
 
 
-def test_sweep_threaded_matches_serial(canonical):
+def _variable_field(grid):
+    """Non-diagonal polynomial A(x), uniformly elliptic on the unit square."""
+    entries = {
+        (0, 0): [((0, 0), 1.0), ((1, 0), 0.5)],
+        (1, 1): [((0, 0), 1.2), ((0, 1), 0.3)],
+        (0, 1): [((1, 1), 0.1)],
+        (1, 0): [((1, 1), 0.1)],
+    }
+    return MatrixField.from_tables(2, entries, domain=grid.domain)
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["identity", "variable-A"])
+@pytest.mark.parametrize("kind", INEQUALITY_KINDS)
+def test_sweep_matches_per_cell_reference(canonical, kind, variable):
     grid, field, spec = canonical
-    ens = default_ensemble(grid, 5, count=4)
-    serial = sweep_audit(ens, spec, field, None, "wave_full", [2.0, 4.0], [1.0], grid)
-    threaded = sweep_audit(
-        ens, spec, field, None, "wave_full", [2.0, 4.0], [1.0], grid, threads=3
+    if variable:
+        field = _variable_field(grid)
+    eq_kind = kind.split("_")[0]
+    lower = None
+    if kind == "wave_lower_order":
+        lower = LowerOrderCoeffs(kind="wave", space=(1.0, 0.5), time=1.0, zero=1.0)
+    ens = default_ensemble(
+        grid, 3, count=4, complex_fields=eq_kind == "schrodinger", spatial=eq_kind == "elliptic"
     )
-    assert np.array_equal(serial.ratios, threaded.ratios)
+    taus, lams = [2.0, 16.0, 64.0], [1.0, 4.0]
+    report = sweep_audit(ens, spec, field, lower, kind, taus, lams, grid)
+    mask = gamma_plus(field, spec.psi0, grid)
+    ref = np.empty_like(report.ratios)
+    for i, tau in enumerate(taus):
+        for j, lam in enumerate(lams):
+            for m, u in enumerate(ens):
+                wspec = spec.with_lambda(lam)
+                ref[i, j, m] = reference_sides(u, wspec, field, lower, kind, tau, grid, mask).ratio
+    assert np.array_equal(np.isinf(report.ratios), np.isinf(ref))
+    assert np.isinf(ref).any() and np.isfinite(ref).any()
+    finite = np.isfinite(ref)
+    assert np.allclose(report.ratios[finite], ref[finite], rtol=1e-12, atol=0.0)
+    # the one-cell entry point agrees side by side, not only in the ratio
+    one = evaluate_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid, mask)
+    old = reference_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid, mask)
+    for part in ("lhs_interior", "rhs_source", "rhs_boundary_dmu", "rhs_boundary_sigma_plus"):
+        assert getattr(one, part) == pytest.approx(getattr(old, part), rel=1e-12, abs=0.0)
+
+
+def test_sweep_peak_memory_within_one_side_evaluation():
+    # the sweep keeps one member's densities at a time: over 6 members and 9
+    # cells its peak is that of a single evaluate_sides call, up to a few kB
+    # of Python and numpy bookkeeping (the ratio table, numpy's small-block
+    # cache), far below one more grid-sized array
+    grid = build_grid([0, 0], [1, 1], [33, 33], -1.0, 1.0, 33)
+    field = MatrixField.identity(2, domain=grid.domain)
+    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    ens = default_ensemble(grid, 5, count=6)
+    args = (spec, field, None, "wave_full")
+    evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
+    sweep = peak(lambda: sweep_audit(ens, *args, [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
+    assert sweep <= one + ens[0].nbytes / 16
 
 
 def test_refinement_drift_headline_stable(canonical):
@@ -300,3 +369,33 @@ def test_unknown_inequality_kind_rejected(canonical):
     grid, field, spec = canonical
     with pytest.raises(ValueError, match="kind"):
         evaluate_sides(np.zeros(grid.shape), spec, field, None, "wave_weird", 2.0, grid)
+
+
+def test_sweep_overflow_names_the_cell():
+    grid = build_grid([0, 0], [1, 1], [9, 9], -1.0, 1.0, 9)
+    field = MatrixField.identity(2, domain=grid.domain)
+    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    ens = [interior_bump_spacetime(grid)]
+    with pytest.raises(OverflowError, match=r"tau=4\.0, lambda=200\.0"):
+        sweep_audit(ens, spec, field, None, "wave_full", [4.0], [1.0, 200.0], grid)
+
+
+@pytest.mark.parametrize("kind", ["wave_boundary", "parabolic_boundary", "schrodinger_boundary"])
+def test_sweep_boundary_kinds_reject_nonvanishing(canonical, kind):
+    grid, field, spec = canonical
+    good = interior_bump_spacetime(grid)
+    with pytest.raises(ValueError, match=r"lateral boundary \(\d+ nodes\)"):
+        sweep_audit([good, np.ones(grid.shape)], spec, field, None, kind, [2.0], [1.0], grid)
+    capped = np.zeros(grid.shape)
+    capped[5:-5, 5:-5, :] = 1.0
+    with pytest.raises(ValueError, match=r"time cap \(level 0\)"):
+        sweep_audit([capped], spec, field, None, kind, [2.0], [1.0], grid)
+
+
+def test_sweep_rejects_empty_or_nonpositive_parameters(canonical):
+    grid, field, spec = canonical
+    ens = [interior_bump_spacetime(grid)]
+    with pytest.raises(ValueError, match="at least one"):
+        sweep_audit(ens, spec, field, None, "wave_full", [], [1.0], grid)
+    with pytest.raises(ValueError, match="positive"):
+        sweep_audit(ens, spec, field, None, "wave_full", [2.0], [0.0], grid)

@@ -114,6 +114,29 @@ def test_audit_command_artifacts_and_exit(tmp_path):
     assert len(lines) == 1 + 2 * 1 * 4
 
 
+@pytest.mark.parametrize(
+    "audit, message",
+    [
+        ({"kind": "foo_bar"}, "unknown kind 'foo_bar'"),
+        ({"taus": []}, "taus must not be empty"),
+        ({"lambdas": []}, "lambdas must not be empty"),
+        ({"taus": [2.0, -1.0]}, "taus must be positive"),
+    ],
+    ids=["unknown-kind", "empty-taus", "empty-lambdas", "negative-tau"],
+)
+def test_audit_config_errors_exit_1_with_one_line(tmp_path, capsys, audit, message):
+    cfg, _ = write_config(tmp_path, extra={"audit": audit})
+    assert run("carleman-audit", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: audit: ")
+    assert message in err
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    assert run("certify", cfg, tmp_path / "out", "--threads", "2") == 1
+
+
 def test_audit_inadmissible_weight_exits_2_and_stamps(tmp_path):
     cfg, _ = write_config(
         tmp_path,
@@ -217,6 +240,24 @@ def test_theta_command_writes_scan(tmp_path):
     assert report["certificate"]["passed"] is True
 
 
+def test_theta_command_scans_once(tmp_path, monkeypatch):
+    import carleman.cli as cli
+    import carleman.pseudoconvex as pc
+
+    calls = []
+    scan = pc.theta_scan
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "theta_scan", counted)
+    monkeypatch.setattr(pc, "theta_scan", counted)
+    cfg, _ = write_config(tmp_path)
+    assert run("theta", cfg, tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_flatten_command(tmp_path):
     cfg, _ = write_config(
         tmp_path,
@@ -267,10 +308,12 @@ def test_line_plot_points_match_data():
 def test_emit_plots_empty_csv_gives_no_data(tmp_path):
     from carleman.cli import emit_plots
 
-    csv_path = tmp_path / "audit.csv"
-    csv_path.write_text("tau,lambda,member,ratio\n")
-    (written,) = emit_plots([csv_path])
-    assert "no data" in written.read_text()
+    for name, header in (("audit", "tau,lambda,member,ratio"),
+                         ("traces", "face,x0,t,trace_re,trace_im")):
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_text(header + "\n")
+        (written,) = emit_plots([csv_path])
+        assert "no data" in written.read_text()
 
 
 def test_emit_plots_single_cell_heatmap(tmp_path):

@@ -135,3 +135,15 @@ def test_vector_field_validation():
     VectorField(np.zeros(g.space_shape + (2,)), g)
     with pytest.raises(ValueError):
         VectorField(np.zeros((5, 4, 2)), g)
+
+
+def test_face_geometry_cached_and_read_only(unit_square_grid):
+    g = unit_square_grid
+    for f in range(g.num_faces):
+        assert g.face_mask(f) is g.face_mask(f)
+        assert g.face_weights(f) is g.face_weights(f)
+        with pytest.raises(ValueError, match="read-only"):
+            g.face_mask(f)[0, 0] = False
+        with pytest.raises(ValueError, match="read-only"):
+            g.face_weights(f)[0, 0] = 1.0
+    assert np.allclose(g.lateral_weights[g.boundary_mask].sum(), 4.0)

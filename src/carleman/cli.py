@@ -29,7 +29,7 @@ from .audit import (
     sweep_audit,
 )
 from .coefficients import MatrixField, certify_ellipticity
-from .experiments import observability_experiment, worst_case_ratio
+from .experiments import CheckFailedError, observability_experiment, worst_case_ratio
 from .geometry import SpaceTimeGrid, build_grid
 from .operators import (
     LowerOrderCoeffs,
@@ -795,6 +795,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CheckFailedError as exc:  # a failed mathematical check, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

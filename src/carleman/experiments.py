@@ -37,6 +37,7 @@ from .weights import make_observability_weight
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "CheckFailedError",
     "SampleResult",
     "ObservabilityReport",
     "WorstCaseResult",
@@ -48,6 +49,17 @@ __all__ = [
 EXPERIMENT_KINDS = ("wave", "heat_final", "schrodinger")
 
 _ZERO_OBS_REL = 1e-12
+
+
+class CheckFailedError(ValueError):
+    """A mathematical precondition of an experiment fails on the grid."""
+
+
+def _require_pseudoconvex(cert) -> None:
+    if not cert.passed:
+        raise CheckFailedError(
+            f"psi0 is not pseudo-convex for this field (kappa={cert.kappa:.6g})"
+        )
 
 
 def _grad_seminorm(u_level: np.ndarray, field: MatrixField, grid: SpaceTimeGrid) -> float:
@@ -170,10 +182,8 @@ def observability_experiment(
     if kind in ("wave", "schrodinger"):
         ell = certify_ellipticity(field, grid)
         cert = certify_pseudoconvex(field, psi0, grid)
-        if validate and not cert.passed:
-            raise ValueError(
-                f"psi0 is not pseudo-convex for this field (kappa={cert.kappa:.6g})"
-            )
+        if validate:
+            _require_pseudoconvex(cert)
         if kind == "wave":
             if cert.kappa > 0:
                 t_secondary = (8.0 * ell.kappa_estimate / cert.kappa) ** (
@@ -330,9 +340,7 @@ def worst_case_ratio(
         raise ValueError("need at least one iteration")
     mask = gamma_plus(field, psi0, grid)
     if validate:
-        cert = certify_pseudoconvex(field, psi0, grid)
-        if not cert.passed:
-            raise ValueError("psi0 is not pseudo-convex for this field")
+        _require_pseudoconvex(certify_pseudoconvex(field, psi0, grid))
 
     if seed_data is None:
         x = np.ones(grid.space_shape)

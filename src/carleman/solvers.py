@@ -2,10 +2,15 @@
 Schrodinger stepping, boundary traces, energies and the semigroup
 smoothing-bound check.
 
-Time stepping for the implicit kinds factorizes the step matrix once with a
-sparse direct solver and reuses it; the trapezoidal Schrodinger step is a
-Cayley transform of the symmetric discrete operator, so the L2 norm is
-conserved to rounding, which the conservation checks rely on.
+Every kind steps on the interior nodes with the spatial operator assembled
+once per solve as a CSR matrix (``assemble_spatial_operator``), writing each
+level into the space-time array whose boundary ring stays zero.  The
+leapfrog is one sparse matvec per step.  Time stepping for the implicit
+kinds factorizes the step matrix once with a sparse direct solver and reuses
+it; the trapezoidal Schrodinger step is a Cayley transform of the symmetric
+discrete operator, so the L2 norm is conserved to rounding, which the
+conservation checks rely on.  Boundary traces are taken on the whole
+space-time array, one call per face.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .coefficients import MatrixField, symmetric_eigenvalues
 from .geometry import SpaceTimeGrid
 from .operators import (
     LowerOrderCoeffs,
-    _central_full,
     _coeff_space,
     _is_zero_coeff,
     laplacian_flux,
@@ -145,12 +149,16 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
 # -- sparse assembly --------------------------------------------------------------
 
 
+def _inner(grid: SpaceTimeGrid) -> tuple[slice, ...]:
+    """Index of the interior nodes in the leading space axes of an array."""
+    return tuple(slice(1, -1) for _ in grid.space_shape)
+
+
 def _interior_maps(grid: SpaceTimeGrid):
     shape = grid.space_shape
     idx_map = -np.ones(shape, dtype=np.int64)
-    inner = tuple(slice(1, -1) for _ in shape)
     count = int(np.prod([m - 2 for m in shape]))
-    idx_map[inner] = np.arange(count).reshape([m - 2 for m in shape])
+    idx_map[_inner(grid)] = np.arange(count).reshape([m - 2 for m in shape])
     nodes = np.argwhere(idx_map >= 0)
     return idx_map, nodes
 
@@ -244,18 +252,6 @@ def assemble_spatial_operator(
     return mat.tocsr()
 
 
-def _interior_view(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    return u[tuple(slice(1, -1) for _ in grid.space_shape)]
-
-
-def _embed_interior(vec: np.ndarray, grid: SpaceTimeGrid, dtype) -> np.ndarray:
-    out = np.zeros(grid.space_shape, dtype=dtype)
-    out[tuple(slice(1, -1) for _ in grid.space_shape)] = vec.reshape(
-        [m - 2 for m in grid.space_shape]
-    )
-    return out
-
-
 # -- traces and energies -----------------------------------------------------------
 
 
@@ -300,20 +296,15 @@ def _wave_energy_series(
     return np.sqrt(grad_part + vel_part)
 
 
-def _l2_norm(u_level: np.ndarray, grid: SpaceTimeGrid) -> float:
-    return float(np.sqrt(np.sum(np.abs(u_level) ** 2 * grid.space_weights)))
+def _l2_norm_series(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """L2 norm of every time level of a space-time array."""
+    w = grid.space_weights[..., None]
+    return np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=tuple(range(grid.n))))
 
 
 def _collect_traces(u: np.ndarray, grid: SpaceTimeGrid) -> list[np.ndarray]:
     """Per-face traces as flat node-major arrays of shape (nodes, nt)."""
-    traces = []
-    for f in range(grid.num_faces):
-        levels = [
-            np.asarray(_face_trace(u[..., m], grid, f)).reshape(-1)
-            for m in range(grid.nt)
-        ]
-        traces.append(np.stack(levels, axis=-1))
-    return traces
+    return [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
 
 
 # -- solvers -------------------------------------------------------------------------
@@ -329,7 +320,8 @@ def solve_evolution(
 ) -> EvolutionState:
     """Run the IBVP with homogeneous Dirichlet boundary on the grid's times.
 
-    wave: explicit leapfrog on the flux stencil (CFL checked);
+    wave: explicit leapfrog, one matvec per step with the assembled CSR
+    operator of the flux stencil (CFL checked);
     heat/schrodinger: trapezoidal implicit steps with one sparse
     factorization reused for all levels.
     """
@@ -343,28 +335,6 @@ def solve_evolution(
     if kind == "heat":
         return _solve_heat(field, lower, data, grid)
     return _solve_schrodinger(field, lower, data, grid)
-
-
-def _spatial_apply(
-    field: MatrixField, lower: LowerOrderCoeffs | None, u_level: np.ndarray, grid: SpaceTimeGrid
-) -> np.ndarray:
-    out = laplacian_flux(field, u_level, grid)
-    if lower is not None:
-        for ax, c in enumerate(lower.space):
-            if _is_zero_coeff(c):
-                continue
-            out = out + _coeff_space(c, grid) * _central_full(
-                u_level, ax, grid.domain.spacings[ax]
-            )
-        if not _is_zero_coeff(lower.zero):
-            out = out + _coeff_space(lower.zero, grid) * u_level
-    for ax in range(grid.n):
-        idx = [slice(None)] * grid.n
-        idx[ax] = 0
-        out[tuple(idx)] = 0
-        idx[ax] = -1
-        out[tuple(idx)] = 0
-    return out
 
 
 def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionState:
@@ -382,41 +352,51 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
     dtype = np.complex128 if (np.iscomplexobj(u0) or np.iscomplexobj(u1)) else np.float64
     lower = lower or LowerOrderCoeffs.none("wave")
     dt = grid.dt
+    inner = _inner(grid)
+    inner_shape = [m - 2 for m in grid.space_shape]
 
     u = np.zeros(grid.shape, dtype=dtype)
     u[..., 0] = u0
     _apply_dirichlet(u[..., 0], grid)
 
-    q0 = _coeff_space(lower.time, grid) if not _is_zero_coeff(lower.time) else None
+    q0 = None
+    if not _is_zero_coeff(lower.time):
+        q0 = np.broadcast_to(_coeff_space(lower.time, grid), grid.space_shape)
+        denom = 1.0 - 0.5 * dt * q0
+        if np.any(np.abs(denom) < 1e-14):
+            raise ValueError("time coefficient makes the leapfrog update singular")
+        q0, denom = q0[inner].reshape(-1), denom[inner].reshape(-1)
+        lag = 1.0 + 0.5 * dt * q0
     source = data.source
     if source is not None:
         source = np.asarray(source)
         if source.shape != grid.shape:
             raise ValueError("wave source must be a space-time array")
 
-    acc0 = _spatial_apply(field, lower, u[..., 0], grid)
+    # interior levels m - 1 and m as contiguous vectors; level m + 1 is
+    # written straight into u, whose boundary ring stays zero
+    mat = assemble_spatial_operator(field, _as_elliptic_lower(lower), grid)
+    prev = u[inner + (0,)].flatten()
+    acc0 = mat @ prev
     if q0 is not None:
-        acc0 = acc0 + q0 * u1
+        acc0 = acc0 + q0 * u1[inner].reshape(-1)
     if source is not None:
-        acc0 = acc0 - source[..., 0]
-    u[..., 1] = u[..., 0] + dt * u1 + 0.5 * dt**2 * acc0
-    _apply_dirichlet(u[..., 1], grid)
+        acc0 = acc0 - source[inner + (0,)].reshape(-1)
+    cur = prev + dt * u1[inner].reshape(-1) + 0.5 * dt**2 * acc0
+    u[inner + (1,)] = cur.reshape(inner_shape)
+    cur = cur.astype(dtype, copy=False)
 
-    if q0 is not None:
-        denom = 1.0 - 0.5 * dt * q0
-        if np.any(np.abs(denom) < 1e-14):
-            raise ValueError("time coefficient makes the leapfrog update singular")
+    step = dt**2 * mat
     for m in range(1, grid.nt - 1):
-        rhs = dt**2 * _spatial_apply(field, lower, u[..., m], grid)
+        rhs = step @ cur
         if source is not None:
-            rhs = rhs - dt**2 * source[..., m]
+            rhs = rhs - dt**2 * source[inner + (m,)].reshape(-1)
         if q0 is None:
-            u[..., m + 1] = 2.0 * u[..., m] - u[..., m - 1] + rhs
+            nxt = 2.0 * cur - prev + rhs
         else:
-            u[..., m + 1] = (
-                rhs + 2.0 * u[..., m] - (1.0 + 0.5 * dt * q0) * u[..., m - 1]
-            ) / denom
-        _apply_dirichlet(u[..., m + 1], grid)
+            nxt = (rhs + 2.0 * cur - lag * prev) / denom
+        u[inner + (m + 1,)] = nxt.reshape(inner_shape)
+        prev, cur = cur, nxt.astype(dtype, copy=False)
 
     velocity = np.zeros_like(u)
     velocity[..., 0] = u1
@@ -474,28 +454,27 @@ def _solve_heat(field, lower, data: HeatData, grid: SpaceTimeGrid) -> EvolutionS
     rhs_mat = (eye + 0.5 * dt * mat).tocsr()
     solver = spla.splu(lhs)
 
+    inner = _inner(grid)
+    inner_shape = [m - 2 for m in grid.space_shape]
     u = np.zeros(grid.shape, dtype=dtype)
     u[..., 0] = u0
     _apply_dirichlet(u[..., 0], grid)
-    vec = _interior_view(u[..., 0], grid).reshape(-1).astype(dtype)
+    vec = u[inner + (0,)].flatten()
     for m in range(grid.nt - 1):
         rhs = rhs_mat @ vec
         if source is not None:
-            f_mid = 0.5 * (
-                _interior_view(source[..., m], grid) + _interior_view(source[..., m + 1], grid)
-            )
+            f_mid = 0.5 * (source[inner + (m,)] + source[inner + (m + 1,)])
             rhs = rhs - dt * f_mid.reshape(-1)
         vec = solver.solve(rhs)
-        u[..., m + 1] = _embed_interior(vec, grid, dtype)
+        u[inner + (m + 1,)] = vec.reshape(inner_shape)
 
-    norms = np.array([_l2_norm(u[..., m], grid) for m in range(grid.nt)])
     state = EvolutionState(
         kind="heat",
         grid=grid,
         u=u,
         velocity=None,
         traces=_collect_traces(u, grid),
-        energy=EnergyRecord(kind="l2", values=norms),
+        energy=EnergyRecord(kind="l2", values=_l2_norm_series(u, grid)),
     )
     _check_state(state)
     return state
@@ -521,22 +500,23 @@ def _solve_schrodinger(field, lower, data: SchrodingerData, grid: SpaceTimeGrid)
     rhs_mat = (eye + 0.5j * dt * mat).tocsr()
     solver = spla.splu(lhs)
 
+    inner = _inner(grid)
+    inner_shape = [m - 2 for m in grid.space_shape]
     u = np.zeros(grid.shape, dtype=np.complex128)
     u[..., 0] = u0
     _apply_dirichlet(u[..., 0], grid)
-    vec = _interior_view(u[..., 0], grid).reshape(-1)
+    vec = u[inner + (0,)].flatten()
     for m in range(grid.nt - 1):
         vec = solver.solve(rhs_mat @ vec)
-        u[..., m + 1] = _embed_interior(vec, grid, np.complex128)
+        u[inner + (m + 1,)] = vec.reshape(inner_shape)
 
-    norms = np.array([_l2_norm(u[..., m], grid) for m in range(grid.nt)])
     state = EvolutionState(
         kind="schrodinger",
         grid=grid,
         u=u,
         velocity=None,
         traces=_collect_traces(u, grid),
-        energy=EnergyRecord(kind="l2", values=norms),
+        energy=EnergyRecord(kind="l2", values=_l2_norm_series(u, grid)),
     )
     _check_state(state)
     return state

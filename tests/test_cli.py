@@ -230,6 +230,38 @@ def test_observability_below_threshold_exits_2(tmp_path):
     assert (out / "observability_ratios_hist.svg").exists()
 
 
+def _observability_config(tmp_path, alpha=0.5):
+    # psi0 = 2.75 - x - x^2 is positive with a nonvanishing gradient on [0, 1],
+    # but concave, so it is not pseudo-convex for the identity field
+    return write_config(
+        tmp_path,
+        grid={"lows": [0.0], "highs": [1.0], "nodes": [17], "t1": 0.0,
+              "t2": 2.0, "nt": 81},
+        weight={"family": "example", "lambda": 1.0, "psi0_terms": [
+            {"powers": [0], "coeff": 2.75},
+            {"powers": [1], "coeff": -1.0},
+            {"powers": [2], "coeff": -1.0},
+        ]},
+        extra={"observability": {"kind": "wave", "alpha": alpha, "t_obs": 2.0,
+                                 "modes": 2, "worst_case_iterations": 2}},
+    )
+
+
+def test_observability_non_pseudoconvex_psi0_exits_2(tmp_path, capsys):
+    cfg, _ = _observability_config(tmp_path)
+    assert run("observability", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: psi0 is not pseudo-convex")
+    assert "kappa=" in err
+
+
+def test_observability_config_error_still_exits_1(tmp_path, capsys):
+    cfg, _ = _observability_config(tmp_path, alpha=1.5)
+    assert run("observability", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: alpha must lie in (0, 1)\n"
+
+
 def test_theta_command_writes_scan(tmp_path):
     cfg, _ = write_config(tmp_path, extra={"theta": {"points": [[0.5, 0.5]]}})
     out = tmp_path / "out"

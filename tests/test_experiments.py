@@ -10,8 +10,8 @@ from carleman import (
     solve_evolution,
     worst_case_ratio,
 )
-from carleman.experiments import trace_norm_sigma_plus
-from carleman.polynomials import Polynomial
+from carleman.experiments import CheckFailedError, trace_norm_sigma_plus
+from carleman.polynomials import Polynomial, poly_from_table
 from carleman.solvers import HeatData, gamma_plus
 from carleman.weights import make_observability_weight
 from conftest import sine_mode
@@ -181,6 +181,15 @@ def test_worst_case_requires_pseudoconvex_weight(validation_1d):
     with pytest.raises(ValueError, match="pseudo-convex"):
         worst_case_ratio("wave", field, Polynomial.constant(1, 1.0), 2.0, g, 2,
                          seed_data=datum)
+
+
+def test_non_pseudoconvex_weight_is_a_failed_check(validation_1d):
+    g, field, datum = validation_1d
+    concave = poly_from_table(1, [((0,), 2.75), ((1,), -1.0), ((2,), -1.0)])
+    with pytest.raises(CheckFailedError, match=r"not pseudo-convex .*kappa="):
+        worst_case_ratio("wave", field, concave, 2.0, g, 2, seed_data=datum)
+    with pytest.raises(CheckFailedError, match=r"not pseudo-convex .*kappa="):
+        observability_experiment("wave", field, concave, 0.5, 2.0, [datum], g)
 
 
 def test_experiment_requires_nonempty_ensemble(validation_1d):

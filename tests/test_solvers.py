@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carleman import (
     HeatData,
@@ -15,7 +17,8 @@ from carleman import (
 from carleman.operators import LowerOrderCoeffs
 from carleman.polynomials import Polynomial, poly_from_table
 from carleman.solvers import assemble_spatial_operator, cfl_limit
-from conftest import sine_mode
+from conftest import interior_bump_space, sine_mode
+from reference_leapfrog import reference_wave
 
 
 def wave_grid_1d(nodes, t_final=2.0, cfl_frac=0.5):
@@ -184,6 +187,153 @@ def test_assembled_operator_matches_apply():
     direct = apply_operator("elliptic", field, lower, u, g)
     via_matrix = mat @ u[1:-1, 1:-1].reshape(-1)
     assert np.max(np.abs(via_matrix - direct[1:-1, 1:-1].reshape(-1))) < 1e-11
+
+
+# -- leapfrog on the assembled operator vs the frozen stencil leapfrog -------------
+
+
+_VARIABLE_2D = {
+    (0, 0): [((0, 0), 1.0), ((1, 0), 0.5)],
+    (1, 1): [((0, 0), 1.2), ((0, 1), 0.3)],
+    (0, 1): [((1, 1), 0.1)],
+}
+
+
+def _wave_case(case):
+    n, nodes, tables, lower = 2, [13, 11], None, None
+    if case == "1d":
+        n, nodes = 1, [33]
+    elif case == "3d":
+        n, nodes = 3, [7, 6, 7]
+    elif case == "variable-A":
+        tables = _VARIABLE_2D
+    elif case == "lower-order":
+        tables = _VARIABLE_2D
+        lower = LowerOrderCoeffs(
+            kind="wave",
+            space=(0.3, poly_from_table(2, [((0, 0), -0.2), ((1, 1), 0.4)])),
+            time=poly_from_table(2, [((0, 0), 0.5), ((1, 0), -0.3)]),
+            zero=-1.5,
+        )
+    probe = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 0.6, 3)
+    field = (
+        MatrixField.identity(n, domain=probe.domain)
+        if tables is None
+        else MatrixField.from_tables(n, tables, domain=probe.domain)
+    )
+    nt = int(np.ceil(0.6 / cfl_limit(field, probe))) + 2
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 0.6, nt)
+    u0 = sine_mode(g, [1 + ax for ax in range(n)])
+    u1 = interior_bump_space(g)
+    source = None
+    if case == "source":
+        rng = np.random.default_rng(5)
+        source = rng.normal(size=g.shape)
+    if case == "complex":
+        u0 = u0 * (1.0 + 0.5j)
+        u1 = 1j * u1
+    return field, lower, WaveData(u0, u1, source=source), g
+
+
+@pytest.mark.parametrize(
+    "case", ["1d", "2d", "3d", "variable-A", "lower-order", "source", "complex"]
+)
+def test_wave_matches_stencil_leapfrog(case):
+    field, lower, data, g = _wave_case(case)
+    state = solve_evolution("wave", field, lower, data, 0.6, g)
+    u, velocity, traces, energies = reference_wave(field, lower, data, g)
+    assert state.u.dtype == u.dtype
+    pairs = [(state.u, u), (state.velocity, velocity), (state.energy.values, energies)]
+    pairs += list(zip(state.traces, traces))
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(state.u[g.boundary_mask, :])) == 0.0
+
+
+def test_wave_rejects_singular_time_coefficient():
+    g = wave_grid_1d(17, t_final=0.5)
+    field = MatrixField.identity(1, domain=g.domain)
+    lower = LowerOrderCoeffs(kind="wave", time=2.0 / g.dt)
+    x = g.space_points[..., 0]
+    with pytest.raises(ValueError, match="singular"):
+        solve_evolution("wave", field, lower, WaveData(np.sin(np.pi * x), 0 * x), 0.5, g)
+
+
+def test_traces_and_norms_taken_at_once_match_per_level():
+    from carleman.solvers import _face_trace
+
+    g = build_grid([0, 0, 0], [1, 1, 1], [6, 5, 7], 0.0, 1.0, 4)
+    u = np.random.default_rng(2).normal(size=g.shape)
+    state = solve_evolution(
+        "heat", MatrixField.identity(3, domain=g.domain), None, HeatData(u[..., 0]), 1.0, g
+    )
+    for f in range(g.num_faces):
+        levels = [_face_trace(state.u[..., m], g, f).reshape(-1) for m in range(g.nt)]
+        assert np.array_equal(state.traces[f], np.stack(levels, axis=-1))
+    norms = [np.sqrt(np.sum(state.u[..., m] ** 2 * g.space_weights)) for m in range(g.nt)]
+    assert np.allclose(state.energy.values, norms, rtol=1e-14, atol=0.0)
+
+
+# -- assembled operator: properties over random coefficients -------------------------
+
+
+_coeff = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _polynomials(draw, n: int):
+    powers = [(0,) * n] + [tuple(int(i == ax) for i in range(n)) for ax in range(n)]
+    powers.append(tuple([1] * n) if n > 1 else (2,))
+    return poly_from_table(n, [(p, draw(_coeff)) for p in powers])
+
+
+@st.composite
+def _operator_cases(draw, diagonal: bool = False):
+    n = draw(st.integers(1, 3))
+    nodes = [draw(st.integers(4, 7)) for _ in range(n)]
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    entries = {(k, k): draw(_polynomials(n)) for k in range(n)}
+    if not diagonal:
+        for k in range(n):
+            for l in range(k + 1, n):
+                if draw(st.booleans()):
+                    entries[(k, l)] = draw(_polynomials(n))
+    field = MatrixField.from_entry_polys(n, entries, domain=g.domain)
+    maybe_poly = st.one_of(_coeff, _polynomials(n))
+    lower = None
+    if not diagonal and draw(st.booleans()):
+        lower = LowerOrderCoeffs(
+            kind="elliptic",
+            space=tuple(draw(maybe_poly) for _ in range(n)),
+            zero=draw(maybe_poly),
+        )
+    seed = draw(st.integers(0, 2**16))
+    return g, field, lower, seed
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_operator_cases())
+def test_assembled_operator_matches_apply_property(case):
+    from carleman.operators import apply_operator
+
+    g, field, lower, seed = case
+    u = np.zeros(g.space_shape)
+    inner = tuple(slice(1, -1) for _ in g.space_shape)
+    u[inner] = np.random.default_rng(seed).normal(size=u[inner].shape)
+    direct = apply_operator("elliptic", field, lower, u, g)[inner].reshape(-1)
+    via_matrix = assemble_spatial_operator(field, lower, g) @ u[inner].reshape(-1)
+    assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_operator_cases(diagonal=True))
+def test_assembled_operator_symmetric_for_diagonal_a(case):
+    g, field, _, _ = case
+    mat = assemble_spatial_operator(field, None, g)
+    assert abs(mat - mat.T).max() <= 1e-14 * abs(mat).max()
 
 
 # -- boundary masks -------------------------------------------------------------

@@ -27,12 +27,13 @@ from .experiments import (
 )
 from .geometry import (
     BoxDomain,
-    ScalarField,
     SpaceTimeGrid,
-    VectorField,
     build_grid,
     integrate_dmu,
     integrate_interior,
+    separable,
+    sine_profile,
+    smooth_bump,
 )
 from .operators import (
     ConjugationCoeffs,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coefficients import MatrixField
-from .geometry import SpaceTimeGrid
+from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import (
     LowerOrderCoeffs,
     apply_operator,
@@ -313,17 +313,7 @@ def _window(grid: SpaceTimeGrid, spatial: bool) -> np.ndarray:
         p[0] = p[-1] = 0.0  # exact zeros (sin(pi) is only ~1e-16 in floats)
         return p
 
-    pieces = []
-    for ax in range(grid.n):
-        c = grid.domain.axis_coords(ax)
-        pieces.append(profile((c - c[0]) / (c[-1] - c[0])))
-    w = pieces[0]
-    for p in pieces[1:]:
-        w = np.multiply.outer(w, p)
-    if spatial:
-        return w
-    t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
-    return np.multiply.outer(w, profile(t))
+    return separable(grid, [profile] * grid.n, None if spatial else profile)
 
 
 def _smooth_once(u: np.ndarray) -> np.ndarray:
@@ -359,17 +349,11 @@ def default_ensemble(
     members: list[np.ndarray] = []
     n_modes = count // 2
     for m in range(n_modes):
-        u = np.ones(shape)
-        for ax in range(grid.n):
-            c = grid.domain.axis_coords(ax)
-            s = (c - c[0]) / (c[-1] - c[0])
-            k = 1 + (m + ax) % 3
-            vals = np.sin(k * np.pi * s)
-            u = u * vals.reshape([-1 if i == ax else 1 for i in range(u.ndim)])
-        if not spatial:
-            t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
-            kt = 1 + m % 3
-            u = u * np.sin(kt * np.pi * t).reshape([1] * grid.n + [-1])
+        u = separable(
+            grid,
+            [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)],
+            None if spatial else sine_profile(1 + m % 3),
+        )
         if complex_fields:
             u = u * np.exp(1j * (m + 1) * np.pi / 7.0)
         members.append(u)
@@ -406,9 +390,6 @@ class AuditReport:
     admissibility_codes: list[str] = dc_field(default_factory=list)
     refinement_stable: bool | None = None
     flags: list[str] = dc_field(default_factory=list)
-
-    def cell_min(self, i: int, j: int) -> float:
-        return float(self.aleph_emp[i, j])
 
     @property
     def aleph_overall(self) -> float | None:

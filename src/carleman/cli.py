@@ -30,7 +30,7 @@ from .audit import (
 )
 from .coefficients import MatrixField, certify_ellipticity
 from .experiments import CheckFailedError, observability_experiment, worst_case_ratio
-from .geometry import SpaceTimeGrid, build_grid
+from .geometry import SpaceTimeGrid, build_grid, separable, sine_profile, smooth_bump
 from .operators import (
     LowerOrderCoeffs,
     conjugation_residual,
@@ -233,6 +233,8 @@ def build_lower_from(cfg: dict, kind: str, n: int) -> LowerOrderCoeffs | None:
     low = eq.get("lower")
     if not low:
         return None
+    if not isinstance(low, dict):
+        raise ConfigError(f"equation: lower must be a mapping, got {type(low).__name__}")
     space = tuple(complex(v) for v in low.get("space", ()))
     time = low.get("time")
     zero = complex(low.get("zero", 0.0))
@@ -590,24 +592,14 @@ def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return (0 if cert.passed else 2), cert.flags
 
 
-def _mode_data(grid: SpaceTimeGrid, mode) -> np.ndarray:
-    u = np.ones(grid.space_shape)
-    for ax in range(grid.n):
-        coords = grid.domain.axis_coords(ax)
-        s = (coords - coords[0]) / (coords[-1] - coords[0])
-        k = int(mode[ax]) if ax < len(mode) else 1
-        u = u * np.sin(k * np.pi * s).reshape(
-            [-1 if i == ax else 1 for i in range(grid.n)]
-        )
-    return u
-
-
 def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = cfg.get("solve", {})
     kind = block.get("kind", "wave")
     mode = block.get("mode", [1] * grid.n)
-    u0 = _mode_data(grid, mode)
+    u0 = separable(
+        grid, [sine_profile(int(mode[ax]) if ax < len(mode) else 1) for ax in range(grid.n)]
+    )
     lower = build_lower_from(cfg, "wave", grid.n) if kind == "wave" else None
     t_final = grid.t2
     if kind == "wave":
@@ -664,7 +656,7 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     n_modes = int(block.get("modes", 5))
     ensemble = []
     for m in range(1, n_modes + 1):
-        u0 = _mode_data(grid, [1 + (m + ax) % 3 for ax in range(grid.n)])
+        u0 = separable(grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)])
         if kind == "wave":
             ensemble.append(WaveData(u0=u0, u1=np.zeros_like(u0)))
         elif kind == "heat_final":
@@ -705,15 +697,7 @@ def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     block = cfg.get("identities", {})
     results = {}
 
-    def bump(g: SpaceTimeGrid) -> np.ndarray:
-        u = np.ones(g.space_shape)
-        for ax in range(g.n):
-            c = g.domain.axis_coords(ax)
-            s = (c - c[0]) / (c[-1] - c[0])
-            u = u * np.sin(np.pi * s).reshape([-1 if i == ax else 1 for i in range(g.n)])
-        return u
-
-    u = bump(grid)
+    u = separable(grid, [sine_profile(1)] * grid.n)
     v = u**2
     results["green_defect"] = green_residual(u, v, field, grid)
     if grid.n >= 3:
@@ -724,24 +708,10 @@ def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     spec, _ = build_weight_from(cfg, field, grid)
     kind = cfg.get("equation", {}).get("kind", "wave")
 
-    def margin_bump(s):
-        z = (s - 0.15) / 0.7
-        out = np.zeros_like(z)
-        m = (z > 0.0) & (z < 1.0)
-        zz = 2.0 * z[m] - 1.0
-        out[m] = np.exp(-1.0 / (1.0 - zz**2))
-        return out
+    def bump(s):  # zero on a margin of 0.15 around dQ
+        return smooth_bump(s, 0.15, 0.85)
 
-    member = np.ones(grid.space_shape)
-    for ax in range(grid.n):
-        c = grid.domain.axis_coords(ax)
-        s = (c - c[0]) / (c[-1] - c[0])
-        member = member * margin_bump(s).reshape(
-            [-1 if i == ax else 1 for i in range(grid.n)]
-        )
-    if kind != "elliptic":
-        t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
-        member = member[..., None] * margin_bump(t)
+    member = separable(grid, [bump] * grid.n, None if kind == "elliptic" else bump)
     tau = float(block.get("tau", 1.0))
     results["conjugation_residual"] = conjugation_residual(
         member, spec, field, kind, tau, grid
@@ -798,7 +768,10 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:  # a failed mathematical check, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except KeyError as exc:  # a config entry without a key it needs
+        print(f"error: config: missing key {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

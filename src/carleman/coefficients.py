@@ -9,6 +9,7 @@ Certification scans a grid with closed-form symmetric eigenvalue formulas
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,10 +104,18 @@ class MatrixField:
                 table[l][k] = poly  # shared object: exact symmetry
         self.entries = table
         self._d1 = [[e.gradient() for e in row] for row in table]
-        self._d2 = [[[g.gradient() for g in cell] for cell in row] for row in self._d1]
-        self._d3 = [
-            [[[h.gradient() for h in gg] for gg in cell] for cell in row] for row in self._d2
-        ]
+
+    # the second and third derivative tables (243 polynomials in 3D) are
+    # built on first use: of the package's own code, only the ellipticity
+    # certificate reads them
+
+    @cached_property
+    def _d2(self):
+        return [[[g.gradient() for g in cell] for cell in row] for row in self._d1]
+
+    @cached_property
+    def _d3(self):
+        return [[[[h.gradient() for h in gg] for gg in cell] for cell in row] for row in self._d2]
 
     # -- constructors ---------------------------------------------------------
 

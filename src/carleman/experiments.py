@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .coefficients import MatrixField, certify_ellipticity
-from .geometry import SpaceTimeGrid
+from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import LowerOrderCoeffs
 from .polynomials import Polynomial
 from .pseudoconvex import certify_pseudoconvex
@@ -343,13 +343,7 @@ def worst_case_ratio(
         _require_pseudoconvex(certify_pseudoconvex(field, psi0, grid))
 
     if seed_data is None:
-        x = np.ones(grid.space_shape)
-        for ax in range(grid.n):
-            c = grid.domain.axis_coords(ax)
-            s = (c - c[0]) / (c[-1] - c[0])
-            x = x * np.sin(np.pi * s).reshape(
-                [-1 if i == ax else 1 for i in range(grid.n)]
-            )
+        x = separable(grid, [sine_profile(1)] * grid.n)
         seed_data = WaveData(u0=x, u1=np.zeros(grid.space_shape))
 
     datum = _normalize_wave(seed_data, field, grid)

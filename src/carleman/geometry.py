@@ -1,4 +1,5 @@
-"""Axis-aligned space-time grids, quadrature and the boundary measure.
+"""Axis-aligned space-time grids, quadrature, the boundary measure and
+separable test fields.
 
 The boundary of the cylinder Q = Omega x (t1, t2) carries the measure
 
@@ -7,11 +8,14 @@ The boundary of the cylinder Q = Omega x (t1, t2) carries the measure
 
 so integrating over the whole of dQ adds a lateral surface-time quadrature
 to two volume integrals at the end times.
+
+Test fields (sine modes, cutoff windows, C-infinity bumps) are products of
+1-D profiles of the unit coordinates, built by ``separable``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,9 +23,10 @@ import numpy as np
 __all__ = [
     "BoxDomain",
     "SpaceTimeGrid",
-    "ScalarField",
-    "VectorField",
     "build_grid",
+    "separable",
+    "sine_profile",
+    "smooth_bump",
     "integrate_interior",
     "integrate_dmu",
 ]
@@ -236,59 +241,44 @@ def build_grid(
     return SpaceTimeGrid(domain=domain, t1=float(t1), t2=float(t2), nt=int(nt))
 
 
-@dataclass
-class ScalarField:
-    """Values on grid nodes; space-only or space-time depending on shape."""
+def separable(grid: SpaceTimeGrid, profiles, time_profile=None) -> np.ndarray:
+    """Product of 1-D profiles of the unit coordinates, one per axis.
 
-    values: np.ndarray
-    grid: SpaceTimeGrid
-    name: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape not in (self.grid.space_shape, self.grid.shape):
-            raise ValueError(
-                f"field shape {self.values.shape} matches neither space shape "
-                f"{self.grid.space_shape} nor space-time shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"non-finite entries in field {self.name!r}")
-
-    @property
-    def is_space_time(self) -> bool:
-        return self.values.shape == self.grid.shape
+    Each profile maps the axis nodes, rescaled onto [0, 1], to values.  With
+    ``time_profile`` the spatial product is extended to a space-time array by
+    the profile of the unit time (t - t1) / (t2 - t1).
+    """
+    if len(profiles) != grid.n:
+        raise ValueError(f"need one profile per axis ({grid.n}), got {len(profiles)}")
+    u = np.ones(grid.space_shape)
+    for ax, profile in enumerate(profiles):
+        c = grid.domain.axis_coords(ax)
+        u = u * profile((c - c[0]) / (c[-1] - c[0])).reshape(
+            [-1 if i == ax else 1 for i in range(grid.n)]
+        )
+    if time_profile is None:
+        return u
+    return u[..., None] * time_profile((grid.times - grid.t1) / (grid.t2 - grid.t1))
 
 
-@dataclass
-class VectorField:
-    """Per-node vectors with a fixed component count."""
-
-    values: np.ndarray
-    grid: SpaceTimeGrid
-    components: int = field(default=0)
-    name: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.components == 0:
-            self.components = self.values.shape[-1]
-        base = self.values.shape[:-1]
-        if self.values.shape[-1] != self.components or base not in (
-            self.grid.space_shape,
-            self.grid.shape,
-        ):
-            raise ValueError("vector field shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"non-finite entries in field {self.name!r}")
+def sine_profile(k):
+    """The profile s -> sin(k pi s), the k-th Dirichlet sine mode of [0, 1]."""
+    return lambda s: np.sin(k * np.pi * s)
 
 
-def _values(f) -> np.ndarray:
-    return np.asarray(getattr(f, "values", f))
+def smooth_bump(s, lo: float, hi: float) -> np.ndarray:
+    """C-infinity bump in one variable, exactly zero outside (lo, hi)."""
+    z = (np.asarray(s, dtype=float) - lo) / (hi - lo)
+    out = np.zeros_like(z)
+    inside = (z > 0.0) & (z < 1.0)
+    zz = 2.0 * z[inside] - 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - zz**2))
+    return out
 
 
 def integrate_interior(f, grid: SpaceTimeGrid) -> float:
     """Composite trapezoid approximation of the integral of f over Q."""
-    vals = _values(f)
+    vals = np.asarray(f)
     if vals.shape != grid.shape:
         raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -297,35 +287,21 @@ def integrate_interior(f, grid: SpaceTimeGrid) -> float:
     return float(np.sum(vals * w))
 
 
-def integrate_space(f, grid: SpaceTimeGrid) -> float:
-    """Trapezoid integral of a spatial field over Omega."""
-    vals = _values(f)
-    if vals.shape != grid.space_shape:
-        raise ValueError(f"expected space shape {grid.space_shape}, got {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite values in spatial integrand")
-    return float(np.sum(vals * grid.space_weights))
-
-
 def integrate_lateral(g, grid: SpaceTimeGrid) -> float:
     """Surface-time integral over the lateral boundary Sigma."""
-    vals = _values(g)
+    vals = np.asarray(g)
     if vals.shape != grid.shape:
         raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
-    total = 0.0
-    for f in range(grid.num_faces):
-        mask = grid.face_mask(f)
-        w = grid.face_weights(f)[mask]
-        face_vals = vals[mask, :]
-        if not np.all(np.isfinite(face_vals)):
-            raise ValueError(f"non-finite values on lateral face {f}")
-        total += float(np.sum(face_vals * w[:, None] * grid.time_weights))
-    return total
+    lateral = vals[grid.boundary_mask]
+    if not np.all(np.isfinite(lateral)):
+        raise ValueError("non-finite values on the lateral boundary")
+    w = grid.lateral_weights[grid.boundary_mask]
+    return float(np.sum(lateral * w[:, None] * grid.time_weights))
 
 
 def integrate_dmu(g, grid: SpaceTimeGrid) -> float:
     """Integral of g over dQ with respect to dmu (lateral + two time caps)."""
-    vals = _values(g)
+    vals = np.asarray(g)
     if vals.shape != grid.shape:
         raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
     caps = vals[..., 0], vals[..., -1]

@@ -293,14 +293,6 @@ class ConjugationCoeffs:
     chi1: np.ndarray | None
     phi: np.ndarray
 
-    def conjugation_factor(self, reference: float = 0.0) -> np.ndarray:
-        """exp(-tau (phi - reference)); a scalar reference rescales the
-        factor without changing the conjugated operator."""
-        z = self.tau * (self.phi - reference)
-        if float(np.max(np.abs(z))) > _EXP_CAP:
-            raise OverflowError("conjugation factor exponent out of double range")
-        return np.exp(-z)
-
 
 def _spatial_weight_pieces(spec: WeightSpec, field: MatrixField, grid: SpaceTimeGrid):
     pts = grid.space_points
@@ -446,8 +438,8 @@ def conjugation_residual(
     for ax in range(grid.n):
         first = first + coeffs.B[..., ax] * _central_full(u, ax, grid.domain.spacings[ax])
 
+    principal = apply_operator(kind, field, none, u, grid)
     if kind == "wave":
-        principal = apply_operator(kind, field, none, u, grid)
         split = (
             principal
             + coeffs.a * u
@@ -455,22 +447,8 @@ def conjugation_residual(
             + coeffs.d * gradient_time(u, grid)
             + coeffs.b * u
         )
-    elif kind == "elliptic":
-        split = laplacian_flux(field, u, grid) + (coeffs.a + coeffs.b + coeffs.c) * u + first
-    elif kind == "parabolic":
-        split = (
-            laplacian_flux(field, u, grid)
-            - gradient_time(u, grid)
-            + (coeffs.a + coeffs.b + coeffs.c) * u
-            + first
-        )
-    else:  # schrodinger
-        split = (
-            laplacian_flux(field, u, grid)
-            + 1j * gradient_time(u, grid)
-            + (coeffs.a + coeffs.b + coeffs.c) * u
-            + first
-        )
+    else:
+        split = principal + (coeffs.a + coeffs.b + coeffs.c) * u + first
 
     _zero_space_ring(split, grid.n)
     if not spatial:

@@ -83,9 +83,6 @@ class EvolutionState:
     traces: list[np.ndarray]  # per face: (*face_shape, nt)
     energy: EnergyRecord
 
-    def trace_on_face(self, face: int) -> np.ndarray:
-        return self.traces[face]
-
 
 @dataclass
 class GammaPlusMask:
@@ -349,15 +346,10 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
     u1 = np.asarray(data.u1)
     if u0.shape != grid.space_shape or u1.shape != grid.space_shape:
         raise ValueError("initial data does not match the spatial grid")
-    dtype = np.complex128 if (np.iscomplexobj(u0) or np.iscomplexobj(u1)) else np.float64
     lower = lower or LowerOrderCoeffs.none("wave")
     dt = grid.dt
     inner = _inner(grid)
     inner_shape = [m - 2 for m in grid.space_shape]
-
-    u = np.zeros(grid.shape, dtype=dtype)
-    u[..., 0] = u0
-    _apply_dirichlet(u[..., 0], grid)
 
     q0 = None
     if not _is_zero_coeff(lower.time):
@@ -376,6 +368,11 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
     # interior levels m - 1 and m as contiguous vectors; level m + 1 is
     # written straight into u, whose boundary ring stays zero
     mat = assemble_spatial_operator(field, _as_elliptic_lower(lower), grid)
+    complex_run = (np.iscomplexobj(u0) or np.iscomplexobj(u1) or mat.dtype.kind == "c"
+                   or np.iscomplexobj(q0) or np.iscomplexobj(source))
+    u = np.zeros(grid.shape, dtype=np.complex128 if complex_run else np.float64)
+    u[..., 0] = u0
+    _apply_dirichlet(u[..., 0], grid)
     prev = u[inner + (0,)].flatten()
     acc0 = mat @ prev
     if q0 is not None:
@@ -384,7 +381,6 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
         acc0 = acc0 - source[inner + (0,)].reshape(-1)
     cur = prev + dt * u1[inner].reshape(-1) + 0.5 * dt**2 * acc0
     u[inner + (1,)] = cur.reshape(inner_shape)
-    cur = cur.astype(dtype, copy=False)
 
     step = dt**2 * mat
     for m in range(1, grid.nt - 1):
@@ -396,7 +392,7 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
         else:
             nxt = (rhs + 2.0 * cur - lag * prev) / denom
         u[inner + (m + 1,)] = nxt.reshape(inner_shape)
-        prev, cur = cur, nxt.astype(dtype, copy=False)
+        prev, cur = cur, nxt
 
     velocity = np.zeros_like(u)
     velocity[..., 0] = u1

@@ -132,15 +132,6 @@ class WeightSpec:
         time_min = float(np.min(self.psi1(grid.times)))
         return space_min + time_min + self.shift
 
-    def sup_bound(self, grid: SpaceTimeGrid) -> float:
-        """Grid sup of |psi| and of the first/second derivative norms."""
-        b = float(np.max(np.abs(self.psi_values(grid))))
-        grads = self.grad_psi0_values(grid)
-        b = max(b, float(np.max(np.abs(grads))))
-        b = max(b, float(np.max(np.abs(self.psi0.eval_hessian(grid.space_points)))))
-        b = max(b, float(np.max(np.abs(self.psi1.dt(grid.times)))), abs(self.psi1.dtt))
-        return b
-
     def ensure_nonnegative(self, grid: SpaceTimeGrid) -> "WeightSpec":
         """Auto-shift so psi >= 0 on the grid (minimal shift plus headroom)."""
         m = self.min_psi(grid)

@@ -1,48 +1,24 @@
-import numpy as np
 import pytest
 
 from carleman import MatrixField, build_grid
+from carleman.geometry import separable, sine_profile, smooth_bump
 
 
-def smooth_bump(s, lo=0.12, hi=0.88):
-    """C-infinity bump in one variable, exactly zero outside (lo, hi)."""
-    z = (np.asarray(s, dtype=float) - lo) / (hi - lo)
-    out = np.zeros_like(z)
-    inside = (z > 0.0) & (z < 1.0)
-    zz = 2.0 * z[inside] - 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - zz**2))
-    return out
+def _interior(s):  # zero outside (0.12, 0.88): a 2-node margin at 17 nodes
+    return smooth_bump(s, 0.12, 0.88)
 
 
 def interior_bump_spacetime(grid):
     """Product bump vanishing on a 2-node margin around dQ."""
-    u = np.ones(grid.space_shape)
-    for ax in range(grid.n):
-        c = grid.domain.axis_coords(ax)
-        s = (c - c[0]) / (c[-1] - c[0])
-        u = u * smooth_bump(s).reshape([-1 if i == ax else 1 for i in range(grid.n)])
-    t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
-    return u[..., None] * smooth_bump(t)
+    return separable(grid, [_interior] * grid.n, _interior)
 
 
 def interior_bump_space(grid):
-    u = np.ones(grid.space_shape)
-    for ax in range(grid.n):
-        c = grid.domain.axis_coords(ax)
-        s = (c - c[0]) / (c[-1] - c[0])
-        u = u * smooth_bump(s).reshape([-1 if i == ax else 1 for i in range(grid.n)])
-    return u
+    return separable(grid, [_interior] * grid.n)
 
 
 def sine_mode(grid, wavenumbers):
-    u = np.ones(grid.space_shape)
-    for ax, k in enumerate(wavenumbers):
-        c = grid.domain.axis_coords(ax)
-        s = (c - c[0]) / (c[-1] - c[0])
-        u = u * np.sin(k * np.pi * s).reshape(
-            [-1 if i == ax else 1 for i in range(grid.n)]
-        )
-    return u
+    return separable(grid, [sine_profile(k) for k in wavenumbers])
 
 
 @pytest.fixture

@@ -2,22 +2,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carleman import (
     MatrixField,
     build_grid,
     certify_ellipticity,
     check_admissibility,
+    integrate_dmu,
     make_example_weight,
     negative_control,
     sweep_audit,
 )
 from carleman.audit import (
     INEQUALITY_KINDS,
+    _window,
     compare_refinement,
     default_ensemble,
     evaluate_sides,
 )
+from carleman.geometry import separable, sine_profile
 from carleman.operators import LowerOrderCoeffs
 from carleman.solvers import gamma_plus
 from conftest import interior_bump_spacetime, interior_bump_space
@@ -79,36 +84,61 @@ def test_sides_deterministic_and_order_independent(canonical):
     assert alt == pytest.approx(first.lhs_interior, rel=1e-13)
 
 
-def test_scaling_law_exact(canonical):
-    grid, field, spec = canonical
-    u = interior_bump_spacetime(grid)
-    one = evaluate_sides(u, spec, field, None, "wave_full", 4.0, grid)
-    two = evaluate_sides(2.0 * u, spec, field, None, "wave_full", 4.0, grid)
-    assert two.lhs_interior == 4.0 * one.lhs_interior
-    assert two.rhs_source == 4.0 * one.rhs_source
+@st.composite
+def _windowed_modes(draw):
+    """A windowed sine mode (wavenumbers 1-4 per axis and in time) on a
+    coarser copy of the canonical grid, vanishing on all of dQ."""
+    grid = build_grid([0, 0], [1, 1], [13, 13], -1.0, 1.0, 17)
+    ks = [draw(st.integers(1, 4)) for _ in range(grid.n)]
+    kt = draw(st.integers(1, 4))
+    u = separable(grid, [sine_profile(k) for k in ks], sine_profile(kt)) * _window(grid, False)
+    return grid, u
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    _windowed_modes(),
+    st.floats(0.25, 16.0),
+    st.integers(-8, 8),
+    st.floats(0.5, 1.0),
+)
+def test_scaling_law_exact(case, tau, power, mantissa):
+    grid, u = case
+    field = MatrixField.identity(2, domain=grid.domain)
+    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    one = evaluate_sides(u, spec, field, None, "wave_full", tau, grid)
+    # a power of two scales every product exactly
+    two = evaluate_sides(2.0**power * u, spec, field, None, "wave_full", tau, grid)
+    assert two.lhs_interior == 4.0**power * one.lhs_interior
+    assert two.rhs_source == 4.0**power * one.rhs_source
+    assert two.rhs_boundary_dmu == 4.0**power * one.rhs_boundary_dmu
     assert two.ratio == one.ratio
+    c = mantissa * 2.0**power
+    scaled = evaluate_sides(c * u, spec, field, None, "wave_full", tau, grid)
+    assert scaled.lhs_interior == pytest.approx(c**2 * one.lhs_interior, rel=1e-13)
+    assert scaled.ratio == pytest.approx(one.ratio, rel=1e-13)
 
 
-def test_normalization_leaves_ratio_unchanged(canonical):
-    grid, field, spec = canonical
-    u = interior_bump_spacetime(grid)
-    side = evaluate_sides(u, spec, field, None, "wave_full", 0.25, grid)
-    # recompute both sides without normalization at small tau
-    phi = spec.phi_values(grid)
-    lam = spec.lam
-    tau = 0.25
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_windowed_modes(), st.floats(0.05, 1.0))
+def test_normalization_leaves_ratio_unchanged(case, tau):
+    """Both sides recomputed without the exp(-2 tau phi_max) normalization."""
     from carleman.operators import apply_operator, gradient_space, gradient_time
 
+    grid, u = case
+    field = MatrixField.identity(2, domain=grid.domain)
+    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    side = evaluate_sides(u, spec, field, None, "wave_full", tau, grid)
+    phi = spec.phi_values(grid)
+    lam = spec.lam
     env = np.exp(2.0 * tau * phi)
-    grad = gradient_space(u, grid)
-    dtu = gradient_time(u, grid)
+    energy = np.sum(gradient_space(u, grid) ** 2, axis=-1) + gradient_time(u, grid) ** 2
     w = grid.space_weights[..., None] * grid.time_weights
-    lhs_dens = tau**3 * lam**4 * phi**3 * u**2 + tau * lam * phi * (
-        np.sum(grad**2, axis=-1) + dtu**2
-    )
-    lhs_raw = float(np.sum(env * lhs_dens * w))
+    lhs_raw = float(np.sum(env * (tau**3 * lam**4 * phi**3 * u**2 + tau * lam * phi * energy) * w))
     lu = apply_operator("wave", field, None, u, grid)
-    rhs_raw = float(np.sum(env * lu**2 * w))
+    rhs_raw = float(np.sum(env * lu**2 * w)) + integrate_dmu(
+        env * (tau**3 * lam**3 * phi**3 * u**2 + tau * lam * phi * energy), grid
+    )
     assert rhs_raw / lhs_raw == pytest.approx(side.ratio, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,45 @@ def test_audit_config_errors_exit_1_with_one_line(tmp_path, capsys, audit, messa
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: audit: ")
     assert message in err
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped_wave_audit():
+    return yaml.safe_load((SHIPPED / "wave_audit.yaml").read_text())
+
+
+def _no_powers(cfg):
+    cfg["flatten"]["surface_terms"] = [{"coeff": 0.25}]
+
+
+def _no_alpha(cfg):
+    cfg["weight"] = {"family": "custom", "x0": [-0.5, 0.5],
+                     "psi1": {"family": "observability"}}
+
+
+def _lower_list(cfg):
+    cfg["equation"]["lower"] = [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "command, probe, message",
+    [
+        ("flatten", _no_powers, "error: config: missing key 'powers'"),
+        ("certify", _no_alpha, "error: config: missing key 'alpha'"),
+        ("carleman-audit", _lower_list, "error: equation: lower must be a mapping, got list"),
+    ],
+    ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list"],
+)
+def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, probe, message):
+    cfg = _shipped_wave_audit()
+    probe(cfg)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run(command, path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == message + "\n"
 
 
 def test_threads_flag_is_gone(tmp_path):

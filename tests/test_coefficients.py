@@ -188,3 +188,15 @@ def test_from_tables_asymmetric_entries_rejected():
             (1, 1): poly_from_table(2, [((0, 0), 1.0)]),
         }
         MatrixField(2, tables)
+
+
+def test_higher_derivative_tables_built_on_first_use():
+    g = build_grid([0, 0, 0], [1, 1, 1], [5, 5, 5], 0.0, 1.0, 3)
+    field = MatrixField.scalar_affine(3, 2.0, [0.1, -0.2, 0.3], domain=g.domain)
+    assert "_d2" not in vars(field) and "_d3" not in vars(field)
+    field(g.space_points)
+    field.first_derivatives(g.space_points)
+    assert "_d2" not in vars(field) and "_d3" not in vars(field)
+    rep = certify_ellipticity(field, g)
+    assert rep.passed
+    assert "_d3" in vars(field) and field._d3 is field._d3

@@ -172,14 +172,11 @@ class _Audit:
         if not self.spatial:
             caps = nodes(np.arange(self.sw.size), np.array([0, nt - 1]))
             self.dmu.append((caps, np.repeat(self.sw, 2)))
-        self.plus = []  # (face, its plus nodes, their dsigma dt weights)
-        idx = []
-        for f in range(grid.num_faces if kind in _BOUNDARY_KINDS else 0):
-            m = plus_mask.face_masks[f]
-            if np.any(m):
-                gm = grid.face_mask(f)
-                self.plus.append((f, m, np.outer(grid.face_weights(f)[gm][m], tw).ravel()))
-                idx.append(nodes(np.flatnonzero(gm)[m], np.arange(nt)))
+        # (face, its plus nodes, their dsigma dt weights); boundary kinds are
+        # space-time kinds
+        sigma_plus = plus_mask.sigma_plus_weights(grid) if kind in _BOUNDARY_KINDS else []
+        self.plus = [(f, m, w.ravel()) for f, m, w in sigma_plus]
+        idx = [nodes(np.flatnonzero(grid.face_mask(f))[m], np.arange(nt)) for f, m, _ in self.plus]
         self.plus_idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
 
     def _check(self, u: np.ndarray) -> None:

@@ -106,7 +106,12 @@ def load_config(path: str) -> dict:
 def _need(cfg: dict, block: str) -> dict:
     if block not in cfg:
         raise ConfigError(f"missing config block {block!r}")
-    val = cfg[block]
+    return _block(cfg, block)
+
+
+def _block(cfg: dict, block: str) -> dict:
+    """An optional config block: empty when absent, else it must be a mapping."""
+    val = cfg.get(block, {})
     if not isinstance(val, dict):
         raise ConfigError(f"config block {block!r} must be a mapping")
     return val
@@ -229,22 +234,27 @@ def build_weight_from(
 
 
 def build_lower_from(cfg: dict, kind: str, n: int) -> LowerOrderCoeffs | None:
-    eq = cfg.get("equation", {})
+    eq = _block(cfg, "equation")
     low = eq.get("lower")
     if not low:
         return None
     if not isinstance(low, dict):
         raise ConfigError(f"equation: lower must be a mapping, got {type(low).__name__}")
-    space = tuple(complex(v) for v in low.get("space", ()))
     time = low.get("time")
-    zero = complex(low.get("zero", 0.0))
     return LowerOrderCoeffs(
         kind=kind,
-        space=space,
-        time=None if time is None else complex(time),
-        zero=zero,
+        space=tuple(_scalar(v) for v in low.get("space", ())),
+        time=None if time is None else _scalar(time),
+        zero=_scalar(low.get("zero", 0.0)),
         bound=low.get("bound"),
     )
+
+
+def _scalar(value) -> complex | float:
+    """A config coefficient: real unless it has an imaginary part, so that
+    real terms keep the assembled operator and the solves real."""
+    c = complex(value)
+    return c if c.imag else c.real
 
 
 # -- output helpers -----------------------------------------------------------------
@@ -395,14 +405,14 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 
 def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    c = cfg.get("coefficients", {})
+    c = _block(cfg, "coefficients")
     ell = certify_ellipticity(
         field,
         grid,
         kappa_tolerance=float(c.get("kappa_max", np.inf)),
         m_tolerance=float(c.get("m_max", np.inf)),
     )
-    kind = cfg.get("equation", {}).get("kind", "wave")
+    kind = _block(cfg, "equation").get("kind", "wave")
     spec, extras = build_weight_from(cfg, field, grid)
     adm = check_admissibility(spec, field, grid, kind, ellipticity=ell)
     report = {
@@ -421,7 +431,7 @@ def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     spec, _ = build_weight_from(cfg, field, grid)
-    block = cfg.get("theta", {})
+    block = _block(cfg, "theta")
     points = block.get("points")
     results = []
     if points:
@@ -452,7 +462,7 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = cfg.get("flatten", {})
+    block = _block(cfg, "flatten")
     terms = block.get("surface_terms", [])
     if grid.n < 2:
         raise ConfigError("flatten needs a spatial dimension of at least 2")
@@ -491,7 +501,7 @@ def _positive_list(block: dict, key: str, default: list[float]) -> list[float]:
 
 def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = cfg.get("audit", {})
+    block = _block(cfg, "audit")
     kind = block.get("kind", "wave_full")
     if kind not in INEQUALITY_KINDS:
         known = ", ".join(INEQUALITY_KINDS)
@@ -570,7 +580,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 
 def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
-    block = cfg.get("ucp", {})
+    block = _block(cfg, "ucp")
     c = float(_get(block, "c", "ucp"))
     eps = float(_get(block, "eps", "ucp"))
     t_span = float(_get(block, "t_span", "ucp"))
@@ -594,7 +604,7 @@ def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = cfg.get("solve", {})
+    block = _block(cfg, "solve")
     kind = block.get("kind", "wave")
     mode = block.get("mode", [1] * grid.n)
     u0 = separable(
@@ -647,7 +657,7 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = cfg.get("observability", {})
+    block = _block(cfg, "observability")
     kind = block.get("kind", "wave")
     alpha = float(block.get("alpha", 0.5))
     t_obs = float(block.get("t_obs", grid.t2))
@@ -694,7 +704,7 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = cfg.get("identities", {})
+    block = _block(cfg, "identities")
     results = {}
 
     u = separable(grid, [sine_profile(1)] * grid.n)
@@ -706,7 +716,7 @@ def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     results["magnetic_defect"] = magnetic_expansion_residual(field, b_field, u, grid)
 
     spec, _ = build_weight_from(cfg, field, grid)
-    kind = cfg.get("equation", {}).get("kind", "wave")
+    kind = _block(cfg, "equation").get("kind", "wave")
 
     def bump(s):  # zero on a margin of 0.15 around dQ
         return smooth_bump(s, 0.15, 0.85)

@@ -74,16 +74,9 @@ def _l2(u_level: np.ndarray, grid: SpaceTimeGrid) -> float:
 
 def trace_norm_sigma_plus(state: EvolutionState, mask: GammaPlusMask) -> float:
     """L2 norm of the outward normal derivative over the plus boundary."""
-    grid = state.grid
     total = 0.0
-    for f in range(grid.num_faces):
-        m = mask.face_masks[f]
-        if not np.any(m):
-            continue
-        w_face = grid.face_weights(f)[grid.face_mask(f)]
-        tr = state.traces[f]
-        contrib = np.abs(tr[m, :]) ** 2 * w_face[m][:, None] * grid.time_weights
-        total += float(np.sum(contrib))
+    for f, m, w in mask.sigma_plus_weights(state.grid):
+        total += float(np.sum(np.abs(state.traces[f][m, :]) ** 2 * w))
     return math.sqrt(total)
 
 

@@ -1,10 +1,13 @@
 """Discrete divergence-form operators and conjugation coefficient fields.
 
-The spatial operator is a flux-form stencil: diagonal terms difference
-half-node fluxes a_kk(x +- h/2) du, off-diagonal terms nest centered
-differences around the nodal coefficient, which keeps the assembled matrix
-exactly symmetric (the (k,l) and (l,k) terms are mutual adjoints).  Outputs
-are defined at fully interior nodes; the boundary ring is left at zero.
+The spatial operator, Delta_A plus first- and zero-order terms, has one
+discretization: the all-node CSR matrix of ``assemble_operator``.  Its
+diagonal terms difference half-node fluxes a_kk(x +- h/2) du, its
+off-diagonal terms nest centered differences around the nodal coefficient,
+so for symmetric A the (k,l) and (l,k) terms are mutual adjoints and the
+interior block is exactly symmetric.  Rows of boundary nodes are empty, so
+outputs are zero on the boundary ring.  ``laplacian_flux`` and
+``apply_operator`` are matrix-vector products with it.
 
 Conjugating an evolution operator with Phi = exp(-tau * phi) produces split
 operators whose coefficient fields (a, b, B, d, c) are assembled here
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coefficients import MatrixField
 from .geometry import SpaceTimeGrid
@@ -30,6 +34,7 @@ __all__ = [
     "ConjugationCoeffs",
     "RiemannianField",
     "apply_operator",
+    "assemble_operator",
     "conjugation_coeffs",
     "conjugation_residual",
     "green_residual",
@@ -92,11 +97,6 @@ def _half_points(grid: SpaceTimeGrid, axis: int) -> np.ndarray:
     )
 
 
-def _bcast(coeff: np.ndarray, extra: int) -> np.ndarray:
-    coeff = np.asarray(coeff)
-    return coeff.reshape(coeff.shape + (1,) * extra)
-
-
 def _zero_space_ring(u: np.ndarray, n: int) -> None:
     for ax in range(n):
         u[_sl(u.ndim, ax, slice(0, 1))] = 0
@@ -108,44 +108,93 @@ def _zero_time_caps(u: np.ndarray) -> None:
     u[..., -1] = 0
 
 
-def laplacian_flux(field: MatrixField, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Flux-form Delta_A on space(+trailing) arrays; zero on the boundary ring."""
-    n = grid.n
-    shape = grid.space_shape
-    u = np.asarray(u)
-    if u.shape[:n] != shape:
-        raise ValueError("array does not match the spatial grid")
-    extra = u.ndim - n
-    h = grid.domain.spacings
-    out = np.zeros_like(u, dtype=np.result_type(u, np.float64))
+def assemble_operator(
+    field: MatrixField, lower: LowerOrderCoeffs | None, grid: SpaceTimeGrid
+) -> sp.csr_matrix:
+    """All-node CSR matrix of Delta_A plus first- and zero-order terms.
+
+    Only ``lower.space`` and ``lower.zero`` are read; ``lower`` may be None.
+    Rows of boundary nodes are empty; interior rows reach their boundary
+    neighbours, so the matrix applies to fields that do not vanish there.
+    Each a_kk is evaluated once on its half points and each a_kl (k < l)
+    once on the nodes; the coefficients of one stencil offset are summed
+    before the rows are written, in C order of the nodes with columns
+    ascending.  The dtype is that of the coefficients.
+    """
+    n, shape, h = grid.n, grid.space_shape, grid.domain.spacings
+    inner = tuple(slice(1, -1) for _ in shape)
+    centre = (0,) * n
+
+    def along(ax: int, sl: slice) -> tuple:  # interior in every axis but ax
+        return inner[:ax] + (sl,) + inner[ax + 1:]
+
+    def shifted(ax: int, s: int) -> tuple:  # interior nodes moved by s along ax
+        return along(ax, slice(1 + s, s - 1 or None))
+
+    def unit(ax: int, s: int) -> tuple:
+        return tuple(s if a == ax else 0 for a in range(n))
+
+    stencil: dict[tuple, np.ndarray] = {}
+
+    def add(offset: tuple, values: np.ndarray) -> None:
+        stencil[offset] = stencil[offset] + values if offset in stencil else values
+
     for k in range(n):
-        a_half = field.entry(k, k)(_half_points(grid, k))
-        du = (
-            u[_sl(u.ndim, k, slice(1, None))] - u[_sl(u.ndim, k, slice(None, -1))]
-        ) / h[k]
-        flux = _bcast(a_half, extra) * du
-        div = (
-            flux[_sl(u.ndim, k, slice(1, None))] - flux[_sl(u.ndim, k, slice(None, -1))]
-        ) / h[k]
-        out[_sl(u.ndim, k, slice(1, -1))] += div
+        # the half point i + 1/2 along k is index i of a_half
+        a_half = field.entry(k, k)(_half_points(grid, k)) / h[k] ** 2
+        hi, lo = a_half[along(k, slice(1, None))], a_half[along(k, slice(None, -1))]
+        add(unit(k, 1), hi)
+        add(unit(k, -1), lo)
+        add(centre, -(hi + lo))
     for k in range(n):
-        for l in range(n):
-            if l == k or field.entry(k, l).is_zero():
+        for l in range(k + 1, n):
+            if field.entry(k, l).is_zero():
                 continue
-            dcl = (
-                u[_sl(u.ndim, l, slice(2, None))] - u[_sl(u.ndim, l, slice(None, -2))]
-            ) / (2.0 * h[l])
-            pts_l = grid.space_points[_sl(n, l, slice(1, -1)) + (slice(None),)]
-            t = _bcast(field.entry(k, l)(pts_l), extra) * dcl
-            mixed = (
-                t[_sl(u.ndim, k, slice(2, None))] - t[_sl(u.ndim, k, slice(None, -2))]
-            ) / (2.0 * h[k])
-            idx = [slice(None)] * u.ndim
-            idx[k] = slice(1, -1)
-            idx[l] = slice(1, -1)
-            out[tuple(idx)] += mixed
-    _zero_space_ring(out, n)
-    return out
+            a_kl = field.entry(k, l)(grid.space_points)  # also a_lk
+            for sk in (1, -1):
+                for sl_ in (1, -1):
+                    # the (k,l) term reads a_kl at x + sk e_k, the (l,k) term at x + sl e_l
+                    corner = tuple(sk if a == k else sl_ if a == l else 0 for a in range(n))
+                    scale = sk * sl_ / (4.0 * h[k] * h[l])
+                    add(corner, (a_kl[shifted(k, sk)] + a_kl[shifted(l, sl_)]) * scale)
+    if lower is not None:
+        for ax, c in enumerate(lower.space):
+            if _is_zero_coeff(c):
+                continue
+            cv = np.broadcast_to(_coeff_space(c, grid), shape)[inner] / (2.0 * h[ax])
+            add(unit(ax, 1), cv)
+            add(unit(ax, -1), -cv)
+        if not _is_zero_coeff(lower.zero):
+            add(centre, np.broadcast_to(_coeff_space(lower.zero, grid), shape)[inner])
+
+    strides = [int(np.prod(shape[ax + 1:])) for ax in range(n)]
+    offsets = sorted(stencil, key=lambda off: np.dot(off, strides))
+    data = np.stack([stencil[off] for off in offsets], axis=-1)
+    size = int(np.prod(shape))
+    # int32 indices when they fit, as scipy would pick, so it need not check and cast them
+    itype = np.int32 if size * len(offsets) < 2**31 else np.int64
+    rows = np.arange(size, dtype=itype).reshape(shape)[inner].ravel()
+    counts = np.zeros(size, dtype=itype)
+    counts[rows] = len(offsets)
+    indptr = np.concatenate([np.zeros(1, itype), np.cumsum(counts, dtype=itype)])
+    indices = (rows[:, None] + np.dot(offsets, strides).astype(itype)).ravel()
+    return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=(size, size))
+
+
+def _matvec(mat: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
+    """An all-node operator applied to a space(+trailing) array."""
+    return (mat @ u.reshape(mat.shape[0], -1)).reshape(u.shape)
+
+
+def laplacian_flux(field: MatrixField, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Flux-form Delta_A on space(+trailing) arrays; zero on the boundary ring.
+
+    One product with ``assemble_operator(field, None, grid)``.
+    """
+    u = np.asarray(u)
+    if u.shape[: grid.n] != grid.space_shape:
+        raise ValueError("array does not match the spatial grid")
+    return _matvec(assemble_operator(field, None, grid), u)
 
 
 @dataclass
@@ -207,15 +256,6 @@ def _coeff_space(c, grid: SpaceTimeGrid) -> np.ndarray:
     return np.asarray(c)
 
 
-def _result_dtype(kind: str, u: np.ndarray, lower: LowerOrderCoeffs):
-    if kind == "schrodinger" or np.iscomplexobj(u):
-        return np.complex128
-    for c in (*lower.space, lower.time, lower.zero):
-        if c is not None and not isinstance(c, Polynomial) and complex(c).imag != 0:
-            return np.complex128
-    return np.float64
-
-
 def apply_operator(
     kind: str,
     field: MatrixField,
@@ -226,7 +266,9 @@ def apply_operator(
     """Apply the selected evolution operator; boundary ring and caps are 0.
 
     Elliptic input is a spatial array, everything else space-time with time
-    as the last axis.
+    as the last axis.  The spatial part, first- and zero-order terms
+    included, is one product with ``assemble_operator``; the dtype is the
+    result type of that matrix, ``u`` and the time part.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -234,37 +276,31 @@ def apply_operator(
     if lower.kind != kind:
         raise ValueError(f"lower-order coefficients are for {lower.kind!r}, not {kind!r}")
     u = np.asarray(u)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite values in the input field")
-    spatial = kind == "elliptic"
-    expected = grid.space_shape if spatial else grid.shape
+    expected = grid.space_shape if kind == "elliptic" else grid.shape
     if u.shape != expected:
         raise ValueError(f"expected shape {expected}, got {u.shape}")
     if lower.space and len(lower.space) != grid.n:
         raise ValueError("need one first-order coefficient per axis")
+    return _apply_assembled(kind, assemble_operator(field, lower, grid), lower.time, u, grid)
 
-    out = laplacian_flux(field, u, grid).astype(_result_dtype(kind, u, lower))
 
-    extra = 0 if spatial else 1
-    for ax, c in enumerate(lower.space):
-        if _is_zero_coeff(c):
-            continue
-        dc = _central_full(u, ax, grid.domain.spacings[ax])
-        out += _bcast(_coeff_space(c, grid), extra) * dc
-    if not _is_zero_coeff(lower.zero):
-        out += _bcast(_coeff_space(lower.zero, grid), extra) * u
-
+def _apply_assembled(kind: str, mat: sp.csr_matrix, time_coeff, u: np.ndarray,
+                     grid: SpaceTimeGrid) -> np.ndarray:
+    """``apply_operator`` with the spatial matrix already assembled."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite values in the input field")
+    out = _matvec(mat, u)
     if kind == "wave":
         out[..., 1:-1] -= (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / grid.dt**2
-        if not _is_zero_coeff(lower.time):
-            out += _bcast(_coeff_space(lower.time, grid), 1) * gradient_time(u, grid)
+        if not _is_zero_coeff(time_coeff):
+            out = out + _coeff_space(time_coeff, grid)[..., None] * gradient_time(u, grid)
     elif kind == "parabolic":
         out -= gradient_time(u, grid)
     elif kind == "schrodinger":
         out = out + 1j * gradient_time(u, grid)
 
     _zero_space_ring(out, grid.n)
-    if not spatial:
+    if kind != "elliptic":
         _zero_time_caps(out)
     return out
 
@@ -431,14 +467,14 @@ def conjugation_residual(
         raise OverflowError("conjugation exponent out of double range")
     cap_phi = np.exp(-z)
 
-    none = LowerOrderCoeffs.none(kind)
-    direct = apply_operator(kind, field, none, cap_phi * u, grid) / cap_phi
+    mat = assemble_operator(field, None, grid)
+    direct = _apply_assembled(kind, mat, None, cap_phi * u, grid) / cap_phi
 
     first = np.zeros_like(direct)
     for ax in range(grid.n):
         first = first + coeffs.B[..., ax] * _central_full(u, ax, grid.domain.spacings[ax])
 
-    principal = apply_operator(kind, field, none, u, grid)
+    principal = _apply_assembled(kind, mat, None, u, grid)
     if kind == "wave":
         split = (
             principal
@@ -555,9 +591,10 @@ def riemannian_identity_residual(
     s = metric.inv_scale
     grad_s = metric.inv_scale_gradient()
     a_vals = field(grid.space_points)
-    lap_u = laplacian_flux(field, u, grid)
-    lap_su = laplacian_flux(field, s * u, grid)
-    lap_s = laplacian_flux(field, s, grid)
+    mat = assemble_operator(field, None, grid)
+    lap_u = _matvec(mat, u)
+    lap_su = _matvec(mat, s * u)
+    lap_s = _matvec(mat, s)
     grad_u = gradient_space(u, grid)
     cross = np.einsum("...k,...kl,...l->...", grad_s, a_vals, grad_u)
     delta_g = lap_su - 2.0 * cross - u * lap_s

@@ -2,12 +2,12 @@
 Schrodinger stepping, boundary traces, energies and the semigroup
 smoothing-bound check.
 
-Every kind steps on the interior nodes with the spatial operator assembled
-once per solve as a CSR matrix (``assemble_spatial_operator``), writing each
-level into the space-time array whose boundary ring stays zero.  The
-leapfrog is one sparse matvec per step.  Time stepping for the implicit
-kinds factorizes the step matrix once with a sparse direct solver and reuses
-it; the trapezoidal Schrodinger step is a Cayley transform of the symmetric
+Every kind steps on the interior nodes with the interior block of
+``operators.assemble_operator``, taken once per solve, writing each level
+into the space-time array whose boundary ring stays zero.  The leapfrog is
+one sparse matvec per step.  Time stepping for the implicit kinds
+factorizes the step matrix once with a sparse direct solver and reuses it;
+the trapezoidal Schrodinger step is a Cayley transform of the symmetric
 discrete operator, so the L2 norm is conserved to rounding, which the
 conservation checks rely on.  Boundary traces are taken on the whole
 space-time array, one call per face.
@@ -27,6 +27,8 @@ from .operators import (
     LowerOrderCoeffs,
     _coeff_space,
     _is_zero_coeff,
+    _zero_space_ring,
+    assemble_operator,
     laplacian_flux,
 )
 from .polynomials import Polynomial
@@ -42,7 +44,6 @@ __all__ = [
     "gamma_plus",
     "energy_equivalence_check",
     "smoothing_bound_check",
-    "assemble_spatial_operator",
     "cfl_limit",
 ]
 
@@ -105,6 +106,16 @@ class GammaPlusMask:
     def is_empty(self) -> bool:
         return not any(int(np.sum(m)) for m in self.face_masks)
 
+    def sigma_plus_weights(self, grid: SpaceTimeGrid) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Trapezoid quadrature of Sigma+ = Gamma+ x (t1, t2) per face with plus
+        nodes: ``(face, plus mask on the face nodes, dsigma dt weights of shape
+        (plus nodes, nt))``."""
+        return [
+            (f, m, np.outer(grid.face_weights(f)[grid.face_mask(f)][m], grid.time_weights))
+            for f, m in enumerate(self.face_masks)
+            if np.any(m)
+        ]
+
 
 def gamma_plus(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid) -> GammaPlusMask:
     """Strict-sign mask of the analytic flux (grad psi0 | nu)_A per face."""
@@ -143,7 +154,7 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
     return 0.9 * h_min / np.sqrt(grid.n * lam_max)
 
 
-# -- sparse assembly --------------------------------------------------------------
+# -- the interior block of the spatial operator ------------------------------------
 
 
 def _inner(grid: SpaceTimeGrid) -> tuple[slice, ...]:
@@ -151,102 +162,13 @@ def _inner(grid: SpaceTimeGrid) -> tuple[slice, ...]:
     return tuple(slice(1, -1) for _ in grid.space_shape)
 
 
-def _interior_maps(grid: SpaceTimeGrid):
-    shape = grid.space_shape
-    idx_map = -np.ones(shape, dtype=np.int64)
-    count = int(np.prod([m - 2 for m in shape]))
-    idx_map[_inner(grid)] = np.arange(count).reshape([m - 2 for m in shape])
-    nodes = np.argwhere(idx_map >= 0)
-    return idx_map, nodes
-
-
-def assemble_spatial_operator(
+def _interior_operator(
     field: MatrixField, lower: LowerOrderCoeffs | None, grid: SpaceTimeGrid
 ) -> sp.csr_matrix:
-    """Interior-node matrix of Delta_A plus lower-order terms (Dirichlet 0).
-
-    Matches ``apply_operator`` restricted to interior nodes for fields that
-    vanish on the boundary.
-    """
-    lower = lower or LowerOrderCoeffs.none("elliptic")
-    n = grid.n
-    shape = grid.space_shape
-    h = grid.domain.spacings
-    idx_map, nodes = _interior_maps(grid)
-    rows_idx = idx_map[tuple(nodes.T)]
-    size = rows_idx.size
-
-    complex_entries = any(
-        c is not None and not isinstance(c, Polynomial) and complex(c).imag != 0
-        for c in (*lower.space, lower.zero)
-    )
-    dtype = np.complex128 if complex_entries else np.float64
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    def add(offsets: np.ndarray, values: np.ndarray) -> None:
-        nb = nodes + offsets
-        valid = np.all((nb >= 0) & (nb < np.array(shape)), axis=1)
-        col = np.full(size, -1, dtype=np.int64)
-        col[valid] = idx_map[tuple(nb[valid].T)]
-        keep = col >= 0
-        rows.append(rows_idx[keep])
-        cols.append(col[keep])
-        data.append(np.asarray(values, dtype=dtype)[keep])
-
-    pts = grid.space_points
-
-    # diagonal flux terms
-    for k in range(n):
-        half_hi = pts[tuple(nodes.T)] + 0.0
-        half_hi[:, k] += h[k] / 2.0
-        half_lo = pts[tuple(nodes.T)] + 0.0
-        half_lo[:, k] -= h[k] / 2.0
-        a_hi = field.entry(k, k)(half_hi)
-        a_lo = field.entry(k, k)(half_lo)
-        off = np.zeros(n, dtype=np.int64)
-        off[k] = 1
-        add(off, a_hi / h[k] ** 2)
-        add(-off, a_lo / h[k] ** 2)
-        add(np.zeros(n, dtype=np.int64), -(a_hi + a_lo) / h[k] ** 2)
-
-    # mixed terms, nested centered differences
-    for k in range(n):
-        for l in range(n):
-            if l == k or field.entry(k, l).is_zero():
-                continue
-            for sk in (1, -1):
-                shifted = pts[tuple(nodes.T)] + 0.0
-                shifted[:, k] += sk * h[k]
-                a_sh = field.entry(k, l)(shifted)
-                for sl_ in (1, -1):
-                    off = np.zeros(n, dtype=np.int64)
-                    off[k] = sk
-                    off[l] = sl_
-                    add(off, sk * sl_ * a_sh / (4.0 * h[k] * h[l]))
-
-    # first-order terms
-    for ax, creal in enumerate(lower.space):
-        if _is_zero_coeff(creal):
-            continue
-        cv = np.broadcast_to(_coeff_space(creal, grid), shape)[tuple(nodes.T)]
-        off = np.zeros(n, dtype=np.int64)
-        off[ax] = 1
-        add(off, cv / (2.0 * h[ax]))
-        add(-off, -cv / (2.0 * h[ax]))
-
-    # zero-order term
-    if not _is_zero_coeff(lower.zero):
-        qv = np.broadcast_to(_coeff_space(lower.zero, grid), shape)[tuple(nodes.T)]
-        add(np.zeros(n, dtype=np.int64), qv)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    return mat.tocsr()
+    """Rows and columns of the interior nodes, in C order: the Dirichlet-0
+    operator on vectors ``u[_inner(grid)].reshape(-1)``."""
+    idx = np.flatnonzero(~grid.boundary_mask)
+    return assemble_operator(field, lower, grid)[idx][:, idx]
 
 
 # -- traces and energies -----------------------------------------------------------
@@ -367,12 +289,12 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
 
     # interior levels m - 1 and m as contiguous vectors; level m + 1 is
     # written straight into u, whose boundary ring stays zero
-    mat = assemble_spatial_operator(field, _as_elliptic_lower(lower), grid)
+    mat = _interior_operator(field, lower, grid)
     complex_run = (np.iscomplexobj(u0) or np.iscomplexobj(u1) or mat.dtype.kind == "c"
                    or np.iscomplexobj(q0) or np.iscomplexobj(source))
     u = np.zeros(grid.shape, dtype=np.complex128 if complex_run else np.float64)
     u[..., 0] = u0
-    _apply_dirichlet(u[..., 0], grid)
+    _zero_space_ring(u[..., 0], grid.n)
     prev = u[inner + (0,)].flatten()
     acc0 = mat @ prev
     if q0 is not None:
@@ -414,15 +336,6 @@ def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionS
     return state
 
 
-def _apply_dirichlet(u_level: np.ndarray, grid: SpaceTimeGrid) -> None:
-    for ax in range(grid.n):
-        idx = [slice(None)] * grid.n
-        idx[ax] = 0
-        u_level[tuple(idx)] = 0
-        idx[ax] = -1
-        u_level[tuple(idx)] = 0
-
-
 def _check_state(state: EvolutionState) -> None:
     if not np.all(np.isfinite(state.u)):
         raise FloatingPointError("solver produced non-finite values")
@@ -440,8 +353,7 @@ def _solve_heat(field, lower, data: HeatData, grid: SpaceTimeGrid) -> EvolutionS
         source = np.asarray(source)
         if source.shape != grid.shape:
             raise ValueError("source must be a space-time array")
-    lower_el = _as_elliptic_lower(lower)
-    mat = assemble_spatial_operator(field, lower_el, grid)
+    mat = _interior_operator(field, lower, grid)
     dtype = np.complex128 if (np.iscomplexobj(u0) or mat.dtype.kind == "c"
                               or (source is not None and np.iscomplexobj(source))) else np.float64
     dt = grid.dt
@@ -454,7 +366,7 @@ def _solve_heat(field, lower, data: HeatData, grid: SpaceTimeGrid) -> EvolutionS
     inner_shape = [m - 2 for m in grid.space_shape]
     u = np.zeros(grid.shape, dtype=dtype)
     u[..., 0] = u0
-    _apply_dirichlet(u[..., 0], grid)
+    _zero_space_ring(u[..., 0], grid.n)
     vec = u[inner + (0,)].flatten()
     for m in range(grid.nt - 1):
         rhs = rhs_mat @ vec
@@ -476,20 +388,11 @@ def _solve_heat(field, lower, data: HeatData, grid: SpaceTimeGrid) -> EvolutionS
     return state
 
 
-def _as_elliptic_lower(lower: LowerOrderCoeffs | None) -> LowerOrderCoeffs | None:
-    if lower is None or lower.is_zero():
-        return None
-    return LowerOrderCoeffs(
-        kind="elliptic", space=lower.space, zero=lower.zero, bound=lower.bound
-    )
-
-
 def _solve_schrodinger(field, lower, data: SchrodingerData, grid: SpaceTimeGrid) -> EvolutionState:
     u0 = np.asarray(data.u0, dtype=np.complex128)
     if u0.shape != grid.space_shape:
         raise ValueError("initial data does not match the spatial grid")
-    lower_el = _as_elliptic_lower(lower)
-    mat = assemble_spatial_operator(field, lower_el, grid).astype(np.complex128)
+    mat = _interior_operator(field, lower, grid).astype(np.complex128)
     dt = grid.dt
     eye = sp.identity(mat.shape[0], format="csr", dtype=np.complex128)
     lhs = (eye - 0.5j * dt * mat).tocsc()
@@ -500,7 +403,7 @@ def _solve_schrodinger(field, lower, data: SchrodingerData, grid: SpaceTimeGrid)
     inner_shape = [m - 2 for m in grid.space_shape]
     u = np.zeros(grid.shape, dtype=np.complex128)
     u[..., 0] = u0
-    _apply_dirichlet(u[..., 0], grid)
+    _zero_space_ring(u[..., 0], grid.n)
     vec = u[inner + (0,)].flatten()
     for m in range(grid.nt - 1):
         vec = solver.solve(rhs_mat @ vec)
@@ -568,10 +471,9 @@ def smoothing_bound_check(
     size = int(np.prod([m - 2 for m in grid.space_shape]))
     if size > MAX_DENSE_UNKNOWNS:
         raise ValueError(f"{size} unknowns exceed the dense limit {MAX_DENSE_UNKNOWNS}")
-    mat = assemble_spatial_operator(field, None, grid)
-    dense = -mat.toarray()
+    dense = -_interior_operator(field, None, grid).toarray()  # exactly symmetric
     try:
-        mu = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+        mu = np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"eigendecomposition failed: {exc}") from exc
     mu = mu[mu > 0.0]

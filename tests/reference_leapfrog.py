@@ -2,23 +2,20 @@
 
 This is the wave solver that re-applies the flux stencil to the full
 spatial level at every step, re-evaluating the coefficient polynomials each
-time, and takes boundary traces one time level at a time.
-``carleman.solvers`` steps on the assembled interior matrix instead; the
-equivalence tests in ``test_solvers.py`` compare the two.
+time, and takes boundary traces one time level at a time.  The stencil and
+the energies come from the frozen ``reference_stencil``, so the oracle does
+not share the package's discrete operator.  ``carleman.solvers`` steps on
+the assembled interior matrix instead; the equivalence tests in
+``test_solvers.py`` compare the two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from carleman.operators import (
-    LowerOrderCoeffs,
-    _central_full,
-    _coeff_space,
-    _is_zero_coeff,
-    laplacian_flux,
-)
-from carleman.solvers import _face_trace, _wave_energy_series, cfl_limit
+from carleman.operators import LowerOrderCoeffs
+from carleman.solvers import _face_trace, cfl_limit
+from reference_stencil import coeff_space, is_zero_coeff, laplacian_flux, spatial_operator
 
 
 def _zero_ring(u_level: np.ndarray, n: int) -> None:
@@ -30,19 +27,13 @@ def _zero_ring(u_level: np.ndarray, n: int) -> None:
         u_level[tuple(idx)] = 0
 
 
-def _spatial_apply(field, lower, u_level, grid) -> np.ndarray:
-    out = laplacian_flux(field, u_level, grid)
-    if lower is not None:
-        for ax, c in enumerate(lower.space):
-            if _is_zero_coeff(c):
-                continue
-            out = out + _coeff_space(c, grid) * _central_full(
-                u_level, ax, grid.domain.spacings[ax]
-            )
-        if not _is_zero_coeff(lower.zero):
-            out = out + _coeff_space(lower.zero, grid) * u_level
-    _zero_ring(out, grid.n)
-    return out
+def _energy_series(u, velocity, field, grid) -> np.ndarray:
+    lap = laplacian_flux(field, u, grid)
+    cell = float(np.prod(grid.domain.spacings))
+    space = tuple(range(grid.n))
+    grad_part = np.maximum(-np.sum((lap * np.conj(u)).real, axis=space) * cell, 0.0)
+    vel_part = np.sum(np.abs(velocity) ** 2 * grid.space_weights[..., None], axis=space)
+    return np.sqrt(grad_part + vel_part)
 
 
 def reference_wave(field, lower, data, grid):
@@ -59,10 +50,10 @@ def reference_wave(field, lower, data, grid):
     u[..., 0] = u0
     _zero_ring(u[..., 0], grid.n)
 
-    q0 = _coeff_space(lower.time, grid) if not _is_zero_coeff(lower.time) else None
+    q0 = coeff_space(lower.time, grid) if not is_zero_coeff(lower.time) else None
     source = None if data.source is None else np.asarray(data.source)
 
-    acc0 = _spatial_apply(field, lower, u[..., 0], grid)
+    acc0 = spatial_operator(field, lower, u[..., 0], grid)
     if q0 is not None:
         acc0 = acc0 + q0 * u1
     if source is not None:
@@ -73,7 +64,7 @@ def reference_wave(field, lower, data, grid):
     if q0 is not None:
         denom = 1.0 - 0.5 * dt * q0
     for m in range(1, grid.nt - 1):
-        rhs = dt**2 * _spatial_apply(field, lower, u[..., m], grid)
+        rhs = dt**2 * spatial_operator(field, lower, u[..., m], grid)
         if source is not None:
             rhs = rhs - dt**2 * source[..., m]
         if q0 is None:
@@ -96,4 +87,4 @@ def reference_wave(field, lower, data, grid):
         )
         for f in range(grid.num_faces)
     ]
-    return u, velocity, traces, _wave_energy_series(u, velocity, field, grid)
+    return u, velocity, traces, _energy_series(u, velocity, field, grid)

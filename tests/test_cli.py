@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from carleman.cli import main
+from carleman.cli import build_lower_from, main
 from carleman.svg import heatmap_svg, line_svg, map_points
 
 BASE_CONFIG = {
@@ -170,6 +170,39 @@ def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, pro
     assert run(command, path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == message + "\n"
+
+
+def test_non_mapping_config_blocks_exit_1_with_one_line(tmp_path, capsys):
+    probes = [
+        ("certify", "equation", ["wave"]),
+        ("identities", "equation", ["wave"]),
+        ("carleman-audit", "equation", ["wave"]),
+        ("carleman-audit", "audit", 3),
+        ("solve", "solve", "wave"),
+        ("theta", "theta", [1]),
+    ]
+    for i, (command, block, value) in enumerate(probes):
+        cfg = _shipped_wave_audit()
+        cfg[block] = value
+        path = tmp_path / f"config{i}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run(command, path, tmp_path / f"out{i}") == 1, (command, block)
+        err = capsys.readouterr().err
+        assert err == f"error: config block {block!r} must be a mapping\n", (command, block)
+
+
+def test_real_lower_order_terms_stay_real(tmp_path, capsys):
+    cfg = _shipped_wave_audit()
+    cfg["equation"]["lower"] = {"space": [0.2, 0.0], "zero": 0.5, "time": "0.1j"}
+    lower = build_lower_from(cfg, "wave", 2)
+    assert lower.space == (0.2, 0.0) and lower.zero == 0.5 and lower.time == 0.1j
+    assert all(isinstance(c, float) for c in (*lower.space, lower.zero))
+    cfg["equation"]["lower"] = {"space": [0.2, 0.0], "zero": 0.5}
+    cfg["audit"].update(ensemble=2, taus=[2.0], lambdas=[1.0], refine=False)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("carleman-audit", path, tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_flag_is_gone(tmp_path):

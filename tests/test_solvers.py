@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,18 @@ from carleman import (
     smoothing_bound_check,
     solve_evolution,
 )
-from carleman.operators import LowerOrderCoeffs
+from carleman.operators import (
+    LowerOrderCoeffs,
+    apply_operator,
+    assemble_operator,
+    gradient_time,
+    laplacian_flux,
+)
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import assemble_spatial_operator, cfl_limit
+from carleman.solvers import cfl_limit
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
+from reference_stencil import spatial_operator
 
 
 def wave_grid_1d(nodes, t_final=2.0, cfl_frac=0.5):
@@ -167,8 +176,6 @@ def test_solver_grid_time_interval_validated():
 
 
 def test_assembled_operator_matches_apply():
-    from carleman.operators import apply_operator
-
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)
     field = MatrixField.from_tables(
         2,
@@ -180,13 +187,15 @@ def test_assembled_operator_matches_apply():
         domain=g.domain,
     )
     lower = LowerOrderCoeffs(kind="elliptic", space=(0.3, -0.1), zero=2.0)
-    mat = assemble_spatial_operator(field, lower, g)
-    rng = np.random.default_rng(3)
-    u = np.zeros(g.space_shape)
-    u[1:-1, 1:-1] = rng.normal(size=(7, 7))
-    direct = apply_operator("elliptic", field, lower, u, g)
-    via_matrix = mat @ u[1:-1, 1:-1].reshape(-1)
-    assert np.max(np.abs(via_matrix - direct[1:-1, 1:-1].reshape(-1))) < 1e-11
+    mat = assemble_operator(field, lower, g)
+    u = np.random.default_rng(3).normal(size=g.space_shape)  # non-zero on the boundary
+    expected = spatial_operator(field, lower, u, g)
+    assert np.max(np.abs(mat @ u.reshape(-1) - expected.reshape(-1))) < 1e-11
+    assert np.max(np.abs(apply_operator("elliptic", field, lower, u, g) - expected)) < 1e-11
+    assert mat.shape == (81, 81) and mat.dtype == np.float64
+    assert not np.any(np.diff(mat.indptr)[g.boundary_mask.reshape(-1)])
+    complex_zero = LowerOrderCoeffs(kind="elliptic", zero=2.0j)
+    assert assemble_operator(field, complex_zero, g).dtype == np.complex128
 
 
 # -- leapfrog on the assembled operator vs the frozen stencil leapfrog -------------
@@ -267,8 +276,6 @@ def test_wave_matches_stencil_leapfrog(case):
 def test_wave_complex_lower_order_terms_keep_the_imaginary_part(lower):
     """Real data with complex lower-order coefficients evolve in complex
     arithmetic: the scheme satisfies its own equation on every interior level."""
-    from carleman.operators import apply_operator
-
     g = build_grid([0, 0], [1, 1], [17, 17], 0.0, 1.0, 65)
     field = MatrixField.identity(2, domain=g.domain)
     u0 = sine_mode(g, (1, 2))
@@ -315,49 +322,63 @@ def _polynomials(draw, n: int):
 
 
 @st.composite
-def _operator_cases(draw, diagonal: bool = False):
+def _operator_cases(draw, lower_terms: bool = True):
     n = draw(st.integers(1, 3))
     nodes = [draw(st.integers(4, 7)) for _ in range(n)]
-    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, draw(st.integers(3, 5)))
     entries = {(k, k): draw(_polynomials(n)) for k in range(n)}
-    if not diagonal:
-        for k in range(n):
-            for l in range(k + 1, n):
-                if draw(st.booleans()):
-                    entries[(k, l)] = draw(_polynomials(n))
+    for k in range(n):
+        for l in range(k + 1, n):
+            if draw(st.booleans()):
+                entries[(k, l)] = draw(_polynomials(n))
     field = MatrixField.from_entry_polys(n, entries, domain=g.domain)
-    maybe_poly = st.one_of(_coeff, _polynomials(n))
+    maybe_poly = st.one_of(_coeff, st.builds(complex, _coeff, _coeff), _polynomials(n))
     lower = None
-    if not diagonal and draw(st.booleans()):
+    if lower_terms and draw(st.booleans()):
         lower = LowerOrderCoeffs(
-            kind="elliptic",
+            kind="parabolic",
             space=tuple(draw(maybe_poly) for _ in range(n)),
             zero=draw(maybe_poly),
         )
+    space_time = lower_terms and draw(st.booleans())
     seed = draw(st.integers(0, 2**16))
-    return g, field, lower, seed
+    return g, field, lower, space_time, seed
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(_operator_cases())
 def test_assembled_operator_matches_apply_property(case):
-    from carleman.operators import apply_operator
+    """The assembled operator, ``laplacian_flux`` and ``apply_operator`` agree
+    with the frozen slicing stencil on fields that do not vanish on the
+    boundary, spatial or space-time."""
+    g, field, lower, space_time, seed = case
+    u = np.random.default_rng(seed).normal(size=g.shape if space_time else g.space_shape)
+    expected = spatial_operator(field, lower, u, g)
+    tol = 1e-12 * max(1.0, np.max(np.abs(expected)))
 
-    g, field, lower, seed = case
-    u = np.zeros(g.space_shape)
-    inner = tuple(slice(1, -1) for _ in g.space_shape)
-    u[inner] = np.random.default_rng(seed).normal(size=u[inner].shape)
-    direct = apply_operator("elliptic", field, lower, u, g)[inner].reshape(-1)
-    via_matrix = assemble_spatial_operator(field, lower, g) @ u[inner].reshape(-1)
-    assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+    mat = assemble_operator(field, lower, g)
+    via_matrix = (mat @ u.reshape(mat.shape[0], -1)).reshape(u.shape)
+    assert np.max(np.abs(via_matrix - expected)) <= tol
+    if lower is None:
+        assert np.max(np.abs(laplacian_flux(field, u, g) - expected)) <= tol
+    if space_time:
+        applied = apply_operator("parabolic", field, lower, u, g) + gradient_time(u, g)
+        inner = (slice(1, -1),) * g.n + (slice(1, -1),)
+        assert np.max(np.abs(applied[inner] - expected[inner])) <= tol
+    else:
+        elliptic = None if lower is None else dataclasses.replace(lower, kind="elliptic")
+        assert np.max(np.abs(apply_operator("elliptic", field, elliptic, u, g) - expected)) <= tol
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
-@given(_operator_cases(diagonal=True))
-def test_assembled_operator_symmetric_for_diagonal_a(case):
-    g, field, _, _ = case
-    mat = assemble_spatial_operator(field, None, g)
-    assert abs(mat - mat.T).max() <= 1e-14 * abs(mat).max()
+@given(_operator_cases(lower_terms=False))
+def test_assembled_operator_exactly_symmetric(case):
+    """For every (symmetric) A without lower-order terms the interior block
+    equals its transpose bit for bit."""
+    g, field, _, _, _ = case
+    idx = np.flatnonzero(~g.boundary_mask)
+    block = assemble_operator(field, None, g)[idx][:, idx]
+    assert (block - block.T).nnz == 0
 
 
 # -- boundary masks -------------------------------------------------------------

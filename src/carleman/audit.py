@@ -20,7 +20,9 @@ from .coefficients import MatrixField
 from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import (
     LowerOrderCoeffs,
-    apply_operator,
+    _apply_assembled,
+    _checked_lower,
+    assemble_operator,
     gradient_space,
     gradient_time,
 )
@@ -154,7 +156,10 @@ class _Audit:
             raise ValueError(f"unknown inequality kind {kind!r}")
         if kind in _BOUNDARY_KINDS and plus_mask is None:
             raise ValueError("boundary kinds need the plus-boundary mask")
-        self.spec, self.field, self.lower, self.kind, self.grid = spec, field, lower, kind, grid
+        self.spec, self.kind, self.grid = spec, kind, grid
+        self.op_kind = _OPERATOR_KIND[kind]
+        self.lower = _checked_lower(self.op_kind, lower, grid)
+        self.mat = assemble_operator(field, self.lower, grid)  # once for every member
         self.spatial = kind == "elliptic"
         nt = 1 if self.spatial else grid.nt
         tw = np.ones(1) if self.spatial else grid.time_weights
@@ -219,8 +224,8 @@ class _Audit:
                 np.abs(_face_trace(u, grid, f).reshape(-1, self.nt)[m]).ravel() ** 2 * w
                 for f, m, w in self.plus
             ])
-        op_kind = _OPERATOR_KIND[kind]
-        src = (np.abs(apply_operator(op_kind, self.field, self.lower, u, grid)) ** 2).ravel()
+        lu = _apply_assembled(self.op_kind, self.mat, self.lower.time, u, grid)
+        src = (np.abs(lu) ** 2).ravel()
         for dens in (usq, gsq, src):  # interior trapezoid weights, in place
             view = dens.reshape(-1, self.nt)
             view *= self.sw[:, None]

@@ -29,7 +29,12 @@ from .audit import (
     sweep_audit,
 )
 from .coefficients import MatrixField, certify_ellipticity
-from .experiments import CheckFailedError, observability_experiment, worst_case_ratio
+from .experiments import (
+    _SOLVE_KIND,
+    CheckFailedError,
+    observability_experiment,
+    worst_case_ratio,
+)
 from .geometry import SpaceTimeGrid, build_grid, separable, sine_profile, smooth_bump
 from .operators import (
     LowerOrderCoeffs,
@@ -602,25 +607,31 @@ def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return (0 if cert.passed else 2), cert.flags
 
 
+# solve kind -> the kind of its lower-order terms
+_LOWER_KIND = {"wave": "wave", "heat": "parabolic", "schrodinger": "schrodinger"}
+
+
+def _sine_data(kind: str, u0: np.ndarray):
+    """Initial data of a solve kind from a real sine-mode field (u1 = 0)."""
+    if kind == "wave":
+        return WaveData(u0=u0, u1=np.zeros_like(u0))
+    if kind == "heat":
+        return HeatData(u0=u0)
+    if kind == "schrodinger":
+        return SchrodingerData(u0=u0.astype(complex))
+    raise ConfigError(f"unknown solve kind {kind!r}")
+
+
 def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = _block(cfg, "solve")
     kind = block.get("kind", "wave")
     mode = block.get("mode", [1] * grid.n)
-    u0 = separable(
+    data = _sine_data(kind, separable(
         grid, [sine_profile(int(mode[ax]) if ax < len(mode) else 1) for ax in range(grid.n)]
-    )
-    lower = build_lower_from(cfg, "wave", grid.n) if kind == "wave" else None
-    t_final = grid.t2
-    if kind == "wave":
-        data = WaveData(u0=u0, u1=np.zeros_like(u0))
-    elif kind == "heat":
-        data = HeatData(u0=u0)
-    elif kind == "schrodinger":
-        data = SchrodingerData(u0=u0.astype(complex))
-    else:
-        raise ConfigError(f"unknown solve kind {kind!r}")
-    state = solve_evolution(kind, field, lower if kind == "wave" else None, data, t_final, grid)
+    ))
+    lower = build_lower_from(cfg, _LOWER_KIND[kind], grid.n)
+    state = solve_evolution(kind, field, lower, data, grid.t2, grid)
 
     def rows():  # streamed: a 41^2 x 97 solve writes 15,908 trace rows
         for f in range(grid.num_faces):
@@ -664,22 +675,23 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     w = _need(cfg, "weight")
     psi0 = _psi0_from(w, grid.n)
     n_modes = int(block.get("modes", 5))
-    ensemble = []
-    for m in range(1, n_modes + 1):
-        u0 = separable(grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)])
-        if kind == "wave":
-            ensemble.append(WaveData(u0=u0, u1=np.zeros_like(u0)))
-        elif kind == "heat_final":
-            ensemble.append(HeatData(u0=u0))
-        else:
-            ensemble.append(SchrodingerData(u0=u0.astype(complex)))
+    if kind not in _SOLVE_KIND:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    solve_kind = _SOLVE_KIND[kind]
+    lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid.n)
+    ensemble = [
+        _sine_data(solve_kind, separable(
+            grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)]
+        ))
+        for m in range(1, n_modes + 1)
+    ]
     report = observability_experiment(
-        kind, field, psi0, alpha, t_obs, ensemble, grid
+        kind, field, psi0, alpha, t_obs, ensemble, grid, lower=lower
     )
     result = {"report": report}
     if int(block.get("worst_case_iterations", 0)) > 0 and kind == "wave":
         wc = worst_case_ratio(
-            kind, field, psi0, t_obs, grid, int(block["worst_case_iterations"])
+            kind, field, psi0, t_obs, grid, int(block["worst_case_iterations"]), lower=lower
         )
         result["worst_case"] = {
             "ratio": wc.ratio,

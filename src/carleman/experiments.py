@@ -46,7 +46,9 @@ __all__ = [
     "trace_norm_sigma_plus",
 ]
 
-EXPERIMENT_KINDS = ("wave", "heat_final", "schrodinger")
+# experiment kind -> the evolution it solves
+_SOLVE_KIND = {"wave": "wave", "heat_final": "heat", "schrodinger": "schrodinger"}
+EXPERIMENT_KINDS = tuple(_SOLVE_KIND)
 
 _ZERO_OBS_REL = 1e-12
 
@@ -117,14 +119,6 @@ class ObservabilityReport:
     flags: list[str] = dc_field(default_factory=list)
 
 
-def _solve_member(kind: str, field, lower, datum, t_obs: float, grid: SpaceTimeGrid):
-    if kind == "wave":
-        return solve_evolution("wave", field, lower, datum, t_obs, grid)
-    if kind == "heat_final":
-        return solve_evolution("heat", field, lower, datum, t_obs, grid)
-    return solve_evolution("schrodinger", field, lower, datum, t_obs, grid)
-
-
 def _member_quotient(
     kind: str,
     field: MatrixField,
@@ -134,7 +128,7 @@ def _member_quotient(
     grid: SpaceTimeGrid,
     mask: GammaPlusMask,
 ) -> tuple[float, float, EvolutionState]:
-    state = _solve_member(kind, field, lower, datum, t_obs, grid)
+    state = solve_evolution(_SOLVE_KIND[kind], field, lower, datum, t_obs, grid)
     tr = trace_norm_sigma_plus(state, mask)
     if kind == "heat_final":
         dn = _grad_seminorm(state.u[..., -1], field, grid)

@@ -272,16 +272,23 @@ def apply_operator(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    lower = lower or LowerOrderCoeffs.none(kind)
-    if lower.kind != kind:
-        raise ValueError(f"lower-order coefficients are for {lower.kind!r}, not {kind!r}")
+    lower = _checked_lower(kind, lower, grid)
     u = np.asarray(u)
     expected = grid.space_shape if kind == "elliptic" else grid.shape
     if u.shape != expected:
         raise ValueError(f"expected shape {expected}, got {u.shape}")
+    return _apply_assembled(kind, assemble_operator(field, lower, grid), lower.time, u, grid)
+
+
+def _checked_lower(kind: str, lower: LowerOrderCoeffs | None,
+                   grid: SpaceTimeGrid) -> LowerOrderCoeffs:
+    """``lower`` (none if None) after checking its kind and first-order terms."""
+    lower = lower or LowerOrderCoeffs.none(kind)
+    if lower.kind != kind:
+        raise ValueError(f"lower-order coefficients are for {lower.kind!r}, not {kind!r}")
     if lower.space and len(lower.space) != grid.n:
         raise ValueError("need one first-order coefficient per axis")
-    return _apply_assembled(kind, assemble_operator(field, lower, grid), lower.time, u, grid)
+    return lower
 
 
 def _apply_assembled(kind: str, mat: sp.csr_matrix, time_coeff, u: np.ndarray,

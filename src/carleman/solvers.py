@@ -1,16 +1,18 @@
-"""Dirichlet IBVP solvers: explicit leapfrog wave, trapezoidal heat and
-Schrodinger stepping, boundary traces, energies and the semigroup
-smoothing-bound check.
+"""Dirichlet IBVP solvers: one time-marching core for wave, heat and
+Schrodinger, boundary traces, energies and the semigroup smoothing-bound
+check.
 
-Every kind steps on the interior nodes with the interior block of
-``operators.assemble_operator``, taken once per solve, writing each level
-into the space-time array whose boundary ring stays zero.  The leapfrog is
-one sparse matvec per step.  Time stepping for the implicit kinds
-factorizes the step matrix once with a sparse direct solver and reuses it;
-the trapezoidal Schrodinger step is a Cayley transform of the symmetric
-discrete operator, so the L2 norm is conserved to rounding, which the
-conservation checks rely on.  Boundary traces are taken on the whole
-space-time array, one call per face.
+``solve_evolution`` checks the data once, takes the interior block L of
+``operators.assemble_operator`` once per solve and runs one level loop that
+writes each level into the space-time array, whose boundary ring stays
+zero.  The loop has two step rules: the explicit leapfrog for wave, one
+sparse matvec per step, and for heat (c = 1) and Schrodinger (c = i) the
+trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid``, whose
+matrix is factorized once with a sparse direct solver.  For Schrodinger
+the trapezoid step is a Cayley transform of the symmetric discrete
+operator, so the L2 norm is conserved to rounding, which the conservation
+checks rely on.  Boundary traces are taken on the whole space-time array,
+one call per face.
 """
 
 from __future__ import annotations
@@ -157,16 +159,11 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
 # -- the interior block of the spatial operator ------------------------------------
 
 
-def _inner(grid: SpaceTimeGrid) -> tuple[slice, ...]:
-    """Index of the interior nodes in the leading space axes of an array."""
-    return tuple(slice(1, -1) for _ in grid.space_shape)
-
-
 def _interior_operator(
     field: MatrixField, lower: LowerOrderCoeffs | None, grid: SpaceTimeGrid
 ) -> sp.csr_matrix:
     """Rows and columns of the interior nodes, in C order: the Dirichlet-0
-    operator on vectors ``u[_inner(grid)].reshape(-1)``."""
+    operator on vectors ``u[1:-1, ..., 1:-1].reshape(-1)``."""
     idx = np.flatnonzero(~grid.boundary_mask)
     return assemble_operator(field, lower, grid)[idx][:, idx]
 
@@ -206,27 +203,7 @@ def dirichlet_seminorm_sq(u: np.ndarray, field: MatrixField, grid: SpaceTimeGrid
     return np.maximum(form, 0.0)
 
 
-def _wave_energy_series(
-    u: np.ndarray, velocity: np.ndarray, field: MatrixField, grid: SpaceTimeGrid
-) -> np.ndarray:
-    grad_part = dirichlet_seminorm_sq(u, field, grid)
-    w = grid.space_weights[..., None]
-    vel_part = np.sum(np.abs(velocity) ** 2 * w, axis=tuple(range(grid.n)))
-    return np.sqrt(grad_part + vel_part)
-
-
-def _l2_norm_series(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """L2 norm of every time level of a space-time array."""
-    w = grid.space_weights[..., None]
-    return np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=tuple(range(grid.n))))
-
-
-def _collect_traces(u: np.ndarray, grid: SpaceTimeGrid) -> list[np.ndarray]:
-    """Per-face traces as flat node-major arrays of shape (nodes, nt)."""
-    return [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
-
-
-# -- solvers -------------------------------------------------------------------------
+# -- the time-marching core ----------------------------------------------------------
 
 
 def solve_evolution(
@@ -239,186 +216,114 @@ def solve_evolution(
 ) -> EvolutionState:
     """Run the IBVP with homogeneous Dirichlet boundary on the grid's times.
 
-    wave: explicit leapfrog, one matvec per step with the assembled CSR
-    operator of the flux stencil (CFL checked);
-    heat/schrodinger: trapezoidal implicit steps with one sparse
-    factorization reused for all levels.
+    ``data`` is a ``WaveData``, ``HeatData`` or ``SchrodingerData``.  wave:
+    explicit leapfrog, one matvec per step with the interior operator L (CFL
+    checked); heat (c = 1) and schrodinger (c = i): the trapezoid rule
+    ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid`` with one sparse
+    factorization reused for all levels.  Schrodinger runs are complex; any
+    other run is complex exactly when its data, source, operator or time
+    coefficient is.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown evolution kind {kind!r}")
     if abs(grid.t1) > 1e-12 or abs(grid.t2 - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("grid time interval must be (0, t_final)")
-
-    if kind == "wave":
-        return _solve_wave(field, lower, data, grid)
-    if kind == "heat":
-        return _solve_heat(field, lower, data, grid)
-    return _solve_schrodinger(field, lower, data, grid)
-
-
-def _solve_wave(field, lower, data: WaveData, grid: SpaceTimeGrid) -> EvolutionState:
-    limit = cfl_limit(field, grid)
-    if grid.dt > limit:
-        need = int(np.ceil((grid.t2 - grid.t1) / limit)) + 1
-        raise ValueError(
-            f"CFL violation: dt={grid.dt:.6g} exceeds {limit:.6g}; "
-            f"use nt >= {need}"
-        )
-    u0 = np.asarray(data.u0)
-    u1 = np.asarray(data.u1)
-    if u0.shape != grid.space_shape or u1.shape != grid.space_shape:
-        raise ValueError("initial data does not match the spatial grid")
-    lower = lower or LowerOrderCoeffs.none("wave")
+    wave = kind == "wave"
     dt = grid.dt
-    inner = _inner(grid)
+    if wave:
+        limit = cfl_limit(field, grid)
+        if dt > limit:
+            need = int(np.ceil((grid.t2 - grid.t1) / limit)) + 1
+            raise ValueError(
+                f"CFL violation: dt={dt:.6g} exceeds {limit:.6g}; use nt >= {need}"
+            )
+    u0 = np.asarray(data.u0)
+    u1 = np.asarray(data.u1) if wave else None
+    if u0.shape != grid.space_shape or (wave and u1.shape != grid.space_shape):
+        raise ValueError("initial data does not match the spatial grid")
+    source = getattr(data, "source", None)
+    if source is not None:
+        source = np.asarray(source)
+        if source.shape != grid.shape:
+            raise ValueError(f"{kind} source must be a space-time array")
+    inner = tuple(slice(1, -1) for _ in grid.space_shape)
     inner_shape = [m - 2 for m in grid.space_shape]
+    mat = _interior_operator(field, lower, grid)
 
-    q0 = None
-    if not _is_zero_coeff(lower.time):
+    q0 = None  # the leapfrog's time coefficient on the interior nodes
+    if wave and lower is not None and not _is_zero_coeff(lower.time):
         q0 = np.broadcast_to(_coeff_space(lower.time, grid), grid.space_shape)
         denom = 1.0 - 0.5 * dt * q0
         if np.any(np.abs(denom) < 1e-14):
             raise ValueError("time coefficient makes the leapfrog update singular")
         q0, denom = q0[inner].reshape(-1), denom[inner].reshape(-1)
         lag = 1.0 + 0.5 * dt * q0
-    source = data.source
-    if source is not None:
-        source = np.asarray(source)
-        if source.shape != grid.shape:
-            raise ValueError("wave source must be a space-time array")
+    complex_run = kind == "schrodinger" or mat.dtype.kind == "c" or any(
+        np.iscomplexobj(a) for a in (u0, u1, source, q0)
+    )
+    dtype = np.complex128 if complex_run else np.float64
+
+    if wave:
+        v1 = u1[inner].reshape(-1)
+        step = dt**2 * mat
+    else:
+        half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
+        eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
+        solver = spla.splu((eye - half * mat).tocsc())
+        rhs_mat = (eye + half * mat).tocsr()
 
     # interior levels m - 1 and m as contiguous vectors; level m + 1 is
     # written straight into u, whose boundary ring stays zero
-    mat = _interior_operator(field, lower, grid)
-    complex_run = (np.iscomplexobj(u0) or np.iscomplexobj(u1) or mat.dtype.kind == "c"
-                   or np.iscomplexobj(q0) or np.iscomplexobj(source))
-    u = np.zeros(grid.shape, dtype=np.complex128 if complex_run else np.float64)
-    u[..., 0] = u0
-    _zero_space_ring(u[..., 0], grid.n)
-    prev = u[inner + (0,)].flatten()
-    acc0 = mat @ prev
-    if q0 is not None:
-        acc0 = acc0 + q0 * u1[inner].reshape(-1)
-    if source is not None:
-        acc0 = acc0 - source[inner + (0,)].reshape(-1)
-    cur = prev + dt * u1[inner].reshape(-1) + 0.5 * dt**2 * acc0
-    u[inner + (1,)] = cur.reshape(inner_shape)
-
-    step = dt**2 * mat
-    for m in range(1, grid.nt - 1):
-        rhs = step @ cur
-        if source is not None:
-            rhs = rhs - dt**2 * source[inner + (m,)].reshape(-1)
-        if q0 is None:
-            nxt = 2.0 * cur - prev + rhs
-        else:
-            nxt = (rhs + 2.0 * cur - lag * prev) / denom
-        u[inner + (m + 1,)] = nxt.reshape(inner_shape)
-        prev, cur = cur, nxt
-
-    velocity = np.zeros_like(u)
-    velocity[..., 0] = u1
-    velocity[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dt)
-    velocity[..., -1] = (
-        3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]
-    ) / (2.0 * dt)
-
-    energies = _wave_energy_series(u, velocity, field, grid)
-    state = EvolutionState(
-        kind="wave",
-        grid=grid,
-        u=u,
-        velocity=velocity,
-        traces=_collect_traces(u, grid),
-        energy=EnergyRecord(kind="wave", values=energies),
-    )
-    _check_state(state)
-    return state
-
-
-def _check_state(state: EvolutionState) -> None:
-    if not np.all(np.isfinite(state.u)):
-        raise FloatingPointError("solver produced non-finite values")
-    bmask = state.grid.boundary_mask
-    if float(np.max(np.abs(state.u[bmask, :]))) != 0.0:
-        raise AssertionError("Dirichlet values are not exactly zero")
-
-
-def _solve_heat(field, lower, data: HeatData, grid: SpaceTimeGrid) -> EvolutionState:
-    u0 = np.asarray(data.u0)
-    if u0.shape != grid.space_shape:
-        raise ValueError("initial data does not match the spatial grid")
-    source = data.source
-    if source is not None:
-        source = np.asarray(source)
-        if source.shape != grid.shape:
-            raise ValueError("source must be a space-time array")
-    mat = _interior_operator(field, lower, grid)
-    dtype = np.complex128 if (np.iscomplexobj(u0) or mat.dtype.kind == "c"
-                              or (source is not None and np.iscomplexobj(source))) else np.float64
-    dt = grid.dt
-    eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
-    lhs = (eye - 0.5 * dt * mat).tocsc()
-    rhs_mat = (eye + 0.5 * dt * mat).tocsr()
-    solver = spla.splu(lhs)
-
-    inner = _inner(grid)
-    inner_shape = [m - 2 for m in grid.space_shape]
     u = np.zeros(grid.shape, dtype=dtype)
     u[..., 0] = u0
     _zero_space_ring(u[..., 0], grid.n)
-    vec = u[inner + (0,)].flatten()
+    prev, cur = None, u[inner + (0,)].flatten()
     for m in range(grid.nt - 1):
-        rhs = rhs_mat @ vec
-        if source is not None:
-            f_mid = 0.5 * (source[inner + (m,)] + source[inner + (m + 1,)])
-            rhs = rhs - dt * f_mid.reshape(-1)
-        vec = solver.solve(rhs)
-        u[inner + (m + 1,)] = vec.reshape(inner_shape)
+        if not wave:
+            rhs = rhs_mat @ cur
+            if source is not None:
+                f_mid = 0.5 * (source[inner + (m,)] + source[inner + (m + 1,)])
+                rhs = rhs - dt * f_mid.reshape(-1)
+            nxt = solver.solve(rhs)
+        elif m == 0:  # Taylor start from u1
+            acc0 = mat @ cur
+            if q0 is not None:
+                acc0 = acc0 + q0 * v1
+            if source is not None:
+                acc0 = acc0 - source[inner + (0,)].reshape(-1)
+            nxt = cur + dt * v1 + 0.5 * dt**2 * acc0
+        else:
+            rhs = step @ cur
+            if source is not None:
+                rhs = rhs - dt**2 * source[inner + (m,)].reshape(-1)
+            if q0 is None:
+                nxt = 2.0 * cur - prev + rhs
+            else:
+                nxt = (rhs + 2.0 * cur - lag * prev) / denom
+        u[inner + (m + 1,)] = nxt.reshape(inner_shape)
+        prev, cur = cur, nxt
 
-    state = EvolutionState(
-        kind="heat",
-        grid=grid,
-        u=u,
-        velocity=None,
-        traces=_collect_traces(u, grid),
-        energy=EnergyRecord(kind="l2", values=_l2_norm_series(u, grid)),
-    )
-    _check_state(state)
-    return state
-
-
-def _solve_schrodinger(field, lower, data: SchrodingerData, grid: SpaceTimeGrid) -> EvolutionState:
-    u0 = np.asarray(data.u0, dtype=np.complex128)
-    if u0.shape != grid.space_shape:
-        raise ValueError("initial data does not match the spatial grid")
-    mat = _interior_operator(field, lower, grid).astype(np.complex128)
-    dt = grid.dt
-    eye = sp.identity(mat.shape[0], format="csr", dtype=np.complex128)
-    lhs = (eye - 0.5j * dt * mat).tocsc()
-    rhs_mat = (eye + 0.5j * dt * mat).tocsr()
-    solver = spla.splu(lhs)
-
-    inner = _inner(grid)
-    inner_shape = [m - 2 for m in grid.space_shape]
-    u = np.zeros(grid.shape, dtype=np.complex128)
-    u[..., 0] = u0
-    _zero_space_ring(u[..., 0], grid.n)
-    vec = u[inner + (0,)].flatten()
-    for m in range(grid.nt - 1):
-        vec = solver.solve(rhs_mat @ vec)
-        u[inner + (m + 1,)] = vec.reshape(inner_shape)
-
-    state = EvolutionState(
-        kind="schrodinger",
-        grid=grid,
-        u=u,
-        velocity=None,
-        traces=_collect_traces(u, grid),
-        energy=EnergyRecord(kind="l2", values=_l2_norm_series(u, grid)),
-    )
-    _check_state(state)
-    return state
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("solver produced non-finite values")
+    if float(np.max(np.abs(u[grid.boundary_mask, :]))) != 0.0:
+        raise AssertionError("Dirichlet values are not exactly zero")
+    # energy: sqrt(Dirichlet form + L2 norm of the velocity) for wave, the L2
+    # norm otherwise, per level; traces as (face nodes, nt) per face
+    space, w = tuple(range(grid.n)), grid.space_weights[..., None]
+    velocity = None
+    if wave:
+        velocity = np.zeros_like(u)
+        velocity[..., 0] = u1
+        velocity[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dt)
+        velocity[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dt)
+        energy = EnergyRecord(kind="wave", values=np.sqrt(
+            dirichlet_seminorm_sq(u, field, grid) + np.sum(np.abs(velocity) ** 2 * w, axis=space)
+        ))
+    else:
+        energy = EnergyRecord(kind="l2", values=np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=space)))
+    traces = [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
+    return EvolutionState(kind=kind, grid=grid, u=u, velocity=velocity, traces=traces,
+                          energy=energy)
 
 
 # -- diagnostics -----------------------------------------------------------------------

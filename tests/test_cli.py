@@ -284,6 +284,61 @@ def test_solve_command_writes_traces_and_energy(tmp_path):
     assert len(rows) == 1 + 65
 
 
+def _run_with_lower(tmp_path, name, command, block, lower):
+    """Run a 2D config with ``equation.lower`` set (or not); returns the output
+    directory."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["grid"].update(t1=0.0, t2=0.5, nt=17)
+    cfg["equation"] = {"kind": "parabolic", **({"lower": lower} if lower else {})}
+    cfg[command] = block
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / name
+    assert run(command, path, out) in (0, 2)
+    return out
+
+
+def test_heat_solve_applies_lower_order_terms(tmp_path):
+    from carleman import HeatData, MatrixField, solve_evolution
+    from carleman.cli import build_grid_from
+    from carleman.geometry import separable, sine_profile
+    from carleman.operators import LowerOrderCoeffs
+
+    energies = {}
+    for name, lower in (("plain", None), ("zero", {"zero": 50.0})):
+        out = _run_with_lower(tmp_path, name, "solve", {"kind": "heat", "mode": [1, 2]}, lower)
+        rows = (out / "solve_energy.csv").read_text().splitlines()[1:]
+        energies[name] = np.array([float(r.split(",")[1]) for r in rows])
+    g = build_grid_from({"grid": {**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.5, "nt": 17}})
+    u0 = separable(g, [sine_profile(1), sine_profile(2)])
+    state = solve_evolution("heat", MatrixField.identity(2, domain=g.domain),
+                            LowerOrderCoeffs(kind="parabolic", zero=50.0), HeatData(u0), 0.5, g)
+    assert np.array_equal(energies["zero"], state.energy.values)
+    assert not np.allclose(energies["zero"], energies["plain"])
+
+
+def test_heat_final_observability_applies_lower_order_terms(tmp_path):
+    block = {"kind": "heat_final", "alpha": 0.5, "modes": 2}
+    norms = {}
+    for name, lower in (("plain", None), ("zero", {"zero": 20.0})):
+        out = _run_with_lower(tmp_path, name, "observability", block, lower)
+        rows = (out / "observability_ratios.csv").read_text().splitlines()[1:]
+        norms[name] = np.array([float(r.split(",")[1]) for r in rows])  # final-state norms
+    assert not np.allclose(norms["zero"], norms["plain"], rtol=0.1)
+
+
+def test_heat_time_coefficient_is_config_error(tmp_path, capsys):
+    cfg, _ = write_config(
+        tmp_path,
+        grid={**BASE_CONFIG["grid"], "t1": 0.0},
+        equation={"kind": "parabolic", "lower": {"time": 0.5}},
+        extra={"solve": {"kind": "heat"}},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: time-derivative coefficient not allowed for parabolic\n"
+
+
 def test_observability_below_threshold_exits_2(tmp_path):
     cfg, _ = write_config(
         tmp_path,

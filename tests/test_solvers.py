@@ -27,6 +27,7 @@ from carleman.polynomials import Polynomial, poly_from_table
 from carleman.solvers import cfl_limit
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
+from reference_trapezoid import reference_heat, reference_schrodinger
 from reference_stencil import spatial_operator
 
 
@@ -306,6 +307,79 @@ def test_traces_and_norms_taken_at_once_match_per_level():
         assert np.array_equal(state.traces[f], np.stack(levels, axis=-1))
     norms = [np.sqrt(np.sum(state.u[..., m] ** 2 * g.space_weights)) for m in range(g.nt)]
     assert np.allclose(state.energy.values, norms, rtol=1e-14, atol=0.0)
+
+
+# -- trapezoid rule vs the frozen heat and Schrodinger steppers ----------------------
+
+
+def _assert_matches_trapezoid_reference(kind, field, lower, data, g):
+    """Bit-for-bit agreement of levels, traces and L2 norms with the frozen
+    per-kind solver."""
+    state = solve_evolution(kind, field, lower, data, g.t2, g)
+    reference = reference_heat if kind == "heat" else reference_schrodinger
+    u, traces, norms = reference(field, lower, data, g)
+    assert state.velocity is None and state.energy.kind == "l2"
+    pairs = [(state.u, u), (state.energy.values, norms)]
+    pairs += list(zip(state.traces, traces, strict=True))
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", ["heat-source", "heat-complex", "schrodinger-zero"])
+def test_trapezoid_matches_frozen_steppers(case):
+    g = build_grid([0, 0], [1, 1], [13, 11], 0.0, 0.4, 17)
+    field = MatrixField.from_tables(2, _VARIABLE_2D, domain=g.domain)
+    rng = np.random.default_rng(8)
+    u0 = sine_mode(g, (1, 2)) + 0.1 * rng.normal(size=g.space_shape)
+    if case == "heat-source":
+        data, kind, lower = HeatData(u0, source=rng.normal(size=g.shape)), "heat", None
+    elif case == "heat-complex":
+        data, kind = HeatData(u0 * (1.0 - 0.5j)), "heat"
+        lower = LowerOrderCoeffs(kind="parabolic", space=(0.3, -0.2), zero=1.5)
+    else:
+        data, kind = SchrodingerData(u0), "schrodinger"
+        lower = LowerOrderCoeffs(kind="schrodinger", zero=-3.0)
+    _assert_matches_trapezoid_reference(kind, field, lower, data, g)
+
+
+_small = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trapezoid_cases(draw):
+    kind = draw(st.sampled_from(["heat", "schrodinger"]))
+    n = draw(st.integers(1, 2))
+    nodes = [draw(st.integers(4, 9)) for _ in range(n)]
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, draw(st.floats(0.05, 1.0)),
+                   draw(st.integers(3, 7)))
+    diag = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
+    field = MatrixField.constant(np.diag(diag), domain=g.domain)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    u0 = rng.normal(size=g.space_shape)
+    if draw(st.booleans()):
+        u0 = u0 + 1j * rng.normal(size=g.space_shape)
+    lower = None
+    if draw(st.booleans()):
+        scalar = st.one_of(_small, st.builds(complex, _small, _small))
+        lower = LowerOrderCoeffs(
+            kind="parabolic" if kind == "heat" else "schrodinger",
+            space=tuple(draw(scalar) for _ in range(n)) if draw(st.booleans()) else (),
+            zero=draw(scalar),
+        )
+    if kind == "schrodinger":
+        return kind, field, lower, SchrodingerData(u0), g
+    source = rng.normal(size=g.shape) if draw(st.booleans()) else None
+    return kind, field, lower, HeatData(u0, source=source), g
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_trapezoid_cases())
+def test_trapezoid_matches_frozen_steppers_property(case):
+    """Heat and Schrodinger share one trapezoid rule, c = 1 or i, and it
+    reproduces the frozen per-kind solvers bit for bit on random 1D/2D grids,
+    data, sources and lower-order terms."""
+    _assert_matches_trapezoid_reference(*case)
 
 
 # -- assembled operator: properties over random coefficients -------------------------

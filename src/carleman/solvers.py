@@ -12,7 +12,14 @@ matrix is factorized once with a sparse direct solver.  For Schrodinger
 the trapezoid step is a Cayley transform of the symmetric discrete
 operator, so the L2 norm is conserved to rounding, which the conservation
 checks rely on.  Boundary traces are taken on the whole space-time array,
-one call per face.
+one call per face.  Without first- or zero-order terms the wave energy
+takes its Dirichlet form from the same assembled operator.
+
+``smoothing_bound_check`` needs every eigenvalue of the interior -Delta_A
+(at most 4096 unknowns).  In 1-D and 2-D it numbers the nodes with the
+longest axis slowest, copies the band of the matrix into LAPACK band
+storage and calls ``scipy.linalg.eig_banded``; in 3-D, where the band is
+too wide to gain, it calls the dense ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -29,6 +37,7 @@ from .operators import (
     LowerOrderCoeffs,
     _coeff_space,
     _is_zero_coeff,
+    _matvec,
     _zero_space_ring,
     assemble_operator,
     laplacian_flux,
@@ -159,13 +168,11 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
 # -- the interior block of the spatial operator ------------------------------------
 
 
-def _interior_operator(
-    field: MatrixField, lower: LowerOrderCoeffs | None, grid: SpaceTimeGrid
-) -> sp.csr_matrix:
-    """Rows and columns of the interior nodes, in C order: the Dirichlet-0
-    operator on vectors ``u[1:-1, ..., 1:-1].reshape(-1)``."""
+def _interior_block(full: sp.csr_matrix, grid: SpaceTimeGrid) -> sp.csr_matrix:
+    """Rows and columns of the interior nodes of an all-node operator, in C
+    order: the Dirichlet-0 operator on vectors ``u[1:-1, ..., 1:-1].reshape(-1)``."""
     idx = np.flatnonzero(~grid.boundary_mask)
-    return assemble_operator(field, lower, grid)[idx][:, idx]
+    return full[idx][:, idx]
 
 
 # -- traces and energies -----------------------------------------------------------
@@ -197,7 +204,11 @@ def dirichlet_seminorm_sq(u: np.ndarray, field: MatrixField, grid: SpaceTimeGrid
     with the integral of |grad u|_A^2 to second order.  Accepts trailing
     axes; reduces over space.
     """
-    lap = laplacian_flux(field, u, grid)
+    return _dirichlet_form(laplacian_flux(field, u, grid), u, grid)
+
+
+def _dirichlet_form(lap: np.ndarray, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """-<lap, u> with uniform cell volume, reduced over space, clamped at 0."""
     cell = float(np.prod(grid.domain.spacings))
     form = -np.sum((lap * np.conj(u)).real, axis=tuple(range(grid.n))) * cell
     return np.maximum(form, 0.0)
@@ -248,7 +259,8 @@ def solve_evolution(
             raise ValueError(f"{kind} source must be a space-time array")
     inner = tuple(slice(1, -1) for _ in grid.space_shape)
     inner_shape = [m - 2 for m in grid.space_shape]
-    mat = _interior_operator(field, lower, grid)
+    full = assemble_operator(field, lower, grid)
+    mat = _interior_block(full, grid)
 
     q0 = None  # the leapfrog's time coefficient on the interior nodes
     if wave and lower is not None and not _is_zero_coeff(lower.time):
@@ -316,8 +328,14 @@ def solve_evolution(
         velocity[..., 0] = u1
         velocity[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dt)
         velocity[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dt)
+        if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
+                             and _is_zero_coeff(lower.zero)):
+            # the operator already assembled is the one laplacian_flux would
+            form = _dirichlet_form(_matvec(full, u), u, grid)
+        else:
+            form = dirichlet_seminorm_sq(u, field, grid)
         energy = EnergyRecord(kind="wave", values=np.sqrt(
-            dirichlet_seminorm_sq(u, field, grid) + np.sum(np.abs(velocity) ** 2 * w, axis=space)
+            form + np.sum(np.abs(velocity) ** 2 * w, axis=space)
         ))
     else:
         energy = EnergyRecord(kind="l2", values=np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=space)))
@@ -365,20 +383,32 @@ def smoothing_bound_check(
 ) -> SmoothingBoundReport:
     """max over samples and spectrum of sqrt(t) sqrt(mu) exp(-t mu).
 
-    Dense symmetric eigendecomposition of the interior -Delta_A; limited to
-    4096 unknowns.
+    The spectrum is that of the interior -Delta_A, limited to 4096 unknowns.
+    In 1-D and 2-D it is a band matrix: with the nodes numbered longest axis
+    slowest, its half-bandwidth is the unknown count over that axis's length
+    (plus 1 when A has an off-diagonal entry), and a band reduction
+    (``scipy.linalg.eig_banded``) costs O(N^2 b) against the O(N^3) of a
+    dense eigensolve.  In 3-D the band is too wide to gain and the dense
+    ``eigvalsh`` is used.
     """
     t_samples = np.asarray(list(t_samples), dtype=float)
+    if t_samples.ndim != 1:
+        raise ValueError(f"t_samples must be one-dimensional, got shape {t_samples.shape}")
     if t_samples.size == 0:
         raise ValueError("empty t_samples")
+    if not np.all(np.isfinite(t_samples)):
+        raise ValueError("t_samples must be finite")
     if np.any(t_samples <= 0):
         raise ValueError("t_samples must be positive")
     size = int(np.prod([m - 2 for m in grid.space_shape]))
     if size > MAX_DENSE_UNKNOWNS:
         raise ValueError(f"{size} unknowns exceed the dense limit {MAX_DENSE_UNKNOWNS}")
-    dense = -_interior_operator(field, None, grid).toarray()  # exactly symmetric
+    mat = -_interior_block(assemble_operator(field, None, grid), grid)  # exactly symmetric
     try:
-        mu = np.linalg.eigvalsh(dense)
+        if grid.n == 3:
+            mu = np.linalg.eigvalsh(mat.toarray())
+        else:
+            mu = sla.eig_banded(_upper_band(mat, grid), eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"eigendecomposition failed: {exc}") from exc
     mu = mu[mu > 0.0]
@@ -393,3 +423,25 @@ def smoothing_bound_check(
         argmax_mu=float(mu[im]),
         num_eigenvalues=int(mu.size),
     )
+
+
+def _upper_band(mat: sp.csr_matrix, grid: SpaceTimeGrid) -> np.ndarray:
+    """LAPACK upper band storage, ``band[b + i - j, j] = P[i, j]`` for
+    ``j - b <= i <= j``, of the symmetric permutation P of an interior-block
+    matrix that numbers the nodes with the longest axis slowest, which makes
+    the half-bandwidth b smallest.  P has the spectrum of ``mat``."""
+    inner = [m - 2 for m in grid.space_shape]
+    size = mat.shape[0]
+    longest = int(np.argmax(inner))
+    axes = [longest] + [ax for ax in range(grid.n) if ax != longest]
+    # rank[k]: the position of C-order interior node k in the new numbering
+    rank = np.empty(size, dtype=np.intp)
+    rank[np.arange(size).reshape(inner).transpose(axes).ravel()] = np.arange(size)
+    rows = rank[np.repeat(np.arange(size), np.diff(mat.indptr))]
+    cols = rank[mat.indices]
+    upper = cols >= rows
+    rows, cols = rows[upper], cols[upper]
+    width = int(np.max(cols - rows))
+    band = np.zeros((width + 1, size), dtype=mat.dtype)
+    band[width + rows - cols, cols] = mat.data[upper]
+    return band

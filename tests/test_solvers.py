@@ -24,7 +24,7 @@ from carleman.operators import (
     laplacian_flux,
 )
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import cfl_limit
+from carleman.solvers import _upper_band, cfl_limit, dirichlet_seminorm_sq
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
 from reference_trapezoid import reference_heat, reference_schrodinger
@@ -294,6 +294,37 @@ def test_wave_rejects_singular_time_coefficient():
         solve_evolution("wave", field, lower, WaveData(np.sin(np.pi * x), 0 * x), 0.5, g)
 
 
+@pytest.mark.parametrize("case", ["1d", "3d", "variable-A", "source", "complex", "time-only"])
+def test_wave_energy_matches_the_dirichlet_seminorm(case):
+    """Without first- and zero-order terms the wave energy takes its Dirichlet
+    form from the stepping operator; it equals the one of
+    ``dirichlet_seminorm_sq`` bit for bit."""
+    field, lower, data, g = _wave_case("2d" if case == "time-only" else case)
+    if case == "time-only":
+        lower = LowerOrderCoeffs(kind="wave", time=0.4)
+    state = solve_evolution("wave", field, lower, data, 0.6, g)
+    kinetic = np.sum(np.abs(state.velocity) ** 2 * g.space_weights[..., None],
+                     axis=tuple(range(g.n)))
+    expected = np.sqrt(dirichlet_seminorm_sq(state.u, field, g) + kinetic)
+    assert np.array_equal(state.energy.values, expected)
+
+
+def test_wave_solve_assembles_the_operator_once(monkeypatch):
+    from carleman import operators, solvers
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return assemble_operator(*args)
+
+    monkeypatch.setattr(operators, "assemble_operator", counting)
+    monkeypatch.setattr(solvers, "assemble_operator", counting)
+    field, _, data, g = _wave_case("2d")
+    solve_evolution("wave", field, None, data, 0.6, g)
+    assert len(calls) == 1
+
+
 def test_traces_and_norms_taken_at_once_match_per_level():
     from carleman.solvers import _face_trace
 
@@ -518,6 +549,64 @@ def test_smoothing_bound_rejects_empty_samples():
     field = MatrixField.identity(2, domain=g.domain)
     with pytest.raises(ValueError, match="empty"):
         smoothing_bound_check(field, g, [])
+
+
+@pytest.mark.parametrize("samples", [[0.1, np.nan], [np.inf, 0.1]], ids=["nan", "inf"])
+def test_smoothing_bound_rejects_non_finite_samples(samples):
+    g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)
+    field = MatrixField.identity(2, domain=g.domain)
+    with pytest.raises(ValueError, match="finite"):
+        smoothing_bound_check(field, g, samples)
+
+
+def test_smoothing_bound_rejects_two_dimensional_samples():
+    g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)
+    field = MatrixField.identity(2, domain=g.domain)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        smoothing_bound_check(field, g, np.full((2, 3), 0.1))
+
+
+def _smoothing_case(case):
+    nodes = {"1d": [65], "2d": [17, 17], "9x33": [9, 33], "33x9": [33, 9],
+             "variable-A": [13, 11], "3d": [7, 7, 7]}[case]
+    n = len(nodes)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    if case == "variable-A":
+        return MatrixField.from_tables(2, _VARIABLE_2D, domain=g.domain), g
+    return MatrixField.identity(n, domain=g.domain), g
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "9x33", "33x9", "variable-A", "3d"])
+def test_smoothing_bound_matches_dense_eigensolve(case):
+    """The band reduction (1-D, 2-D) and the dense route (3-D) agree with a
+    dense eigensolve of the interior -Delta_A, and repeat exactly."""
+    field, g = _smoothing_case(case)
+    idx = np.flatnonzero(~g.boundary_mask)
+    mu = np.linalg.eigvalsh(-assemble_operator(field, None, g)[idx][:, idx].toarray())
+    mu = mu[mu > 0.0]
+    t = np.geomspace(1e-5, 1.0, 40) * np.exp(0.1 * np.random.default_rng(7).normal(size=40))
+    vals = np.sqrt(t[:, None]) * np.sqrt(mu[None, :]) * np.exp(-t[:, None] * mu[None, :])
+    it, im = np.unravel_index(int(np.argmax(vals)), vals.shape)
+
+    rep = smoothing_bound_check(field, g, t)
+    assert rep.aleph0_emp == pytest.approx(vals[it, im], rel=1e-12)
+    assert rep.argmax_mu == pytest.approx(mu[im], rel=1e-12)
+    assert rep.argmax_t == t[it]
+    assert rep.num_eigenvalues == mu.size == idx.size
+    assert repr(smoothing_bound_check(field, g, t)) == repr(rep)
+    if g.n == 3:  # the same dense call
+        assert rep.aleph0_emp == vals[it, im] and rep.argmax_mu == mu[im]
+
+
+@pytest.mark.parametrize("case, width", [("1d", 1), ("2d", 15), ("9x33", 7), ("33x9", 7),
+                                         ("variable-A", 10)])
+def test_smoothing_band_numbers_the_longest_axis_slowest(case, width):
+    """Half-bandwidth: the unknowns over the longest interior axis, plus 1
+    with an off-diagonal entry of A."""
+    field, g = _smoothing_case(case)
+    idx = np.flatnonzero(~g.boundary_mask)
+    band = _upper_band(-assemble_operator(field, None, g)[idx][:, idx], g)
+    assert band.shape == (width + 1, idx.size)
 
 
 def test_smoothing_bound_rejects_large_grids():

@@ -22,6 +22,7 @@ from .operators import (
     LowerOrderCoeffs,
     _apply_assembled,
     _checked_lower,
+    _one_sided,
     assemble_operator,
     gradient_space,
     gradient_time,
@@ -121,8 +122,8 @@ def _check_vanishing(u: np.ndarray, kind: str, grid: SpaceTimeGrid) -> None:
         dt = grid.dt
         dthat = 1.0 / (grid.nt - 1)
         thresh = 10.0 * scale / (grid.t2 - grid.t1) * np.sqrt(dthat) + 1e-300
-        lo = np.abs(-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * dt)
-        hi = np.abs(3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dt)
+        lo = np.abs(_one_sided(u, -1, dt, 0))
+        hi = np.abs(_one_sided(u, -1, dt, -1))
         if float(np.max(lo)) > thresh or float(np.max(hi)) > thresh:
             raise ValueError("time derivative does not vanish at the caps")
 

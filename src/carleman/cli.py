@@ -293,99 +293,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def emit_plots(paths, outdir: Path | None = None) -> list[Path]:
-    """Render deterministic SVG plots from report CSV files.
-
-    The CSV header selects the plot type: sweep tables become heatmaps of
-    the per-cell minimum ratio, energy records become line plots, trace
-    exports become per-face time-series plots, and ratio tables become
-    histograms.  Header-only files produce a "no data" placeholder.
-    """
-    written: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if not path.exists():
-            raise ConfigError(f"report file {path} does not exist")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigError(f"report file {path} is empty (no header)")
-            trace = header[:1] == ["face"] and "trace_re" in header
-            # trace exports run to 10^4 rows and more: plot them as they stream by
-            trace_svg = _trace_plot_from_rows(header, reader) if trace else None
-            body = list(reader)
-        target_dir = Path(outdir) if outdir is not None else path.parent
-        if header == ["tau", "lambda", "member", "ratio"]:
-            out = target_dir / f"{path.stem}_heatmap.svg"
-            out.write_text(_sweep_heatmap_from_rows(body))
-        elif header == ["t", "energy"]:
-            out = target_dir / f"{path.stem}.svg"
-            if body:
-                ts = [float(r[0]) for r in body]
-                es = [float(r[1]) for r in body]
-                out.write_text(line_svg([("energy", ts, es)], "energy record", "t", "E"))
-            else:
-                out.write_text(line_svg([], "energy record"))
-        elif trace:
-            out = target_dir / f"{path.stem}.svg"
-            out.write_text(trace_svg)
-        elif header == ["label", "data_norm", "trace_norm", "ratio", "flag"]:
-            out = target_dir / f"{path.stem}_hist.svg"
-            vals = [float(r[3]) for r in body if r[3] not in ("", "nan")]
-            out.write_text(histogram_svg(vals, max(4, len(vals)), "quotient histogram"))
-        else:
-            raise ConfigError(f"unrecognized report columns in {path}: {header}")
-        written.append(out)
-    return written
-
-
-def _sweep_heatmap_from_rows(body: list[list[str]]) -> str:
-    if not body:
-        return heatmap_svg([], [], [], "min ensemble ratio per (tau, lambda)")
-    cells: dict[tuple[float, float], float] = {}
-    for row in body:
-        tau, lam, _, ratio = float(row[0]), float(row[1]), row[2], float(row[3])
-        key = (tau, lam)
-        if np.isfinite(ratio):
-            cells[key] = min(cells.get(key, np.inf), ratio)
-        else:
-            cells.setdefault(key, np.inf)
-    taus = sorted({k[0] for k in cells})
-    lams = sorted({k[1] for k in cells})
-    values = [
-        [cells.get((t, l), float("nan")) for l in lams] for t in taus
-    ]
-    return heatmap_svg(
-        values, [repr(t) for t in taus], [repr(l) for l in lams],
-        "min ensemble ratio per (tau, lambda)",
-    )
-
-
-def _trace_plot_from_rows(header: list[str], body) -> str:
-    t_col = header.index("t")
-    re_col = header.index("trace_re")
-    series: dict[str, tuple[list[float], list[float]]] = {}
-    first_node: dict[str, tuple] = {}
-    for row in body:
-        face = row[0]
-        node = tuple(row[1:t_col])
-        first_node.setdefault(face, node)
-        if node != first_node[face]:
-            continue
-        xs, ys = series.setdefault(f"face {face}", ([], []))
-        xs.append(float(row[t_col]))
-        ys.append(float(row[re_col]))
-    if not series:
-        return line_svg([], "normal trace time series")
-    return line_svg(
-        [(label, xs, ys) for label, (xs, ys) in series.items()],
-        "normal trace time series", "t", "dnu u",
-    )
+        writer.writerows(rows)
 
 
 def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
@@ -453,14 +361,11 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     smin, gnorm = theta_scan(field, spec.psi0, grid.space_points)
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
-    rows = []
     pts = grid.space_points.reshape(-1, grid.n)
-    for coords, s, g in zip(pts, smin.reshape(-1), gnorm.reshape(-1)):
-        rows.append([*map(float, coords), float(s), float(g)])
     write_csv(
         outdir / "theta_scan.csv",
         [f"x{i}" for i in range(grid.n)] + ["theta_sym_min", "grad_norm"],
-        rows,
+        np.column_stack([pts, smin.reshape(-1), gnorm.reshape(-1)]).tolist(),
     )
     return 0, []
 
@@ -560,12 +465,16 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         if not stable:
             status = 2
 
-    rows = []
-    for i, tau in enumerate(taus):
-        for j, lam in enumerate(lams):
-            for m in range(len(ensemble)):
-                rows.append([tau, lam, m, float(report.ratios[i, j, m])])
-    write_csv(outdir / "audit.csv", ["tau", "lambda", "member", "ratio"], rows)
+    write_csv(
+        outdir / "audit.csv",
+        ["tau", "lambda", "member", "ratio"],
+        (
+            [tau, lam, m, r]
+            for tau, plane in zip(taus, report.ratios.tolist())
+            for lam, cell in zip(lams, plane)
+            for m, r in enumerate(cell)
+        ),
+    )
     summary = {
         "kind": kind,
         "taus": taus,
@@ -580,7 +489,18 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         "note": "grid evidence only; no claim about continuum constants",
     }
     write_json(outdir / "audit.json", summary)
-    emit_plots([outdir / "audit.csv"])
+    # a repeated tau or lambda repeats its cells exactly: one heatmap cell each
+    cells = {
+        (tau, lam): v
+        for tau, row in zip(taus, report.aleph_emp.tolist())
+        for lam, v in zip(lams, row)
+    }
+    tau_axis, lam_axis = sorted(set(taus)), sorted(set(lams))
+    (outdir / "audit_heatmap.svg").write_text(heatmap_svg(
+        [[cells[t, l] for l in lam_axis] for t in tau_axis],
+        [repr(t) for t in tau_axis], [repr(l) for l in lam_axis],
+        "min ensemble ratio per (tau, lambda)",
+    ))
     return status, flags
 
 
@@ -633,27 +553,27 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     lower = build_lower_from(cfg, _LOWER_KIND[kind], grid.n)
     state = solve_evolution(kind, field, lower, data, grid.t2, grid)
 
-    def rows():  # streamed: a 41^2 x 97 solve writes 15,908 trace rows
-        for f in range(grid.num_faces):
-            face_nodes = grid.space_points[grid.face_mask(f)]
-            flat = state.traces[f].reshape(-1, grid.nt)
-            for b in range(flat.shape[0]):
-                for m in range(grid.nt):
-                    val = flat[b, m]
-                    yield [f, *[float(x) for x in face_nodes[b]], float(grid.times[m]),
-                           float(np.real(val)), float(np.imag(val))]
+    times, energy = grid.times.tolist(), state.energy.values.tolist()
+
+    def rows():  # streamed one face node at a time: a 41^2 x 97 solve writes 15,908 rows
+        for f, trace in enumerate(state.traces):
+            for node, tr in zip(grid.space_points[grid.face_mask(f)].tolist(), trace):
+                for t, re, im in zip(times, tr.real.tolist(), tr.imag.tolist()):
+                    yield [f, *node, t, re, im]
 
     write_csv(
         outdir / "solve_traces.csv",
         ["face"] + [f"x{i}" for i in range(grid.n)] + ["t", "trace_re", "trace_im"],
         rows(),
     )
-    write_csv(
-        outdir / "solve_energy.csv",
-        ["t", "energy"],
-        [[float(t), float(e)] for t, e in zip(grid.times, state.energy.values)],
+    write_csv(outdir / "solve_energy.csv", ["t", "energy"], zip(times, energy))
+    (outdir / "solve_energy.svg").write_text(
+        line_svg([("energy", times, energy)], "energy record", "t", "E")
     )
-    emit_plots([outdir / "solve_energy.csv", outdir / "solve_traces.csv"])
+    (outdir / "solve_traces.svg").write_text(line_svg(
+        [(f"face {f}", times, trace[0].real.tolist()) for f, trace in enumerate(state.traces)],
+        "normal trace time series", "t", "dnu u",
+    ))
     info = {
         "kind": kind,
         "cfl_limit": cfl_limit(field, grid) if kind == "wave" else None,
@@ -709,7 +629,10 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
             for s in report.samples
         ],
     )
-    emit_plots([outdir / "observability_ratios.csv"])
+    ratios = [s.ratio for s in report.samples if s.ratio is not None]
+    (outdir / "observability_ratios_hist.svg").write_text(
+        histogram_svg(ratios, max(4, len(ratios)), "quotient histogram")
+    )
     status = 0 if report.threshold_ok else 2
     return status, report.flags
 

@@ -50,10 +50,23 @@ KINDS = ("elliptic", "parabolic", "wave", "schrodinger")
 _EXP_CAP = 700.0
 
 
-def _sl(ndim: int, axis: int, sl: slice) -> tuple:
+def _sl(ndim: int, axis: int, sl: slice | int) -> tuple:
     out = [slice(None)] * ndim
     out[axis] = sl
     return tuple(out)
+
+
+def _one_sided(u: np.ndarray, axis: int, h: float, end: int) -> np.ndarray:
+    """3-point one-sided difference at the low (``end`` 0) or high (``end``
+    -1) end of an axis, pointing into the array."""
+    nd = u.ndim
+    if end == 0:
+        return (
+            -3.0 * u[_sl(nd, axis, 0)] + 4.0 * u[_sl(nd, axis, 1)] - u[_sl(nd, axis, 2)]
+        ) / (2.0 * h)
+    return (
+        3.0 * u[_sl(nd, axis, -1)] - 4.0 * u[_sl(nd, axis, -2)] + u[_sl(nd, axis, -3)]
+    ) / (2.0 * h)
 
 
 def _central_full(u: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -63,16 +76,8 @@ def _central_full(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     out[_sl(nd, axis, slice(1, -1))] = (
         u[_sl(nd, axis, slice(2, None))] - u[_sl(nd, axis, slice(None, -2))]
     ) / (2.0 * h)
-    out[_sl(nd, axis, slice(0, 1))] = (
-        -3.0 * u[_sl(nd, axis, slice(0, 1))]
-        + 4.0 * u[_sl(nd, axis, slice(1, 2))]
-        - u[_sl(nd, axis, slice(2, 3))]
-    ) / (2.0 * h)
-    out[_sl(nd, axis, slice(-1, None))] = (
-        3.0 * u[_sl(nd, axis, slice(-1, None))]
-        - 4.0 * u[_sl(nd, axis, slice(-2, -1))]
-        + u[_sl(nd, axis, slice(-3, -2))]
-    ) / (2.0 * h)
+    for end in (0, -1):
+        out[_sl(nd, axis, end)] = _one_sided(u, axis, h, end)
     return out
 
 
@@ -610,18 +615,19 @@ def riemannian_identity_residual(
     return float(np.max(np.abs(inner))) if inner.size else 0.0
 
 
-def _nested_centered_laplacian(
-    field: MatrixField, u: np.ndarray, grid: SpaceTimeGrid
+def _centered_magnetic(
+    a_vals: np.ndarray, b_vals: np.ndarray, u: np.ndarray, h
 ) -> np.ndarray:
-    """sum_k Dc_k(a_{kl} Dc_l u), all centered at nodes (identity checks only)."""
-    h = grid.domain.spacings
-    a_vals = field(grid.space_points)
-    out = np.zeros_like(u, dtype=np.result_type(u, np.float64))
-    for k in range(grid.n):
-        inner = np.zeros_like(out)
-        for l in range(grid.n):
-            inner = inner + a_vals[..., k, l] * _central_full(u, l, h[l])
-        out = out + _central_full(inner, k, h[k])
+    """sum_k (Dc_k + i b_k) sum_l a_{kl} (Dc_l + i b_l) u, all centered at
+    nodes (identity checks only); with b = 0 the nested centered Delta_A."""
+    out = np.zeros_like(u)
+    for k in range(len(h)):
+        f_k = np.zeros_like(u)
+        for l in range(len(h)):
+            f_k = f_k + a_vals[..., k, l] * (
+                _central_full(u, l, h[l]) + 1j * b_vals[..., l] * u
+            )
+        out = out + _central_full(f_k, k, h[k]) + 1j * b_vals[..., k] * f_k
     return out
 
 
@@ -649,16 +655,8 @@ def magnetic_expansion_residual(
     a_vals = field(pts)
     b_vals = np.stack([b(pts) for b in b_field], axis=-1)
 
-    composed = np.zeros_like(u)
-    for k in range(grid.n):
-        f_k = np.zeros_like(u)
-        for l in range(grid.n):
-            f_k = f_k + a_vals[..., k, l] * (
-                _central_full(u, l, h[l]) + 1j * b_vals[..., l] * u
-            )
-        composed = composed + _central_full(f_k, k, h[k]) + 1j * b_vals[..., k] * f_k
-
-    grad_u = np.stack([_central_full(u, ax, h[ax]) for ax in range(grid.n)], axis=-1)
+    composed = _centered_magnetic(a_vals, b_vals, u, h)
+    grad_u = gradient_space(u, grid)
     cross = np.einsum("...kl,...l,...k->...", a_vals, grad_u, b_vals)
     b_sq = np.einsum("...k,...kl,...l->...", b_vals, a_vals, b_vals)
 
@@ -672,7 +670,7 @@ def magnetic_expansion_residual(
     )
 
     expanded = (
-        _nested_centered_laplacian(field, u, grid)
+        _centered_magnetic(a_vals, np.zeros_like(b_vals), u, h)
         + 2j * cross
         + (-b_sq + 1j * div_ab) * u
     )

@@ -38,8 +38,10 @@ from .operators import (
     _coeff_space,
     _is_zero_coeff,
     _matvec,
+    _one_sided,
     _zero_space_ring,
     assemble_operator,
+    gradient_time,
     laplacian_flux,
 )
 from .polynomials import Polynomial
@@ -182,18 +184,9 @@ def _face_trace(u_level: np.ndarray, grid: SpaceTimeGrid, face: int) -> np.ndarr
     """Outward normal derivative on one face, 3-point one-sided."""
     axis, side = grid.face_axis_side(face)
     h = grid.domain.spacings[axis]
-    nd = u_level.ndim
-
-    def take(i: int) -> np.ndarray:
-        idx = [slice(None)] * nd
-        idx[axis] = i
-        return u_level[tuple(idx)]
-
     if side == 0:
-        inward = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * h)
-        return -inward
-    m = u_level.shape[axis]
-    return (3.0 * take(m - 1) - 4.0 * take(m - 2) + take(m - 3)) / (2.0 * h)
+        return -_one_sided(u_level, axis, h, 0)
+    return _one_sided(u_level, axis, h, -1)
 
 
 def dirichlet_seminorm_sq(u: np.ndarray, field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
@@ -324,10 +317,8 @@ def solve_evolution(
     space, w = tuple(range(grid.n)), grid.space_weights[..., None]
     velocity = None
     if wave:
-        velocity = np.zeros_like(u)
+        velocity = gradient_time(u, grid)
         velocity[..., 0] = u1
-        velocity[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dt)
-        velocity[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dt)
         if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
                              and _is_zero_coeff(lower.zero)):
             # the operator already assembled is the one laplacian_flux would
@@ -391,7 +382,10 @@ def smoothing_bound_check(
     dense eigensolve.  In 3-D the band is too wide to gain and the dense
     ``eigvalsh`` is used.
     """
-    t_samples = np.asarray(list(t_samples), dtype=float)
+    try:
+        t_samples = np.asarray(list(t_samples), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("t_samples must be a sequence of numbers") from exc
     if t_samples.ndim != 1:
         raise ValueError(f"t_samples must be one-dimensional, got shape {t_samples.shape}")
     if t_samples.size == 0:

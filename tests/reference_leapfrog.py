@@ -14,8 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from carleman.operators import LowerOrderCoeffs
-from carleman.solvers import _face_trace, cfl_limit
-from reference_stencil import coeff_space, is_zero_coeff, laplacian_flux, spatial_operator
+from carleman.solvers import cfl_limit
+from reference_stencil import (
+    coeff_space,
+    face_trace,
+    is_zero_coeff,
+    laplacian_flux,
+    spatial_operator,
+)
 
 
 def _zero_ring(u_level: np.ndarray, n: int) -> None:
@@ -82,7 +88,7 @@ def reference_wave(field, lower, data, grid):
 
     traces = [
         np.stack(
-            [np.asarray(_face_trace(u[..., m], grid, f)).reshape(-1) for m in range(grid.nt)],
+            [np.asarray(face_trace(u[..., m], grid, f)).reshape(-1) for m in range(grid.nt)],
             axis=-1,
         )
         for f in range(grid.num_faces)

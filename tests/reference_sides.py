@@ -20,7 +20,7 @@ from carleman.audit import (
     _check_vanishing,
 )
 from carleman.operators import apply_operator, gradient_space, gradient_time
-from carleman.solvers import _face_trace
+from reference_stencil import face_trace
 
 
 def _sigma_plus_trace_sq(
@@ -33,7 +33,7 @@ def _sigma_plus_trace_sq(
         if not np.any(m):
             continue
         levels = np.stack(
-            [np.asarray(_face_trace(u[..., j], grid, f)).reshape(-1) for j in range(grid.nt)],
+            [np.asarray(face_trace(u[..., j], grid, f)).reshape(-1) for j in range(grid.nt)],
             axis=-1,
         )
         w_face = grid.face_weights(f)[grid.face_mask(f)]

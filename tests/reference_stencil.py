@@ -7,6 +7,8 @@ the mixed terms nest centered differences around the nodal coefficient, and
 the first- and zero-order terms are added on the nodes.  Outputs are zero
 on the boundary ring.  ``carleman.operators.assemble_operator`` is checked
 against it in ``test_solvers.py`` and ``reference_leapfrog.py`` steps with it.
+``face_trace`` is the 3-point one-sided normal derivative the frozen solvers
+and the per-cell side evaluation take their boundary traces with.
 """
 
 from __future__ import annotations
@@ -40,6 +42,24 @@ def central_full(u: np.ndarray, axis: int, h: float) -> np.ndarray:
         + u[_sl(nd, axis, slice(-3, -2))]
     ) / (2.0 * h)
     return out
+
+
+def face_trace(u_level: np.ndarray, grid, face: int) -> np.ndarray:
+    """Outward normal derivative on one face, 3-point one-sided."""
+    axis, side = grid.face_axis_side(face)
+    h = grid.domain.spacings[axis]
+    nd = u_level.ndim
+
+    def take(i: int) -> np.ndarray:
+        idx = [slice(None)] * nd
+        idx[axis] = i
+        return u_level[tuple(idx)]
+
+    if side == 0:
+        inward = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * h)
+        return -inward
+    m = u_level.shape[axis]
+    return (3.0 * take(m - 1) - 4.0 * take(m - 2) + take(m - 3)) / (2.0 * h)
 
 
 def _half_points(grid, axis: int) -> np.ndarray:

@@ -15,8 +15,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carleman.operators import assemble_operator
-from carleman.solvers import _face_trace
 from reference_leapfrog import _zero_ring
+from reference_stencil import face_trace
 
 
 def _interior_operator(field, lower, grid):
@@ -28,7 +28,7 @@ def _epilogue(u, grid):
     """``(u, traces, l2 norms)``; the Dirichlet ring must be exactly zero."""
     assert np.all(np.isfinite(u))
     assert float(np.max(np.abs(u[grid.boundary_mask, :]))) == 0.0
-    traces = [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
+    traces = [face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
     w = grid.space_weights[..., None]
     norms = np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=tuple(range(grid.n))))
     return u, traces, norms

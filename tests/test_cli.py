@@ -465,61 +465,115 @@ def test_line_plot_points_match_data():
         assert py == pytest.approx(ey, abs=5e-4)
 
 
-def test_emit_plots_empty_csv_gives_no_data(tmp_path):
-    from carleman.cli import emit_plots
-
-    for name, header in (("audit", "tau,lambda,member,ratio"),
-                         ("traces", "face,x0,t,trace_re,trace_im")):
-        csv_path = tmp_path / f"{name}.csv"
-        csv_path.write_text(header + "\n")
-        (written,) = emit_plots([csv_path])
-        assert "no data" in written.read_text()
+def test_empty_line_plot_annotates_no_data():
+    assert "no data" in line_svg([], "empty")
+    assert "no data" in line_svg([("energy", [], [])], "empty series")
 
 
-def test_emit_plots_single_cell_heatmap(tmp_path):
-    from carleman.cli import emit_plots
+def test_write_csv_matches_frozen_repr_formatting(tmp_path):
+    from carleman.cli import write_csv
+    from reference_reports import write_csv as frozen_write_csv
 
-    csv_path = tmp_path / "audit.csv"
-    csv_path.write_text("tau,lambda,member,ratio\n2.0,1.0,0,3.5\n")
-    (written,) = emit_plots([csv_path])
-    assert written.name == "audit_heatmap.svg"
-    assert "<rect" in written.read_text()
+    values = [0.1 + 0.2, 1e-300, np.inf, np.nan, -0.0, 5e-324, -np.inf, 16.0]
+    rows = [["a", 3, *values], ["", 0, *reversed(values)]]
+    header = ["s", "i"] + [f"v{k}" for k in range(len(values))]
+    frozen_write_csv(tmp_path / "frozen.csv", header, rows)
+    write_csv(tmp_path / "plain.csv", header, rows)
+    write_csv(tmp_path / "numpy.csv", header,
+              [[s, np.int64(i), *np.array(v)] for s, i, *v in rows])
+    frozen = (tmp_path / "frozen.csv").read_bytes()
+    assert (tmp_path / "plain.csv").read_bytes() == frozen
+    assert (tmp_path / "numpy.csv").read_bytes() == frozen
 
 
-def test_emit_plots_trace_fidelity(tmp_path):
+def _svg_case_audit(tmp_path):
+    # unsorted and repeated taus and lambdas; tau = 64, lambda = 4 cells are inf
+    return "carleman-audit", write_config(tmp_path, extra={"audit": {
+        "kind": "wave_full", "taus": [64.0, 2.0, 64.0], "lambdas": [4.0, 1.0, 4.0],
+        "ensemble": 4}})[0]
+
+
+def _svg_case_wave_1d(tmp_path):
+    return "solve", write_config(
+        tmp_path,
+        grid={"lows": [0.0], "highs": [1.0], "nodes": [33], "t1": 0.0, "t2": 0.5, "nt": 65},
+        extra={"solve": {"kind": "wave", "mode": [2]}},
+    )[0]
+
+
+def _svg_case_schrodinger_2d(tmp_path):
+    return "solve", write_config(
+        tmp_path,
+        grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
+        extra={"solve": {"kind": "schrodinger", "mode": [1, 2]}},
+    )[0]
+
+
+def _svg_case_zero_observation(tmp_path):
+    # on 3 nodes the sine mode 2 vanishes at every node: members 0 and 3 observe
+    # nothing, so the histogram has fewer values than members
+    return "observability", write_config(
+        tmp_path,
+        grid={"lows": [0.0], "highs": [1.0], "nodes": [3], "t1": 0.0, "t2": 2.0, "nt": 81},
+        weight={"family": "example", "x0": [-0.5], "lambda": 1.0},
+        extra={"observability": {"kind": "wave", "alpha": 0.5, "t_obs": 2.0, "modes": 6}},
+    )[0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_svg_case_audit, _svg_case_wave_1d, _svg_case_schrodinger_2d, _svg_case_zero_observation],
+    ids=["audit-repeated-taus-inf-cells", "solve-wave-1d", "solve-schrodinger-2d",
+         "observability-zero-observation"],
+)
+def test_command_svgs_match_frozen_csv_plots(tmp_path, case):
+    """Each SVG a command writes equals the frozen CSV-parsing plot of its own CSV."""
+    from reference_reports import emit_plots
+
+    command, cfg = case(tmp_path)
+    out, frozen = tmp_path / "out", tmp_path / "frozen"
+    assert run(command, cfg, out) in (0, 2)
+    frozen.mkdir()
+    expected = emit_plots(sorted(out.glob("*.csv")), frozen)
+    assert sorted(p.name for p in out.glob("*.svg")) == sorted(p.name for p in expected)
+    for path in expected:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    if command == "observability":
+        rows = (out / "observability_ratios.csv").read_text().splitlines()
+        assert rows[1].endswith(",nan,zero observation")
+    if command == "carleman-audit":
+        assert "inf" in (out / "audit.json").read_text()
+
+
+def test_audit_single_cell_heatmap(tmp_path):
+    cfg, _ = write_config(tmp_path, extra={"audit": {
+        "kind": "wave_full", "taus": [2.0], "lambdas": [1.0], "ensemble": 2}})
+    out = tmp_path / "out"
+    assert run("carleman-audit", cfg, out) == 0
+    svg = (out / "audit_heatmap.svg").read_text()
+    assert svg.count("<rect") == 2  # background plus the one cell
+    assert "no data" not in svg
+
+
+def test_solve_trace_plot_fidelity(tmp_path):
     """Plotted polyline samples equal the CSV values for the 1D wave trace."""
     import csv as _csv
-
-    import numpy as np
-
-    from carleman import MatrixField, WaveData, build_grid, solve_evolution
-    from carleman.cli import emit_plots, write_csv
 
     nodes = 64
     h = 1.0 / (nodes - 1)
     nt = int(np.ceil(1.0 / (0.45 * h))) + 1
-    g = build_grid([0.0], [1.0], [nodes], 0.0, 1.0, nt)
-    field = MatrixField.identity(1, domain=g.domain)
-    x = g.space_points[..., 0]
-    state = solve_evolution(
-        "wave", field, None, WaveData(np.sin(np.pi * x), np.zeros_like(x)), 1.0, g
+    cfg, _ = write_config(
+        tmp_path,
+        grid={"lows": [0.0], "highs": [1.0], "nodes": [nodes], "t1": 0.0, "t2": 1.0, "nt": nt},
+        extra={"solve": {"kind": "wave", "mode": [1]}},
     )
-    rows = []
-    for f in range(g.num_faces):
-        tr = state.traces[f]
-        face_nodes = g.space_points[g.face_mask(f)]
-        for b in range(tr.shape[0]):
-            for m in range(g.nt):
-                rows.append([f, float(face_nodes[b][0]), float(g.times[m]),
-                             float(tr[b, m]), 0.0])
-    csv_path = tmp_path / "solve_traces.csv"
-    write_csv(csv_path, ["face", "x0", "t", "trace_re", "trace_im"], rows)
-    (svg_path,) = emit_plots([csv_path])
-    text = svg_path.read_text()
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 0
+    text = (out / "solve_traces.svg").read_text()
     polylines = re.findall(r'polyline points="([^"]+)"', text)
     assert len(polylines) == 2  # one per face
 
-    with open(csv_path, newline="") as fh:
+    with open(out / "solve_traces.csv", newline="") as fh:
         data = list(_csv.reader(fh))[1:]
     face1 = [(float(r[2]), float(r[3])) for r in data if r[0] == "1"]
     xs = [p[0] for p in face1]
@@ -533,15 +587,6 @@ def test_emit_plots_trace_fidelity(tmp_path):
         assert abs(px - ex) < 5e-4 and abs(py - ey) < 5e-4
     # and the trace itself matches the separated solution -pi cos(pi t)
     assert np.max(np.abs(np.array(ys) + np.pi * np.cos(np.pi * np.array(xs)))) < 5e-2
-
-
-def test_emit_plots_rejects_unknown_columns(tmp_path):
-    from carleman.cli import ConfigError, emit_plots
-
-    bad = tmp_path / "weird.csv"
-    bad.write_text("foo,bar\n1,2\n")
-    with pytest.raises(ConfigError, match="columns"):
-        emit_plots([bad])
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -335,6 +335,31 @@ def test_magnetic_unit_field_reduction():
     assert magnetic_expansion_residual(field, b, u, g) < 5e-3
 
 
+def _variable_table(n):
+    """A(x) = (1 + 0.3 x_k) on the diagonal, 0.1 x_k x_l off it."""
+    def mono(*axes):
+        return tuple(sum(1 for a in axes if a == p) for p in range(n))
+
+    tables = {(k, k): [(mono(), 1.0), (mono(k), 0.3)] for k in range(n)}
+    for k in range(n):
+        for l in range(n):
+            if k != l:
+                tables[(k, l)] = [(mono(k, l), 0.1)]
+    return tables
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_magnetic_residual_matches_frozen_nested_laplacian(n):
+    from reference_magnetic import magnetic_expansion_residual as frozen
+
+    g = build_grid([0.0] * n, [1.0] * n, [11, 9, 7][:n], 0.0, 1.0, 3)
+    field = MatrixField.from_tables(n, _variable_table(n), domain=g.domain)
+    u = sine_mode(g, (1, 2, 1)[:n]) * np.exp(1j * g.space_points[..., 0])
+    coords = [Polynomial.coordinate(n, (ax + 1) % n) for ax in range(n)]
+    for b in (coords, [Polynomial(n, {})] * n):
+        assert magnetic_expansion_residual(field, b, u, g) == frozen(field, b, u, g)
+
+
 def test_lower_order_declared_bound_validated():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 5)
     ok = LowerOrderCoeffs(kind="elliptic", space=(0.5, 0.5), zero=1.0, bound=1.0)

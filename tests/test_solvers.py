@@ -551,6 +551,15 @@ def test_smoothing_bound_rejects_empty_samples():
         smoothing_bound_check(field, g, [])
 
 
+@pytest.mark.parametrize("samples", [[[0.1], 0.2], 0.1, ["a"]],
+                         ids=["ragged", "scalar", "non-numeric"])
+def test_smoothing_bound_rejects_samples_that_are_not_numbers(samples):
+    g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)
+    field = MatrixField.identity(2, domain=g.domain)
+    with pytest.raises(ValueError, match="^t_samples must be a sequence of numbers$"):
+        smoothing_bound_check(field, g, samples)
+
+
 @pytest.mark.parametrize("samples", [[0.1, np.nan], [np.inf, 0.1]], ids=["nan", "inf"])
 def test_smoothing_bound_rejects_non_finite_samples(samples):
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)

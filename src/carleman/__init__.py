@@ -58,6 +58,7 @@ from .pseudoconvex import (
     theta_decomposition,
 )
 from .solvers import (
+    BlockState,
     EvolutionState,
     GammaPlusMask,
     HeatData,
@@ -66,6 +67,7 @@ from .solvers import (
     energy_equivalence_check,
     gamma_plus,
     smoothing_bound_check,
+    solve_block,
     solve_evolution,
 )
 from .weights import (

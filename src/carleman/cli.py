@@ -571,7 +571,8 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         line_svg([("energy", times, energy)], "energy record", "t", "E")
     )
     (outdir / "solve_traces.svg").write_text(line_svg(
-        [(f"face {f}", times, trace[0].real.tolist()) for f, trace in enumerate(state.traces)],
+        [(f"face {f}", times, trace[len(trace) // 2].real.tolist())
+         for f, trace in enumerate(state.traces)],
         "normal trace time series", "t", "dnu u",
     ))
     info = {

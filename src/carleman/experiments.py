@@ -1,16 +1,19 @@
 """Boundary observability experiments and the worst-case ratio estimator.
 
-An experiment solves the forward problem per ensemble member, restricts the
-normal trace to the plus part of the lateral boundary, and reports the
-kind-specific quotient (data energy over observed trace energy).  First-order
-Sobolev norms are gradient seminorms ||grad_A . ||_{L2} throughout, matching
-the energy record of the solvers; reports state this.
+An experiment solves the whole ensemble as one block (``solvers.solve_block``),
+restricts each member's normal trace to the plus part of the lateral
+boundary, and reports the kind-specific quotient (data energy over observed
+trace energy).  First-order Sobolev norms are gradient seminorms
+||grad_A . ||_{L2} throughout, taken with one assembled operator per
+experiment and matching the energy record of the solvers; reports state this.
 
 The worst-case estimator climbs the quotient by shifted power-type steps
 built from a forward solve and a heuristic time-reversed back-propagation
-(trace data re-injected as a boundary-layer source).  It is an estimator of
-the best constant, never a certificate; every reported value is the true
-quotient of a concrete datum, hence a valid lower bound for the supremum.
+(trace data re-injected as a boundary-layer source).  The six shifted trials
+of an iteration are one block; the first accepted in the order of their
+shifts is taken.  It is an estimator of the best constant, never a
+certificate; every reported value is the true quotient of a concrete datum,
+hence a valid lower bound for the supremum.
 """
 
 from __future__ import annotations
@@ -19,19 +22,21 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coefficients import MatrixField, certify_ellipticity
 from .geometry import SpaceTimeGrid, separable, sine_profile
-from .operators import LowerOrderCoeffs
+from .operators import LowerOrderCoeffs, _matvec, assemble_operator
 from .polynomials import Polynomial
 from .pseudoconvex import certify_pseudoconvex
 from .solvers import (
+    BlockState,
     EvolutionState,
     GammaPlusMask,
     WaveData,
-    dirichlet_seminorm_sq,
+    _dirichlet_form,
     gamma_plus,
-    solve_evolution,
+    solve_block,
 )
 from .weights import make_observability_weight
 
@@ -64,10 +69,11 @@ def _require_pseudoconvex(cert) -> None:
         )
 
 
-def _grad_seminorm(u_level: np.ndarray, field: MatrixField, grid: SpaceTimeGrid) -> float:
-    """First-order seminorm via the discrete Dirichlet form, matching the
+def _grad_seminorm(u_level: np.ndarray, op: sp.csr_matrix, grid: SpaceTimeGrid) -> float:
+    """First-order seminorm via the discrete Dirichlet form of the all-node
+    operator ``op = assemble_operator(field, None, grid)``, matching the
     solvers' energy record."""
-    return float(np.sqrt(dirichlet_seminorm_sq(u_level, field, grid)))
+    return float(np.sqrt(_dirichlet_form(_matvec(op, u_level), u_level, grid)))
 
 
 def _l2(u_level: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -76,19 +82,23 @@ def _l2(u_level: np.ndarray, grid: SpaceTimeGrid) -> float:
 
 def trace_norm_sigma_plus(state: EvolutionState, mask: GammaPlusMask) -> float:
     """L2 norm of the outward normal derivative over the plus boundary."""
+    return _sigma_plus_norm(state.traces, mask, state.grid)
+
+
+def _sigma_plus_norm(traces: list[np.ndarray], mask: GammaPlusMask, grid: SpaceTimeGrid) -> float:
     total = 0.0
-    for f, m, w in mask.sigma_plus_weights(state.grid):
-        total += float(np.sum(np.abs(state.traces[f][m, :]) ** 2 * w))
+    for f, m, w in mask.sigma_plus_weights(grid):
+        total += float(np.sum(np.abs(traces[f][m, :]) ** 2 * w))
     return math.sqrt(total)
 
 
-def _data_norm(kind: str, data, field: MatrixField, grid: SpaceTimeGrid) -> float:
+def _data_norm(kind: str, data, op: sp.csr_matrix, grid: SpaceTimeGrid) -> float:
     if kind == "wave":
         return math.sqrt(
-            _grad_seminorm(data.u0, field, grid) ** 2 + _l2(data.u1, grid) ** 2
+            _grad_seminorm(data.u0, op, grid) ** 2 + _l2(data.u1, grid) ** 2
         )
     if kind == "schrodinger":
-        return _grad_seminorm(data.u0, field, grid)
+        return _grad_seminorm(data.u0, op, grid)
     raise ValueError(f"no static data norm for kind {kind!r}")
 
 
@@ -119,22 +129,27 @@ class ObservabilityReport:
     flags: list[str] = dc_field(default_factory=list)
 
 
-def _member_quotient(
+def _block_quotients(
     kind: str,
     field: MatrixField,
     lower,
-    datum,
+    data: list,
     t_obs: float,
     grid: SpaceTimeGrid,
     mask: GammaPlusMask,
-) -> tuple[float, float, EvolutionState]:
-    state = solve_evolution(_SOLVE_KIND[kind], field, lower, datum, t_obs, grid)
-    tr = trace_norm_sigma_plus(state, mask)
-    if kind == "heat_final":
-        dn = _grad_seminorm(state.u[..., -1], field, grid)
-    else:
-        dn = _data_norm(kind, datum, field, grid)
-    return dn, tr, state
+    op: sp.csr_matrix,
+) -> tuple[list[tuple[float, float]], BlockState]:
+    """(data norm, Sigma+ trace norm) of each datum, from one block solve."""
+    block = solve_block(_SOLVE_KIND[kind], field, lower, data, t_obs, grid)
+    norms = []
+    for k, datum in enumerate(data):
+        tr = _sigma_plus_norm(block.member_traces(k), mask, grid)
+        if kind == "heat_final":
+            dn = _grad_seminorm(block.final(k), op, grid)
+        else:
+            dn = _data_norm(kind, datum, op, grid)
+        norms.append((dn, tr))
+    return norms, block
 
 
 def observability_experiment(
@@ -204,10 +219,11 @@ def observability_experiment(
         )
 
     mask = gamma_plus(field, psi0, grid)
+    norms, _ = _block_quotients(kind, field, lower, ensemble, t_obs, grid, mask,
+                                assemble_operator(field, None, grid))
     samples: list[SampleResult] = []
     ratios: list[float] = []
-    for idx, datum in enumerate(ensemble):
-        dn, tr, _ = _member_quotient(kind, field, lower, datum, t_obs, grid, mask)
+    for idx, (dn, tr) in enumerate(norms):
         if tr <= _ZERO_OBS_REL * max(dn, 1.0):
             samples.append(
                 SampleResult(
@@ -252,8 +268,8 @@ class WorstCaseResult:
     flag: str | None = None
 
 
-def _normalize_wave(datum: WaveData, field, grid) -> WaveData:
-    norm = _data_norm("wave", datum, field, grid)
+def _normalize_wave(datum: WaveData, op: sp.csr_matrix, grid) -> WaveData:
+    norm = _data_norm("wave", datum, op, grid)
     if norm == 0.0:
         raise ValueError("zero datum cannot seed the estimator")
     return WaveData(u0=datum.u0 / norm, u1=datum.u1 / norm)
@@ -289,19 +305,10 @@ def _wave_back_propagate(
     traces: list[np.ndarray], mask: GammaPlusMask, field, grid: SpaceTimeGrid
 ) -> WaveData:
     src = _boundary_layer_source(traces, mask, grid)
-    state = solve_evolution(
-        "wave",
-        field,
-        None,
-        WaveData(
-            u0=np.zeros(grid.space_shape),
-            u1=np.zeros(grid.space_shape),
-            source=src,
-        ),
-        grid.t2,
-        grid,
-    )
-    return WaveData(u0=state.u[..., -1].copy(), u1=state.velocity[..., -1].copy())
+    zero = np.zeros(grid.space_shape)
+    block = solve_block("wave", field, None, [WaveData(u0=zero, u1=zero, source=src)],
+                        grid.t2, grid)
+    return WaveData(u0=block.final(0), u1=block.final_velocity(0))
 
 
 def worst_case_ratio(
@@ -320,6 +327,9 @@ def worst_case_ratio(
 
     Wave kind only for the iterative climb; a single iteration returns the
     seed datum's quotient exactly as observability_experiment computes it.
+    The shifted trials of one iteration are solved as one block and scanned
+    in the order of their shifts; the first accepted one is taken, as a
+    sequential search would.
     """
     if kind != "wave":
         raise ValueError("the worst-case estimator currently supports the wave kind")
@@ -328,25 +338,26 @@ def worst_case_ratio(
     mask = gamma_plus(field, psi0, grid)
     if validate:
         _require_pseudoconvex(certify_pseudoconvex(field, psi0, grid))
+    op = assemble_operator(field, None, grid)
 
     if seed_data is None:
         x = separable(grid, [sine_profile(1)] * grid.n)
         seed_data = WaveData(u0=x, u1=np.zeros(grid.space_shape))
 
-    datum = _normalize_wave(seed_data, field, grid)
+    datum = _normalize_wave(seed_data, op, grid)
 
-    def quotient(d: WaveData):
-        dn, tr, state = _member_quotient("wave", field, lower, d, t_obs, grid, mask)
-        if tr <= _ZERO_OBS_REL * max(dn, 1.0):
-            return None, state
-        return dn / tr, state
+    def quotients(data: list[WaveData]) -> tuple[list[float | None], BlockState]:
+        norms, block = _block_quotients("wave", field, lower, data, t_obs, grid, mask, op)
+        return [None if tr <= _ZERO_OBS_REL * max(dn, 1.0) else dn / tr
+                for dn, tr in norms], block
 
-    r, state = quotient(datum)
+    (r,), block = quotients([datum])
     if r is None:
         return WorstCaseResult(
             ratio=float("inf"), data=datum, ratios=[], iterations_run=0,
             converged=False, flag="unobservable",
         )
+    traces = block.member_traces(0)
     ratios = [r]
     best = datum
     lam_est = 0.0
@@ -356,22 +367,21 @@ def worst_case_ratio(
     # accepted only if the true quotient does not decrease, so the iterate
     # sequence is nondecreasing by construction (up to solver tolerance).
     for _ in range(1, iterations):
-        back = _wave_back_propagate(state.traces, mask, field, grid)
-        lam_est = max(lam_est, _data_norm("wave", back, field, grid))
-        mult = 2.0
+        back = _wave_back_propagate(traces, mask, field, grid)
+        lam_est = max(lam_est, _data_norm("wave", back, op, grid))
+        trials = [_normalize_wave(_wave_axpy(2.0**k * lam_est, datum, -1.0, back), op, grid)
+                  for k in range(1, 7)]
+        trial_ratios, block = quotients(trials)
         accepted = None
-        for _attempt in range(6):
-            trial = _normalize_wave(_wave_axpy(mult * lam_est, datum, -1.0, back), field, grid)
-            r_trial, state_trial = quotient(trial)
+        for k, (trial, r_trial) in enumerate(zip(trials, trial_ratios)):
             if r_trial is None:
                 return WorstCaseResult(
                     ratio=float("inf"), data=trial, ratios=ratios,
                     iterations_run=len(ratios), converged=False, flag="unobservable",
                 )
             if r_trial >= ratios[-1] * (1.0 - 1e-9):
-                accepted = (trial, r_trial, state_trial)
+                accepted = (trial, r_trial, block.member_traces(k))
                 break
-            mult *= 2.0
         if accepted is None:
             # no ascent direction left along the surrogate: a plateau, which
             # satisfies the relative-change stopping rule with change zero
@@ -379,7 +389,7 @@ def worst_case_ratio(
                 ratio=max(ratios), data=best, ratios=ratios,
                 iterations_run=len(ratios), converged=True, flag="plateau",
             )
-        datum, r, state = accepted
+        datum, r, traces = accepted
         ratios.append(r)
         if r >= max(ratios):
             best = datum

@@ -553,7 +553,8 @@ class RiemannianField:
         self.det_a = det
         self.sqrt_det_g = np.abs(det) ** expo
         self.inv_scale = np.abs(det) ** (-expo)  # 1 / sqrt|g|
-        self.g = self.sqrt_det_g[..., None, None] * np.linalg.inv(a_vals)
+        self.inv_a = np.linalg.inv(a_vals)
+        self.g = self.sqrt_det_g[..., None, None] * self.inv_a
         self.g_inv = self.inv_scale[..., None, None] * a_vals
         self.det_g = np.abs(det) ** (2.0 * expo)
 
@@ -576,11 +577,8 @@ class RiemannianField:
 
     def inv_scale_gradient(self) -> np.ndarray:
         """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula."""
-        pts = self.grid.space_points
-        a_vals = self.field(pts)
-        da_vals = self.field.first_derivatives(pts)
-        inv_a = np.linalg.inv(a_vals)
-        trace = np.einsum("...lk,...klp->...p", inv_a, da_vals)
+        da_vals = self.field.first_derivatives(self.grid.space_points)
+        trace = np.einsum("...lk,...klp->...p", self.inv_a, da_vals)
         ddet = self.det_a[..., None] * trace
         expo = 1.0 / (self.field.n - 2.0)
         sign = np.sign(self.det_a)[..., None]

@@ -2,18 +2,28 @@
 Schrodinger, boundary traces, energies and the semigroup smoothing-bound
 check.
 
-``solve_evolution`` checks the data once, takes the interior block L of
-``operators.assemble_operator`` once per solve and runs one level loop that
-writes each level into the space-time array, whose boundary ring stays
-zero.  The loop has two step rules: the explicit leapfrog for wave, one
-sparse matvec per step, and for heat (c = 1) and Schrodinger (c = i) the
-trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid``, whose
-matrix is factorized once with a sparse direct solver.  For Schrodinger
-the trapezoid step is a Cayley transform of the symmetric discrete
-operator, so the L2 norm is conserved to rounding, which the conservation
-checks rely on.  Boundary traces are taken on the whole space-time array,
-one call per face.  Without first- or zero-order terms the wave energy
-takes its Dirichlet form from the same assembled operator.
+One private level loop, ``_march``, checks the data once, takes the
+interior block L of ``operators.assemble_operator`` once and advances the
+interior nodes level by level, either one run as a vector or K runs as an
+``(N_int, K)`` block.  It has two step rules: the explicit leapfrog for
+wave, one sparse product per step, and for heat (c = 1) and Schrodinger
+(c = i) the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt
+f_mid``, whose matrix is factorized once and solved with all K right-hand
+sides per step.  For Schrodinger the trapezoid step is a Cayley transform
+of the symmetric discrete operator, so the L2 norm is conserved to
+rounding, which the conservation checks rely on.  A CSR product with a
+dense block keeps each column's summation order, so each column of a block
+follows its single run's arithmetic (the real multi-right-hand-side
+SuperLU solve of heat rounds differently, at the 1e-16 level).
+
+Callers say what they keep.  ``solve_evolution`` runs one datum and keeps
+the space-time array, whose boundary ring stays zero, the velocity and
+energy record (wave) and the traces, taken on the whole array one call per
+face; without first- or zero-order terms the wave energy takes its
+Dirichlet form from the operator already assembled.  ``solve_block`` runs
+K data and keeps, per level, only the interior nodes the one-sided trace
+stencils read, plus the last three levels: the Sigma+ traces, the final
+state and the final velocity, without any space-time array.
 
 ``smoothing_bound_check`` needs every eigenvalue of the interior -Delta_A
 (at most 4096 unknowns).  In 1-D and 2-D it numbers the nodes with the
@@ -39,7 +49,6 @@ from .operators import (
     _is_zero_coeff,
     _matvec,
     _one_sided,
-    _zero_space_ring,
     assemble_operator,
     gradient_time,
     laplacian_flux,
@@ -51,9 +60,11 @@ __all__ = [
     "HeatData",
     "SchrodingerData",
     "EvolutionState",
+    "BlockState",
     "EnergyRecord",
     "GammaPlusMask",
     "solve_evolution",
+    "solve_block",
     "gamma_plus",
     "energy_equivalence_check",
     "smoothing_bound_check",
@@ -96,6 +107,26 @@ class EvolutionState:
     velocity: np.ndarray | None
     traces: list[np.ndarray]  # per face: (*face_shape, nt)
     energy: EnergyRecord
+
+
+@dataclass
+class BlockState:
+    """What ``solve_block`` keeps of K runs; the member axis is last."""
+
+    kind: str
+    grid: SpaceTimeGrid
+    traces: list[np.ndarray]  # per face: (face nodes, nt, K)
+    last: np.ndarray  # (*space_shape, 3, K): levels nt - 3, nt - 2 and nt - 1
+
+    def member_traces(self, k: int) -> list[np.ndarray]:
+        return [np.ascontiguousarray(t[..., k]) for t in self.traces]
+
+    def final(self, k: int) -> np.ndarray:
+        return self.last[..., -1, k].copy()
+
+    def final_velocity(self, k: int) -> np.ndarray:
+        """The last level of run k's velocity, the one-sided end of ``gradient_time``."""
+        return _one_sided(self.last[..., k], self.grid.n, self.grid.dt, -1)
 
 
 @dataclass
@@ -170,6 +201,11 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
 # -- the interior block of the spatial operator ------------------------------------
 
 
+def _interior(grid: SpaceTimeGrid) -> tuple[tuple, list[int]]:
+    """The slices of the interior nodes and their shape."""
+    return (slice(1, -1),) * grid.n, [m - 2 for m in grid.space_shape]
+
+
 def _interior_block(full: sp.csr_matrix, grid: SpaceTimeGrid) -> sp.csr_matrix:
     """Rows and columns of the interior nodes of an all-node operator, in C
     order: the Dirichlet-0 operator on vectors ``u[1:-1, ..., 1:-1].reshape(-1)``."""
@@ -210,6 +246,120 @@ def _dirichlet_form(lap: np.ndarray, u: np.ndarray, grid: SpaceTimeGrid) -> np.n
 # -- the time-marching core ----------------------------------------------------------
 
 
+def _finite(level: np.ndarray) -> np.ndarray:
+    if not np.isfinite(level).all():
+        raise FloatingPointError("solver produced non-finite values")
+    return level
+
+
+def _check_dirichlet(u: np.ndarray, grid: SpaceTimeGrid) -> None:
+    """Raise unless every boundary value of ``u`` (space axes first) is exactly zero."""
+    if np.any(u[grid.boundary_mask] != 0):
+        raise AssertionError("Dirichlet values are not exactly zero")
+
+
+def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: list,
+           t_final: float, grid: SpaceTimeGrid, block: bool):
+    """Check the data of one kind once and set up their level loop.
+
+    Returns the all-node operator, the dtype and a generator of the interior
+    levels 0, ..., nt - 1 in C order: ``(N_int,)`` vectors for one run
+    (``block`` false), ``(N_int, K)`` blocks with one column per datum
+    otherwise.  A CSR product with a dense block keeps each column's
+    summation order, so a column follows the arithmetic of its single run.
+    A non-finite value at any level of any column raises ``FloatingPointError``.
+    """
+    if kind not in SOLVE_KINDS:
+        raise ValueError(f"unknown evolution kind {kind!r}")
+    if abs(grid.t1) > 1e-12 or abs(grid.t2 - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError("grid time interval must be (0, t_final)")
+    wave = kind == "wave"
+    dt = grid.dt
+    if wave:
+        limit = cfl_limit(field, grid)
+        if dt > limit:
+            need = int(np.ceil((grid.t2 - grid.t1) / limit)) + 1
+            raise ValueError(
+                f"CFL violation: dt={dt:.6g} exceeds {limit:.6g}; use nt >= {need}"
+            )
+    u0 = [np.asarray(d.u0) for d in data]
+    u1 = [np.asarray(d.u1) for d in data] if wave else []
+    if any(a.shape != grid.space_shape for a in u0 + u1):
+        raise ValueError("initial data does not match the spatial grid")
+    sources = [getattr(d, "source", None) for d in data]
+    sources = [None if s is None else np.asarray(s) for s in sources]
+    if any(s is not None and s.shape != grid.shape for s in sources):
+        raise ValueError(f"{kind} source must be a space-time array")
+    inner, _ = _interior(grid)
+    full = assemble_operator(field, lower, grid)
+    mat = _interior_block(full, grid)
+
+    def columns(arrays) -> np.ndarray:  # interior values of space arrays
+        cols = [a[inner].reshape(-1) for a in arrays]
+        return np.stack(cols, axis=-1) if block else cols[0]
+
+    q0 = None  # the leapfrog's time coefficient on the interior nodes
+    if wave and lower is not None and not _is_zero_coeff(lower.time):
+        q0 = np.broadcast_to(_coeff_space(lower.time, grid), grid.space_shape)
+        denom = 1.0 - 0.5 * dt * q0
+        if np.any(np.abs(denom) < 1e-14):
+            raise ValueError("time coefficient makes the leapfrog update singular")
+        q0, denom = q0[inner].reshape(-1), denom[inner].reshape(-1)
+        lag = 1.0 + 0.5 * dt * q0
+        if block:  # one coefficient per row
+            q0, denom, lag = q0[:, None], denom[:, None], lag[:, None]
+    complex_run = kind == "schrodinger" or mat.dtype.kind == "c" or any(
+        np.iscomplexobj(a) for a in (*u0, *u1, *sources, q0)
+    )
+    dtype = np.complex128 if complex_run else np.float64
+
+    forced = any(s is not None for s in sources)
+    if forced:  # the sources on the interior nodes, levels along axis 1
+        interior = np.stack([(np.zeros(grid.shape) if s is None else s)[inner]
+                             .reshape(mat.shape[0], -1) for s in sources], axis=-1)
+
+        def forcing(m: int) -> np.ndarray:
+            return interior[:, m] if block else interior[:, m, 0]
+
+    if wave:
+        v1 = columns(u1)
+        step = dt**2 * mat
+    else:
+        half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
+        eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
+        solver = spla.splu((eye - half * mat).tocsc())
+        rhs_mat = (eye + half * mat).tocsr()
+
+    def levels():
+        prev, cur = None, columns(u0).astype(dtype)
+        yield _finite(cur)
+        for m in range(grid.nt - 1):
+            if not wave:
+                rhs = rhs_mat @ cur
+                if forced:
+                    rhs = rhs - dt * (0.5 * (forcing(m) + forcing(m + 1)))
+                nxt = solver.solve(rhs)
+            elif m == 0:  # Taylor start from u1
+                acc0 = mat @ cur
+                if q0 is not None:
+                    acc0 = acc0 + q0 * v1
+                if forced:
+                    acc0 = acc0 - forcing(0)
+                nxt = cur + dt * v1 + 0.5 * dt**2 * acc0
+            else:
+                rhs = step @ cur
+                if forced:
+                    rhs = rhs - dt**2 * forcing(m)
+                if q0 is None:
+                    nxt = 2.0 * cur - prev + rhs
+                else:
+                    nxt = (rhs + 2.0 * cur - lag * prev) / denom
+            prev, cur = cur, nxt
+            yield _finite(nxt)
+
+    return full, dtype, levels()
+
+
 def solve_evolution(
     kind: str,
     field: MatrixField,
@@ -226,99 +376,22 @@ def solve_evolution(
     ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid`` with one sparse
     factorization reused for all levels.  Schrodinger runs are complex; any
     other run is complex exactly when its data, source, operator or time
-    coefficient is.
+    coefficient is.  Keeps the whole space-time array, the velocity (wave),
+    the energy record and the traces.
     """
-    if kind not in SOLVE_KINDS:
-        raise ValueError(f"unknown evolution kind {kind!r}")
-    if abs(grid.t1) > 1e-12 or abs(grid.t2 - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("grid time interval must be (0, t_final)")
-    wave = kind == "wave"
-    dt = grid.dt
-    if wave:
-        limit = cfl_limit(field, grid)
-        if dt > limit:
-            need = int(np.ceil((grid.t2 - grid.t1) / limit)) + 1
-            raise ValueError(
-                f"CFL violation: dt={dt:.6g} exceeds {limit:.6g}; use nt >= {need}"
-            )
-    u0 = np.asarray(data.u0)
-    u1 = np.asarray(data.u1) if wave else None
-    if u0.shape != grid.space_shape or (wave and u1.shape != grid.space_shape):
-        raise ValueError("initial data does not match the spatial grid")
-    source = getattr(data, "source", None)
-    if source is not None:
-        source = np.asarray(source)
-        if source.shape != grid.shape:
-            raise ValueError(f"{kind} source must be a space-time array")
-    inner = tuple(slice(1, -1) for _ in grid.space_shape)
-    inner_shape = [m - 2 for m in grid.space_shape]
-    full = assemble_operator(field, lower, grid)
-    mat = _interior_block(full, grid)
-
-    q0 = None  # the leapfrog's time coefficient on the interior nodes
-    if wave and lower is not None and not _is_zero_coeff(lower.time):
-        q0 = np.broadcast_to(_coeff_space(lower.time, grid), grid.space_shape)
-        denom = 1.0 - 0.5 * dt * q0
-        if np.any(np.abs(denom) < 1e-14):
-            raise ValueError("time coefficient makes the leapfrog update singular")
-        q0, denom = q0[inner].reshape(-1), denom[inner].reshape(-1)
-        lag = 1.0 + 0.5 * dt * q0
-    complex_run = kind == "schrodinger" or mat.dtype.kind == "c" or any(
-        np.iscomplexobj(a) for a in (u0, u1, source, q0)
-    )
-    dtype = np.complex128 if complex_run else np.float64
-
-    if wave:
-        v1 = u1[inner].reshape(-1)
-        step = dt**2 * mat
-    else:
-        half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
-        eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
-        solver = spla.splu((eye - half * mat).tocsc())
-        rhs_mat = (eye + half * mat).tocsr()
-
-    # interior levels m - 1 and m as contiguous vectors; level m + 1 is
-    # written straight into u, whose boundary ring stays zero
-    u = np.zeros(grid.shape, dtype=dtype)
-    u[..., 0] = u0
-    _zero_space_ring(u[..., 0], grid.n)
-    prev, cur = None, u[inner + (0,)].flatten()
-    for m in range(grid.nt - 1):
-        if not wave:
-            rhs = rhs_mat @ cur
-            if source is not None:
-                f_mid = 0.5 * (source[inner + (m,)] + source[inner + (m + 1,)])
-                rhs = rhs - dt * f_mid.reshape(-1)
-            nxt = solver.solve(rhs)
-        elif m == 0:  # Taylor start from u1
-            acc0 = mat @ cur
-            if q0 is not None:
-                acc0 = acc0 + q0 * v1
-            if source is not None:
-                acc0 = acc0 - source[inner + (0,)].reshape(-1)
-            nxt = cur + dt * v1 + 0.5 * dt**2 * acc0
-        else:
-            rhs = step @ cur
-            if source is not None:
-                rhs = rhs - dt**2 * source[inner + (m,)].reshape(-1)
-            if q0 is None:
-                nxt = 2.0 * cur - prev + rhs
-            else:
-                nxt = (rhs + 2.0 * cur - lag * prev) / denom
-        u[inner + (m + 1,)] = nxt.reshape(inner_shape)
-        prev, cur = cur, nxt
-
-    if not np.all(np.isfinite(u)):
-        raise FloatingPointError("solver produced non-finite values")
-    if float(np.max(np.abs(u[grid.boundary_mask, :]))) != 0.0:
-        raise AssertionError("Dirichlet values are not exactly zero")
+    full, dtype, levels = _march(kind, field, lower, [data], t_final, grid, block=False)
+    inner, inner_shape = _interior(grid)
+    u = np.zeros(grid.shape, dtype=dtype)  # the boundary ring stays zero
+    for m, level in enumerate(levels):
+        u[inner + (m,)] = level.reshape(inner_shape)
+    _check_dirichlet(u, grid)
     # energy: sqrt(Dirichlet form + L2 norm of the velocity) for wave, the L2
     # norm otherwise, per level; traces as (face nodes, nt) per face
     space, w = tuple(range(grid.n)), grid.space_weights[..., None]
     velocity = None
-    if wave:
+    if kind == "wave":
         velocity = gradient_time(u, grid)
-        velocity[..., 0] = u1
+        velocity[..., 0] = np.asarray(data.u1)
         if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
                              and _is_zero_coeff(lower.zero)):
             # the operator already assembled is the one laplacian_flux would
@@ -333,6 +406,60 @@ def solve_evolution(
     traces = [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
     return EvolutionState(kind=kind, grid=grid, u=u, velocity=velocity, traces=traces,
                           energy=energy)
+
+
+def _trace_slabs(grid: SpaceTimeGrid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Where the one-sided trace stencils read.
+
+    Returns the C-order interior positions of the nodes in the three-node
+    slab next to any face, and per face the slab as indices into those
+    gathered values, with index ``len(gather)`` standing for a boundary node.
+    """
+    inner, inner_shape = _interior(grid)
+    pos = np.full(grid.space_shape, -1, dtype=np.intp)
+    pos[inner] = np.arange(int(np.prod(inner_shape))).reshape(inner_shape)
+    slabs = []
+    for f in range(grid.num_faces):
+        axis, side = grid.face_axis_side(f)
+        sl = [slice(None)] * grid.n
+        sl[axis] = slice(0, 3) if side == 0 else slice(-3, None)
+        slabs.append(pos[tuple(sl)])
+    gather = np.unique(np.concatenate([s[s >= 0] for s in slabs]))
+    return gather, [np.where(s >= 0, np.searchsorted(gather, s), gather.size) for s in slabs]
+
+
+def solve_block(
+    kind: str,
+    field: MatrixField,
+    lower: LowerOrderCoeffs | None,
+    data: list,
+    t_final: float,
+    grid: SpaceTimeGrid,
+) -> BlockState:
+    """Run K data of one kind in one level loop; keep traces and last levels.
+
+    The checks and step rules of ``solve_evolution`` on an ``(N_int, K)``
+    block: one CSR-times-dense product per leapfrog step, one K-right-hand-
+    side solve per trapezoid step with one factorization per block.  Per
+    level only the interior nodes the one-sided trace stencils read are
+    gathered; the traces are formed after the loop by the same stencil on the
+    same values.  No velocity, energy record or space-time array is kept.
+    """
+    if not data:
+        raise ValueError("empty block")
+    _, dtype, levels = _march(kind, field, lower, list(data), t_final, grid, block=True)
+    gather, slabs = _trace_slabs(grid)
+    nt, size = grid.nt, len(data)
+    inner, inner_shape = _interior(grid)
+    kept = np.zeros((gather.size + 1, nt, size), dtype=dtype)  # last row: the boundary
+    last = np.zeros((*grid.space_shape, 3, size), dtype=dtype)
+    for m, level in enumerate(levels):
+        kept[:-1, m] = level[gather]
+        if m >= nt - 3:
+            last[inner + (m - nt + 3,)] = level.reshape(*inner_shape, size)
+    _check_dirichlet(last, grid)
+    traces = [_face_trace(kept[s], grid, f).reshape(-1, nt, size) for f, s in enumerate(slabs)]
+    return BlockState(kind=kind, grid=grid, traces=traces, last=last)
 
 
 # -- diagnostics -----------------------------------------------------------------------

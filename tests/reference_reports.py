@@ -89,22 +89,20 @@ def _sweep_heatmap_from_rows(body: list[list[str]]) -> str:
 
 
 def _trace_plot_from_rows(header: list[str], body) -> str:
+    """One series per face: the time series of the face's middle node, the
+    node at index ``len(face nodes) // 2`` in CSV order (a corner node, where
+    u vanishes, would plot flat at 0 in 2-D and 3-D)."""
     t_col = header.index("t")
     re_col = header.index("trace_re")
-    series: dict[str, tuple[list[float], list[float]]] = {}
-    first_node: dict[str, tuple] = {}
+    nodes: dict[str, dict[tuple, tuple[list[float], list[float]]]] = {}
     for row in body:
-        face = row[0]
-        node = tuple(row[1:t_col])
-        first_node.setdefault(face, node)
-        if node != first_node[face]:
-            continue
-        xs, ys = series.setdefault(f"face {face}", ([], []))
+        xs, ys = nodes.setdefault(row[0], {}).setdefault(tuple(row[1:t_col]), ([], []))
         xs.append(float(row[t_col]))
         ys.append(float(row[re_col]))
-    if not series:
+    if not nodes:
         return line_svg([], "normal trace time series")
-    return line_svg(
-        [(label, xs, ys) for label, (xs, ys) in series.items()],
-        "normal trace time series", "t", "dnu u",
-    )
+    series = []
+    for face, per_node in nodes.items():
+        middle = list(per_node.values())[len(per_node) // 2]
+        series.append((f"face {face}", *middle))
+    return line_svg(series, "normal trace time series", "t", "dnu u")

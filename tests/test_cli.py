@@ -545,6 +545,19 @@ def test_command_svgs_match_frozen_csv_plots(tmp_path, case):
         assert "inf" in (out / "audit.json").read_text()
 
 
+def test_solve_trace_plot_2d_is_not_flat(tmp_path):
+    """In 2-D each face plots its middle node; its first node is a corner,
+    where u vanishes, and would plot flat at 0."""
+    cfg, _ = write_config(tmp_path, grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
+                          extra={"solve": {"kind": "heat", "mode": [1, 1]}})
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 0
+    polylines = re.findall(r'polyline points="([^"]+)"', (out / "solve_traces.svg").read_text())
+    assert len(polylines) == 4  # one per face
+    for line in polylines:
+        assert len({pair.split(",")[1] for pair in line.split()}) > 1
+
+
 def test_audit_single_cell_heatmap(tmp_path):
     cfg, _ = write_config(tmp_path, extra={"audit": {
         "kind": "wave_full", "taus": [2.0], "lambdas": [1.0], "ensemble": 2}})

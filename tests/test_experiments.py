@@ -12,7 +12,7 @@ from carleman import (
 )
 from carleman.experiments import CheckFailedError, trace_norm_sigma_plus
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import HeatData, gamma_plus
+from carleman.solvers import HeatData, dirichlet_seminorm_sq, gamma_plus
 from carleman.weights import make_observability_weight
 from conftest import sine_mode
 
@@ -196,3 +196,79 @@ def test_experiment_requires_nonempty_ensemble(validation_1d):
     g, field, _ = validation_1d
     with pytest.raises(ValueError, match="nonempty"):
         observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [], g)
+
+
+# -- block solves against the sequential path -----------------------------------
+
+
+def _shipped_1d():
+    g = build_grid([0.0], [1.0], [129], 0.0, 2.0, 1025)
+    return g, Polynomial.squared_distance([-0.5], scale=0.5), 6, None
+
+
+def _wave_41():
+    g = build_grid([0, 0], [1, 1], [41, 41], 0.0, 2.0, 129)
+    return g, Polynomial.squared_distance([-0.5, 0.5], scale=0.5), 6, None
+
+
+def _climbing_13():
+    # from this random seed the first iteration accepts its second trial
+    # (shift 4 lam), though the third has the larger quotient; the second
+    # iteration accepts none
+    g = build_grid([0, 0], [1, 1], [13, 13], 0.0, 2.2,
+                   int(np.ceil(2.2 / (0.45 / 12 / np.sqrt(2)))) + 1)
+    rng = np.random.default_rng(1)
+    seed = WaveData(rng.normal(size=g.space_shape), rng.normal(size=g.space_shape))
+    return g, Polynomial.squared_distance([-0.5, 0.5], scale=0.5), 8, seed
+
+
+@pytest.mark.parametrize("case", [_shipped_1d, _wave_41, _climbing_13],
+                         ids=["shipped-1d", "wave-41", "climbing-13"])
+def test_worst_case_block_climb_matches_sequential(case):
+    """The block climb makes the sequential climb's choices: same ratios,
+    flag, convergence and iteration count, and the same best datum."""
+    from reference_worst_case import reference_worst_case
+
+    g, psi0, iterations, seed = case()
+    field = MatrixField.identity(g.n, domain=g.domain)
+    got = worst_case_ratio("wave", field, psi0, g.t2, g, iterations, seed_data=seed)
+    ref = reference_worst_case(field, psi0, g.t2, g, iterations, seed_data=seed)
+    assert (got.ratios, got.flag, got.converged, got.iterations_run) == (
+        ref.ratios, ref.flag, ref.converged, ref.iterations_run)
+    assert got.ratio == ref.ratio
+    assert len(got.ratios) == (2 if seed is not None else 1)
+    assert got.data.u0.tobytes() == ref.data.u0.tobytes()
+    assert got.data.u1.tobytes() == ref.data.u1.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["wave", "schrodinger", "heat_final"])
+def test_ensemble_block_matches_member_solves(kind):
+    """One block solve of the ensemble gives each member's quotient as its own
+    ``solve_evolution`` does: bit for bit for wave and Schrodinger, to 1e-12
+    relative for the heat final state."""
+    g = build_grid([0, 0], [1, 1], [17, 17], 0.0, 0.5, 41)
+    field = MatrixField.identity(2, domain=g.domain)
+    psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
+    modes = [(1, 1), (2, 1), (1, 3), (3, 2)]
+    if kind == "wave":
+        ensemble = [WaveData(sine_mode(g, m), sine_mode(g, m[::-1])) for m in modes]
+    elif kind == "schrodinger":
+        ensemble = [SchrodingerData(sine_mode(g, m).astype(complex)) for m in modes]
+    else:
+        ensemble = [HeatData(sine_mode(g, m)) for m in modes]
+    report = observability_experiment(kind, field, psi0, 0.5, g.t2, ensemble, g,
+                                      validate=False)
+    mask = gamma_plus(field, psi0, g)
+    solve_kind = {"heat_final": "heat"}.get(kind, kind)
+    for sample, datum in zip(report.samples, ensemble, strict=True):
+        state = solve_evolution(solve_kind, field, None, datum, g.t2, g)
+        level = state.u[..., -1] if kind == "heat_final" else datum.u0
+        dn = float(np.sqrt(dirichlet_seminorm_sq(level, field, g)))
+        if kind == "wave":
+            dn = float(np.sqrt(dn**2 + np.sum(np.abs(datum.u1) ** 2 * g.space_weights)))
+        tr = trace_norm_sigma_plus(state, mask)
+        if kind == "heat_final":
+            assert sample.data_norm == pytest.approx(dn, rel=1e-12, abs=0.0)
+            assert sample.trace_norm == pytest.approx(tr, rel=1e-12, abs=0.0)
+        else:
+            assert (sample.data_norm, sample.trace_norm) == (dn, tr)

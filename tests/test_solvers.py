@@ -14,6 +14,7 @@ from carleman import (
     energy_equivalence_check,
     gamma_plus,
     smoothing_bound_check,
+    solve_block,
     solve_evolution,
 )
 from carleman.operators import (
@@ -24,7 +25,7 @@ from carleman.operators import (
     laplacian_flux,
 )
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import _upper_band, cfl_limit, dirichlet_seminorm_sq
+from carleman.solvers import _check_dirichlet, _upper_band, cfl_limit, dirichlet_seminorm_sq
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
 from reference_trapezoid import reference_heat, reference_schrodinger
@@ -642,3 +643,129 @@ def test_heat_manufactured_source_solution():
                             HeatData(np.sin(np.pi * x), source=f), 1.0, g)
     exact = np.sin(np.pi * x)[:, None] * np.exp(-g.times)
     assert np.max(np.abs(state.u - exact)) < 5e-4
+
+
+# -- the block core against single runs ---------------------------------------------
+
+
+@st.composite
+def _block_cases(draw):
+    kind = draw(st.sampled_from(["wave", "heat", "schrodinger"]))
+    n = draw(st.integers(1, 2))
+    nodes = [draw(st.integers(4, 9)) for _ in range(n)]
+    diag = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
+    t_final = draw(st.floats(0.05, 1.0))
+    nt = draw(st.integers(3, 7))
+    if kind == "wave":  # enough steps for the CFL limit
+        h = 1.0 / (max(nodes) - 1)
+        nt = max(nt, int(np.ceil(t_final * np.sqrt(n * max(diag)) / (0.9 * h))) + 1)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, t_final, nt)
+    field = MatrixField.constant(np.diag(diag), domain=g.domain)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    complex_data = draw(st.booleans())
+
+    def space():
+        u = rng.normal(size=g.space_shape)
+        return u + 1j * rng.normal(size=g.space_shape) if complex_data else u
+
+    lower = None
+    if draw(st.booleans()):
+        scalar = st.one_of(_small, st.builds(complex, _small, _small))
+        lower = LowerOrderCoeffs(
+            kind={"wave": "wave", "heat": "parabolic"}.get(kind, "schrodinger"),
+            space=tuple(draw(scalar) for _ in range(n)) if draw(st.booleans()) else (),
+            time=draw(st.floats(-1.0, 1.0)) if kind == "wave" and draw(st.booleans()) else None,
+            zero=draw(scalar),
+        )
+    data = []
+    for _ in range(draw(st.integers(1, 6))):
+        source = rng.normal(size=g.shape) if kind != "schrodinger" and draw(st.booleans()) else None
+        if kind == "wave":
+            data.append(WaveData(space(), space(), source=source))
+        elif kind == "heat":
+            data.append(HeatData(space(), source=source))
+        else:
+            data.append(SchrodingerData(space()))
+    return kind, field, lower, data, g
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_block_cases())
+def test_block_columns_match_single_runs_property(case):
+    """Each column of one block solve reproduces the K = 1 ``solve_evolution``
+    of its datum: traces, last level and (wave) last velocity bit for bit for
+    wave and Schrodinger; heat within 1e-14 of each array's maximum, since
+    SuperLU's multi-right-hand-side real solve rounds differently."""
+    kind, field, lower, data, g = case
+    block = solve_block(kind, field, lower, data, g.t2, g)
+    for k, datum in enumerate(data):
+        state = solve_evolution(kind, field, lower, datum, g.t2, g)
+        pairs = list(zip(block.member_traces(k), state.traces, strict=True))
+        pairs.append((block.final(k), state.u[..., -1]))
+        if kind == "wave":
+            pairs.append((block.final_velocity(k), state.velocity[..., -1]))
+        for got, ref in pairs:
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            if kind == "heat":
+                assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * np.max(
+                    np.abs(ref), initial=0.0)
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_block_keeps_no_space_time_array():
+    """Three 41^2 x 129 wave members in one block peak below two space-time
+    float64 arrays; one K = 1 ``solve_evolution`` holds four or more."""
+    import tracemalloc
+
+    g = build_grid([0, 0], [1, 1], [41, 41], 0.0, 2.0, 129)
+    field = MatrixField.identity(2, domain=g.domain)
+    data = [WaveData(sine_mode(g, (1 + m, 2)), np.zeros(g.space_shape)) for m in range(3)]
+    solve_block("wave", field, None, data, g.t2, g)  # warm caches outside the count
+    limit = 2 * np.prod(g.shape) * 8
+    tracemalloc.start()
+    try:
+        solve_block("wave", field, None, data, g.t2, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
+
+
+@pytest.mark.parametrize("kind", ["wave", "heat", "schrodinger"])
+def test_block_non_finite_level_raises(kind):
+    """A non-finite value at any level of any member stops the block."""
+    g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 0.5, 17)
+    field = MatrixField.identity(2, domain=g.domain)
+    u0 = sine_mode(g, (1, 1))
+    make = {"wave": lambda u, s=None: WaveData(u, np.zeros_like(u), source=s),
+            "heat": lambda u, s=None: HeatData(u, source=s),
+            "schrodinger": lambda u, s=None: SchrodingerData(u.astype(complex))}[kind]
+    bad = u0.copy()
+    bad[4, 5] = np.nan  # level 0 of the last member
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve_block(kind, field, None, [make(u0), make(u0), make(bad)], g.t2, g)
+    if kind != "schrodinger":  # an infinite source reaches a later level of member 1
+        source = np.zeros(g.shape)
+        source[3, 3, 9] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            solve_block(kind, field, None, [make(u0), make(u0, source)], g.t2, g)
+
+
+def test_dirichlet_check_rejects_boundary_values():
+    g = build_grid([0, 0], [1, 1], [7, 7], 0.0, 1.0, 5)
+    levels = np.zeros((*g.space_shape, 3, 2))
+    levels[1:-1, 1:-1] = 1.0
+    _check_dirichlet(levels, g)
+    levels[0, 3, 2, 1] = 1e-300
+    with pytest.raises(AssertionError, match="Dirichlet"):
+        _check_dirichlet(levels, g)
+
+
+def test_block_rejects_empty_and_mismatched_data():
+    g = build_grid([0.0], [1.0], [9], 0.0, 0.5, 17)
+    field = MatrixField.identity(1, domain=g.domain)
+    with pytest.raises(ValueError, match="empty"):
+        solve_block("heat", field, None, [], g.t2, g)
+    with pytest.raises(ValueError, match="spatial grid"):
+        solve_block("heat", field, None, [HeatData(np.zeros(9)), HeatData(np.zeros(8))], g.t2, g)

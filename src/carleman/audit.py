@@ -66,6 +66,7 @@ _OPERATOR_KIND = {
 }
 
 _BOUNDARY_KINDS = ("wave_boundary", "parabolic_boundary", "schrodinger_boundary")
+_MAX_REFINEMENT_DRIFT = 0.5  # relative drift of aleph_overall still called stable
 
 
 @dataclass
@@ -429,7 +430,6 @@ def sweep_audit(
     lams,
     grid: SpaceTimeGrid,
     target: float = 0.0,
-    psi0_for_mask=None,
     stamp: str | None = None,
     admissibility_codes: list[str] | None = None,
 ) -> AuditReport:
@@ -440,7 +440,7 @@ def sweep_audit(
     lams = [float(l) for l in lams]
     plus_mask = None
     if kind in _BOUNDARY_KINDS:
-        plus_mask = gamma_plus(field, psi0_for_mask or spec.psi0, grid)
+        plus_mask = gamma_plus(field, spec.psi0, grid)
 
     if not taus or not lams:
         raise ValueError("need at least one tau and one lambda")
@@ -522,13 +522,13 @@ def negative_control(
     return report
 
 
-def compare_refinement(coarse: AuditReport, fine: AuditReport, max_drift: float = 0.5):
+def compare_refinement(coarse: AuditReport, fine: AuditReport):
     """Relative drift of the audits between two resolutions.
 
     Returns the per-cell drift matrix (diagnostic; strongly concentrated
     cells carry a surface-to-volume quadrature artifact that scales with the
     mesh) and the stability verdict, taken on the uniform empirical constant
-    aleph_overall.
+    aleph_overall: stable when it drifts by less than 0.5 relative.
     """
     if coarse.aleph_emp.shape != fine.aleph_emp.shape:
         raise ValueError("reports must share the sweep grid")
@@ -538,7 +538,7 @@ def compare_refinement(coarse: AuditReport, fine: AuditReport, max_drift: float 
     if a0 is None or a1 is None or a0 == 0.0:
         stable = False
     else:
-        stable = bool(abs(a1 - a0) / abs(a0) < max_drift)
+        stable = bool(abs(a1 - a0) / abs(a0) < _MAX_REFINEMENT_DRIFT)
     coarse.refinement_stable = stable
     fine.refinement_stable = stable
     return drift, stable

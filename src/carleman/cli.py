@@ -238,7 +238,8 @@ def build_weight_from(
     raise ConfigError(f"unknown weight family {family!r}")
 
 
-def build_lower_from(cfg: dict, kind: str, n: int) -> LowerOrderCoeffs | None:
+def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
+    """``equation.lower``, with its declared ``bound`` checked on the grid."""
     eq = _block(cfg, "equation")
     low = eq.get("lower")
     if not low:
@@ -246,13 +247,18 @@ def build_lower_from(cfg: dict, kind: str, n: int) -> LowerOrderCoeffs | None:
     if not isinstance(low, dict):
         raise ConfigError(f"equation: lower must be a mapping, got {type(low).__name__}")
     time = low.get("time")
-    return LowerOrderCoeffs(
+    lower = LowerOrderCoeffs(
         kind=kind,
         space=tuple(_scalar(v) for v in low.get("space", ())),
         time=None if time is None else _scalar(time),
         zero=_scalar(low.get("zero", 0.0)),
         bound=low.get("bound"),
     )
+    try:
+        lower.validate_bound(grid)
+    except ValueError as exc:
+        raise ConfigError(f"equation: lower: {exc}") from exc
+    return lower
 
 
 def _scalar(value) -> complex | float:
@@ -420,7 +426,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     taus = _positive_list(block, "taus", [2.0, 4.0, 8.0, 16.0])
     lams = _positive_list(block, "lambdas", [1.0, 2.0, 4.0])
     spec, extras = build_weight_from(cfg, field, grid)
-    lower = build_lower_from(cfg, eq_kind, grid.n)
+    lower = build_lower_from(cfg, eq_kind, grid)
     ell = certify_ellipticity(field, grid)
     adm = check_admissibility(spec, field, grid, eq_kind, ellipticity=ell)
     count = int(block.get("ensemble", 20))
@@ -457,7 +463,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
             fine, seed, count=count, complex_fields=complex_fields, spatial=spatial
         )
         fine_report = sweep_audit(
-            fine_ensemble, fine_spec, fine_field, build_lower_from(cfg, eq_kind, fine.n),
+            fine_ensemble, fine_spec, fine_field, build_lower_from(cfg, eq_kind, fine),
             kind, taus, lams, fine, target=target,
         )
         drift, stable = compare_refinement(report, fine_report)
@@ -550,7 +556,7 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     data = _sine_data(kind, separable(
         grid, [sine_profile(int(mode[ax]) if ax < len(mode) else 1) for ax in range(grid.n)]
     ))
-    lower = build_lower_from(cfg, _LOWER_KIND[kind], grid.n)
+    lower = build_lower_from(cfg, _LOWER_KIND[kind], grid)
     state = solve_evolution(kind, field, lower, data, grid.t2, grid)
 
     times, energy = grid.times.tolist(), state.energy.values.tolist()
@@ -570,9 +576,14 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     (outdir / "solve_energy.svg").write_text(
         line_svg([("energy", times, energy)], "energy record", "t", "E")
     )
+
+    def loudest(trace):
+        """The face node of largest max_t |Re trace|, the first one on ties: a
+        fixed node can sit on a nodal line of the mode and plot rounding noise."""
+        return trace[np.argmax(np.max(np.abs(trace.real), axis=1))].real.tolist()
+
     (outdir / "solve_traces.svg").write_text(line_svg(
-        [(f"face {f}", times, trace[len(trace) // 2].real.tolist())
-         for f, trace in enumerate(state.traces)],
+        [(f"face {f}", times, loudest(trace)) for f, trace in enumerate(state.traces)],
         "normal trace time series", "t", "dnu u",
     ))
     info = {
@@ -599,7 +610,7 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     if kind not in _SOLVE_KIND:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     solve_kind = _SOLVE_KIND[kind]
-    lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid.n)
+    lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid)
     ensemble = [
         _sine_data(solve_kind, separable(
             grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)]

@@ -79,12 +79,10 @@ class MatrixField:
         self,
         n: int,
         entries: dict[tuple[int, int], Polynomial],
-        family: str = "polynomial",
         domain: BoxDomain | None = None,
         max_total_degree: int | None = 3,
     ):
         self.n = int(n)
-        self.family = family
         self.domain = domain
         table: list[list[Polynomial]] = [[None] * n for _ in range(n)]  # type: ignore
         zero = Polynomial(n, {})
@@ -122,7 +120,7 @@ class MatrixField:
     @classmethod
     def identity(cls, n: int, domain: BoxDomain | None = None) -> "MatrixField":
         entries = {(k, k): Polynomial.constant(n, 1.0) for k in range(n)}
-        return cls(n, entries, family="identity", domain=domain)
+        return cls(n, entries, domain=domain)
 
     @classmethod
     def constant(cls, matrix, domain: BoxDomain | None = None) -> "MatrixField":
@@ -137,7 +135,7 @@ class MatrixField:
             for k in range(n)
             for l in range(k, n)
         }
-        return cls(n, entries, family="constant", domain=domain)
+        return cls(n, entries, domain=domain)
 
     @classmethod
     def scalar_affine(
@@ -151,7 +149,7 @@ class MatrixField:
         for i, c in enumerate(lin):
             a = a + Polynomial.coordinate(n, i) * float(c)
         entries = {(k, k): a for k in range(n)}
-        return cls(n, entries, family="scalar_affine", domain=domain)
+        return cls(n, entries, domain=domain)
 
     @classmethod
     def from_tables(
@@ -159,18 +157,17 @@ class MatrixField:
     ) -> "MatrixField":
         """Entries given as ``{(k,l): [(multi_index, coeff), ...]}``, degree <= 3."""
         entries = {kl: poly_from_table(n, tab) for kl, tab in tables.items()}
-        return cls(n, entries, family="polynomial", domain=domain)
+        return cls(n, entries, domain=domain)
 
     @classmethod
     def from_entry_polys(
         cls,
         n: int,
         entries: dict[tuple[int, int], Polynomial],
-        family: str = "derived",
         domain: BoxDomain | None = None,
     ) -> "MatrixField":
         """Internal constructor for derived fields (no degree cap)."""
-        return cls(n, entries, family=family, domain=domain, max_total_degree=None)
+        return cls(n, entries, domain=domain, max_total_degree=None)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -373,6 +370,4 @@ def rotate_field(field: MatrixField, mp: OrthogonalMap) -> MatrixField:
                         acc = acc + composed[k][l] * c
             entries[(i, j)] = acc
     new_domain = _image_box(field.domain, mp) if field.domain is not None else None
-    return MatrixField.from_entry_polys(
-        n, entries, family=f"rotated:{field.family}", domain=new_domain
-    )
+    return MatrixField.from_entry_polys(n, entries, domain=new_domain)

@@ -56,6 +56,7 @@ _SOLVE_KIND = {"wave": "wave", "heat_final": "heat", "schrodinger": "schrodinger
 EXPERIMENT_KINDS = tuple(_SOLVE_KIND)
 
 _ZERO_OBS_REL = 1e-12
+_WORST_CASE_REL_TOL = 1e-4  # relative change of the quotient that stops the climb
 
 
 class CheckFailedError(ValueError):
@@ -320,7 +321,6 @@ def worst_case_ratio(
     iterations: int,
     seed_data=None,
     lower: LowerOrderCoeffs | None = None,
-    rel_tol: float = 1e-4,
     validate: bool = True,
 ) -> WorstCaseResult:
     """Climb the observability quotient; returns the best datum found.
@@ -393,7 +393,7 @@ def worst_case_ratio(
         ratios.append(r)
         if r >= max(ratios):
             best = datum
-        if abs(ratios[-1] - ratios[-2]) <= rel_tol * abs(ratios[-2]):
+        if abs(ratios[-1] - ratios[-2]) <= _WORST_CASE_REL_TOL * abs(ratios[-2]):
             return WorstCaseResult(
                 ratio=max(ratios), data=best, ratios=ratios,
                 iterations_run=len(ratios), converged=True,

@@ -88,10 +88,9 @@ class BoxDomain:
 class SpaceTimeGrid:
     """Node lattice on Omega x [t1, t2] with face bookkeeping.
 
-    Faces are indexed ``2*axis + side`` with side 0 the low end.  Every
-    boundary node is *owned* by exactly one face (the lowest face index it
-    lies on); quadrature over a face always uses the full geometric node set
-    of that face so the lateral measure is exact for trapezoid rules.
+    Faces are indexed ``2*axis + side`` with side 0 the low end.  Quadrature
+    over a face always uses the full geometric node set of that face so the
+    lateral measure is exact for trapezoid rules.
     """
 
     domain: BoxDomain
@@ -186,14 +185,6 @@ class SpaceTimeGrid:
         for f in range(self.num_faces):
             mask |= self.face_mask(f)
         return mask
-
-    @cached_property
-    def owner_face(self) -> np.ndarray:
-        """Exclusive face assignment: lowest adjacent face index, -1 interior."""
-        owner = np.full(self.space_shape, -1, dtype=int)
-        for f in range(self.num_faces - 1, -1, -1):
-            owner[self.face_mask(f)] = f
-        return owner
 
     def face_weights(self, face: int) -> np.ndarray:
         """Tangential trapezoid weights on the face nodes, 0 elsewhere.

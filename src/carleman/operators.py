@@ -338,7 +338,6 @@ class ConjugationCoeffs:
     d: np.ndarray | None
     c: np.ndarray | None
     chi: np.ndarray | None
-    chi1: np.ndarray | None
     phi: np.ndarray
 
 
@@ -353,16 +352,7 @@ def _spatial_weight_pieces(spec: WeightSpec, field: MatrixField, grid: SpaceTime
         "...klk,...l->...", da_vals, grad0
     )
     a_grad0 = np.einsum("...kl,...l->...k", a_vals, grad0)
-    return a_vals, da_vals, grad0, hess0, gsq, lap_a_psi0, a_grad0
-
-
-def _grad_of_gradient_square(
-    a_vals: np.ndarray, da_vals: np.ndarray, grad0: np.ndarray, hess0: np.ndarray
-) -> np.ndarray:
-    """Analytic spatial gradient of |grad psi0|_A^2."""
-    term1 = np.einsum("...klj,...k,...l->...j", da_vals, grad0, grad0)
-    term2 = 2.0 * np.einsum("...kl,...jk,...l->...j", a_vals, hess0, grad0)
-    return term1 + term2
+    return gsq, lap_a_psi0, a_grad0
 
 
 def conjugation_coeffs(
@@ -386,10 +376,7 @@ def conjugation_coeffs(
             stacklevel=2,
         )
     lam = spec.lam
-    a_vals, da_vals, grad0, hess0, gsq, lap0, a_grad0 = _spatial_weight_pieces(
-        spec, field, grid
-    )
-    grad_gsq = _grad_of_gradient_square(a_vals, da_vals, grad0, hess0)
+    gsq, lap0, a_grad0 = _spatial_weight_pieces(spec, field, grid)
 
     if kind == "elliptic":
         phi = np.exp(lam * spec.psi_space(grid))
@@ -399,10 +386,9 @@ def conjugation_coeffs(
         c = tau * lap_phi
         big_b = -2.0 * tau * lam * phi[..., None] * a_grad0
         chi = gsq
-        chi1 = np.einsum("...k,...kl,...l->...", grad_gsq, a_vals, grad0)
         return ConjugationCoeffs(
             kind=kind, tau=tau, lam=lam, a=a, b=b, B=big_b, d=None, c=c,
-            chi=chi, chi1=chi1, phi=phi,
+            chi=chi, phi=phi,
         )
 
     psi = spec.psi_values(grid)
@@ -416,11 +402,6 @@ def conjugation_coeffs(
     big_b = -2.0 * tau * lam * phi[..., None] * a_grad0[..., None, :]
 
     chi = gsq[..., None] - dt1**2
-    dt_chi = -2.0 * dt1 * spec.psi1.dtt
-    chi1 = (
-        np.einsum("...k,...kl,...l->...", grad_gsq, a_vals, grad0)[..., None]
-        - dt_chi * dt1
-    )
 
     if kind == "wave":
         a = tau**2 * (grad_phi_sq_a - dt_phi**2)
@@ -440,7 +421,7 @@ def conjugation_coeffs(
 
     return ConjugationCoeffs(
         kind=kind, tau=tau, lam=lam, a=a, b=b, B=big_b, d=d, c=c,
-        chi=chi, chi1=chi1, phi=phi,
+        chi=chi, phi=phi,
     )
 
 

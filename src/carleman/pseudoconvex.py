@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import MatrixField, symmetric_eigenvalues
-from .geometry import BoxDomain, SpaceTimeGrid
+from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_GRAD_TOL = 1e-8
+_CHART_NODES_PER_AXIS = 9  # chart grid of the flattening certificate
 
 
 @dataclass
@@ -148,25 +149,19 @@ def certify_pseudoconvex(
     field: MatrixField,
     h: Polynomial,
     grid_or_points,
-    grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> PseudoconvexCertificate:
     """Scan grid nodes (or an explicit point array) for the Theta bound."""
     if isinstance(grid_or_points, SpaceTimeGrid):
         pts = grid_or_points.space_points
-    elif isinstance(grid_or_points, BoxDomain):
-        mesh = np.meshgrid(
-            *[grid_or_points.axis_coords(i) for i in range(grid_or_points.n)], indexing="ij"
-        )
-        pts = np.stack(mesh, axis=-1)
     else:
         pts = np.asarray(grid_or_points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty grid")
-    return certificate_from_scan(*theta_scan(field, h, pts), pts, grad_tol)
+    return certificate_from_scan(*theta_scan(field, h, pts), pts)
 
 
 def certificate_from_scan(
-    smin: np.ndarray, gnorm: np.ndarray, pts: np.ndarray, grad_tol: float = DEFAULT_GRAD_TOL
+    smin: np.ndarray, gnorm: np.ndarray, pts: np.ndarray
 ) -> PseudoconvexCertificate:
     """Certificate from a ``theta_scan`` of the points ``pts``."""
     flat_smin = smin.reshape(-1)
@@ -180,8 +175,8 @@ def certificate_from_scan(
     return PseudoconvexCertificate(
         kappa=kappa,
         grad_min=grad_min,
-        passed=bool(kappa > 0.0 and grad_min > grad_tol),
-        grad_tol=grad_tol,
+        passed=bool(kappa > 0.0 and grad_min > DEFAULT_GRAD_TOL),
+        grad_tol=DEFAULT_GRAD_TOL,
         argmin_kappa=tuple(float(v) for v in flat_pts[i_k]),
         argmin_grad=tuple(float(v) for v in flat_pts[i_g]),
         lipschitz_margin=float(margin),
@@ -217,16 +212,19 @@ class FlattenedChart:
     inverse_map: list[Polynomial]
 
     def map_points(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(pts, dtype=float))
-        for i, comp in enumerate(self.forward_map):
-            out[..., i] = comp(pts)
-        return out
+        return _apply_map(self.forward_map, pts)
 
     def unmap_points(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(pts, dtype=float))
-        for i, comp in enumerate(self.inverse_map):
-            out[..., i] = comp(pts)
-        return out
+        return _apply_map(self.inverse_map, pts)
+
+
+def _apply_map(components: list[Polynomial], pts: np.ndarray) -> np.ndarray:
+    """Points through a chart map given by one polynomial per coordinate."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty_like(pts)
+    for i, comp in enumerate(components):
+        out[..., i] = comp(pts)
+    return out
 
 
 def _chart_maps(n: int, surface: Polynomial) -> tuple[list[Polynomial], list[Polynomial]]:
@@ -244,8 +242,8 @@ def _chart_maps(n: int, surface: Polynomial) -> tuple[list[Polynomial], list[Pol
     return forward, inverse
 
 
-def _chart_points(n: int, radius: float, per_axis: int = 9) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, per_axis) for _ in range(n)]
+def _chart_points(n: int, radius: float) -> np.ndarray:
+    axes = [np.linspace(-radius, radius, _CHART_NODES_PER_AXIS) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1)
 
@@ -270,9 +268,7 @@ def flatten_and_certify_hypersurface(
     field: MatrixField,
     surface: Polynomial,
     chart_radius: float,
-    grad_tol: float = DEFAULT_GRAD_TOL,
     max_halvings: int = 20,
-    nodes_per_axis: int = 9,
 ) -> tuple[FlattenedChart, PseudoconvexCertificate]:
     """Transport the field through the convexifying chart and certify.
 
@@ -324,9 +320,7 @@ def flatten_and_certify_hypersurface(
                         continue
                     acc = acc + jik * composed[k][l] * jjl
             entries[(i, j)] = acc
-    transported = MatrixField.from_entry_polys(
-        n, entries, family=f"chart:{field.family}"
-    )
+    transported = MatrixField.from_entry_polys(n, entries)
 
     psi0_model = Polynomial.squared_distance([0.0] * (n - 1) + [1.0])
 
@@ -334,13 +328,10 @@ def flatten_and_certify_hypersurface(
     halvings = 0
     cert: PseudoconvexCertificate
     while True:
-        pts = _chart_points(n, radius, nodes_per_axis)
+        pts = _chart_points(n, radius)
         jac_min = _jacobian_forward_quadform_min(surface, pts)
         jac_ok = jac_min >= 0.5 - 1e-12
-        image_pts = np.empty_like(pts)
-        for i, comp in enumerate(forward):
-            image_pts[..., i] = comp(pts)
-        cert = certify_pseudoconvex(transported, psi0_model, image_pts, grad_tol)
+        cert = certify_pseudoconvex(transported, psi0_model, _apply_map(forward, pts))
         if (jac_ok and cert.passed) or halvings >= max_halvings:
             break
         radius *= 0.5

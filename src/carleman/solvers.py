@@ -4,8 +4,8 @@ check.
 
 One private level loop, ``_march``, checks the data once, takes the
 interior block L of ``operators.assemble_operator`` once and advances the
-interior nodes level by level, either one run as a vector or K runs as an
-``(N_int, K)`` block.  It has two step rules: the explicit leapfrog for
+interior nodes of K runs level by level as an ``(N_int, K)`` block; one
+run is a K = 1 block.  It has two step rules: the explicit leapfrog for
 wave, one sparse product per step, and for heat (c = 1) and Schrodinger
 (c = i) the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt
 f_mid``, whose matrix is factorized once and solved with all K right-hand
@@ -134,16 +134,13 @@ class GammaPlusMask:
     """Observation-boundary mask: nodes where the A-flux of psi0 is positive."""
 
     face_masks: list[np.ndarray]  # bool per face, face shape
-    face_flux: list[np.ndarray]
-    node_mask: np.ndarray  # (*space_shape,), owner-face semantics
-    faces_all_plus: list[bool]
 
     def describe(self) -> str:
         bits = []
-        for f, (mask, allp) in enumerate(zip(self.face_masks, self.faces_all_plus)):
+        for f, mask in enumerate(self.face_masks):
             count = int(np.sum(mask))
             if count:
-                bits.append(f"face {f}: {count} nodes" + (" (all)" if allp else ""))
+                bits.append(f"face {f}: {count} nodes" + (" (all)" if mask.all() else ""))
         return "; ".join(bits) if bits else "empty"
 
     @property
@@ -164,30 +161,16 @@ class GammaPlusMask:
 def gamma_plus(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid) -> GammaPlusMask:
     """Strict-sign mask of the analytic flux (grad psi0 | nu)_A per face."""
     face_masks: list[np.ndarray] = []
-    face_flux: list[np.ndarray] = []
-    all_plus: list[bool] = []
     pts = grid.space_points
     a_vals = field(pts)
     grads = psi0.eval_gradient(pts)
     flux_vec = np.einsum("...kl,...l->...k", a_vals, grads)
-    node_mask = np.zeros(grid.space_shape, dtype=bool)
-    owner = grid.owner_face
     for f in range(grid.num_faces):
         nu = grid.face_normal(f)
         gm = grid.face_mask(f)
         flux = np.einsum("...k,k->...", flux_vec[gm], nu)
-        mask = flux > 0.0
-        face_masks.append(mask)
-        face_flux.append(flux)
-        all_plus.append(bool(np.all(mask)) if mask.size else False)
-        own_here = owner[gm] == f
-        node_mask[gm] |= mask & own_here
-    return GammaPlusMask(
-        face_masks=face_masks,
-        face_flux=face_flux,
-        node_mask=node_mask,
-        faces_all_plus=all_plus,
-    )
+        face_masks.append(flux > 0.0)
+    return GammaPlusMask(face_masks=face_masks)
 
 
 def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
@@ -259,13 +242,12 @@ def _check_dirichlet(u: np.ndarray, grid: SpaceTimeGrid) -> None:
 
 
 def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: list,
-           t_final: float, grid: SpaceTimeGrid, block: bool):
+           t_final: float, grid: SpaceTimeGrid):
     """Check the data of one kind once and set up their level loop.
 
     Returns the all-node operator, the dtype and a generator of the interior
-    levels 0, ..., nt - 1 in C order: ``(N_int,)`` vectors for one run
-    (``block`` false), ``(N_int, K)`` blocks with one column per datum
-    otherwise.  A CSR product with a dense block keeps each column's
+    levels 0, ..., nt - 1 in C order: ``(N_int, K)`` blocks with one column
+    per datum.  A CSR product with a dense block keeps each column's
     summation order, so a column follows the arithmetic of its single run.
     A non-finite value at any level of any column raises ``FloatingPointError``.
     """
@@ -295,8 +277,7 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     mat = _interior_block(full, grid)
 
     def columns(arrays) -> np.ndarray:  # interior values of space arrays
-        cols = [a[inner].reshape(-1) for a in arrays]
-        return np.stack(cols, axis=-1) if block else cols[0]
+        return np.stack([a[inner].reshape(-1) for a in arrays], axis=-1)
 
     q0 = None  # the leapfrog's time coefficient on the interior nodes
     if wave and lower is not None and not _is_zero_coeff(lower.time):
@@ -304,10 +285,8 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
         denom = 1.0 - 0.5 * dt * q0
         if np.any(np.abs(denom) < 1e-14):
             raise ValueError("time coefficient makes the leapfrog update singular")
-        q0, denom = q0[inner].reshape(-1), denom[inner].reshape(-1)
+        q0, denom = q0[inner].reshape(-1, 1), denom[inner].reshape(-1, 1)  # one per row
         lag = 1.0 + 0.5 * dt * q0
-        if block:  # one coefficient per row
-            q0, denom, lag = q0[:, None], denom[:, None], lag[:, None]
     complex_run = kind == "schrodinger" or mat.dtype.kind == "c" or any(
         np.iscomplexobj(a) for a in (*u0, *u1, *sources, q0)
     )
@@ -315,11 +294,8 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
 
     forced = any(s is not None for s in sources)
     if forced:  # the sources on the interior nodes, levels along axis 1
-        interior = np.stack([(np.zeros(grid.shape) if s is None else s)[inner]
-                             .reshape(mat.shape[0], -1) for s in sources], axis=-1)
-
-        def forcing(m: int) -> np.ndarray:
-            return interior[:, m] if block else interior[:, m, 0]
+        forcing = np.stack([(np.zeros(grid.shape) if s is None else s)[inner]
+                            .reshape(mat.shape[0], -1) for s in sources], axis=-1)
 
     if wave:
         v1 = columns(u1)
@@ -337,19 +313,19 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
             if not wave:
                 rhs = rhs_mat @ cur
                 if forced:
-                    rhs = rhs - dt * (0.5 * (forcing(m) + forcing(m + 1)))
+                    rhs = rhs - dt * (0.5 * (forcing[:, m] + forcing[:, m + 1]))
                 nxt = solver.solve(rhs)
             elif m == 0:  # Taylor start from u1
                 acc0 = mat @ cur
                 if q0 is not None:
                     acc0 = acc0 + q0 * v1
                 if forced:
-                    acc0 = acc0 - forcing(0)
+                    acc0 = acc0 - forcing[:, 0]
                 nxt = cur + dt * v1 + 0.5 * dt**2 * acc0
             else:
                 rhs = step @ cur
                 if forced:
-                    rhs = rhs - dt**2 * forcing(m)
+                    rhs = rhs - dt**2 * forcing[:, m]
                 if q0 is None:
                     nxt = 2.0 * cur - prev + rhs
                 else:
@@ -370,16 +346,16 @@ def solve_evolution(
 ) -> EvolutionState:
     """Run the IBVP with homogeneous Dirichlet boundary on the grid's times.
 
-    ``data`` is a ``WaveData``, ``HeatData`` or ``SchrodingerData``.  wave:
-    explicit leapfrog, one matvec per step with the interior operator L (CFL
-    checked); heat (c = 1) and schrodinger (c = i): the trapezoid rule
-    ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid`` with one sparse
-    factorization reused for all levels.  Schrodinger runs are complex; any
+    ``data`` is a ``WaveData``, ``HeatData`` or ``SchrodingerData``, run as a
+    K = 1 block of ``_march``.  wave: explicit leapfrog, one sparse product
+    per step with the interior operator L (CFL checked); heat (c = 1) and
+    schrodinger (c = i): the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2
+    L) v - dt f_mid`` with one sparse factorization reused for all levels.  Schrodinger runs are complex; any
     other run is complex exactly when its data, source, operator or time
     coefficient is.  Keeps the whole space-time array, the velocity (wave),
     the energy record and the traces.
     """
-    full, dtype, levels = _march(kind, field, lower, [data], t_final, grid, block=False)
+    full, dtype, levels = _march(kind, field, lower, [data], t_final, grid)
     inner, inner_shape = _interior(grid)
     u = np.zeros(grid.shape, dtype=dtype)  # the boundary ring stays zero
     for m, level in enumerate(levels):
@@ -447,7 +423,7 @@ def solve_block(
     """
     if not data:
         raise ValueError("empty block")
-    _, dtype, levels = _march(kind, field, lower, list(data), t_final, grid, block=True)
+    _, dtype, levels = _march(kind, field, lower, list(data), t_final, grid)
     gather, slabs = _trace_slabs(grid)
     nt, size = grid.nt, len(data)
     inner, inner_shape = _interior(grid)

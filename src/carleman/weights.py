@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import EllipticityReport, MatrixField
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
-from .pseudoconvex import PseudoconvexCertificate, certify_pseudoconvex
+from .pseudoconvex import DEFAULT_GRAD_TOL, PseudoconvexCertificate, certify_pseudoconvex
 
 __all__ = [
     "TimeProfile",
@@ -58,7 +58,6 @@ class TimeProfile:
 
     coeff: float = 0.0
     center: float = 0.0
-    family: str = "zero"
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -79,12 +78,12 @@ class TimeProfile:
     @classmethod
     def quadratic(cls, gamma: float, t0: float) -> "TimeProfile":
         """gamma * (t + t0)^2 / 2, the two-parameter example profile."""
-        return cls(coeff=gamma / 2.0, center=-t0, family="quadratic")
+        return cls(coeff=gamma / 2.0, center=-t0)
 
     @classmethod
     def observability(cls, alpha: float, t_obs: float) -> "TimeProfile":
         """-T^(alpha-2) * (t - T/2)^2 for final-time observability."""
-        return cls(coeff=-(t_obs ** (alpha - 2.0)), center=t_obs / 2.0, family="observability")
+        return cls(coeff=-(t_obs ** (alpha - 2.0)), center=t_obs / 2.0)
 
 
 @dataclass
@@ -95,8 +94,6 @@ class WeightSpec:
     psi1: TimeProfile
     shift: float
     lam: float
-    x0: tuple[float, ...] | None = None
-    params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -178,7 +175,6 @@ def check_admissibility(
     grid: SpaceTimeGrid,
     kind: str,
     ellipticity: EllipticityReport | None = None,
-    grad_tol: float = 1e-8,
 ) -> WeightAdmissibility:
     """Per-kind admissibility verdict with named violations and witnesses."""
     if spec.n != field.n:
@@ -209,7 +205,7 @@ def check_admissibility(
     kappa = None
 
     if kind in ("elliptic", "parabolic"):
-        if delta0_plain <= grad_tol:
+        if delta0_plain <= DEFAULT_GRAD_TOL:
             violations.append(
                 Violation(
                     COND_GRADIENT,
@@ -219,7 +215,7 @@ def check_admissibility(
                 )
             )
     else:
-        cert = certify_pseudoconvex(field, spec.psi0, grid, grad_tol)
+        cert = certify_pseudoconvex(field, spec.psi0, grid)
         kappa = cert.kappa
         if not cert.passed:
             violations.append(
@@ -287,9 +283,9 @@ def make_example_weight(
     shift: float,
     grid: SpaceTimeGrid,
     lam: float = 1.0,
-    auto_shift: bool = True,
 ) -> WeightSpec:
-    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box."""
+    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
+    shifted further where needed so that psi >= 0 on the grid."""
     x0 = tuple(float(v) for v in x0)
     if grid.domain.contains(np.asarray(x0)):
         raise ValueError(f"x0={x0} lies inside the closed box")
@@ -299,12 +295,8 @@ def make_example_weight(
         psi1=TimeProfile.quadratic(gamma, t0),
         shift=float(shift),
         lam=lam,
-        x0=x0,
-        params={"gamma": gamma, "t0": t0},
     )
-    if auto_shift:
-        spec = spec.ensure_nonnegative(grid)
-    return spec
+    return spec.ensure_nonnegative(grid)
 
 
 @dataclass
@@ -330,9 +322,9 @@ def make_observability_weight(
     field: MatrixField,
     grid: SpaceTimeGrid,
     lam: float = 1.0,
-    auto_shift: bool = True,
 ) -> tuple[WeightSpec, ObservabilityThresholds]:
-    """Final-time observability weight plus its time-threshold bookkeeping.
+    """Final-time observability weight, shifted where needed so that psi >= 0
+    on the grid, plus its time-threshold bookkeeping.
 
     Grid-checks the three working properties of the weight:
       band-positivity: the squared bracket stays positive (delta > 0),
@@ -364,10 +356,7 @@ def make_observability_weight(
         psi1=TimeProfile.observability(alpha, t_obs),
         shift=float(shift),
         lam=lam,
-        params={"alpha": alpha, "t_obs": t_obs},
-    )
-    if auto_shift:
-        spec = spec.ensure_nonnegative(grid)
+    ).ensure_nonnegative(grid)
 
     bracket = _bracket_values(spec, field, grid)
     delta = float(np.min(bracket**2))

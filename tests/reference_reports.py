@@ -89,9 +89,10 @@ def _sweep_heatmap_from_rows(body: list[list[str]]) -> str:
 
 
 def _trace_plot_from_rows(header: list[str], body) -> str:
-    """One series per face: the time series of the face's middle node, the
-    node at index ``len(face nodes) // 2`` in CSV order (a corner node, where
-    u vanishes, would plot flat at 0 in 2-D and 3-D)."""
+    """One series per face: the time series of the face node of largest
+    ``max_t |trace_re|``, the first such node in CSV order on ties (a corner
+    node, where u vanishes, or a node on a nodal line of the mode would plot
+    rounding noise in 2-D and 3-D)."""
     t_col = header.index("t")
     re_col = header.index("trace_re")
     nodes: dict[str, dict[tuple, tuple[list[float], list[float]]]] = {}
@@ -103,6 +104,6 @@ def _trace_plot_from_rows(header: list[str], body) -> str:
         return line_svg([], "normal trace time series")
     series = []
     for face, per_node in nodes.items():
-        middle = list(per_node.values())[len(per_node) // 2]
-        series.append((f"face {face}", *middle))
+        loudest = max(per_node.values(), key=lambda xy: max(abs(y) for y in xy[1]))
+        series.append((f"face {face}", *loudest))
     return line_svg(series, "normal trace time series", "t", "dnu u")

@@ -194,7 +194,9 @@ def test_non_mapping_config_blocks_exit_1_with_one_line(tmp_path, capsys):
 def test_real_lower_order_terms_stay_real(tmp_path, capsys):
     cfg = _shipped_wave_audit()
     cfg["equation"]["lower"] = {"space": [0.2, 0.0], "zero": 0.5, "time": "0.1j"}
-    lower = build_lower_from(cfg, "wave", 2)
+    from carleman.cli import build_grid_from
+
+    lower = build_lower_from(cfg, "wave", build_grid_from(cfg))
     assert lower.space == (0.2, 0.0) and lower.zero == 0.5 and lower.time == 0.1j
     assert all(isinstance(c, float) for c in (*lower.space, lower.zero))
     cfg["equation"]["lower"] = {"space": [0.2, 0.0], "zero": 0.5}
@@ -337,6 +339,21 @@ def test_heat_time_coefficient_is_config_error(tmp_path, capsys):
     assert run("solve", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == "error: time-derivative coefficient not allowed for parabolic\n"
+
+
+def test_lower_order_bound_is_checked(tmp_path, capsys):
+    """A declared ``equation.lower.bound`` below a coefficient's sup on the
+    grid is a config error: one line, exit 1."""
+    for bound, status in ((1.0, 1), (5.0, 0)):
+        cfg, _ = write_config(
+            tmp_path,
+            grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
+            equation={"kind": "wave", "lower": {"zero": 5.0, "bound": bound}},
+            extra={"solve": {"kind": "wave", "mode": [1, 1]}},
+        )
+        assert run("solve", cfg, tmp_path / f"out{bound}") == status
+    err = capsys.readouterr().err
+    assert err == "error: equation: lower: coefficient sup 5 exceeds declared bound 1.0\n"
 
 
 def test_observability_below_threshold_exits_2(tmp_path):
@@ -546,10 +563,24 @@ def test_command_svgs_match_frozen_csv_plots(tmp_path, case):
 
 
 def test_solve_trace_plot_2d_is_not_flat(tmp_path):
-    """In 2-D each face plots its middle node; its first node is a corner,
-    where u vanishes, and would plot flat at 0."""
+    """In 2-D no face plots its first node, a corner, where u vanishes and
+    would plot flat at 0."""
     cfg, _ = write_config(tmp_path, grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
                           extra={"solve": {"kind": "heat", "mode": [1, 1]}})
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 0
+    polylines = re.findall(r'polyline points="([^"]+)"', (out / "solve_traces.svg").read_text())
+    assert len(polylines) == 4  # one per face
+    for line in polylines:
+        assert len({pair.split(",")[1] for pair in line.split()}) > 1
+
+
+def test_solve_trace_plot_skips_nodal_lines(tmp_path):
+    """Mode (2, 1) is even along x: the middle node of the faces y = 0 and
+    y = 1 sits on its nodal line x = 1/2, where the trace is rounding noise.
+    Each face plots its node of largest max_t |Re trace| instead."""
+    cfg, _ = write_config(tmp_path, grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
+                          extra={"solve": {"kind": "wave", "mode": [2, 1]}})
     out = tmp_path / "out"
     assert run("solve", cfg, out) == 0
     polylines = re.findall(r'polyline points="([^"]+)"', (out / "solve_traces.svg").read_text())

@@ -116,17 +116,6 @@ def test_missing_cap_data_rejected():
         integrate_dmu(vals, g)
 
 
-def test_every_boundary_node_has_one_owner_face():
-    g = build_grid([0, 0], [1, 1], [7, 7], 0.0, 1.0, 5)
-    owner = g.owner_face
-    assert np.all(owner[g.boundary_mask] >= 0)
-    assert np.all(owner[~g.boundary_mask] == -1)
-    # corner (0,0) lies on faces 0 and 2; lowest wins
-    assert owner[0, 0] == 0
-    assert owner[0, -1] == 0
-    assert owner[-1, 0] == 1
-
-
 def test_face_normals_are_unit_axis_vectors():
     g = build_grid([0, 0, 0], [1, 1, 1], [4, 4, 4], 0.0, 1.0, 4)
     for f in range(g.num_faces):

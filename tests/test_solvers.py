@@ -28,6 +28,7 @@ from carleman.polynomials import Polynomial, poly_from_table
 from carleman.solvers import _check_dirichlet, _upper_band, cfl_limit, dirichlet_seminorm_sq
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
+from reference_march import reference_evolution
 from reference_trapezoid import reference_heat, reference_schrodinger
 from reference_stencil import spatial_operator
 
@@ -649,10 +650,11 @@ def test_heat_manufactured_source_solution():
 
 
 @st.composite
-def _block_cases(draw):
-    kind = draw(st.sampled_from(["wave", "heat", "schrodinger"]))
-    n = draw(st.integers(1, 2))
-    nodes = [draw(st.integers(4, 9)) for _ in range(n)]
+def _block_cases(draw, kinds=("wave", "heat", "schrodinger"), dims=(1, 2),
+                 max_members: int = 6):
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.sampled_from(dims))
+    nodes = [draw(st.integers(4, 9 if n < 3 else 6)) for _ in range(n)]
     diag = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
     t_final = draw(st.floats(0.05, 1.0))
     nt = draw(st.integers(3, 7))
@@ -678,7 +680,7 @@ def _block_cases(draw):
             zero=draw(scalar),
         )
     data = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_members))):
         source = rng.normal(size=g.shape) if kind != "schrodinger" and draw(st.booleans()) else None
         if kind == "wave":
             data.append(WaveData(space(), space(), source=source))
@@ -711,6 +713,29 @@ def test_block_columns_match_single_runs_property(case):
                     np.abs(ref), initial=0.0)
             else:
                 assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["wave", "heat", "schrodinger"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_solve_evolution_matches_frozen_vector_loop_property(kind, n, data):
+    """One run is a K = 1 block, and ``solve_evolution`` keeps the arrays of
+    the frozen vector-mode level loop bit for bit: space-time array,
+    velocity, energy and traces, for every kind on 1D-3D grids, with and
+    without lower-order terms, sources and complex data."""
+    kind, field, lower, (datum,), g = data.draw(
+        _block_cases(kinds=(kind,), dims=(n,), max_members=1))
+    state = solve_evolution(kind, field, lower, datum, g.t2, g)
+    u, velocity, energy, traces = reference_evolution(kind, field, lower, datum, g)
+    pairs = [(state.u, u), (state.energy.values, energy), *zip(state.traces, traces, strict=True)]
+    if kind == "wave":
+        pairs.append((state.velocity, velocity))
+    else:
+        assert state.velocity is None and velocity is None
+    for got, ref in pairs:
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_block_keeps_no_space_time_array():

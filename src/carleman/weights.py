@@ -121,9 +121,6 @@ class WeightSpec:
     def phi_values(self, grid: SpaceTimeGrid) -> np.ndarray:
         return np.exp(self.lam * self.psi_values(grid))
 
-    def grad_psi0_values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        return self.psi0.eval_gradient(grid.space_points)
-
     def min_psi(self, grid: SpaceTimeGrid) -> float:
         space_min = float(np.min(self.psi0(grid.space_points)))
         time_min = float(np.min(self.psi1(grid.times)))
@@ -160,13 +157,16 @@ class WeightAdmissibility:
         return [v.code for v in self.violations]
 
 
-def _bracket_values(spec: WeightSpec, field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
-    """chi = |grad psi0|_A^2 - (dt psi1)^2 on all space-time nodes."""
-    grads = spec.grad_psi0_values(grid)
-    a = field(grid.space_points)
-    gsq = np.einsum("...k,...kl,...l->...", grads, a, grads)
-    dt = spec.psi1.dt(grid.times)
-    return gsq[..., None] - dt**2
+def _grad_sq_a(psi0: Polynomial, field: MatrixField, pts: np.ndarray):
+    """grad psi0 and |grad psi0|_A^2 on the nodes ``pts``."""
+    grads = psi0.eval_gradient(pts)
+    return grads, np.einsum("...k,...kl,...l->...", grads, field(pts), grads)
+
+
+def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> np.ndarray:
+    """chi = |grad psi0|_A^2 - (dt psi1)^2 on all space-time nodes, from the
+    space-node values ``gsq_a`` of |grad psi0|_A^2."""
+    return gsq_a[..., None] - psi1.dt(times) ** 2
 
 
 def check_admissibility(
@@ -192,13 +192,10 @@ def check_admissibility(
             Violation(COND_NONNEG, f"psi attains {min_psi:.6g} < 0 on the grid")
         )
 
-    grads = spec.grad_psi0_values(grid)
+    grads, gsq_a = _grad_sq_a(spec.psi0, field, pts)
     gnorm = np.sqrt(np.sum(grads**2, axis=-1)).reshape(-1)
     i_min = int(np.argmin(gnorm))
     delta0_plain = float(gnorm[i_min])
-
-    a_vals = field(pts)
-    gsq_a = np.einsum("...k,...kl,...l->...", grads, a_vals, grads)
     delta0 = float(np.min(gsq_a))
 
     cert: PseudoconvexCertificate | None = None
@@ -234,7 +231,7 @@ def check_admissibility(
         if ellipticity is None:
             raise ValueError("wave admissibility needs an ellipticity report for varkappa")
         varkappa = ellipticity.kappa_estimate
-        bracket = _bracket_values(spec, field, grid)
+        bracket = _bracket_values(gsq_a, spec.psi1, grid.times)
         delta = float(np.min(bracket**2))
         bmin = float(np.min(bracket))
         if bmin <= 0.0:
@@ -343,9 +340,8 @@ def make_observability_weight(
     if float(np.min(vals0)) < -1e-12:
         raise ValueError("psi0 must be nonnegative")
     m_sup = float(np.max(vals0))
-    grads = psi0.eval_gradient(pts)
-    a = field(pts)
-    delta0 = float(np.min(np.einsum("...k,...kl,...l->...", grads, a, grads)))
+    _, gsq_a = _grad_sq_a(psi0, field, pts)
+    delta0 = float(np.min(gsq_a))
     if delta0 <= 0.0:
         raise ValueError("psi0 must have a nonvanishing A-gradient (delta0 > 0)")
 
@@ -358,7 +354,7 @@ def make_observability_weight(
         lam=lam,
     ).ensure_nonnegative(grid)
 
-    bracket = _bracket_values(spec, field, grid)
+    bracket = _bracket_values(gsq_a, spec.psi1, grid.times)
     delta = float(np.min(bracket**2))
     check_delta = bool(np.min(bracket) > 0.0)
 

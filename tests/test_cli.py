@@ -91,6 +91,31 @@ def test_malformed_yaml_reports_line(tmp_path, capsys):
     assert re.search(r"bad\.yaml:\d+:\d+", err)
 
 
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda lo: lo.__name__)
+def test_config_loaders_agree_and_report_parse_errors(tmp_path, capsys, monkeypatch, loader):
+    """libyaml's loader and the pure-Python one give the same dicts and the
+    same one-line parse error with the line and column."""
+    import carleman.cli as cli
+
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    root = Path(__file__).resolve().parents[1]
+    for shipped in sorted((root / "configs").glob("*.yaml")):
+        assert cli.load_config(str(shipped)) == yaml.safe_load(shipped.read_text())
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("grid:\n  lows: [0.0\n  highs: 1\n")
+    assert main(["certify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: config parse error at {bad}:3:8: ")
+    bad.write_text("seed: 1\x01\n")  # a reader error carries no mark
+    assert main(["certify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config parse error at {bad}: ")
+
+
 def test_missing_block_reports_key(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("seed: 1\n")
@@ -356,6 +381,19 @@ def test_lower_order_bound_is_checked(tmp_path, capsys):
     assert err == "error: equation: lower: coefficient sup 5 exceeds declared bound 1.0\n"
 
 
+@pytest.mark.parametrize("bound", ["abc", [1], True, float("nan")])
+def test_lower_order_bound_must_be_a_number(tmp_path, capsys, bound):
+    cfg, _ = write_config(
+        tmp_path,
+        grid={**BASE_CONFIG["grid"], "t1": 0.0, "t2": 0.25},
+        equation={"kind": "wave", "lower": {"zero": 5.0, "bound": bound}},
+        extra={"solve": {"kind": "wave", "mode": [1, 1]}},
+    )
+    assert run("solve", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: equation: lower: bound must be a number, got {bound!r}\n"
+
+
 def test_observability_below_threshold_exits_2(tmp_path):
     cfg, _ = write_config(
         tmp_path,
@@ -415,6 +453,50 @@ def test_theta_command_writes_scan(tmp_path):
     assert scan[0] == "x0,x1,theta_sym_min,grad_norm"
     report = json.loads((out / "theta.json").read_text())
     assert report["certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize("grid, coefficients", [
+    # an axis ending in -0.0: its nodes must keep the sign in the CSV
+    ({"lows": [-1.0, -1.0], "highs": [-0.0, 1.0], "nodes": [9, 11]},
+     {"family": "polynomial", "entries": [
+         {"k": 0, "l": 0, "terms": [{"powers": [0, 0], "coeff": 1.0},
+                                    {"powers": [1, 0], "coeff": 0.07}]},
+         {"k": 0, "l": 1, "terms": [{"powers": [1, 1], "coeff": 0.04}]},
+         {"k": 1, "l": 1, "terms": [{"powers": [0, 0], "coeff": 1.0},
+                                    {"powers": [0, 1], "coeff": 0.09}]}]}),
+    ({"lows": [0.1, 0.2, 0.3], "highs": [0.7, 0.9, 1.1], "nodes": [5, 4, 3]},
+     {"family": "scalar_affine", "a0": 1.0, "linear": [0.1, -0.05, 0.02]}),
+    ({"lows": [1.0], "highs": [3.0], "nodes": [7]}, {"family": "identity"}),
+])
+def test_theta_scan_csv_matches_frozen_rows(tmp_path, grid, coefficients):
+    """theta_scan.csv formats each axis value once; its bytes equal the rows
+    of node coordinates, theta_sym_min and grad_norm written the old way."""
+    from carleman.cli import build_coefficients_from, build_grid_from, build_weight_from
+    from carleman.pseudoconvex import theta_scan
+    from reference_reports import write_csv as frozen_write_csv
+
+    n = len(grid["lows"])
+    cfg_path, cfg = write_config(
+        tmp_path,
+        grid={**grid, "t1": 0.0, "t2": 1.0, "nt": 3},
+        coefficients=coefficients,
+        weight={"family": "example", "x0": [4.0] * n, "lambda": 1.0},
+    )
+    assert run("theta", cfg_path, tmp_path / "out") == 0
+    g = build_grid_from(cfg)
+    field = build_coefficients_from(cfg, g)
+    spec, _ = build_weight_from(cfg, field, g)
+    smin, gnorm = theta_scan(field, spec.psi0, g.space_points)
+    pts = g.space_points.reshape(-1, n)
+    frozen_write_csv(
+        tmp_path / "frozen.csv",
+        [f"x{i}" for i in range(n)] + ["theta_sym_min", "grad_norm"],
+        np.column_stack([pts, smin.reshape(-1), gnorm.reshape(-1)]).tolist(),
+    )
+    written = (tmp_path / "out" / "theta_scan.csv").read_bytes()
+    assert written == (tmp_path / "frozen.csv").read_bytes()
+    if grid["highs"][0] == 0.0:
+        assert written.count(b"\n-0.0,") == grid["nodes"][1]
 
 
 def test_theta_command_scans_once(tmp_path, monkeypatch):

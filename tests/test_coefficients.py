@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,51 @@ def test_higher_derivative_tables_built_on_first_use():
     rep = certify_ellipticity(field, g)
     assert rep.passed
     assert "_d3" in vars(field) and field._d3 is field._d3
+
+
+def _stacked_m_estimate(field, pts):
+    """The derivative sup as it was computed from stacked tensors: the max of
+    |A|, of the full first and second derivative tensors, then a running max
+    over every third derivative of every entry."""
+    n = field.n
+    sup = float(np.max(np.abs(field(pts))))
+    sup = max(sup, float(np.max(np.abs(field.first_derivatives(pts)))))
+    sup = max(sup, float(np.max(np.abs(field.second_derivatives(pts)))))
+    for k, l, p, q, r in itertools.product(range(n), repeat=5):
+        if l < k:
+            continue
+        v = field.entry(k, l).diff(p).diff(q).diff(r)(pts)
+        sup = max(sup, float(np.max(np.abs(v))))
+    return sup
+
+
+def test_m_estimate_equals_stacked_tensor_max():
+    """``certify_ellipticity`` takes m as a running max over the entry
+    derivatives; it is bitwise the max over the stacked derivative tensors."""
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.5, 1.0, size=10)
+    cubic_3d = MatrixField.from_tables(3, {
+        (0, 0): [((0, 0, 0), 1.0), ((1, 0, 0), 0.1 * u[0]), ((0, 1, 1), 0.05 * u[1])],
+        (1, 1): [((0, 0, 0), 1.0), ((0, 1, 0), 0.1 * u[2]), ((2, 0, 0), 0.05 * u[3])],
+        (2, 2): [((0, 0, 0), 1.0), ((0, 0, 1), 0.1 * u[4]), ((1, 1, 1), 0.05 * u[5])],
+        (0, 1): [((0, 0, 0), 0.05 * u[6]), ((0, 0, 1), 0.03 * u[7])],
+        (0, 2): [((1, 0, 0), 0.03 * u[8])],
+        (1, 2): [((0, 0, 0), 0.02 * u[9]), ((1, 1, 0), 0.02)],
+    })
+    small = build_grid([-0.3, -0.2], [0.3, 0.25], [11, 7], 0.0, 1.0, 3)
+    one = {(0, 0): [((0, 0), 1.0)], (1, 1): [((0, 0), 1.0)]}
+    # the largest |d^j a_kl| is of order j = 0, 1, 2 (mixed, off-diagonal), 3
+    cases = [
+        (MatrixField.identity(2), small, 1.0),
+        (MatrixField.scalar_affine(1, 1.0, [5.0]), build_grid([-0.1], [0.1], [17], 0.0, 1.0, 3),
+         5.0),
+        (MatrixField.from_tables(2, {**one, (0, 1): [((0, 0), 0.1), ((1, 1), 3.0)]}), small, 3.0),
+        (MatrixField.from_tables(2, {**one, (1, 1): [((0, 0), 1.0), ((0, 3), -0.7)]}), small,
+         4.2),
+        (cubic_3d, build_grid([-1, -1, -1], [1, 1, 1], [9, 9, 9], 0.0, 1.0, 3), None),
+    ]
+    for field, grid, expected in cases:
+        m = certify_ellipticity(field, grid).m_estimate
+        assert m == _stacked_m_estimate(field, grid.space_points)
+        if expected is not None:
+            assert m == pytest.approx(expected, rel=1e-12)

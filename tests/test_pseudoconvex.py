@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carleman import (
     MatrixField,
@@ -12,7 +16,7 @@ from carleman import (
     theta_decomposition,
 )
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.pseudoconvex import lambda_tensor, symbol_probe, theta_tensors
+from carleman.pseudoconvex import lambda_tensor, symbol_probe, theta_tensors, upsilon_theta
 
 
 def fd_lambda_tensor(field, x, step=1e-6):
@@ -320,3 +324,45 @@ def test_flatten_chart_too_curved_at_radius_floor():
     field = MatrixField.identity(2)
     with pytest.raises(ValueError, match="chart too curved"):
         flatten_and_certify_hypersurface(field, Polynomial(1, {}), 8.0, max_halvings=0)
+
+
+_COEFF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _field_weight_points(draw):
+    """A random symmetric field of total degree <= 3, a random cubic h and
+    random points, in n = 1..3 variables."""
+    n = draw(st.integers(1, 3))
+    monomials = [p for p in itertools.product(range(4), repeat=n) if sum(p) <= 3]
+
+    def table():
+        powers = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=5, unique=True))
+        return [(p, draw(_COEFF)) for p in powers]
+
+    field = MatrixField.from_tables(n, {(k, l): table() for k in range(n) for l in range(k, n)})
+    h = poly_from_table(n, table())
+    seed = draw(st.integers(0, 2**32 - 1))
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(40, n))
+    return field, h, pts
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_field_weight_points())
+def test_contracted_upsilon_matches_lambda_contraction(case):
+    """Upsilon computed without Lambda equals Lambda contracted with grad h
+    to 1e-13 of the size of its summands, at stacked points and at one point."""
+    field, h, pts = case
+    n = field.n
+    a, da, g = field(pts), field.first_derivatives(pts), h.eval_gradient(pts)
+    ref = np.einsum("...klm,...m->...kl", lambda_tensor(a, da), g)
+    scale = n * n * np.max(np.abs(da)) * np.max(np.abs(a)) * np.max(np.abs(g))
+    hess = h.eval_hessian(pts)
+    ups, theta = upsilon_theta(a, da, g, hess)
+    assert np.max(np.abs(ups - ref)) <= 1e-13 * max(scale, 1e-300)
+    assert np.array_equal(theta, 2.0 * (a @ hess @ a) + ups)
+    lam, ups_scan, theta_scan = theta_tensors(field, h, pts)
+    assert np.array_equal(ups_scan, ups) and np.array_equal(theta_scan, theta)
+    assert np.array_equal(lam, lambda_tensor(a, da))
+    ups0, _ = upsilon_theta(a[0], da[0], g[0], hess[0])
+    assert np.max(np.abs(ups0 - ref[0])) <= 1e-13 * max(scale, 1e-300)

@@ -21,10 +21,10 @@ from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import (
     LowerOrderCoeffs,
     _apply_assembled,
+    _central_full,
     _checked_lower,
     _one_sided,
     assemble_operator,
-    gradient_space,
     gradient_time,
 )
 from .solvers import GammaPlusMask, _face_trace, gamma_plus
@@ -141,8 +141,26 @@ def _factors(kind: str, tau: float, lam: float) -> tuple[float, float, float]:
     return tau**3 * lam**4, tau * (lam**2 if plain else lam), 1.0
 
 
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(conj(a) b) node by node for a and b of one dtype, without forming
+    conj(a)."""
+    if np.iscomplexobj(a):
+        out = a.real * b.real
+        out += a.imag * b.imag
+        return out
+    return a * b
+
+
+def _cubed(x: np.ndarray) -> np.ndarray:
+    """x**3 as two products: numpy's float pow has no fast path for 3."""
+    out = x * x
+    out *= x
+    return out
+
+
 class _Audit:
-    """The (tau, lambda)-independent part of one audit: psi, A(x) and measures.
+    """The (tau, lambda)-independent part of one audit: the factors of psi,
+    the A-energy weights and the measures.
 
     Every side of every kind is a sum of terms c(tau, lam) * sum(env * phi**p
     * m * d), with env = exp(2 tau (phi - phi_max)), m a quadrature measure
@@ -166,8 +184,25 @@ class _Audit:
         nt = 1 if self.spatial else grid.nt
         tw = np.ones(1) if self.spatial else grid.time_weights
         self.nt, self.sw, self.tw = nt, grid.space_weights.ravel(), tw
-        with_a = kind.startswith("wave") and kind != "wave_single_param"
-        self.a_vals = field(grid.space_points) if with_a else None
+        # |grad u|^2_A = sum over k <= l of c_kl Re(conj(d_k u) d_l u), with c_kk =
+        # a_kk and c_kl = a_kl + a_lk (exact for any A) on the space nodes; a
+        # weight of 1 everywhere is None, a pair whose weight is 0 everywhere
+        # is left out; the other kinds weigh |grad u|^2
+        self.energy_terms = [(k, k, None) for k in range(grid.n)]
+        if kind.startswith("wave") and kind != "wave_single_param":
+            a = field(grid.space_points)[..., None, :, :]  # broadcast over time
+            self.energy_terms = [
+                (k, k, None if np.all(a[..., k, k] == 1.0) else a[..., k, k].copy())
+                for k in range(grid.n)
+            ]
+            for k in range(grid.n):
+                for l in range(k + 1, grid.n):
+                    c = a[..., k, l] + a[..., l, k]
+                    if np.any(c):
+                        self.energy_terms.append((k, l, c))
+        # psi = psi0(x) + psi1(t) + shift is rebuilt per lambda from its small factors
+        self.psi0 = spec.psi0(grid.space_points)
+        self.psi1 = None if self.spatial else spec.psi1(grid.times)
 
         def nodes(space_idx, levels):  # flat space-time indices
             return (space_idx[:, None] * nt + levels).ravel()
@@ -200,16 +235,26 @@ class _Audit:
             ) > 0:
                 raise ValueError("single-parameter audit needs fields vanishing on dQ")
 
+    def _energy(self, u: np.ndarray) -> np.ndarray:
+        """|grad u|^2 (|grad u|^2_A for the wave kinds) from one centered
+        derivative per axis, accumulated term by term."""
+        h = self.grid.domain.spacings
+        grads = [_central_full(u, k, h[k]) for k in range(self.grid.n)]
+        gsq = None
+        for k, l, c in self.energy_terms:
+            term = _re_dot(grads[k], grads[l])
+            if c is not None:
+                term *= c
+            if gsq is None:
+                gsq = term
+            else:
+                gsq += term
+        return gsq.ravel()
+
     def _densities(self, u: np.ndarray) -> dict:
         """Member densities, weighted by their measures, as flat arrays."""
         grid, kind = self.grid, self.kind
-        grad = gradient_space(u, grid)
-        if self.a_vals is None:
-            gsq = np.sum(np.abs(grad) ** 2, axis=-1).ravel()
-        else:
-            a = self.a_vals[..., None, :, :]
-            gsq = np.einsum("...k,...kl,...l->...", grad, a, np.conj(grad)).real.ravel()
-        del grad
+        gsq = self._energy(u)
         d = {}
         if not self.spatial:
             dtsq = (np.abs(gradient_time(u, grid)) ** 2).ravel()
@@ -245,17 +290,28 @@ class _Audit:
 
     def _column(self, d: dict, taus, lam: float) -> list[CarlemanSideValues]:
         """One lambda, every tau: the phi powers are shared down the column."""
-        kind, spec, grid, lat = self.kind, self.spec, self.grid, self.lateral[0]
+        kind, spec, lat = self.kind, self.spec, self.lateral[0]
         out = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            psi = spec.psi_space(grid) if self.spatial else spec.psi_values(grid)
-            phi = np.exp(lam * psi.ravel())
-            del psi
+            # the same sums, in the same order, as spec.psi_space / psi_values
+            if self.spatial:
+                phi = self.psi0 + spec.shift
+            else:
+                phi = self.psi0[..., None] + self.psi1
+                phi += spec.shift
+            phi = phi.ravel()
+            phi *= lam
+            np.exp(phi, out=phi)
             phi_max = float(np.max(phi))
-            single = kind == "wave_single_param"
-            usq = d["usq"] if single else d["usq"] * phi**3
-            gsq = d["gsq"] if single else d["gsq"] * phi
-            dmu = [(idx, b_u * phi[idx] ** 3, b_g * phi[idx]) for idx, b_u, b_g in d.get("dmu", ())]
+            if kind == "wave_single_param":
+                usq, gsq = d["usq"], d["gsq"]
+            else:
+                usq = _cubed(phi)
+                usq *= d["usq"]
+                gsq = d["gsq"] * phi
+            dmu = [
+                (idx, _cubed(phi[idx]) * b_u, b_g * phi[idx]) for idx, b_u, b_g in d.get("dmu", ())
+            ]
             dt_lat = d["dt_lat"] / phi[lat] if "dt_lat" in d else None
             plus = d["plus"] * phi[self.plus_idx] if self.plus else None
             env = np.empty_like(phi)
@@ -264,10 +320,10 @@ class _Audit:
                 env *= 2.0 * tau
                 np.exp(env, out=env)
                 cu, cg, cs = _factors(kind, tau, lam)
-                rhs_dmu = sum(
-                    tau**3 * lam**3 * (env[idx] @ b_u) + tau * lam * (env[idx] @ b_g)
-                    for idx, b_u, b_g in dmu
-                )
+                rhs_dmu = 0.0
+                for idx, b_u, b_g in dmu:
+                    e = env[idx]
+                    rhs_dmu += tau**3 * lam**3 * (e @ b_u) + tau * lam * (e @ b_g)
                 if dt_lat is not None:
                     rhs_dmu += (env[lat] @ dt_lat) / (tau * lam)
                 values = CarlemanSideValues(
@@ -320,8 +376,9 @@ def _window(grid: SpaceTimeGrid, spatial: bool) -> np.ndarray:
     return separable(grid, [profile] * grid.n, None if spatial else profile)
 
 
-def _smooth_once(u: np.ndarray) -> np.ndarray:
-    out = u.copy()
+def _smooth_once(u: np.ndarray) -> None:
+    """One (1/4, 1/2, 1/4) pass along each axis in turn, in place; the end
+    nodes of each axis are kept."""
     for ax in range(u.ndim):
         sl_mid = [slice(None)] * u.ndim
         sl_lo = [slice(None)] * u.ndim
@@ -329,10 +386,9 @@ def _smooth_once(u: np.ndarray) -> np.ndarray:
         sl_mid[ax] = slice(1, -1)
         sl_lo[ax] = slice(None, -2)
         sl_hi[ax] = slice(2, None)
-        out[tuple(sl_mid)] = (
-            0.25 * out[tuple(sl_lo)] + 0.5 * out[tuple(sl_mid)] + 0.25 * out[tuple(sl_hi)]
+        u[tuple(sl_mid)] = (
+            0.25 * u[tuple(sl_lo)] + 0.5 * u[tuple(sl_mid)] + 0.25 * u[tuple(sl_hi)]
         )
-    return out
 
 
 def default_ensemble(
@@ -350,30 +406,30 @@ def default_ensemble(
     shape = grid.space_shape if spatial else grid.shape
     window = _window(grid, spatial)
     rng = np.random.default_rng(seed)
-    members: list[np.ndarray] = []
     n_modes = count // 2
-    for m in range(n_modes):
-        u = separable(
-            grid,
-            [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)],
-            None if spatial else sine_profile(1 + m % 3),
-        )
-        if complex_fields:
-            u = u * np.exp(1j * (m + 1) * np.pi / 7.0)
-        members.append(u)
-    for _ in range(count - n_modes):
-        if complex_fields:
-            raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    members: list[np.ndarray] = []
+    for m in range(count):
+        if m < n_modes:
+            u = separable(
+                grid,
+                [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)],
+                None if spatial else sine_profile(1 + m % 3),
+            )
+            if complex_fields:
+                u = u * np.exp(1j * (m + 1) * np.pi / 7.0)
         else:
-            raw = rng.standard_normal(shape)
-        raw = _smooth_once(_smooth_once(raw))
-        members.append(raw)
-    out = []
-    for u in members:
-        u = u * window
+            if complex_fields:
+                u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            else:
+                u = rng.standard_normal(shape)
+            _smooth_once(u)
+            _smooth_once(u)
+        u *= window  # every u above is a fresh array
         peak = float(np.max(np.abs(u)))
-        out.append(u / peak if peak > 0 else u)
-    return out
+        if peak > 0:
+            u /= peak
+        members.append(u)
+    return members
 
 
 # -- sweeps ------------------------------------------------------------------------

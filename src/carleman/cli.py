@@ -444,8 +444,14 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     lower = build_lower_from(cfg, eq_kind, grid)
     ell = certify_ellipticity(field, grid)
     adm = check_admissibility(spec, field, grid, eq_kind, ellipticity=ell)
-    count = int(block.get("ensemble", 20))
-    target = float(block.get("target", 0.0))
+    count = block.get("ensemble", 20)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(f"audit: ensemble must be a positive integer, got {count!r}")
+    target = block.get("target", 0.0)
+    if (isinstance(target, bool) or not isinstance(target, (int, float))
+            or not np.isfinite(target)):
+        raise ConfigError(f"audit: target must be a finite number, got {target!r}")
+    target = float(target)
     complex_fields = eq_kind == "schrodinger"
     spatial = eq_kind == "elliptic"
     ensemble = default_ensemble(
@@ -482,7 +488,9 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
             kind, taus, lams, fine, target=target,
         )
         drift, stable = compare_refinement(report, fine_report)
-        drift_info = {"max_drift": float(np.nanmax(drift)), "stable": stable}
+        drift = drift[~np.isnan(drift)]  # nan where a cell is inf (or 0) on both grids
+        max_drift = float(np.max(drift)) if drift.size else float("nan")
+        drift_info = {"max_drift": max_drift, "stable": stable}
         if not stable:
             status = 2
 
@@ -576,11 +584,17 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
     times, energy = grid.times.tolist(), state.energy.values.tolist()
 
-    def rows():  # streamed one face node at a time: a 41^2 x 97 solve writes 15,908 rows
+    # streamed one face node at a time (a 41^2 x 97 solve writes 15,908 rows); the
+    # times and each node's face and coordinates are formatted once, as the csv
+    # module would (str, repr), so only the trace values are formatted per row
+    time_cells = [repr(t) for t in times]
+
+    def rows():
         for f, trace in enumerate(state.traces):
             for node, tr in zip(grid.space_points[grid.face_mask(f)].tolist(), trace):
-                for t, re, im in zip(times, tr.real.tolist(), tr.imag.tolist()):
-                    yield [f, *node, t, re, im]
+                prefix = [str(f), *map(repr, node)]
+                for t, re, im in zip(time_cells, tr.real.tolist(), tr.imag.tolist()):
+                    yield [*prefix, t, re, im]
 
     write_csv(
         outdir / "solve_traces.csv",

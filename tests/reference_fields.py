@@ -5,14 +5,30 @@ Before ``carleman.geometry.separable`` each site that needed a product of
 window and ensemble modes, the CLI's sine-mode data and identities bumps,
 and the worst-case estimator's seed datum.  These are those loops, as they
 were; ``test_geometry.py`` checks that the shared builder reproduces every
-one of them bit for bit.
+one of them bit for bit.  The ensemble's noise smoothing is frozen here too,
+as it was before it smoothed in place, so the ensemble is not checked
+against its own smoothing pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from carleman.audit import _smooth_once
+
+def _smooth_once(u: np.ndarray) -> np.ndarray:
+    """``audit._smooth_once``: one (1/4, 1/2, 1/4) pass per axis, on a copy."""
+    out = u.copy()
+    for ax in range(u.ndim):
+        sl_mid = [slice(None)] * u.ndim
+        sl_lo = [slice(None)] * u.ndim
+        sl_hi = [slice(None)] * u.ndim
+        sl_mid[ax] = slice(1, -1)
+        sl_lo[ax] = slice(None, -2)
+        sl_hi[ax] = slice(2, None)
+        out[tuple(sl_mid)] = (
+            0.25 * out[tuple(sl_lo)] + 0.5 * out[tuple(sl_mid)] + 0.25 * out[tuple(sl_hi)]
+        )
+    return out
 
 
 def window(grid, spatial: bool) -> np.ndarray:

@@ -189,16 +189,38 @@ def _variable_field(grid):
     return MatrixField.from_tables(2, entries, domain=grid.domain)
 
 
-@pytest.mark.parametrize("variable", [False, True], ids=["identity", "variable-A"])
+def _variable_field_3d(grid):
+    """Non-diagonal polynomial 3x3 A(x), uniformly elliptic on the unit cube."""
+    entries = {
+        (0, 0): [((0, 0, 0), 1.0), ((1, 0, 0), 0.5)],
+        (1, 1): [((0, 0, 0), 1.2), ((0, 1, 0), 0.3)],
+        (2, 2): [((0, 0, 0), 0.9), ((0, 0, 1), 0.4), ((1, 1, 0), 0.2)],
+        (0, 1): [((1, 1, 0), 0.1)],
+        (0, 2): [((0, 0, 0), 0.15), ((0, 1, 1), -0.1)],
+        (1, 2): [((1, 0, 1), 0.12)],
+    }
+    return MatrixField.from_tables(3, entries, domain=grid.domain)
+
+
+def _case_3d(m: int, nt: int):
+    """An m^3 x nt grid with a variable 3x3 A(x) and its example weight."""
+    grid = build_grid([0, 0, 0], [1, 1, 1], [m, m, m], -1.0, 1.0, nt)
+    spec = make_example_weight([-0.5, 0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    return grid, _variable_field_3d(grid), spec
+
+
+@pytest.mark.parametrize("case", ["identity", "variable-A", "variable-A-3d"])
 @pytest.mark.parametrize("kind", INEQUALITY_KINDS)
-def test_sweep_matches_per_cell_reference(canonical, kind, variable):
-    grid, field, spec = canonical
-    if variable:
+def test_sweep_matches_per_cell_reference(canonical, kind, case):
+    grid, field, spec = _case_3d(7, 13) if case == "variable-A-3d" else canonical
+    if case == "variable-A":
         field = _variable_field(grid)
     eq_kind = kind.split("_")[0]
     lower = None
     if kind == "wave_lower_order":
-        lower = LowerOrderCoeffs(kind="wave", space=(1.0, 0.5), time=1.0, zero=1.0)
+        lower = LowerOrderCoeffs(
+            kind="wave", space=(1.0, 0.5, -0.25)[: grid.n], time=1.0, zero=1.0
+        )
     ens = default_ensemble(
         grid, 3, count=4, complex_fields=eq_kind == "schrodinger", spatial=eq_kind == "elliptic"
     )
@@ -230,6 +252,28 @@ def test_sweep_peak_memory_within_one_side_evaluation():
     grid = build_grid([0, 0], [1, 1], [33, 33], -1.0, 1.0, 33)
     field = MatrixField.identity(2, domain=grid.domain)
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    ens = default_ensemble(grid, 5, count=6)
+    args = (spec, field, None, "wave_full")
+    evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
+    sweep = peak(lambda: sweep_audit(ens, *args, [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
+    assert sweep <= one + ens[0].nbytes / 16
+
+
+def test_sweep_peak_memory_3d_variable_a_within_one_side_evaluation():
+    # the same bound for the A-energy of a variable 3x3 A(x): one centered
+    # derivative per axis and one product per pair of axes, one member at a time
+    grid, field, spec = _case_3d(13, 17)
     ens = default_ensemble(grid, 5, count=6)
     args = (spec, field, None, "wave_full")
     evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry

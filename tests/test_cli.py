@@ -147,8 +147,14 @@ def test_audit_command_artifacts_and_exit(tmp_path):
         ({"taus": []}, "taus must not be empty"),
         ({"lambdas": []}, "lambdas must not be empty"),
         ({"taus": [2.0, -1.0]}, "taus must be positive"),
+        ({"ensemble": "abc"}, "ensemble must be a positive integer, got 'abc'"),
+        ({"ensemble": 2.5}, "ensemble must be a positive integer, got 2.5"),
+        ({"ensemble": 0}, "ensemble must be a positive integer, got 0"),
+        ({"target": "abc"}, "target must be a finite number, got 'abc'"),
+        ({"target": float("nan")}, "target must be a finite number, got nan"),
     ],
-    ids=["unknown-kind", "empty-taus", "empty-lambdas", "negative-tau"],
+    ids=["unknown-kind", "empty-taus", "empty-lambdas", "negative-tau", "ensemble-text",
+         "ensemble-fraction", "ensemble-zero", "target-text", "target-nan"],
 )
 def test_audit_config_errors_exit_1_with_one_line(tmp_path, capsys, audit, message):
     cfg, _ = write_config(tmp_path, extra={"audit": audit})
@@ -235,6 +241,20 @@ def test_real_lower_order_terms_stay_real(tmp_path, capsys):
 def test_threads_flag_is_gone(tmp_path):
     cfg, _ = write_config(tmp_path)
     assert run("certify", cfg, tmp_path / "out", "--threads", "2") == 1
+
+
+def test_audit_all_nan_refinement_drift_is_reported_quietly(tmp_path, capsys):
+    # every cell is inf on both grids, so every per-cell drift is nan: the
+    # report says so without a numpy warning (an error under this suite's
+    # filters)
+    cfg = _shipped_wave_audit()
+    cfg["audit"].update(taus=[64, 128], lambdas=[4], ensemble=4)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("carleman-audit", path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "audit.json").read_text())
+    assert summary["refinement"] == {"max_drift": "nan", "stable": False}
 
 
 def test_audit_inadmissible_weight_exits_2_and_stamps(tmp_path):
@@ -567,6 +587,48 @@ def test_line_plot_points_match_data():
 def test_empty_line_plot_annotates_no_data():
     assert "no data" in line_svg([], "empty")
     assert "no data" in line_svg([("energy", [], [])], "empty series")
+
+
+@pytest.mark.parametrize("grid, solve", [
+    ({"lows": [0.0], "highs": [1.0], "nodes": [17], "t1": 0.0, "t2": 0.5, "nt": 33},
+     {"kind": "wave", "mode": [2]}),
+    # an axis ending in -0.0 and complex traces with nonzero imaginary parts
+    ({"lows": [-1.0, 0.1], "highs": [-0.0, 0.9], "nodes": [9, 7], "t1": 0.0, "t2": 0.05,
+      "nt": 9}, {"kind": "schrodinger", "mode": [1, 2]}),
+    ({"lows": [0.0, 0.0], "highs": [1.0, 1.0], "nodes": [9, 9], "t1": 0.0, "t2": 0.3,
+      "nt": 17}, {"kind": "heat", "mode": [1, 1]}),
+], ids=["wave-1d", "schrodinger-2d", "heat-2d"])
+def test_solve_traces_csv_matches_frozen_rows(tmp_path, grid, solve):
+    """solve_traces.csv formats each time and each face node once; its bytes
+    equal the rows of face, node, t and trace written value by value."""
+    from carleman.cli import build_coefficients_from, build_grid_from
+    from carleman.solvers import HeatData, SchrodingerData, WaveData, solve_evolution
+    from reference_fields import mode_data
+    from reference_reports import write_csv as frozen_write_csv
+
+    cfg_path, cfg = write_config(tmp_path, grid=grid, extra={"solve": solve})
+    assert run("solve", cfg_path, tmp_path / "out") == 0
+    g = build_grid_from(cfg)
+    u0 = mode_data(g, solve["mode"])
+    data = {"wave": WaveData(u0=u0, u1=np.zeros_like(u0)), "heat": HeatData(u0=u0),
+            "schrodinger": SchrodingerData(u0=u0.astype(complex))}[solve["kind"]]
+    state = solve_evolution(solve["kind"], build_coefficients_from(cfg, g), None, data,
+                            g.t2, g)
+    rows = [
+        [f, *node, t, complex(v).real, complex(v).imag]
+        for f, trace in enumerate(state.traces)
+        for node, tr in zip(g.space_points[g.face_mask(f)].tolist(), trace)
+        for t, v in zip(g.times.tolist(), tr.tolist())
+    ]
+    assert any(r[-1] != 0.0 for r in rows) == (solve["kind"] == "schrodinger")
+    n = len(grid["lows"])
+    frozen_write_csv(
+        tmp_path / "frozen.csv",
+        ["face"] + [f"x{i}" for i in range(n)] + ["t", "trace_re", "trace_im"],
+        rows,
+    )
+    written = (tmp_path / "out" / "solve_traces.csv").read_bytes()
+    assert written == (tmp_path / "frozen.csv").read_bytes()
 
 
 def test_write_csv_matches_frozen_repr_formatting(tmp_path):

@@ -64,7 +64,6 @@ from .solvers import (
     HeatData,
     SchrodingerData,
     WaveData,
-    energy_equivalence_check,
     gamma_plus,
     smoothing_bound_check,
     solve_block,

@@ -204,21 +204,14 @@ class _Audit:
         self.psi0 = spec.psi0(grid.space_points)
         self.psi1 = None if self.spatial else spec.psi1(grid.times)
 
-        def nodes(space_idx, levels):  # flat space-time indices
-            return (space_idx[:, None] * nt + levels).ravel()
-
-        lat = np.flatnonzero(grid.boundary_mask)
-        lat_w = np.outer(grid.lateral_weights.ravel()[lat], tw).ravel()
-        self.lateral = (nodes(lat, np.arange(nt)), lat_w)
-        self.dmu = [self.lateral]  # dsigma dt, plus dx on the two time caps
-        if not self.spatial:
-            caps = nodes(np.arange(self.sw.size), np.array([0, nt - 1]))
-            self.dmu.append((caps, np.repeat(self.sw, 2)))
+        self.dmu = grid.dmu_nodes(self.spatial)  # Sigma, then the two time caps
+        self.lateral = self.dmu[0]
         # (face, its plus nodes, their dsigma dt weights); boundary kinds are
         # space-time kinds
         sigma_plus = plus_mask.sigma_plus_weights(grid) if kind in _BOUNDARY_KINDS else []
         self.plus = [(f, m, w.ravel()) for f, m, w in sigma_plus]
-        idx = [nodes(np.flatnonzero(grid.face_mask(f))[m], np.arange(nt)) for f, m, _ in self.plus]
+        idx = [(np.flatnonzero(grid.face_mask(f))[m][:, None] * nt + np.arange(nt)).ravel()
+               for f, m, _ in self.plus]
         self.plus_idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
 
     def _check(self, u: np.ndarray) -> None:
@@ -486,8 +479,6 @@ def sweep_audit(
     lams,
     grid: SpaceTimeGrid,
     target: float = 0.0,
-    stamp: str | None = None,
-    admissibility_codes: list[str] | None = None,
 ) -> AuditReport:
     """Evaluate the inequality across a (tau, lambda) grid for the ensemble."""
     if not ensemble:
@@ -539,8 +530,6 @@ def sweep_audit(
         lam_star=lam_star,
         target=target,
         vacuous=vacuous,
-        stamp=stamp,
-        admissibility_codes=admissibility_codes or [],
     )
 
 
@@ -562,19 +551,9 @@ def negative_control(
     """
     if admissibility.passed:
         raise ValueError("weight is admissible: use sweep_audit")
-    report = sweep_audit(
-        ensemble,
-        spec,
-        field,
-        lower,
-        kind,
-        taus,
-        lams,
-        grid,
-        target=target,
-        stamp="INADMISSIBLE WEIGHT: exploratory",
-        admissibility_codes=admissibility.codes(),
-    )
+    report = sweep_audit(ensemble, spec, field, lower, kind, taus, lams, grid, target=target)
+    report.stamp = "INADMISSIBLE WEIGHT: exploratory"
+    report.admissibility_codes = admissibility.codes()
     return report
 
 

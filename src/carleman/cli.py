@@ -430,6 +430,15 @@ def _positive_list(block: dict, key: str, default: list[float]) -> list[float]:
     return values
 
 
+def _integer(block: dict, name: str, key: str, default: int, positive: bool = True) -> int:
+    """An integer entry of config block ``name``: positive, or non-negative."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < int(positive):
+        sign = "positive" if positive else "non-negative"
+        raise ConfigError(f"{name}: {key} must be a {sign} integer, got {value!r}")
+    return value
+
+
 def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = _block(cfg, "audit")
@@ -444,9 +453,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     lower = build_lower_from(cfg, eq_kind, grid)
     ell = certify_ellipticity(field, grid)
     adm = check_admissibility(spec, field, grid, eq_kind, ellipticity=ell)
-    count = block.get("ensemble", 20)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"audit: ensemble must be a positive integer, got {count!r}")
+    count = _integer(block, "audit", "ensemble", 20)
     target = block.get("target", 0.0)
     if (isinstance(target, bool) or not isinstance(target, (int, float))
             or not np.isfinite(target)):
@@ -635,7 +642,8 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     t_obs = float(block.get("t_obs", grid.t2))
     w = _need(cfg, "weight")
     psi0 = _psi0_from(w, grid.n)
-    n_modes = int(block.get("modes", 5))
+    n_modes = _integer(block, "observability", "modes", 5)
+    iterations = _integer(block, "observability", "worst_case_iterations", 0, positive=False)
     if kind not in _SOLVE_KIND:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     solve_kind = _SOLVE_KIND[kind]
@@ -650,10 +658,8 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         kind, field, psi0, alpha, t_obs, ensemble, grid, lower=lower
     )
     result = {"report": report}
-    if int(block.get("worst_case_iterations", 0)) > 0 and kind == "wave":
-        wc = worst_case_ratio(
-            kind, field, psi0, t_obs, grid, int(block["worst_case_iterations"]), lower=lower
-        )
+    if iterations > 0 and kind == "wave":
+        wc = worst_case_ratio(kind, field, psi0, t_obs, grid, iterations, lower=lower)
         result["worst_case"] = {
             "ratio": wc.ratio,
             "ratios": wc.ratios,

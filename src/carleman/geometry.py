@@ -7,7 +7,9 @@ The boundary of the cylinder Q = Omega x (t1, t2) carries the measure
     dx delta_t           on the two time caps,
 
 so integrating over the whole of dQ adds a lateral surface-time quadrature
-to two volume integrals at the end times.
+to two volume integrals at the end times.  ``SpaceTimeGrid.dmu_nodes`` holds
+these node sets with their weights; ``integrate_lateral``, ``integrate_dmu``
+and the audit sum over them.
 
 Test fields (sine modes, cutoff windows, C-infinity bumps) are products of
 1-D profiles of the unit coordinates, built by ``separable``.
@@ -28,6 +30,7 @@ __all__ = [
     "sine_profile",
     "smooth_bump",
     "integrate_interior",
+    "integrate_lateral",
     "integrate_dmu",
 ]
 
@@ -217,6 +220,33 @@ class SpaceTimeGrid:
         """Sum of per-face dsigma weights over all faces (space nodes)."""
         return sum(self.face_weights(f) for f in range(self.num_faces))
 
+    # -- the boundary measure dmu ------------------------------------------------
+
+    def dmu_nodes(self, spatial: bool = False) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The node sets of dmu as (flat indices, weights) pairs, read-only.
+
+        The first pair is Sigma: the boundary nodes at every level with their
+        dsigma dt weights.  The second holds the two time caps, every space
+        node at the first and the last level with its dx weight.  With
+        ``spatial`` the indices address space arrays: Sigma is dOmega with its
+        dsigma weights, and there are no caps.
+        """
+        return self._dmu_nodes[bool(spatial)]
+
+    @cached_property
+    def _dmu_nodes(self) -> dict[bool, tuple]:
+        lat = np.flatnonzero(self.boundary_mask)
+        lat_w = self.lateral_weights.ravel()[lat]
+        sw = self.space_weights.ravel()
+        out = {}
+        for spatial, nt, tw in ((False, self.nt, self.time_weights), (True, 1, np.ones(1))):
+            sets = [((lat[:, None] * nt + np.arange(nt)).ravel(), np.outer(lat_w, tw).ravel())]
+            if not spatial:  # levels 0 and nt - 1 of every space node
+                caps = (np.arange(sw.size)[:, None] * nt + np.array([0, nt - 1])).ravel()
+                sets.append((caps, np.repeat(sw, 2)))
+            out[spatial] = tuple((_read_only(i), _read_only(w)) for i, w in sets)
+        return out
+
 
 def build_grid(
     lows,
@@ -283,11 +313,11 @@ def integrate_lateral(g, grid: SpaceTimeGrid) -> float:
     vals = np.asarray(g)
     if vals.shape != grid.shape:
         raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
-    lateral = vals[grid.boundary_mask]
+    idx, w = grid.dmu_nodes()[0]
+    lateral = vals.ravel()[idx]
     if not np.all(np.isfinite(lateral)):
         raise ValueError("non-finite values on the lateral boundary")
-    w = grid.lateral_weights[grid.boundary_mask]
-    return float(np.sum(lateral * w[:, None] * grid.time_weights))
+    return float(lateral @ w)
 
 
 def integrate_dmu(g, grid: SpaceTimeGrid) -> float:
@@ -299,7 +329,5 @@ def integrate_dmu(g, grid: SpaceTimeGrid) -> float:
     for c, label in zip(caps, ("t1", "t2")):
         if not np.all(np.isfinite(c)):
             raise ValueError(f"missing cap data at {label}")
-    cap_total = float(np.sum(caps[0] * grid.space_weights)) + float(
-        np.sum(caps[1] * grid.space_weights)
-    )
-    return integrate_lateral(vals, grid) + cap_total
+    idx, w = grid.dmu_nodes()[1]
+    return integrate_lateral(vals, grid) + float(vals.ravel()[idx] @ w)

@@ -518,43 +518,26 @@ def green_residual(
 
 
 class RiemannianField:
-    """Conformal metric built from A for n >= 3; g = |det A|^(1/(n-2)) A^(-1)."""
+    """Conformal metric built from A for n >= 3; g = |det A|^(1/(n-2)) A^(-1).
+
+    Holds the node sample ``a_vals`` of A it was built from, so that
+    ``riemannian_identity_residual`` evaluates A once."""
 
     def __init__(self, field: MatrixField, grid: SpaceTimeGrid):
         if field.n < 3:
             raise ValueError(f"metric exponent undefined for n={field.n}")
         self.field = field
         self.grid = grid
-        pts = grid.space_points
-        a_vals = field(pts)
-        det = np.linalg.det(a_vals)
+        self.a_vals = field(grid.space_points)
+        det = np.linalg.det(self.a_vals)
         if float(np.min(np.abs(det))) <= 0.0:
             raise ValueError("det A must be bounded away from zero")
         expo = 1.0 / (field.n - 2.0)
         self.det_a = det
         self.sqrt_det_g = np.abs(det) ** expo
         self.inv_scale = np.abs(det) ** (-expo)  # 1 / sqrt|g|
-        self.inv_a = np.linalg.inv(a_vals)
+        self.inv_a = np.linalg.inv(self.a_vals)
         self.g = self.sqrt_det_g[..., None, None] * self.inv_a
-        self.g_inv = self.inv_scale[..., None, None] * a_vals
-        self.det_g = np.abs(det) ** (2.0 * expo)
-
-    def grad_g(self, u: np.ndarray) -> np.ndarray:
-        grad = gradient_space(u, self.grid)
-        return np.einsum("...kl,...l->...k", self.g_inv, grad)
-
-    def div_g(self, x_field: np.ndarray) -> np.ndarray:
-        acc = np.zeros(x_field.shape[:-1], dtype=np.result_type(x_field, np.float64))
-        for ax in range(self.grid.n):
-            acc = acc + _central_full(
-                self.sqrt_det_g * x_field[..., ax], ax, self.grid.domain.spacings[ax]
-            )
-        return self.inv_scale * acc
-
-    def laplace_g(self, u: np.ndarray) -> np.ndarray:
-        """sqrt|g| g^{-1} equals A pointwise, so the definitional route is
-        (1/sqrt|g|) times the flux-form divergence."""
-        return self.inv_scale * laplacian_flux(self.field, u, self.grid)
 
     def inv_scale_gradient(self) -> np.ndarray:
         """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula."""
@@ -581,13 +564,12 @@ def riemannian_identity_residual(
         raise ValueError("expected a spatial field")
     s = metric.inv_scale
     grad_s = metric.inv_scale_gradient()
-    a_vals = field(grid.space_points)
     mat = assemble_operator(field, None, grid)
     lap_u = _matvec(mat, u)
     lap_su = _matvec(mat, s * u)
     lap_s = _matvec(mat, s)
     grad_u = gradient_space(u, grid)
-    cross = np.einsum("...k,...kl,...l->...", grad_s, a_vals, grad_u)
+    cross = np.einsum("...k,...kl,...l->...", grad_s, metric.a_vals, grad_u)
     delta_g = lap_su - 2.0 * cross - u * lap_s
     resid = lap_u - metric.sqrt_det_g * delta_g
     inner = resid[tuple(slice(2, -2) for _ in range(grid.n))]

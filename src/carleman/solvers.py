@@ -66,7 +66,6 @@ __all__ = [
     "solve_evolution",
     "solve_block",
     "gamma_plus",
-    "energy_equivalence_check",
     "smoothing_bound_check",
     "cfl_limit",
 ]
@@ -439,28 +438,6 @@ def solve_block(
 
 
 # -- diagnostics -----------------------------------------------------------------------
-
-
-@dataclass
-class EnergyEquivalenceReport:
-    ratio_max: float
-    ratio_min: float
-    initial_energy: float
-
-
-def energy_equivalence_check(state: EvolutionState) -> EnergyEquivalenceReport:
-    """max_t and min_t of E(t)/E(0) for a wave run."""
-    if state.kind != "wave":
-        raise ValueError("energy equivalence applies to wave runs")
-    e0 = float(state.energy.values[0])
-    if e0 == 0.0:
-        raise ValueError("zero initial energy")
-    ratios = state.energy.values / e0
-    return EnergyEquivalenceReport(
-        ratio_max=float(np.max(ratios)),
-        ratio_min=float(np.min(ratios)),
-        initial_energy=e0,
-    )
 
 
 @dataclass

@@ -17,12 +17,13 @@ from carleman import (
 )
 from carleman.audit import (
     INEQUALITY_KINDS,
+    _Audit,
     _window,
     compare_refinement,
     default_ensemble,
     evaluate_sides,
 )
-from carleman.geometry import separable, sine_profile
+from carleman.geometry import integrate_lateral, separable, sine_profile
 from carleman.operators import LowerOrderCoeffs
 from carleman.solvers import gamma_plus
 from conftest import interior_bump_spacetime, interior_bump_space
@@ -140,6 +141,36 @@ def test_normalization_leaves_ratio_unchanged(case, tau):
         env * (tau**3 * lam**3 * phi**3 * u**2 + tau * lam * phi * energy), grid
     )
     assert rhs_raw / lhs_raw == pytest.approx(side.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["wave_full", "parabolic_full", "schrodinger_full"])
+def test_audit_dmu_side_is_the_geometry_integral(canonical, kind):
+    """For a member that does not vanish on dQ, the audit's boundary side is
+    integrate_dmu of the weighted density (plus, for the parabolic and
+    Schrodinger kinds, integrate_lateral of the weighted |dt u|^2 term)."""
+    from carleman.operators import gradient_space, gradient_time
+
+    grid, field, spec = canonical
+    u = separable(grid, [lambda s: 1.0 + s, lambda s: 2.0 - s**2], lambda s: 1.0 + 0.5 * s)
+    if kind.startswith("schrodinger"):
+        u = u * np.exp(1j * grid.space_points[..., 0])[..., None]
+    taus, lams = [2.0, 8.0], [1.0, 2.0]
+    sides = _Audit(spec, field, None, kind, grid).member_sides(u, taus, lams)
+    gsq = np.sum(np.abs(gradient_space(u, grid)) ** 2, axis=-1)
+    dtsq = np.abs(gradient_time(u, grid)) ** 2
+    if kind == "wave_full":
+        gsq = gsq + dtsq
+    for i, tau in enumerate(taus):
+        for j, lam in enumerate(lams):
+            phi = np.exp(lam * spec.psi_values(grid))
+            env = np.exp(2.0 * tau * (phi - np.max(phi)))
+            want = integrate_dmu(
+                env * (tau**3 * lam**3 * phi**3 * np.abs(u) ** 2 + tau * lam * phi * gsq), grid
+            )
+            if kind != "wave_full":
+                want += integrate_lateral(env * dtsq / (tau * lam * phi), grid)
+            assert sides[i][j].rhs_boundary_dmu == pytest.approx(want, rel=1e-12)
+            assert want > 0.0
 
 
 def test_positivity_for_nonzero_members(canonical):

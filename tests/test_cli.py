@@ -458,6 +458,30 @@ def test_observability_non_pseudoconvex_psi0_exits_2(tmp_path, capsys):
     assert "kappa=" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"modes": 2.5}, "modes must be a positive integer, got 2.5"),
+        ({"modes": "abc"}, "modes must be a positive integer, got 'abc'"),
+        ({"modes": 0}, "modes must be a positive integer, got 0"),
+        ({"modes": True}, "modes must be a positive integer, got True"),
+        ({"worst_case_iterations": -3},
+         "worst_case_iterations must be a non-negative integer, got -3"),
+        ({"worst_case_iterations": 1.5},
+         "worst_case_iterations must be a non-negative integer, got 1.5"),
+    ],
+    ids=["modes-fraction", "modes-text", "modes-zero", "modes-bool", "iterations-negative",
+         "iterations-fraction"],
+)
+def test_observability_count_errors_exit_1_with_one_line(tmp_path, capsys, entry, message):
+    cfg = yaml.safe_load((SHIPPED / "wave_observability_1d.yaml").read_text())
+    cfg["observability"].update(entry)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("observability", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: observability: {message}\n"
+
+
 def test_observability_config_error_still_exits_1(tmp_path, capsys):
     cfg, _ = _observability_config(tmp_path, alpha=1.5)
     assert run("observability", cfg, tmp_path / "out") == 1

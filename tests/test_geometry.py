@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carleman.cli as cli
 import reference_fields as ref
@@ -13,7 +15,7 @@ from carleman import (
     worst_case_ratio,
 )
 from carleman.audit import _window, default_ensemble
-from carleman.geometry import separable, sine_profile, smooth_bump
+from carleman.geometry import integrate_lateral, separable, sine_profile, smooth_bump
 from carleman.polynomials import Polynomial
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
 
@@ -114,6 +116,66 @@ def test_missing_cap_data_rejected():
     vals[2, 2, 0] = np.nan
     with pytest.raises(ValueError, match="cap"):
         integrate_dmu(vals, g)
+
+
+@st.composite
+def _affine_case(draw):
+    """A grid of 1-3 space axes on a random box and f = prod_i (a_i + b_i x_i)
+    * (a_t + b_t t), affine in each variable."""
+    n = draw(st.integers(1, 3))
+    coord = st.floats(-2.0, 2.0)
+    lows = [draw(coord) for _ in range(n)]
+    highs = [lo + draw(st.floats(0.25, 3.0)) for lo in lows]
+    nodes = [draw(st.integers(3, 7)) for _ in range(n)]
+    t1 = draw(coord)
+    t2 = t1 + draw(st.floats(0.25, 3.0))
+    grid = build_grid(lows, highs, nodes, t1, t2, draw(st.integers(3, 7)))
+    coeffs = [(draw(coord), draw(coord)) for _ in range(n + 1)]
+    return grid, coeffs
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_affine_case())
+def test_boundary_integrals_exact_for_affine_functions(case):
+    grid, coeffs = case
+    axes = [grid.domain.axis_coords(i) for i in range(grid.n)] + [grid.times]
+    factors = [a + b * c for (a, b), c in zip(coeffs, axes)]
+    f = factors[0]
+    for fac in factors[1:]:
+        f = np.multiply.outer(f, fac)
+    ends = [(a + b * c[0], a + b * c[-1]) for (a, b), c in zip(coeffs, axes)]
+    # the integral of an affine factor is its length times its mean end value
+    means = [0.5 * (lo + hi) * (c[-1] - c[0]) for (lo, hi), c in zip(ends, axes)]
+    space = means[:-1]
+    lateral = means[-1] * sum(
+        sum(ends[k]) * np.prod(space[:k] + space[k + 1:]) for k in range(grid.n)
+    )
+    caps = sum(ends[-1]) * np.prod(space)
+    lengths = [c[-1] - c[0] for c in axes]
+    size = lengths[-1] * sum(2 * np.prod(lengths[:k] + lengths[k + 1:-1]) for k in range(grid.n))
+    scale = float(np.max(np.abs(f))) * (size + 2 * np.prod(lengths[:-1]))  # sup|f| mu(dQ)
+    assert integrate_lateral(f, grid) == pytest.approx(lateral, abs=1e-12 * scale)
+    assert integrate_dmu(f, grid) == pytest.approx(lateral + caps, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("spatial", [False, True], ids=["spacetime", "space"])
+def test_dmu_nodes_cover_the_boundary_once_per_level(spatial):
+    g = build_grid([0, 0, 0], [1, 2, 3], [4, 5, 6], 0.0, 1.0, 7)
+    sets = g.dmu_nodes(spatial)
+    assert len(sets) == (1 if spatial else 2)
+    (idx, w), shape = sets[0], (g.space_shape if spatial else g.shape)
+    marks = np.zeros(shape, dtype=int)
+    marks.reshape(-1)[idx] += 1  # indices are distinct, so += counts them once
+    assert np.array_equal(marks > 0, np.broadcast_to(
+        g.boundary_mask if spatial else g.boundary_mask[..., None], shape))
+    # the face areas of the 1 x 2 x 3 box, times the time extent
+    assert w.sum() == pytest.approx(2 * (2 + 3 + 6))
+    if not spatial:
+        caps, cw = sets[1]
+        assert set(np.unravel_index(caps, shape)[-1]) == {0, g.nt - 1}
+        assert cw.sum() == pytest.approx(2 * 6)
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 0
 
 
 def test_face_normals_are_unit_axis_vectors():

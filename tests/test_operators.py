@@ -13,7 +13,7 @@ from carleman import (
     make_example_weight,
     riemannian_identity_residual,
 )
-from carleman.operators import LowerOrderCoeffs, laplacian_flux
+from carleman.operators import LowerOrderCoeffs, assemble_operator, laplacian_flux
 from carleman.polynomials import Polynomial, poly_from_table
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
 
@@ -296,6 +296,20 @@ def test_riemannian_metric_structure():
     assert np.all(eigs > 0)
 
 
+def test_riemannian_residual_evaluates_a_once_beyond_the_assembly(monkeypatch):
+    """The residual reads the metric's node sample of A instead of evaluating
+    A again."""
+    g = build_grid([0, 0, 0], [1, 1, 1], [7, 7, 7], 0.0, 1.0, 3)
+    field = MatrixField.scalar_affine(3, 1.0, [0.2, 0.0, 0.1], domain=g.domain)
+    calls = []
+    call = MatrixField.__call__
+    monkeypatch.setattr(MatrixField, "__call__", lambda f, x: calls.append(1) or call(f, x))
+    assemble_operator(field, None, g)
+    assembly = len(calls)
+    riemannian_identity_residual(field, sine_mode(g, (1, 1, 1)), g)
+    assert len(calls) - assembly == assembly + 1
+
+
 def test_magnetic_zero_b_exact(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     u = sine_mode(grid2, (1, 1))
@@ -369,16 +383,3 @@ def test_lower_order_declared_bound_validated():
     )
     with pytest.raises(ValueError, match="bound"):
         too_big.validate_bound(g)
-
-
-def test_metric_evaluators_consistent_with_definitional_route():
-    g = build_grid([0, 0, 0], [1, 1, 1], [17, 17, 17], 0.0, 1.0, 3)
-    field = MatrixField.scalar_affine(3, 1.0, [0.2, 0.0, 0.1], domain=g.domain)
-    metric = RiemannianField(field, g)
-    u = sine_mode(g, (1, 1, 1))
-    via_parts = metric.div_g(metric.grad_g(u))
-    direct = metric.laplace_g(u)
-    sl = (slice(2, -2),) * 3
-    # both routes approximate the same operator; centered-vs-flux stencils
-    # differ at truncation order
-    assert np.max(np.abs(via_parts[sl] - direct[sl])) < 0.5

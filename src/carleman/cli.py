@@ -646,6 +646,9 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     iterations = _integer(block, "observability", "worst_case_iterations", 0, positive=False)
     if kind not in _SOLVE_KIND:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    if iterations > 0 and kind != "wave":
+        raise ConfigError(f"observability: worst_case_iterations applies only to kind wave, "
+                          f"got {iterations} for kind {kind}")
     solve_kind = _SOLVE_KIND[kind]
     lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid)
     ensemble = [
@@ -658,7 +661,7 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         kind, field, psi0, alpha, t_obs, ensemble, grid, lower=lower
     )
     result = {"report": report}
-    if iterations > 0 and kind == "wave":
+    if iterations > 0:
         wc = worst_case_ratio(kind, field, psi0, t_obs, grid, iterations, lower=lower)
         result["worst_case"] = {
             "ratio": wc.ratio,

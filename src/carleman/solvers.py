@@ -26,10 +26,15 @@ stencils read, plus the last three levels: the Sigma+ traces, the final
 state and the final velocity, without any space-time array.
 
 ``smoothing_bound_check`` needs every eigenvalue of the interior -Delta_A
-(at most 4096 unknowns).  In 1-D and 2-D it numbers the nodes with the
-longest axis slowest, copies the band of the matrix into LAPACK band
-storage and calls ``scipy.linalg.eig_banded``; in 3-D, where the band is
-too wide to gain, it calls the dense ``numpy.linalg.eigvalsh``.
+(at most 4096 unknowns), by one of three routes.  When A is axis-separable
+(diagonal, each a_kk a polynomial in x_k alone; every 1-D field is), the
+operator is a Kronecker sum of one tridiagonal per axis, so its spectrum is
+every sum of one eigenvalue per axis, each axis solved by
+``scipy.linalg.eigvalsh_tridiagonal`` (Lynch, Rice and Thomas, Numer. Math.
+6, 1964) and nothing assembled.  Otherwise, in 2-D it numbers the nodes
+with the longest axis slowest, copies the band of the matrix into LAPACK
+band storage and calls ``scipy.linalg.eig_banded``; in 3-D, where the band
+is too wide to gain, it calls the dense ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -455,12 +460,15 @@ def smoothing_bound_check(
     """max over samples and spectrum of sqrt(t) sqrt(mu) exp(-t mu).
 
     The spectrum is that of the interior -Delta_A, limited to 4096 unknowns.
-    In 1-D and 2-D it is a band matrix: with the nodes numbered longest axis
-    slowest, its half-bandwidth is the unknown count over that axis's length
-    (plus 1 when A has an off-diagonal entry), and a band reduction
-    (``scipy.linalg.eig_banded``) costs O(N^2 b) against the O(N^3) of a
-    dense eigensolve.  In 3-D the band is too wide to gain and the dense
-    ``eigvalsh`` is used.
+    When A is axis-separable (every off-diagonal entry zero, every monomial
+    of a_kk free of the variables other than x_k; always so in 1-D), it is
+    every sum of one eigenvalue per axis of the 1-D tridiagonals, each an
+    O(m^2) ``eigvalsh_tridiagonal``.  Otherwise, in 2-D, it is a band
+    matrix: with the nodes numbered longest axis slowest, its half-bandwidth
+    is the unknown count over that axis's length (plus 1 when A has an
+    off-diagonal entry), and a band reduction (``scipy.linalg.eig_banded``)
+    costs O(N^2 b) against the O(N^3) of a dense eigensolve; in 3-D the band
+    is too wide to gain and the dense ``eigvalsh`` is used.
     """
     try:
         t_samples = np.asarray(list(t_samples), dtype=float)
@@ -477,12 +485,15 @@ def smoothing_bound_check(
     size = int(np.prod([m - 2 for m in grid.space_shape]))
     if size > MAX_DENSE_UNKNOWNS:
         raise ValueError(f"{size} unknowns exceed the dense limit {MAX_DENSE_UNKNOWNS}")
-    mat = -_interior_block(assemble_operator(field, None, grid), grid)  # exactly symmetric
     try:
-        if grid.n == 3:
-            mu = np.linalg.eigvalsh(mat.toarray())
+        if _axis_separable(field):
+            mu = _separable_spectrum(field, grid)
         else:
-            mu = sla.eig_banded(_upper_band(mat, grid), eigvals_only=True, check_finite=False)
+            mat = -_interior_block(assemble_operator(field, None, grid), grid)  # exactly symmetric
+            if grid.n == 3:
+                mu = np.linalg.eigvalsh(mat.toarray())
+            else:
+                mu = sla.eig_banded(_upper_band(mat, grid), eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"eigendecomposition failed: {exc}") from exc
     mu = mu[mu > 0.0]
@@ -497,6 +508,35 @@ def smoothing_bound_check(
         argmax_mu=float(mu[im]),
         num_eigenvalues=int(mu.size),
     )
+
+
+def _axis_separable(field: MatrixField) -> bool:
+    """Whether A is diagonal with each a_kk a polynomial in x_k alone, read
+    exactly off the monomials."""
+    n = field.n
+    return all(
+        all(field.entry(k, l).is_zero() for l in range(k + 1, n))
+        and not any(e for powers in field.entry(k, k).terms
+                    for j, e in enumerate(powers) if j != k)
+        for k in range(n)
+    )
+
+
+def _separable_spectrum(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
+    """Every eigenvalue, ascending, of the interior -Delta_A of an
+    axis-separable A.  The operator is the Kronecker sum of one tridiagonal
+    per axis, with diagonal ``hi + lo`` and off-diagonal ``-a`` from a_kk / h_k^2
+    at that axis's half points (the values ``assemble_operator`` reads), so
+    its eigenvalues are every sum of one eigenvalue per axis."""
+    mu = np.zeros(())
+    for k in range(grid.n):
+        x = grid.domain.axis_coords(k)
+        pts = np.zeros((x.size - 1, grid.n))  # a_kk reads only column k
+        pts[:, k] = 0.5 * (x[1:] + x[:-1])
+        a = field.entry(k, k)(pts) / grid.domain.spacings[k] ** 2
+        axis_mu = sla.eigvalsh_tridiagonal(a[1:] + a[:-1], -a[1:-1], check_finite=False)
+        mu = mu[..., None] + axis_mu
+    return np.sort(mu, axis=None)
 
 
 def _upper_band(mat: sp.csr_matrix, grid: SpaceTimeGrid) -> np.ndarray:

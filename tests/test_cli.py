@@ -469,9 +469,13 @@ def test_observability_non_pseudoconvex_psi0_exits_2(tmp_path, capsys):
          "worst_case_iterations must be a non-negative integer, got -3"),
         ({"worst_case_iterations": 1.5},
          "worst_case_iterations must be a non-negative integer, got 1.5"),
+        ({"kind": "heat_final", "worst_case_iterations": 3},
+         "worst_case_iterations applies only to kind wave, got 3 for kind heat_final"),
+        ({"kind": "schrodinger", "worst_case_iterations": 1},
+         "worst_case_iterations applies only to kind wave, got 1 for kind schrodinger"),
     ],
     ids=["modes-fraction", "modes-text", "modes-zero", "modes-bool", "iterations-negative",
-         "iterations-fraction"],
+         "iterations-fraction", "iterations-heat_final", "iterations-schrodinger"],
 )
 def test_observability_count_errors_exit_1_with_one_line(tmp_path, capsys, entry, message):
     cfg = yaml.safe_load((SHIPPED / "wave_observability_1d.yaml").read_text())
@@ -480,6 +484,17 @@ def test_observability_count_errors_exit_1_with_one_line(tmp_path, capsys, entry
     path.write_text(yaml.safe_dump(cfg))
     assert run("observability", path, tmp_path / "out") == 1
     assert capsys.readouterr().err == f"error: observability: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["heat_final", "schrodinger"])
+def test_observability_zero_worst_case_iterations_valid_for_every_kind(tmp_path, capsys, kind):
+    cfg = yaml.safe_load((SHIPPED / "wave_observability_1d.yaml").read_text())
+    cfg["observability"].update({"kind": kind, "worst_case_iterations": 0})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run("observability", path, tmp_path / "out") in (0, 2)
+    assert "worst_case_iterations" not in capsys.readouterr().err
+    assert "worst_case" not in json.loads((tmp_path / "out" / "observability.json").read_text())
 
 
 def test_observability_config_error_still_exits_1(tmp_path, capsys):

@@ -24,9 +24,17 @@ from carleman.operators import (
     laplacian_flux,
 )
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import _check_dirichlet, _upper_band, cfl_limit, dirichlet_seminorm_sq
+from carleman.solvers import (
+    _axis_separable,
+    _check_dirichlet,
+    _separable_spectrum,
+    _upper_band,
+    cfl_limit,
+    dirichlet_seminorm_sq,
+)
 from conftest import interior_bump_space, sine_mode
 from reference_leapfrog import reference_wave
+from reference_smoothing import smoothing_bound_check as reference_smoothing_check
 from reference_march import reference_evolution
 from reference_trapezoid import reference_heat, reference_schrodinger
 from reference_stencil import spatial_operator
@@ -566,20 +574,32 @@ def test_smoothing_bound_rejects_two_dimensional_samples():
         smoothing_bound_check(field, g, np.full((2, 3), 0.1))
 
 
+_VARIABLE_3D = {
+    (0, 0): [((0, 0, 0), 1.0), ((1, 0, 0), 0.3)],
+    (1, 1): [((0, 0, 0), 1.1), ((0, 0, 1), 0.2)],
+    (2, 2): [((0, 0, 0), 0.9), ((0, 1, 0), 0.25)],
+    (0, 2): [((0, 1, 0), 0.1)],
+}
+
+
 def _smoothing_case(case):
     nodes = {"1d": [65], "2d": [17, 17], "9x33": [9, 33], "33x9": [33, 9],
-             "variable-A": [13, 11], "3d": [7, 7, 7]}[case]
+             "variable-A": [13, 11], "3d": [7, 7, 7], "variable-A-3d": [7, 8, 9]}[case]
     n = len(nodes)
     g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
     if case == "variable-A":
         return MatrixField.from_tables(2, _VARIABLE_2D, domain=g.domain), g
+    if case == "variable-A-3d":
+        return MatrixField.from_tables(3, _VARIABLE_3D, domain=g.domain), g
     return MatrixField.identity(n, domain=g.domain), g
 
 
-@pytest.mark.parametrize("case", ["1d", "2d", "9x33", "33x9", "variable-A", "3d"])
+@pytest.mark.parametrize("case", ["1d", "2d", "9x33", "33x9", "variable-A", "3d",
+                                  "variable-A-3d"])
 def test_smoothing_bound_matches_dense_eigensolve(case):
-    """The band reduction (1-D, 2-D) and the dense route (3-D) agree with a
-    dense eigensolve of the interior -Delta_A, and repeat exactly."""
+    """Each route (per-axis tridiagonals for identity A, the band reduction
+    for the 2-D variable A, the dense call for the 3-D one) agrees with a
+    dense eigensolve of the interior -Delta_A, and repeats exactly."""
     field, g = _smoothing_case(case)
     idx = np.flatnonzero(~g.boundary_mask)
     mu = np.linalg.eigvalsh(-assemble_operator(field, None, g)[idx][:, idx].toarray())
@@ -594,7 +614,7 @@ def test_smoothing_bound_matches_dense_eigensolve(case):
     assert rep.argmax_t == t[it]
     assert rep.num_eigenvalues == mu.size == idx.size
     assert repr(smoothing_bound_check(field, g, t)) == repr(rep)
-    if g.n == 3:  # the same dense call
+    if case == "variable-A-3d":  # the same dense call
         assert rep.aleph0_emp == vals[it, im] and rep.argmax_mu == mu[im]
 
 
@@ -607,6 +627,151 @@ def test_smoothing_band_numbers_the_longest_axis_slowest(case, width):
     idx = np.flatnonzero(~g.boundary_mask)
     band = _upper_band(-assemble_operator(field, None, g)[idx][:, idx], g)
     assert band.shape == (width + 1, idx.size)
+
+
+def _diagonal_field(n, g, kind):
+    """Axis-separable fields: identity, diag(2, 0.5, 1.5) or a_kk = c_k + d_k x_k."""
+    if kind == "identity":
+        return MatrixField.identity(n, domain=g.domain)
+    if kind == "constant":
+        return MatrixField.constant(np.diag([2.0, 0.5, 1.5][:n]), domain=g.domain)
+    slopes = [(1.0, 0.5), (1.2, 0.3), (0.8, 0.4)]
+    return MatrixField.from_tables(n, {
+        (k, k): [((0,) * n, c), (tuple(int(i == k) for i in range(n)), d)]
+        for k, (c, d) in enumerate(slopes[:n])
+    }, domain=g.domain)
+
+
+_SMOOTHING_SAMPLES = np.geomspace(1e-5, 1.0, 40) * np.exp(
+    0.1 * np.random.default_rng(11).normal(size=40))
+
+
+@pytest.mark.parametrize("kind", ["identity", "constant", "variable"])
+@pytest.mark.parametrize("nodes", [[65], [17, 17], [9, 33], [33, 9], [7, 9, 11]],
+                         ids=["1d", "2d", "9x33", "33x9", "3d"])
+def test_smoothing_separable_matches_frozen_check(nodes, kind):
+    """Axis-separable fields take the per-axis tridiagonal route; the report
+    agrees with the frozen assembled-matrix check to 1e-12 relative."""
+    n = len(nodes)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    field = _diagonal_field(n, g, kind)
+    assert _axis_separable(field)
+    rep = smoothing_bound_check(field, g, _SMOOTHING_SAMPLES)
+    ref = reference_smoothing_check(field, g, _SMOOTHING_SAMPLES)
+    assert rep.aleph0_emp == pytest.approx(ref.aleph0_emp, rel=1e-12, abs=0)
+    assert rep.argmax_mu == pytest.approx(ref.argmax_mu, rel=1e-12, abs=0)
+    assert rep.argmax_t == ref.argmax_t
+    assert rep.num_eigenvalues == ref.num_eigenvalues
+    assert rep.envelope == ref.envelope
+
+
+def _non_separable_field(case):
+    if case == "variable-A":
+        g = build_grid([0.0, 0.0], [1.0, 1.0], [13, 11], 0.0, 1.0, 3)
+        return MatrixField.from_tables(2, _VARIABLE_2D, domain=g.domain), g
+    if case == "diagonal-cross":  # a_00 depends on x1
+        g = build_grid([0.0, 0.0], [1.0, 1.0], [9, 33], 0.0, 1.0, 3)
+        tables = {(0, 0): [((0, 0), 1.0), ((0, 1), 0.5)], (1, 1): [((0, 0), 1.0)]}
+        return MatrixField.from_tables(2, tables, domain=g.domain), g
+    g = build_grid([0.0] * 3, [1.0] * 3, [7, 8, 9], 0.0, 1.0, 3)
+    tables = {(k, k): [((0, 0, 0), 1.0)] for k in range(3)}
+    tables[(1, 2)] = [((0, 0, 0), 0.2)]
+    return MatrixField.from_tables(3, tables, domain=g.domain), g
+
+
+@pytest.mark.parametrize("case", ["variable-A", "diagonal-cross", "off-diagonal-3d"])
+def test_smoothing_non_separable_matches_frozen_check_exactly(case):
+    """Fields that are not axis-separable keep the band (2-D) and dense (3-D)
+    routes: the report is ``repr``-identical to the frozen check."""
+    field, g = _non_separable_field(case)
+    assert not _axis_separable(field)
+    rep = smoothing_bound_check(field, g, _SMOOTHING_SAMPLES)
+    assert repr(rep) == repr(reference_smoothing_check(field, g, _SMOOTHING_SAMPLES))
+
+
+@pytest.mark.parametrize("nodes", [[65], [17, 17], [9, 33], [7, 9, 11]],
+                         ids=["1d", "2d", "9x33", "3d"])
+def test_smoothing_identity_spectrum_matches_closed_form(nodes):
+    """For identity A the spectrum is every sum of 4/h_k^2 sin^2(j_k pi h_k / 2)
+    over j_k = 1, ..., m_k - 2 on the unit box."""
+    n = len(nodes)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    field = MatrixField.identity(n, domain=g.domain)
+    closed = np.zeros(())
+    for m in nodes:
+        h = 1.0 / (m - 1)
+        closed = closed[..., None] + 4.0 / h**2 * np.sin(np.arange(1, m - 1) * np.pi * h / 2) ** 2
+    closed = np.sort(closed, axis=None)
+    mu = _separable_spectrum(field, g)
+    assert mu.shape == closed.shape
+    assert np.max(np.abs(mu - closed) / closed) <= 1e-13
+    vals = np.sqrt(_SMOOTHING_SAMPLES[:, None] * closed[None, :]) * np.exp(
+        -_SMOOTHING_SAMPLES[:, None] * closed[None, :])
+    it, im = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    rep = smoothing_bound_check(field, g, _SMOOTHING_SAMPLES)
+    assert rep.aleph0_emp == pytest.approx(vals[it, im], rel=1e-13, abs=0)
+    assert rep.argmax_mu == pytest.approx(closed[im], rel=1e-13, abs=0)
+    assert rep.argmax_t == _SMOOTHING_SAMPLES[it]
+
+
+def test_smoothing_separable_route_assembles_nothing(monkeypatch):
+    from carleman import solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the separable route assembled the operator")
+
+    monkeypatch.setattr(solvers, "assemble_operator", refuse)
+    g = build_grid([0.0, 0.0], [1.0, 1.0], [33, 33], 0.0, 1.0, 3)
+    rep = smoothing_bound_check(MatrixField.identity(2, domain=g.domain), g, [0.01])
+    assert rep.num_eigenvalues == 31 * 31
+
+
+@st.composite
+def _separable_cases(draw):
+    n = draw(st.integers(1, 3))
+    nodes = [draw(st.integers(3, 9 if n < 3 else 7)) for _ in range(n)]
+    lows = [draw(st.floats(-0.5, 0.5)) for _ in range(n)]
+    highs = [lo + draw(st.floats(0.5, 1.0)) for lo in lows]
+    g = build_grid(lows, highs, nodes, 0.0, 1.0, 3)
+    entries = {}
+    for k in range(n):
+        degree = draw(st.integers(0, 3))
+        # |x| <= 1.5 on the box, so a constant of at least 2.5 keeps a_kk positive
+        table = [((0,) * n, draw(st.floats(2.5, 4.0)))] + [
+            (tuple(e if i == k else 0 for i in range(n)), draw(st.floats(-0.3, 0.3)))
+            for e in range(1, degree + 1)
+        ]
+        entries[(k, k)] = poly_from_table(n, table)
+    return g, MatrixField.from_entry_polys(n, entries, domain=g.domain)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_separable_cases())
+def test_separable_operator_is_a_kronecker_sum_property(case):
+    """The interior block of a positive diagonal axis-separable field is the
+    Kronecker sum of one tridiagonal per axis (off-diagonal entries bitwise,
+    diagonal within 1 ulp), and the per-axis spectrum is the block's."""
+    g, field = case
+    assert _axis_separable(field)
+    idx = np.flatnonzero(~g.boundary_mask)
+    block = -assemble_operator(field, None, g)[idx][:, idx].toarray()
+    inner = [m - 2 for m in g.space_shape]
+    kron = np.zeros_like(block)
+    for k in range(g.n):
+        x = g.domain.axis_coords(k)
+        pts = np.tile(np.asarray(g.domain.lows, dtype=float), (x.size - 1, 1))
+        pts[:, k] = 0.5 * (x[1:] + x[:-1])
+        a = field.entry(k, k)(pts) / g.domain.spacings[k] ** 2
+        tri = np.diag(a[1:] + a[:-1]) - np.diag(a[1:-1], 1) - np.diag(a[1:-1], -1)
+        before, after = np.eye(int(np.prod(inner[:k]))), np.eye(int(np.prod(inner[k + 1:])))
+        kron = kron + np.kron(np.kron(before, tri), after)
+    off = ~np.eye(idx.size, dtype=bool)
+    assert np.array_equal(block[off], kron[off])
+    assert np.all(np.abs(np.diag(block) - np.diag(kron)) <= np.spacing(np.abs(np.diag(block))))
+
+    mu = _separable_spectrum(field, g)
+    dense = np.linalg.eigvalsh(block)
+    assert np.max(np.abs(mu - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_smoothing_bound_rejects_large_grids():

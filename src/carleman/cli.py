@@ -195,10 +195,10 @@ def build_weight_from(
 ) -> tuple[WeightSpec, dict]:
     w = _need(cfg, "weight")
     family = _get(w, "family", "weight", "example")
-    lam = float(_get(w, "lambda", "weight", 1.0))
-    shift = float(_get(w, "shift", "weight", 0.0))
     extras: dict = {"family": family}
     try:
+        lam = float(_get(w, "lambda", "weight", 1.0))
+        shift = float(_get(w, "shift", "weight", 0.0))
         if family == "example":
             spec = make_example_weight(
                 _get(w, "x0", "weight"),
@@ -240,7 +240,7 @@ def build_weight_from(
                 raise ConfigError(f"unknown psi1 family {fam1!r}")
             spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
             return spec.ensure_nonnegative(grid), extras
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"weight: {exc}") from exc
     raise ConfigError(f"unknown weight family {family!r}")
 
@@ -365,8 +365,8 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     block = _block(cfg, "theta")
     points = block.get("points")
     results = []
-    if points:
-        for p in points:
+    try:
+        for p in points or []:
             dec = theta_decomposition(field, spec.psi0, np.asarray(p, dtype=float))
             results.append(
                 {
@@ -376,6 +376,8 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
                     "theta_sym_min": dec.theta_sym_min,
                 }
             )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"theta: {exc}") from exc
     smin, gnorm = theta_scan(field, spec.psi0, grid.space_points)
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
@@ -583,8 +585,13 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     block = _block(cfg, "solve")
     kind = block.get("kind", "wave")
     mode = block.get("mode", [1] * grid.n)
+    if not isinstance(mode, list):
+        raise ConfigError(f"solve: mode must be a list of integers, got {mode!r}")
+    for m in mode:
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ConfigError(f"solve: mode must be an integer per axis, got {m!r}")
     data = _sine_data(kind, separable(
-        grid, [sine_profile(int(mode[ax]) if ax < len(mode) else 1) for ax in range(grid.n)]
+        grid, [sine_profile(mode[ax] if ax < len(mode) else 1) for ax in range(grid.n)]
     ))
     lower = build_lower_from(cfg, _LOWER_KIND[kind], grid)
     state = solve_evolution(kind, field, lower, data, grid.t2, grid)
@@ -755,7 +762,8 @@ def main(argv=None) -> int:
         if not args.command:
             raise ConfigError("no command given")
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _integer(cfg if args.seed is None else {"seed": args.seed},
+                        "seed", "seed", 0, positive=False)
         return run_command(args.command, cfg, Path(args.out), seed, args.strict)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

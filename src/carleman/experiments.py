@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import MatrixField, certify_ellipticity
 from .geometry import SpaceTimeGrid, separable, sine_profile
@@ -39,6 +39,9 @@ from .solvers import (
     solve_block,
 )
 from .weights import make_observability_weight
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EXPERIMENT_KINDS",

@@ -17,6 +17,7 @@ Test fields (sine modes, cutoff windows, C-infinity bumps) are products of
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -256,10 +257,19 @@ def build_grid(
     t2: float,
     nt: int,
 ) -> SpaceTimeGrid:
-    """Build a space-time grid; rejects empty extents and resolutions < 3."""
-    domain = BoxDomain(tuple(float(v) for v in lows), tuple(float(v) for v in highs),
-                       tuple(int(v) for v in nodes_per_axis))
-    return SpaceTimeGrid(domain=domain, t1=float(t1), t2=float(t2), nt=int(nt))
+    """Build a space-time grid; rejects empty extents, resolutions < 3 and
+    node or level counts that are not integers (a float is not truncated)."""
+    nodes = tuple(_count(v, "nodes must be an integer per axis") for v in nodes_per_axis)
+    domain = BoxDomain(tuple(float(v) for v in lows), tuple(float(v) for v in highs), nodes)
+    return SpaceTimeGrid(domain=domain, t1=float(t1), t2=float(t2),
+                         nt=_count(nt, "nt must be an integer"))
+
+
+def _count(value, message: str) -> int:
+    """``value`` as an int; a float or a bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def separable(grid: SpaceTimeGrid, profiles, time_profile=None) -> np.ndarray:

@@ -19,14 +19,19 @@ b = -tau lam^2 phi chi - tau lam phi (wave operator applied to psi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import MatrixField
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 from .weights import WeightSpec
+
+# scipy.sparse is imported where first used, not here: it takes a good part of
+# start-up, and the commands that scan closed forms never need it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "KINDS",
@@ -183,6 +188,8 @@ def assemble_operator(
     counts[rows] = len(offsets)
     indptr = np.concatenate([np.zeros(1, itype), np.cumsum(counts, dtype=itype)])
     indices = (rows[:, None] + np.dot(offsets, strides).astype(itype)).ravel()
+    import scipy.sparse as sp
+
     return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=(size, size))
 
 

@@ -40,11 +40,9 @@ is too wide to gain, it calls the dense ``numpy.linalg.eigvalsh``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .coefficients import MatrixField, symmetric_eigenvalues
 from .geometry import SpaceTimeGrid
@@ -59,6 +57,12 @@ from .operators import (
     laplacian_flux,
 )
 from .polynomials import Polynomial
+
+# scipy.sparse, scipy.sparse.linalg and scipy.linalg are imported where first
+# used, not here: they take a good part of start-up, and the commands that scan
+# closed forms need none of them
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WaveData",
@@ -305,6 +309,9 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
         v1 = columns(u1)
         step = dt**2 * mat
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
         eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
         solver = spla.splu((eye - half * mat).tocsc())
@@ -493,6 +500,8 @@ def smoothing_bound_check(
             if grid.n == 3:
                 mu = np.linalg.eigvalsh(mat.toarray())
             else:
+                import scipy.linalg as sla
+
                 mu = sla.eig_banded(_upper_band(mat, grid), eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"eigendecomposition failed: {exc}") from exc
@@ -528,6 +537,8 @@ def _separable_spectrum(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
     per axis, with diagonal ``hi + lo`` and off-diagonal ``-a`` from a_kk / h_k^2
     at that axis's half points (the values ``assemble_operator`` reads), so
     its eigenvalues are every sum of one eigenvalue per axis."""
+    import scipy.linalg as sla
+
     mu = np.zeros(())
     for k in range(grid.n):
         x = grid.domain.axis_coords(k)

@@ -184,14 +184,44 @@ def _lower_list(cfg):
     cfg["equation"]["lower"] = [1.0, 2.0]
 
 
+def _put(block, key, value):
+    """A probe that sets ``cfg[block][key]``, or ``cfg[key]`` when block is None."""
+    def probe(cfg):
+        (cfg if block is None else cfg.setdefault(block, {}))[key] = value
+    return probe
+
+
 @pytest.mark.parametrize(
     "command, probe, message",
     [
         ("flatten", _no_powers, "error: config: missing key 'powers'"),
         ("certify", _no_alpha, "error: config: missing key 'alpha'"),
         ("carleman-audit", _lower_list, "error: equation: lower must be a mapping, got list"),
+        ("certify", _put("grid", "nodes", [17.9, 17]),
+         "error: grid: nodes must be an integer per axis, got 17.9"),
+        ("certify", _put("grid", "nodes", [2, 17]),
+         "error: grid: need at least 3 nodes per axis, got 2"),
+        ("certify", _put("grid", "nt", 33.7), "error: grid: nt must be an integer, got 33.7"),
+        ("certify", _put(None, "seed", 1.5),
+         "error: seed: seed must be a non-negative integer, got 1.5"),
+        ("certify", _put(None, "seed", "abc"),
+         "error: seed: seed must be a non-negative integer, got 'abc'"),
+        ("carleman-audit", _put(None, "seed", -1),
+         "error: seed: seed must be a non-negative integer, got -1"),
+        ("solve", _put("solve", "mode", [1.5]),
+         "error: solve: mode must be an integer per axis, got 1.5"),
+        ("solve", _put("solve", "mode", 2), "error: solve: mode must be a list of integers, got 2"),
+        ("certify", _put("weight", "lambda", "big"),
+         "error: weight: could not convert string to float: 'big'"),
+        ("certify", _put("weight", "shift", "abc"),
+         "error: weight: could not convert string to float: 'abc'"),
+        ("theta", _put("theta", "points", [[0.5]]),
+         "error: theta: points last axis 1 != nvars 2"),
     ],
-    ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list"],
+    ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list",
+         "nodes-fraction", "nodes-too-few", "nt-fraction", "seed-fraction", "seed-text",
+         "seed-negative", "mode-fraction", "mode-not-a-list", "lambda-text", "shift-text",
+         "theta-point-too-short"],
 )
 def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, probe, message):
     cfg = _shipped_wave_audit()
@@ -201,6 +231,12 @@ def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, pro
     assert run(command, path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == message + "\n"
+
+
+def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path)
+    assert run("certify", cfg, tmp_path / "out", "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error: seed: seed must be a non-negative integer, got -1\n"
 
 
 def test_non_mapping_config_blocks_exit_1_with_one_line(tmp_path, capsys):

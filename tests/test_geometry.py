@@ -43,6 +43,18 @@ def test_too_few_nodes_rejected():
         build_grid([0], [1], [5], 0.0, 1.0, 2)
 
 
+def test_fractional_counts_rejected_not_truncated():
+    with pytest.raises(ValueError, match=r"^nodes must be an integer per axis, got 17\.9$"):
+        build_grid([0, 0], [1, 1], [17.9, 17], 0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"^nt must be an integer, got 33\.7$"):
+        build_grid([0], [1], [5], 0.0, 1.0, 33.7)
+    with pytest.raises(ValueError, match="got True"):
+        build_grid([0], [1], [True], 0.0, 1.0, 5)
+    g = build_grid([0], [1], [np.int64(5)], 0.0, 1.0, np.int32(9))  # numpy integers are integers
+    assert g.space_shape == (5,) and g.nt == 9
+    assert type(g.space_shape[0]) is int and type(g.nt) is int
+
+
 def test_interior_integral_constants():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 9)
     assert integrate_interior(np.ones(g.shape), g) == pytest.approx(1.0, abs=1e-12)

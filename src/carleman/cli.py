@@ -39,6 +39,8 @@ from .experiments import (
 from .geometry import SpaceTimeGrid, build_grid, separable, sine_profile, smooth_bump
 from .operators import (
     LowerOrderCoeffs,
+    assemble_operator,
+    conjugation_coeffs,
     conjugation_residual,
     green_residual,
     magnetic_expansion_residual,
@@ -308,10 +310,20 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The header and rows, as ``csv.writer`` writes them.
+
+    A row is a list of cells, or a str: one line of a large numeric table,
+    its cells joined by the caller with floats formatted by repr, as csv
+    does (none of them needs quoting), and its line end.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
 
 
 def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
@@ -334,18 +346,39 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 # -- commands -------------------------------------------------------------------------
 
 
+def _positive(block: dict, name: str, key: str, default: float, finite: bool = True) -> float:
+    """A positive number entry of config block ``name``; +inf only if not ``finite``."""
+    value = block.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0
+            or (finite and value == np.inf)):
+        what = "a positive finite number" if finite else "a positive number"
+        raise ConfigError(f"{name}: {key} must be {what}, got {value!r}")
+    return float(value)
+
+
+def _node_sample(field: MatrixField, psi0: Polynomial, pts: np.ndarray):
+    """A, its first derivatives and the gradient and Hessian of psi0 at the
+    nodes ``pts``: a command evaluates each once and hands it to every reader."""
+    return (field(pts), field.first_derivatives(pts),
+            psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+
+
+def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
+    """Ellipticity and weight admissibility from one node sample."""
+    pts = grid.space_points
+    a, da, grad, hess = _node_sample(field, spec.psi0, pts)
+    ell = certify_ellipticity(field, a, da, pts, kappa_max, m_max)
+    return ell, check_admissibility(spec, a, da, grad, hess, grid, kind, ellipticity=ell)
+
+
 def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     c = _block(cfg, "coefficients")
-    ell = certify_ellipticity(
-        field,
-        grid,
-        kappa_tolerance=float(c.get("kappa_max", np.inf)),
-        m_tolerance=float(c.get("m_max", np.inf)),
-    )
+    kappa_max = _positive(c, "coefficients", "kappa_max", np.inf, finite=False)
+    m_max = _positive(c, "coefficients", "m_max", np.inf, finite=False)
     kind = _block(cfg, "equation").get("kind", "wave")
     spec, extras = build_weight_from(cfg, field, grid)
-    adm = check_admissibility(spec, field, grid, kind, ellipticity=ell)
+    ell, adm = _certify_weight(field, spec, grid, kind, kappa_max, m_max)
     report = {
         "ellipticity": ell,
         "admissibility": adm,
@@ -378,17 +411,19 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"theta: {exc}") from exc
-    smin, gnorm = theta_scan(field, spec.psi0, grid.space_points)
+    smin, gnorm = theta_scan(*_node_sample(field, spec.psi0, grid.space_points))
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
     # node coordinates are axis values: each one is formatted once, as the
-    # csv module would (repr), and the nodes in C order index into them
+    # csv module would (repr), each node's cells are joined once, and the
+    # nodes in C order index into them
     axes = [[repr(v) for v in grid.domain.axis_coords(i).tolist()] for i in range(grid.n)]
-    rows = zip(itertools.product(*axes), smin.reshape(-1).tolist(), gnorm.reshape(-1).tolist())
+    rows = zip(map(",".join, itertools.product(*axes)),
+               smin.reshape(-1).tolist(), gnorm.reshape(-1).tolist())
     write_csv(
         outdir / "theta_scan.csv",
         [f"x{i}" for i in range(grid.n)] + ["theta_sym_min", "grad_norm"],
-        ([*node, s, g] for node, s, g in rows),
+        (f"{node},{s!r},{g!r}\n" for node, s, g in rows),
     )
     return 0, []
 
@@ -402,9 +437,8 @@ def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     surface = poly_from_table(
         grid.n - 1, [(tuple(t["powers"]), float(t["coeff"])) for t in terms]
     ) if terms else Polynomial(grid.n - 1, {})
-    chart, cert = flatten_and_certify_hypersurface(
-        field, surface, float(block.get("radius", 0.5))
-    )
+    radius = _positive(block, "flatten", "radius", 0.5)
+    chart, cert = flatten_and_certify_hypersurface(field, surface, radius)
     report = {
         "radius": chart.radius,
         "halvings": chart.halvings,
@@ -453,8 +487,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     lams = _positive_list(block, "lambdas", [1.0, 2.0, 4.0])
     spec, extras = build_weight_from(cfg, field, grid)
     lower = build_lower_from(cfg, eq_kind, grid)
-    ell = certify_ellipticity(field, grid)
-    adm = check_admissibility(spec, field, grid, eq_kind, ellipticity=ell)
+    _, adm = _certify_weight(field, spec, grid, eq_kind)
     count = _integer(block, "audit", "ensemble", 20)
     target = block.get("target", 0.0)
     if (isinstance(target, bool) or not isinstance(target, (int, float))
@@ -599,16 +632,16 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     times, energy = grid.times.tolist(), state.energy.values.tolist()
 
     # streamed one face node at a time (a 41^2 x 97 solve writes 15,908 rows); the
-    # times and each node's face and coordinates are formatted once, as the csv
-    # module would (str, repr), so only the trace values are formatted per row
+    # times and each node's face and coordinates are formatted and joined once, as
+    # the csv module would (str, repr), so only the trace values are formatted per row
     time_cells = [repr(t) for t in times]
 
     def rows():
         for f, trace in enumerate(state.traces):
             for node, tr in zip(grid.space_points[grid.face_mask(f)].tolist(), trace):
-                prefix = [str(f), *map(repr, node)]
+                prefix = ",".join([str(f), *map(repr, node)])
                 for t, re, im in zip(time_cells, tr.real.tolist(), tr.imag.tolist()):
-                    yield [*prefix, t, re, im]
+                    yield f"{prefix},{t},{re!r},{im!r}\n"
 
     write_csv(
         outdir / "solve_traces.csv",
@@ -696,28 +729,27 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = _block(cfg, "identities")
+    tau = _positive(_block(cfg, "identities"), "identities", "tau", 1.0)
+    spec, _ = build_weight_from(cfg, field, grid)
+    kind = _block(cfg, "equation").get("kind", "wave")
+    a, da, grad0, hess0 = _node_sample(field, spec.psi0, grid.space_points)
+    mat = assemble_operator(field, None, grid)
     results = {}
 
     u = separable(grid, [sine_profile(1)] * grid.n)
     v = u**2
-    results["green_defect"] = green_residual(u, v, field, grid)
+    results["green_defect"] = green_residual(u, v, a, mat, grid)
     if grid.n >= 3:
-        results["riemannian_defect"] = riemannian_identity_residual(field, u, grid)
+        results["riemannian_defect"] = riemannian_identity_residual(a, da, mat, u, grid)
     b_field = [Polynomial.coordinate(grid.n, (ax + 1) % grid.n) for ax in range(grid.n)]
-    results["magnetic_defect"] = magnetic_expansion_residual(field, b_field, u, grid)
-
-    spec, _ = build_weight_from(cfg, field, grid)
-    kind = _block(cfg, "equation").get("kind", "wave")
+    results["magnetic_defect"] = magnetic_expansion_residual(a, da, b_field, u, grid)
 
     def bump(s):  # zero on a margin of 0.15 around dQ
         return smooth_bump(s, 0.15, 0.85)
 
     member = separable(grid, [bump] * grid.n, None if kind == "elliptic" else bump)
-    tau = float(block.get("tau", 1.0))
-    results["conjugation_residual"] = conjugation_residual(
-        member, spec, field, kind, tau, grid
-    )
+    coeffs = conjugation_coeffs(spec, a, da, grad0, hess0, kind, tau, grid)
+    results["conjugation_residual"] = conjugation_residual(member, coeffs, mat, grid)
     write_json(outdir / "identities.json", results)
     ok = all(np.isfinite(v) for v in results.values())
     return (0 if ok else 2), []

@@ -171,27 +171,27 @@ class MatrixField:
 
     # -- evaluation -------------------------------------------------------------
 
+    # The entry values are written as contiguous planes of an array indexed
+    # entry first, then moved behind the point axes in one copy: written
+    # straight into a (..., n, n) array, each entry strides through all of it.
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape[:-1] + (self.n, self.n))
+        out = np.empty((self.n, self.n) + pts.shape[:-1])
         for k in range(self.n):
             for l in range(k, self.n):
-                v = self.entries[k][l](pts)
-                out[..., k, l] = v
-                out[..., l, k] = v
-        return out
+                out[k, l] = out[l, k] = self.entries[k][l](pts)
+        return np.moveaxis(out, (0, 1), (-2, -1)).copy()
 
     def first_derivatives(self, points: np.ndarray) -> np.ndarray:
         """d1[..., k, l, p] = d_p a_{kl}."""
         pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape[:-1] + (self.n, self.n, self.n))
+        out = np.empty((self.n, self.n, self.n) + pts.shape[:-1])
         for k in range(self.n):
             for l in range(k, self.n):
                 for p in range(self.n):
-                    v = self._d1[k][l][p](pts)
-                    out[..., k, l, p] = v
-                    out[..., l, k, p] = v
-        return out
+                    out[k, l, p] = out[l, k, p] = self._d1[k][l][p](pts)
+        return np.moveaxis(out, (0, 1, 2), (-3, -2, -1)).copy()
 
     def second_derivatives(self, points: np.ndarray) -> np.ndarray:
         """d2[..., k, l, p, q] = d_p d_q a_{kl}."""
@@ -207,14 +207,15 @@ class MatrixField:
                         out[..., l, k, p, q] = v
         return out
 
-    def derivative_sup(self, points: np.ndarray) -> float:
-        """max |d^j a_kl| over the points for derivative orders j = 1, 2, 3.
+    def higher_derivative_sup(self, points: np.ndarray) -> float:
+        """max |d^j a_kl| over the points for derivative orders j = 2, 3.
 
         A running max over the entry-derivative polynomials: no derivative
-        tensor is stacked.
+        tensor is stacked.  Order 1 is read from the ``first_derivatives``
+        sample the caller holds.
         """
         sup = 0.0
-        for table in (self._d1, self._d2, self._d3):
+        for table in (self._d2, self._d3):
             for k in range(self.n):
                 for l in range(k, self.n):
                     for poly in _leaves(table[k][l]):
@@ -270,32 +271,37 @@ class EllipticityReport:
 
 def certify_ellipticity(
     field: MatrixField,
-    grid: SpaceTimeGrid,
+    a: np.ndarray,
+    da: np.ndarray,
+    pts: np.ndarray,
     kappa_tolerance: float = np.inf,
     m_tolerance: float = np.inf,
 ) -> EllipticityReport:
-    """Scan the grid for kappa = max(lambda_max, 1/lambda_min) and m."""
-    pts = grid.space_points
-    mats = field(pts)
-    if not np.all(np.isfinite(mats)):
-        bad = np.argwhere(~np.isfinite(mats).all(axis=(-2, -1)))[0]
+    """Scan the nodes ``pts`` for kappa = max(lambda_max, 1/lambda_min) and m.
+
+    ``a`` and ``da`` are ``field`` and its first derivatives at ``pts``; the
+    second and third derivatives are evaluated here, once each.
+    """
+    if not np.all(np.isfinite(a)):
+        bad = np.argwhere(~np.isfinite(a).all(axis=(-2, -1)))[0]
         node = tuple(float(v) for v in pts[tuple(bad)])
         raise ValueError(f"matrix evaluation failed at node {node}")
-    asym = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)))
+    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
     if asym > _SYM_TOL:
         bad = np.argwhere(
-            np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(-2, -1)) > _SYM_TOL
+            np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > _SYM_TOL
         )[0]
         node = tuple(float(v) for v in pts[tuple(bad)])
         raise ValueError(f"non-symmetric numeric matrix at node {node}")
-    eigs = symmetric_eigenvalues(mats)
+    eigs = symmetric_eigenvalues(a)
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
     argmin = np.unravel_index(np.argmin(eigs[..., 0]), eigs[..., 0].shape)
     argmax = np.unravel_index(np.argmax(eigs[..., -1]), eigs[..., -1].shape)
     kappa = max(lam_max, 1.0 / lam_min) if lam_min > 0 else float("inf")
 
-    sup = max(float(np.max(np.abs(mats))), field.derivative_sup(pts))
+    sup = max(float(np.max(np.abs(a))), float(np.max(np.abs(da))),
+              field.higher_derivative_sup(pts))
 
     passed = kappa <= kappa_tolerance and sup <= m_tolerance
     return EllipticityReport(

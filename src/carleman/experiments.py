@@ -28,7 +28,7 @@ from .coefficients import MatrixField, certify_ellipticity
 from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import LowerOrderCoeffs, _matvec, assemble_operator
 from .polynomials import Polynomial
-from .pseudoconvex import certify_pseudoconvex
+from .pseudoconvex import certificate_from_scan, certify_pseudoconvex, theta_scan
 from .solvers import (
     BlockState,
     EvolutionState,
@@ -186,8 +186,11 @@ def observability_experiment(
     t_required = thresholds.t_alpha
     t_required_min = None
     if kind in ("wave", "schrodinger"):
-        ell = certify_ellipticity(field, grid)
-        cert = certify_pseudoconvex(field, psi0, grid)
+        pts = grid.space_points
+        a, da = field(pts), field.first_derivatives(pts)
+        ell = certify_ellipticity(field, a, da, pts)
+        scan = theta_scan(a, da, psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+        cert = certificate_from_scan(*scan, pts)
         if validate:
             _require_pseudoconvex(cert)
         if kind == "wave":

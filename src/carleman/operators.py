@@ -348,12 +348,7 @@ class ConjugationCoeffs:
     phi: np.ndarray
 
 
-def _spatial_weight_pieces(spec: WeightSpec, field: MatrixField, grid: SpaceTimeGrid):
-    pts = grid.space_points
-    a_vals = field(pts)
-    da_vals = field.first_derivatives(pts)
-    grad0 = spec.psi0.eval_gradient(pts)
-    hess0 = spec.psi0.eval_hessian(pts)
+def _spatial_weight_pieces(a_vals, da_vals, grad0, hess0):
     gsq = np.einsum("...k,...kl,...l->...", grad0, a_vals, grad0)
     lap_a_psi0 = np.einsum("...kl,...kl->...", a_vals, hess0) + np.einsum(
         "...klk,...l->...", da_vals, grad0
@@ -364,13 +359,20 @@ def _spatial_weight_pieces(spec: WeightSpec, field: MatrixField, grid: SpaceTime
 
 def conjugation_coeffs(
     spec: WeightSpec,
-    field: MatrixField,
+    a: np.ndarray,
+    da: np.ndarray,
+    grad0: np.ndarray,
+    hess0: np.ndarray,
     kind: str,
     tau: float,
     grid: SpaceTimeGrid,
     admissibility=None,
 ) -> ConjugationCoeffs:
-    """Assemble the split coefficients analytically on the grid."""
+    """Assemble the split coefficients analytically on the grid.
+
+    ``a``, ``da``, ``grad0`` and ``hess0`` are A, its first derivatives and
+    the gradient and Hessian of ``spec.psi0`` on the space nodes.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if tau <= 0:
@@ -383,7 +385,7 @@ def conjugation_coeffs(
             stacklevel=2,
         )
     lam = spec.lam
-    gsq, lap0, a_grad0 = _spatial_weight_pieces(spec, field, grid)
+    gsq, lap0, a_grad0 = _spatial_weight_pieces(a, da, grad0, hess0)
 
     if kind == "elliptic":
         phi = np.exp(lam * spec.psi_space(grid))
@@ -441,33 +443,32 @@ def _check_margin_support(u: np.ndarray, grid: SpaceTimeGrid) -> None:
 
 def conjugation_residual(
     u: np.ndarray,
-    spec: WeightSpec,
-    field: MatrixField,
-    kind: str,
-    tau: float,
+    coeffs: ConjugationCoeffs,
+    mat: sp.csr_matrix,
     grid: SpaceTimeGrid,
 ) -> float:
     """Relative L2 mismatch between Phi^-1 L (Phi u) and the split applied to u.
 
-    The conjugation factor is rescaled by its grid minimum before use; a
-    scalar rescaling of Phi leaves the conjugated operator unchanged while
-    keeping exponents inside double range.
+    ``coeffs`` are the split coefficients of ``conjugation_coeffs`` and
+    ``mat`` is ``assemble_operator(field, None, grid)``.  The conjugation
+    factor is rescaled by its grid minimum before use; a scalar rescaling of
+    Phi leaves the conjugated operator unchanged while keeping exponents
+    inside double range.
     """
     u = np.asarray(u)
+    kind, tau = coeffs.kind, coeffs.tau
     spatial = kind == "elliptic"
     expected = grid.space_shape if spatial else grid.shape
     if u.shape != expected:
         raise ValueError(f"expected shape {expected}, got {u.shape}")
     _check_margin_support(u, grid)
 
-    coeffs = conjugation_coeffs(spec, field, kind, tau, grid)
     phi = coeffs.phi
     z = tau * (phi - float(np.min(phi)))
     if float(np.max(z)) > _EXP_CAP:
         raise OverflowError("conjugation exponent out of double range")
     cap_phi = np.exp(-z)
 
-    mat = assemble_operator(field, None, grid)
     direct = _apply_assembled(kind, mat, None, cap_phi * u, grid) / cap_phi
 
     first = np.zeros_like(direct)
@@ -500,15 +501,16 @@ def conjugation_residual(
 
 
 def green_residual(
-    u: np.ndarray, v: np.ndarray, field: MatrixField, grid: SpaceTimeGrid
+    u: np.ndarray, v: np.ndarray, a_vals: np.ndarray, mat: sp.csr_matrix,
+    grid: SpaceTimeGrid,
 ) -> float:
-    """Defect of the divergence-form Green formula on spatial fields."""
+    """Defect of the divergence-form Green formula on spatial fields, from A
+    on the space nodes and ``mat = assemble_operator(field, None, grid)``."""
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != grid.space_shape or v.shape != grid.space_shape:
         raise ValueError("green_residual expects spatial fields")
-    a_vals = field(grid.space_points)
-    lap = laplacian_flux(field, u, grid)
+    lap = _matvec(mat, u)
     interior = complex(np.sum(lap * np.conj(v) * grid.space_weights))
     grad_u = gradient_space(u, grid)
     grad_v = gradient_space(v, grid)
@@ -527,19 +529,19 @@ def green_residual(
 class RiemannianField:
     """Conformal metric built from A for n >= 3; g = |det A|^(1/(n-2)) A^(-1).
 
-    Holds the node sample ``a_vals`` of A it was built from, so that
-    ``riemannian_identity_residual`` evaluates A once."""
+    Built from node samples ``a_vals`` of A and ``da_vals`` of its first
+    derivatives, which it holds."""
 
-    def __init__(self, field: MatrixField, grid: SpaceTimeGrid):
-        if field.n < 3:
-            raise ValueError(f"metric exponent undefined for n={field.n}")
-        self.field = field
-        self.grid = grid
-        self.a_vals = field(grid.space_points)
+    def __init__(self, a_vals: np.ndarray, da_vals: np.ndarray):
+        self.n = a_vals.shape[-1]
+        if self.n < 3:
+            raise ValueError(f"metric exponent undefined for n={self.n}")
+        self.a_vals = a_vals
+        self.da_vals = da_vals
         det = np.linalg.det(self.a_vals)
         if float(np.min(np.abs(det))) <= 0.0:
             raise ValueError("det A must be bounded away from zero")
-        expo = 1.0 / (field.n - 2.0)
+        expo = 1.0 / (self.n - 2.0)
         self.det_a = det
         self.sqrt_det_g = np.abs(det) ** expo
         self.inv_scale = np.abs(det) ** (-expo)  # 1 / sqrt|g|
@@ -548,30 +550,31 @@ class RiemannianField:
 
     def inv_scale_gradient(self) -> np.ndarray:
         """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula."""
-        da_vals = self.field.first_derivatives(self.grid.space_points)
-        trace = np.einsum("...lk,...klp->...p", self.inv_a, da_vals)
+        trace = np.einsum("...lk,...klp->...p", self.inv_a, self.da_vals)
         ddet = self.det_a[..., None] * trace
-        expo = 1.0 / (self.field.n - 2.0)
+        expo = 1.0 / (self.n - 2.0)
         sign = np.sign(self.det_a)[..., None]
         return -expo * np.abs(self.det_a)[..., None] ** (-expo - 1.0) * sign * ddet
 
 
 def riemannian_identity_residual(
-    field: MatrixField, u: np.ndarray, grid: SpaceTimeGrid
+    a_vals: np.ndarray, da_vals: np.ndarray, mat: sp.csr_matrix, u: np.ndarray,
+    grid: SpaceTimeGrid,
 ) -> float:
     """Sup-norm defect of Delta_A u = sqrt|g| * Delta_g u on interior nodes.
 
     Delta_g is rebuilt from the product-rule identity
     Delta_g u = Delta_A(s u) - 2 (grad s | grad u)_A - u Delta_A s with
     s = 1/sqrt|g|, so the two routes differ at truncation order only.
+    ``a_vals`` and ``da_vals`` are A and its first derivatives on the space
+    nodes and ``mat`` is ``assemble_operator(field, None, grid)``.
     """
-    metric = RiemannianField(field, grid)
+    metric = RiemannianField(a_vals, da_vals)
     u = np.asarray(u)
     if u.shape != grid.space_shape:
         raise ValueError("expected a spatial field")
     s = metric.inv_scale
     grad_s = metric.inv_scale_gradient()
-    mat = assemble_operator(field, None, grid)
     lap_u = _matvec(mat, u)
     lap_su = _matvec(mat, s * u)
     lap_s = _matvec(mat, s)
@@ -600,7 +603,8 @@ def _centered_magnetic(
 
 
 def magnetic_expansion_residual(
-    field: MatrixField,
+    a_vals: np.ndarray,
+    da_vals: np.ndarray,
     b_field: list[Polynomial],
     u: np.ndarray,
     grid: SpaceTimeGrid,
@@ -612,6 +616,8 @@ def magnetic_expansion_residual(
     2i (grad u | b)_A + (-|b|_A^2 + i div(A b)) u with div(A b) analytic;
     the i on the divergence term is what makes the operator formally
     self-adjoint for real b.  The two coincide exactly when b = 0.
+    ``a_vals`` and ``da_vals`` are A and its first derivatives on the space
+    nodes.
     """
     if len(b_field) != grid.n:
         raise ValueError("need one magnetic component per axis")
@@ -620,7 +626,6 @@ def magnetic_expansion_residual(
         raise ValueError("expected a spatial field")
     h = grid.domain.spacings
     pts = grid.space_points
-    a_vals = field(pts)
     b_vals = np.stack([b(pts) for b in b_field], axis=-1)
 
     composed = _centered_magnetic(a_vals, b_vals, u, h)
@@ -628,7 +633,6 @@ def magnetic_expansion_residual(
     cross = np.einsum("...kl,...l,...k->...", a_vals, grad_u, b_vals)
     b_sq = np.einsum("...k,...kl,...l->...", b_vals, a_vals, b_vals)
 
-    da_vals = field.first_derivatives(pts)
     db_vals = np.stack(
         [np.stack([b.diff(p)(pts) for p in range(grid.n)], axis=-1) for b in b_field],
         axis=-2,

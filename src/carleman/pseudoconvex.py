@@ -125,16 +125,14 @@ class PseudoconvexCertificate:
 
 
 def theta_scan(
-    field: MatrixField, h: Polynomial, pts: np.ndarray
+    a: np.ndarray, da: np.ndarray, grad_h: np.ndarray, hess_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point minimal eigenvalue of sym(Theta) and gradient norm of h."""
-    grad = h.eval_gradient(pts)
-    _, theta = upsilon_theta(
-        field(pts), field.first_derivatives(pts), grad, h.eval_hessian(pts)
-    )
+    """Per-point minimal eigenvalue of sym(Theta) and gradient norm of h, from
+    A, its first derivatives and the gradient and Hessian of h at the points."""
+    _, theta = upsilon_theta(a, da, grad_h, hess_h)
     sym = 0.5 * (theta + np.swapaxes(theta, -1, -2))
     smin = symmetric_eigenvalues(sym)[..., 0]
-    gnorm = np.sqrt(np.sum(grad**2, axis=-1))
+    gnorm = np.sqrt(np.sum(grad_h**2, axis=-1))
     return smin, gnorm
 
 
@@ -169,14 +167,20 @@ def certify_pseudoconvex(
     h: Polynomial,
     grid_or_points,
 ) -> PseudoconvexCertificate:
-    """Scan grid nodes (or an explicit point array) for the Theta bound."""
+    """Scan grid nodes (or an explicit point array) for the Theta bound.
+
+    Evaluates A, dA and the derivatives of h at the points for this scan
+    alone; a caller that holds them already passes them to ``theta_scan``.
+    """
     if isinstance(grid_or_points, SpaceTimeGrid):
         pts = grid_or_points.space_points
     else:
         pts = np.asarray(grid_or_points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty grid")
-    return certificate_from_scan(*theta_scan(field, h, pts), pts)
+    scan = theta_scan(field(pts), field.first_derivatives(pts),
+                      h.eval_gradient(pts), h.eval_hessian(pts))
+    return certificate_from_scan(*scan, pts)
 
 
 def certificate_from_scan(

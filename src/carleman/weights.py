@@ -27,7 +27,12 @@ import numpy as np
 from .coefficients import EllipticityReport, MatrixField
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
-from .pseudoconvex import DEFAULT_GRAD_TOL, PseudoconvexCertificate, certify_pseudoconvex
+from .pseudoconvex import (
+    DEFAULT_GRAD_TOL,
+    PseudoconvexCertificate,
+    certificate_from_scan,
+    theta_scan,
+)
 
 __all__ = [
     "TimeProfile",
@@ -157,10 +162,9 @@ class WeightAdmissibility:
         return [v.code for v in self.violations]
 
 
-def _grad_sq_a(psi0: Polynomial, field: MatrixField, pts: np.ndarray):
-    """grad psi0 and |grad psi0|_A^2 on the nodes ``pts``."""
-    grads = psi0.eval_gradient(pts)
-    return grads, np.einsum("...k,...kl,...l->...", grads, field(pts), grads)
+def _grad_sq_a(grad: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|grad psi0|_A^2 from grad psi0 and A at the same nodes."""
+    return np.einsum("...k,...kl,...l->...", grad, a, grad)
 
 
 def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> np.ndarray:
@@ -171,13 +175,22 @@ def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> 
 
 def check_admissibility(
     spec: WeightSpec,
-    field: MatrixField,
+    a: np.ndarray,
+    da: np.ndarray,
+    grad: np.ndarray,
+    hess: np.ndarray,
     grid: SpaceTimeGrid,
     kind: str,
     ellipticity: EllipticityReport | None = None,
 ) -> WeightAdmissibility:
-    """Per-kind admissibility verdict with named violations and witnesses."""
-    if spec.n != field.n:
+    """Per-kind admissibility verdict with named violations and witnesses.
+
+    ``a``, ``da``, ``grad`` and ``hess`` are A, its first derivatives and the
+    gradient and Hessian of ``spec.psi0`` on the space nodes of ``grid``;
+    ``da`` and ``hess`` are read by the pseudo-convexity scan of the wave and
+    Schrodinger kinds only.
+    """
+    if spec.n != a.shape[-1]:
         raise ValueError("weight and coefficient field dimensions disagree")
     if kind not in ("elliptic", "parabolic", "wave", "schrodinger"):
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -192,8 +205,8 @@ def check_admissibility(
             Violation(COND_NONNEG, f"psi attains {min_psi:.6g} < 0 on the grid")
         )
 
-    grads, gsq_a = _grad_sq_a(spec.psi0, field, pts)
-    gnorm = np.sqrt(np.sum(grads**2, axis=-1)).reshape(-1)
+    gsq_a = _grad_sq_a(grad, a)
+    gnorm = np.sqrt(np.sum(grad**2, axis=-1)).reshape(-1)
     i_min = int(np.argmin(gnorm))
     delta0_plain = float(gnorm[i_min])
     delta0 = float(np.min(gsq_a))
@@ -212,7 +225,7 @@ def check_admissibility(
                 )
             )
     else:
-        cert = certify_pseudoconvex(field, spec.psi0, grid)
+        cert = certificate_from_scan(*theta_scan(a, da, grad, hess), pts)
         kappa = cert.kappa
         if not cert.passed:
             violations.append(
@@ -340,7 +353,7 @@ def make_observability_weight(
     if float(np.min(vals0)) < -1e-12:
         raise ValueError("psi0 must be nonnegative")
     m_sup = float(np.max(vals0))
-    _, gsq_a = _grad_sq_a(psi0, field, pts)
+    gsq_a = _grad_sq_a(psi0.eval_gradient(pts), field(pts))
     delta0 = float(np.min(gsq_a))
     if delta0 <= 0.0:
         raise ValueError("psi0 must have a nonvanishing A-gradient (delta0 > 0)")

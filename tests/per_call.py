@@ -1,0 +1,74 @@
+"""Per-call node samples: the readers of A, dA, grad psi0 and hess psi0 called
+with a sample of their own.
+
+The library's readers take the node arrays a command evaluates once and hands
+to all of them.  Tests that exercise one reader at a time call it through
+these wrappers, which evaluate ``field(grid.space_points)``,
+``first_derivatives``, ``eval_gradient`` and ``eval_hessian`` (and assemble the
+operator) for that call alone, with the signatures the readers had before.
+"""
+
+from __future__ import annotations
+
+from carleman.coefficients import certify_ellipticity
+from carleman.operators import (
+    assemble_operator,
+    conjugation_coeffs,
+    conjugation_residual,
+    green_residual,
+    magnetic_expansion_residual,
+    riemannian_identity_residual,
+)
+from carleman.pseudoconvex import theta_scan
+from carleman.weights import check_admissibility
+
+
+def field_sample(field, pts):
+    return field(pts), field.first_derivatives(pts)
+
+
+def weight_sample(psi0, pts):
+    return psi0.eval_gradient(pts), psi0.eval_hessian(pts)
+
+
+def ellipticity(field, grid, **tolerances):
+    pts = grid.space_points
+    return certify_ellipticity(field, *field_sample(field, pts), pts, **tolerances)
+
+
+def admissibility(spec, field, grid, kind, ellipticity=None):
+    pts = grid.space_points
+    return check_admissibility(spec, *field_sample(field, pts),
+                               *weight_sample(spec.psi0, pts), grid, kind,
+                               ellipticity=ellipticity)
+
+
+def scan(field, h, pts):
+    return theta_scan(*field_sample(field, pts), *weight_sample(h, pts))
+
+
+def coeffs(spec, field, kind, tau, grid, admissibility=None):
+    pts = grid.space_points
+    return conjugation_coeffs(spec, *field_sample(field, pts),
+                              *weight_sample(spec.psi0, pts), kind, tau, grid,
+                              admissibility=admissibility)
+
+
+def conjugation(u, spec, field, kind, tau, grid):
+    return conjugation_residual(u, coeffs(spec, field, kind, tau, grid),
+                                assemble_operator(field, None, grid), grid)
+
+
+def green(u, v, field, grid):
+    return green_residual(u, v, field(grid.space_points),
+                          assemble_operator(field, None, grid), grid)
+
+
+def riemannian(field, u, grid):
+    return riemannian_identity_residual(*field_sample(field, grid.space_points),
+                                        assemble_operator(field, None, grid), u, grid)
+
+
+def magnetic(field, b_field, u, grid):
+    return magnetic_expansion_residual(*field_sample(field, grid.space_points),
+                                       b_field, u, grid)

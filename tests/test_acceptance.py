@@ -19,15 +19,9 @@ from carleman import (
     SchrodingerData,
     WaveData,
     build_grid,
-    certify_ellipticity,
-    check_admissibility,
-    conjugation_residual,
     flatten_and_certify_hypersurface,
-    green_residual,
-    magnetic_expansion_residual,
     make_example_weight,
     observability_experiment,
-    riemannian_identity_residual,
     solve_evolution,
     smoothing_bound_check,
     theta_decomposition,
@@ -36,6 +30,7 @@ from carleman.audit import compare_refinement, default_ensemble, sweep_audit
 from carleman.polynomials import Polynomial
 from carleman.pseudoconvex import theta_tensors
 from conftest import interior_bump_spacetime, sine_mode
+import per_call
 
 _TIMINGS = {}
 
@@ -175,7 +170,7 @@ def test_criterion_4_conjugation_identity_refinement():
             field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
             spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=1.0)
             u = interior_bump_spacetime(g)
-            res.append(conjugation_residual(u, spec, field, "wave", 2.0, g))
+            res.append(per_call.conjugation(u, spec, field, "wave", 2.0, g))
         return res
 
     res = _timed(4, 30.0, body)
@@ -203,13 +198,13 @@ def test_criterion_5_canonical_wave_audit():
         drift, stable = compare_refinement(coarse, fine)
 
         # negative controls must name the violated conditions exactly
-        ell = certify_ellipticity(field17, g17)
+        ell = per_call.ellipticity(field17, g17)
         bad_curvature = make_example_weight([-0.5, 0.5], 0.0, 1.0, 0.0, g17, lam=2.0)
-        codes_both = check_admissibility(
+        codes_both = per_call.admissibility(
             bad_curvature, field17, g17, "wave", ellipticity=ell
         ).codes()
         bad_cone = make_example_weight([-0.5, 0.5], 0.0, 0.5, 0.0, g17, lam=2.0)
-        codes_cone = check_admissibility(
+        codes_cone = per_call.admissibility(
             bad_cone, field17, g17, "wave", ellipticity=ell
         ).codes()
         return coarse, fine, stable, codes_both, codes_cone
@@ -318,7 +313,7 @@ def test_criterion_10_structural_identities():
         # green: trivial exactness and asymptotic halving
         g0 = build_grid([0, 0], [1, 1], [17, 17], 0.0, 1.0, 3)
         ident = MatrixField.identity(2, domain=g0.domain)
-        trivial_green = green_residual(
+        trivial_green = per_call.green(
             g0.space_points[..., 0] ** 2, np.zeros(g0.space_shape), ident, g0
         )
         greens = []
@@ -328,34 +323,34 @@ def test_criterion_10_structural_identities():
             x = g.space_points
             u = np.sin(np.pi * x[..., 0]) * np.cos(0.5 * np.pi * x[..., 1])
             v = sine_mode(g, (1, 1))
-            greens.append(green_residual(u, v, field, g))
+            greens.append(per_call.green(u, v, field, g))
 
         # riemannian: trivial cases exact, variable field second order
         g3 = build_grid([0, 0, 0], [1, 1, 1], [9, 9, 9], 0.0, 1.0, 3)
         ident3 = MatrixField.identity(3, domain=g3.domain)
-        trivial_riem = riemannian_identity_residual(
+        trivial_riem = per_call.riemannian(
             ident3, sine_mode(g3, (1, 1, 1)), g3
         )
         const3 = MatrixField.constant(np.diag([1.0, 1.0, 4.0]), domain=g3.domain)
-        trivial_riem_c = riemannian_identity_residual(
+        trivial_riem_c = per_call.riemannian(
             const3, sine_mode(g3, (1, 1, 1)), g3
         )
         riems = []
         for nodes in (9, 17):
             g = build_grid([0, 0, 0], [1, 1, 1], [nodes] * 3, 0.0, 1.0, 3)
             field = MatrixField.scalar_affine(3, 1.0, [0.2, 0.0, 0.1], domain=g.domain)
-            riems.append(riemannian_identity_residual(field, sine_mode(g, (1, 1, 1)), g))
+            riems.append(per_call.riemannian(field, sine_mode(g, (1, 1, 1)), g))
 
         # magnetic: b = 0 exact, variable b second order
         zero_b = [Polynomial(2, {}), Polynomial(2, {})]
-        trivial_mag = magnetic_expansion_residual(ident, zero_b, sine_mode(g0, (1, 1)), g0)
+        trivial_mag = per_call.magnetic(ident, zero_b, sine_mode(g0, (1, 1)), g0)
         mags = []
         for nodes in (17, 33):
             g = build_grid([0, 0], [1, 1], [nodes, nodes], 0.0, 1.0, 3)
             field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
             b = [Polynomial.coordinate(2, 1), Polynomial.coordinate(2, 0) * 0.5]
             u = sine_mode(g, (1, 1)) * np.exp(1j * 2.0 * g.space_points[..., 0])
-            mags.append(magnetic_expansion_residual(field, b, u, g))
+            mags.append(per_call.magnetic(field, b, u, g))
         return trivial_green, greens, trivial_riem, trivial_riem_c, riems, trivial_mag, mags
 
     (trivial_green, greens, trivial_riem, trivial_riem_c, riems,

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from carleman import (
     MatrixField,
     build_grid,
-    certify_ellipticity,
-    check_admissibility,
     integrate_dmu,
     make_example_weight,
     negative_control,
@@ -28,6 +26,7 @@ from carleman.operators import LowerOrderCoeffs
 from carleman.solvers import gamma_plus
 from conftest import interior_bump_spacetime, interior_bump_space
 from reference_sides import reference_sides
+import per_call
 
 
 @pytest.fixture
@@ -432,9 +431,9 @@ def test_lower_order_terms_reduce_ratio(canonical):
 
 def test_negative_control_stamps_report(canonical):
     grid, field, _ = canonical
-    ell = certify_ellipticity(field, grid)
+    ell = per_call.ellipticity(field, grid)
     bad = make_example_weight([-0.5, 0.5], 0.0, 10.0 * 0.5, 0.0, grid, lam=2.0)
-    adm = check_admissibility(bad, field, grid, "wave", ellipticity=ell)
+    adm = per_call.admissibility(bad, field, grid, "wave", ellipticity=ell)
     assert not adm.passed
     ens = default_ensemble(grid, 5, count=4)
     report = negative_control(
@@ -447,8 +446,8 @@ def test_negative_control_stamps_report(canonical):
 
 def test_negative_control_rejects_admissible(canonical):
     grid, field, spec = canonical
-    ell = certify_ellipticity(field, grid)
-    adm = check_admissibility(spec, field, grid, "wave", ellipticity=ell)
+    ell = per_call.ellipticity(field, grid)
+    adm = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert adm.passed
     with pytest.raises(ValueError, match="sweep_audit"):
         negative_control([np.zeros(grid.shape)], spec, field, None, "wave_full",

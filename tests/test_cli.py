@@ -217,11 +217,39 @@ def _put(block, key, value):
          "error: weight: could not convert string to float: 'abc'"),
         ("theta", _put("theta", "points", [[0.5]]),
          "error: theta: points last axis 1 != nvars 2"),
+        ("flatten", _put("flatten", "radius", -0.5),
+         "error: flatten: radius must be a positive finite number, got -0.5"),
+        ("flatten", _put("flatten", "radius", 0),
+         "error: flatten: radius must be a positive finite number, got 0"),
+        ("flatten", _put("flatten", "radius", float("inf")),
+         "error: flatten: radius must be a positive finite number, got inf"),
+        ("flatten", _put("flatten", "radius", float("nan")),
+         "error: flatten: radius must be a positive finite number, got nan"),
+        ("flatten", _put("flatten", "radius", "wide"),
+         "error: flatten: radius must be a positive finite number, got 'wide'"),
+        ("identities", _put("identities", "tau", float("inf")),
+         "error: identities: tau must be a positive finite number, got inf"),
+        ("identities", _put("identities", "tau", float("nan")),
+         "error: identities: tau must be a positive finite number, got nan"),
+        ("identities", _put("identities", "tau", -1),
+         "error: identities: tau must be a positive finite number, got -1"),
+        ("identities", _put("identities", "tau", "big"),
+         "error: identities: tau must be a positive finite number, got 'big'"),
+        ("certify", _put("coefficients", "kappa_max", float("nan")),
+         "error: coefficients: kappa_max must be a positive number, got nan"),
+        ("certify", _put("coefficients", "m_max", float("nan")),
+         "error: coefficients: m_max must be a positive number, got nan"),
+        ("certify", _put("coefficients", "kappa_max", "tight"),
+         "error: coefficients: kappa_max must be a positive number, got 'tight'"),
+        ("certify", _put("coefficients", "m_max", True),
+         "error: coefficients: m_max must be a positive number, got True"),
     ],
     ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list",
          "nodes-fraction", "nodes-too-few", "nt-fraction", "seed-fraction", "seed-text",
          "seed-negative", "mode-fraction", "mode-not-a-list", "lambda-text", "shift-text",
-         "theta-point-too-short"],
+         "theta-point-too-short", "radius-negative", "radius-zero", "radius-inf",
+         "radius-nan", "radius-text", "tau-inf", "tau-nan", "tau-negative", "tau-text",
+         "kappa-max-nan", "m-max-nan", "kappa-max-text", "m-max-bool"],
 )
 def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, probe, message):
     cfg = _shipped_wave_audit()
@@ -231,6 +259,15 @@ def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, pro
     assert run(command, path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == message + "\n"
+    # a number checked before any scan: no report is written
+    if command in ("flatten", "identities") or "_max" in message:
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+def test_certify_accepts_infinite_tolerances(tmp_path):
+    cfg, _ = write_config(tmp_path, coefficients={
+        "family": "identity", "kappa_max": float("inf"), "m_max": float("inf")})
+    assert run("certify", cfg, tmp_path / "out") == 0
 
 
 def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys):
@@ -567,7 +604,7 @@ def test_theta_scan_csv_matches_frozen_rows(tmp_path, grid, coefficients):
     """theta_scan.csv formats each axis value once; its bytes equal the rows
     of node coordinates, theta_sym_min and grad_norm written the old way."""
     from carleman.cli import build_coefficients_from, build_grid_from, build_weight_from
-    from carleman.pseudoconvex import theta_scan
+    from per_call import scan
     from reference_reports import write_csv as frozen_write_csv
 
     n = len(grid["lows"])
@@ -581,7 +618,7 @@ def test_theta_scan_csv_matches_frozen_rows(tmp_path, grid, coefficients):
     g = build_grid_from(cfg)
     field = build_coefficients_from(cfg, g)
     spec, _ = build_weight_from(cfg, field, g)
-    smin, gnorm = theta_scan(field, spec.psi0, g.space_points)
+    smin, gnorm = scan(field, spec.psi0, g.space_points)
     pts = g.space_points.reshape(-1, n)
     frozen_write_csv(
         tmp_path / "frozen.csv",
@@ -610,6 +647,62 @@ def test_theta_command_scans_once(tmp_path, monkeypatch):
     cfg, _ = write_config(tmp_path)
     assert run("theta", cfg, tmp_path / "out") == 0
     assert len(calls) == 1
+
+
+_CONFIG_3D = {
+    "grid": {"lows": [0.0, 0.0, 0.0], "highs": [1.0, 1.0, 1.0], "nodes": [9, 8, 8],
+             "t1": 0.0, "t2": 1.0, "nt": 3},
+    "coefficients": {"family": "scalar_affine", "a0": 1.0, "linear": [0.2, -0.1, 0.05]},
+    "weight": {"family": "example", "x0": [-0.5, 0.5, 0.5], "lambda": 1.0},
+    "theta": {"points": [[0.5, 0.5, 0.5]]},
+    "identities": {"tau": 1.0},
+}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("certify", {"A": 1, "dA": 1, "grad": 1, "hess": 1}),
+    ("theta", {"A": 1, "dA": 1, "grad": 1, "hess": 1}),
+    ("identities", {"A": 1, "dA": 1, "grad": 1, "hess": 1, "assemble_operator": 1}),
+])
+def test_command_samples_the_nodes_once(tmp_path, monkeypatch, command, expected):
+    """A certify-family command evaluates A, its first derivatives and the
+    gradient and Hessian of psi0 on the grid nodes once each, and identities
+    assembles the operator once, for all of its readers."""
+    import carleman.cli as cli
+    import carleman.operators as ops
+    from carleman.coefficients import MatrixField
+    from carleman.polynomials import Polynomial
+
+    # certify and theta on the wave kind, whose admissibility scans Theta;
+    # identities on the elliptic kind, as the fields-3d benchmark runs it
+    kind = "elliptic" if command == "identities" else "wave"
+    cfg_path, cfg = write_config(tmp_path, **_CONFIG_3D, equation={"kind": kind})
+    nodes = cli.build_grid_from(cfg).space_points.shape
+    counts = {}
+
+    def count(owner, attr, name):
+        fn = getattr(owner, attr)
+
+        def counted(self, pts):
+            if np.shape(pts) == nodes:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(self, pts)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(MatrixField, "__call__", "A")
+    count(MatrixField, "first_derivatives", "dA")
+    count(Polynomial, "eval_gradient", "grad")
+    count(Polynomial, "eval_hessian", "hess")
+    assemble = ops.assemble_operator
+
+    def assembling(*args):
+        counts["assemble_operator"] = counts.get("assemble_operator", 0) + 1
+        return assemble(*args)
+
+    monkeypatch.setattr(ops, "assemble_operator", assembling)
+    monkeypatch.setattr(cli, "assemble_operator", assembling, raising=False)
+    assert run(command, cfg_path, tmp_path / "out") == 0
+    assert counts == expected
 
 
 def test_flatten_command(tmp_path):

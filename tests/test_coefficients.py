@@ -13,6 +13,7 @@ from carleman import (
 )
 from carleman.coefficients import symmetric_eigenvalues
 from carleman.polynomials import poly_from_table
+import per_call
 
 
 @pytest.fixture
@@ -109,20 +110,20 @@ def test_closed_form_eigenvalues_match_lapack():
 
 def test_certify_identity(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
-    rep = certify_ellipticity(field, grid2)
+    rep = per_call.ellipticity(field, grid2)
     assert rep.kappa_estimate == pytest.approx(1.0)
 
 
 def test_certify_constant_diag(grid2):
     field = MatrixField.constant(np.diag([2.0, 0.5]), domain=grid2.domain)
-    rep = certify_ellipticity(field, grid2)
+    rep = per_call.ellipticity(field, grid2)
     assert rep.kappa_estimate == pytest.approx(2.0)
     assert rep.lambda_min == pytest.approx(0.5)
 
 
 def test_certify_scalar_affine(grid2):
     field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=grid2.domain)
-    rep = certify_ellipticity(field, grid2)
+    rep = per_call.ellipticity(field, grid2)
     assert rep.lambda_min == pytest.approx(1.0)
     assert rep.lambda_max == pytest.approx(1.1)
     assert rep.kappa_estimate == pytest.approx(1.1)
@@ -130,9 +131,9 @@ def test_certify_scalar_affine(grid2):
 
 def test_certify_tolerances(grid2):
     field = MatrixField.constant(np.diag([2.0, 0.5]), domain=grid2.domain)
-    rep = certify_ellipticity(field, grid2, kappa_tolerance=1.5)
+    rep = per_call.ellipticity(field, grid2, kappa_tolerance=1.5)
     assert not rep.passed
-    rep2 = certify_ellipticity(field, grid2, kappa_tolerance=2.5, m_tolerance=10.0)
+    rep2 = per_call.ellipticity(field, grid2, kappa_tolerance=2.5, m_tolerance=10.0)
     assert rep2.passed
 
 
@@ -160,9 +161,9 @@ def test_rotation_preserves_spectrum_and_kappa():
     e_src = np.linalg.eigvalsh(field(rot.inverse_apply(pts)))
     assert np.max(np.abs(e_rot - e_src)) < 1e-10
 
-    rep_src = certify_ellipticity(field, grid)
+    rep_src = per_call.ellipticity(field, grid)
     grid_rot = build_grid([-1, 0], [0, 1], [9, 9], 0.0, 1.0, 3)
-    rep_rot = certify_ellipticity(rotated, grid_rot)
+    rep_rot = per_call.ellipticity(rotated, grid_rot)
     assert rep_rot.kappa_estimate == pytest.approx(rep_src.kappa_estimate, abs=1e-10)
 
 
@@ -199,7 +200,7 @@ def test_higher_derivative_tables_built_on_first_use():
     field(g.space_points)
     field.first_derivatives(g.space_points)
     assert "_d2" not in vars(field) and "_d3" not in vars(field)
-    rep = certify_ellipticity(field, g)
+    rep = per_call.ellipticity(field, g)
     assert rep.passed
     assert "_d3" in vars(field) and field._d3 is field._d3
 
@@ -246,7 +247,7 @@ def test_m_estimate_equals_stacked_tensor_max():
         (cubic_3d, build_grid([-1, -1, -1], [1, 1, 1], [9, 9, 9], 0.0, 1.0, 3), None),
     ]
     for field, grid, expected in cases:
-        m = certify_ellipticity(field, grid).m_estimate
+        m = per_call.ellipticity(field, grid).m_estimate
         assert m == _stacked_m_estimate(field, grid.space_points)
         if expected is not None:
             assert m == pytest.approx(expected, rel=1e-12)

@@ -6,16 +6,13 @@ from carleman import (
     RiemannianField,
     apply_operator,
     build_grid,
-    conjugation_coeffs,
-    conjugation_residual,
-    green_residual,
-    magnetic_expansion_residual,
     make_example_weight,
     riemannian_identity_residual,
 )
 from carleman.operators import LowerOrderCoeffs, assemble_operator, laplacian_flux
 from carleman.polynomials import Polynomial, poly_from_table
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
+import per_call
 
 
 @pytest.fixture
@@ -136,14 +133,14 @@ def wave_weight_setup():
 
 def test_wave_a_equals_chi_route(wave_weight_setup):
     g, field, spec = wave_weight_setup
-    cc = conjugation_coeffs(spec, field, "wave", 3.0, g)
+    cc = per_call.coeffs(spec, field, "wave", 3.0, g)
     alt = cc.tau**2 * spec.lam**2 * cc.phi**2 * cc.chi
     assert np.max(np.abs(cc.a - alt)) <= 1e-10 * np.max(np.abs(cc.a))
 
 
 def test_wave_b_cross_check(wave_weight_setup):
     g, field, spec = wave_weight_setup
-    cc = conjugation_coeffs(spec, field, "wave", 3.0, g)
+    cc = per_call.coeffs(spec, field, "wave", 3.0, g)
     pts = g.space_points
     hess0 = spec.psi0.eval_hessian(pts)
     grad0 = spec.psi0.eval_gradient(pts)
@@ -160,7 +157,7 @@ def test_wave_b_cross_check(wave_weight_setup):
 def test_zero_time_profile_kills_d(wave_weight_setup):
     g, field, _ = wave_weight_setup
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, g, lam=2.0)
-    cc = conjugation_coeffs(spec, field, "wave", 2.0, g)
+    cc = per_call.coeffs(spec, field, "wave", 2.0, g)
     assert np.max(np.abs(cc.d)) == 0.0
 
 
@@ -172,7 +169,7 @@ def test_elliptic_coefficients_hand_value():
     from carleman.weights import TimeProfile, WeightSpec
 
     spec = WeightSpec(psi0=spec_psi0, psi1=TimeProfile.zero(), shift=0.0, lam=1.0)
-    cc = conjugation_coeffs(spec, field, "elliptic", 2.5, g)
+    cc = per_call.coeffs(spec, field, "elliptic", 2.5, g)
     phi = np.exp(g.space_points[..., 0])
     assert np.allclose(cc.b, -2.0 * 2.5 * phi, atol=1e-12)
     assert np.allclose(cc.c, 2.5 * phi, atol=1e-12)
@@ -182,30 +179,28 @@ def test_elliptic_coefficients_hand_value():
 def test_conjugation_rejects_bad_tau(wave_weight_setup):
     g, field, spec = wave_weight_setup
     with pytest.raises(ValueError, match="tau"):
-        conjugation_coeffs(spec, field, "wave", 0.0, g)
+        per_call.coeffs(spec, field, "wave", 0.0, g)
 
 
 def test_conjugation_warns_on_inadmissible(wave_weight_setup):
     g, field, spec = wave_weight_setup
-    from carleman import certify_ellipticity, check_admissibility
-
     bad = make_example_weight([-0.5, 0.5], 0.0, 5.0, 0.0, g, lam=2.0)
-    adm = check_admissibility(bad, field, g, "wave",
-                              ellipticity=certify_ellipticity(field, g))
+    adm = per_call.admissibility(bad, field, g, "wave",
+                                 ellipticity=per_call.ellipticity(field, g))
     with pytest.warns(UserWarning, match="not admissible"):
-        conjugation_coeffs(bad, field, "wave", 2.0, g, admissibility=adm)
+        per_call.coeffs(bad, field, "wave", 2.0, g, admissibility=adm)
 
 
 def test_conjugation_residual_zero_field(wave_weight_setup):
     g, field, spec = wave_weight_setup
-    assert conjugation_residual(np.zeros(g.shape), spec, field, "wave", 2.0, g) == 0.0
+    assert per_call.conjugation(np.zeros(g.shape), spec, field, "wave", 2.0, g) == 0.0
 
 
 def test_conjugation_residual_support_check(wave_weight_setup):
     g, field, spec = wave_weight_setup
     u = np.ones(g.shape)
     with pytest.raises(ValueError, match="margin"):
-        conjugation_residual(u, spec, field, "wave", 2.0, g)
+        per_call.conjugation(u, spec, field, "wave", 2.0, g)
 
 
 @pytest.mark.parametrize("kind", ["wave", "parabolic", "schrodinger", "elliptic"])
@@ -220,7 +215,7 @@ def test_conjugation_residual_second_order(kind):
         gamma = 0.0 if kind == "elliptic" else 0.25
         spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, g, lam=1.0)
         u = interior_bump_space(g) if kind == "elliptic" else interior_bump_spacetime(g)
-        res.append(conjugation_residual(u, spec, field, kind, 2.0, g))
+        res.append(per_call.conjugation(u, spec, field, kind, 2.0, g))
     assert 3.0 <= res[0] / res[1] <= 5.0
 
 
@@ -230,7 +225,7 @@ def test_conjugation_residual_second_order(kind):
 def test_green_zero_v_is_exact(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     u = grid2.space_points[..., 0] ** 2
-    assert green_residual(u, np.zeros(grid2.space_shape), field, grid2) == 0.0
+    assert per_call.green(u, np.zeros(grid2.space_shape), field, grid2) == 0.0
 
 
 def test_green_first_order_example():
@@ -240,7 +235,7 @@ def test_green_first_order_example():
         field = MatrixField.identity(2, domain=g.domain)
         u = g.space_points[..., 0] ** 2
         v = g.space_points[..., 1]
-        vals.append(green_residual(u, v, field, g))
+        vals.append(per_call.green(u, v, field, g))
     assert vals[0] < 0.5
     assert vals[1] < 0.6 * vals[0]  # at least first order
 
@@ -251,7 +246,7 @@ def test_green_zero_trace_v_drops_boundary_term():
     u = np.sin(np.pi * g.space_points[..., 0]) * np.cos(0.5 * np.pi * g.space_points[..., 1])
     v = sine_mode(g, (1, 1))
     # with v = 0 on the boundary the defect reduces to interior consistency
-    r = green_residual(u, v, field, g)
+    r = per_call.green(u, v, field, g)
     assert r < 0.02
 
 
@@ -259,14 +254,14 @@ def test_riemannian_identity_exact_for_identity_field():
     g = build_grid([0, 0, 0], [1, 1, 1], [9, 9, 9], 0.0, 1.0, 3)
     field = MatrixField.identity(3, domain=g.domain)
     u = np.sin(np.pi * g.space_points[..., 0])
-    assert riemannian_identity_residual(field, u, g) <= 1e-12
+    assert per_call.riemannian(field, u, g) <= 1e-12
 
 
 def test_riemannian_constant_diag_exact():
     g = build_grid([0, 0, 0], [1, 1, 1], [9, 9, 9], 0.0, 1.0, 3)
     field = MatrixField.constant(np.diag([1.0, 1.0, 4.0]), domain=g.domain)
     u = np.sin(np.pi * g.space_points[..., 0])
-    assert riemannian_identity_residual(field, u, g) <= 1e-11
+    assert per_call.riemannian(field, u, g) <= 1e-11
 
 
 def test_riemannian_variable_second_order():
@@ -275,7 +270,7 @@ def test_riemannian_variable_second_order():
         g = build_grid([0, 0, 0], [1, 1, 1], [nodes] * 3, 0.0, 1.0, 3)
         field = MatrixField.scalar_affine(3, 1.0, [0.2, 0.0, 0.1], domain=g.domain)
         u = sine_mode(g, (1, 1, 1))
-        vals.append(riemannian_identity_residual(field, u, g))
+        vals.append(per_call.riemannian(field, u, g))
     assert 3.0 <= vals[0] / vals[1] <= 5.0
 
 
@@ -283,13 +278,13 @@ def test_riemannian_rejects_low_dimension():
     g = build_grid([0, 0], [1, 1], [5, 5], 0.0, 1.0, 3)
     field = MatrixField.identity(2, domain=g.domain)
     with pytest.raises(ValueError, match="metric exponent undefined for n=2"):
-        riemannian_identity_residual(field, np.ones(g.space_shape), g)
+        per_call.riemannian(field, np.ones(g.space_shape), g)
 
 
 def test_riemannian_metric_structure():
     g = build_grid([0, 0, 0], [1, 1, 1], [5, 5, 5], 0.0, 1.0, 3)
     field = MatrixField.constant(np.diag([1.0, 1.0, 4.0]), domain=g.domain)
-    metric = RiemannianField(field, g)
+    metric = RiemannianField(*per_call.field_sample(field, g.space_points))
     # sqrt|g| = |det A|^(1/(n-2)) = 4 for n = 3
     assert np.allclose(metric.sqrt_det_g, 4.0)
     eigs = np.linalg.eigvalsh(metric.g)
@@ -297,16 +292,17 @@ def test_riemannian_metric_structure():
 
 
 def test_riemannian_residual_evaluates_a_once_beyond_the_assembly(monkeypatch):
-    """The residual reads the metric's node sample of A instead of evaluating
-    A again."""
+    """The residual and its metric read the node sample of A they are given:
+    A is evaluated once, for that sample, beyond the assembly."""
     g = build_grid([0, 0, 0], [1, 1, 1], [7, 7, 7], 0.0, 1.0, 3)
     field = MatrixField.scalar_affine(3, 1.0, [0.2, 0.0, 0.1], domain=g.domain)
     calls = []
     call = MatrixField.__call__
     monkeypatch.setattr(MatrixField, "__call__", lambda f, x: calls.append(1) or call(f, x))
-    assemble_operator(field, None, g)
+    mat = assemble_operator(field, None, g)
     assembly = len(calls)
-    riemannian_identity_residual(field, sine_mode(g, (1, 1, 1)), g)
+    a, da = field(g.space_points), field.first_derivatives(g.space_points)
+    riemannian_identity_residual(a, da, mat, sine_mode(g, (1, 1, 1)), g)
     assert len(calls) - assembly == assembly + 1
 
 
@@ -314,7 +310,7 @@ def test_magnetic_zero_b_exact(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     u = sine_mode(grid2, (1, 1))
     zero_b = [Polynomial(2, {}), Polynomial(2, {})]
-    assert magnetic_expansion_residual(field, zero_b, u, grid2) <= 1e-12
+    assert per_call.magnetic(field, zero_b, u, grid2) <= 1e-12
 
 
 def test_magnetic_constant_b_nearly_exact():
@@ -324,7 +320,7 @@ def test_magnetic_constant_b_nearly_exact():
     field = MatrixField.identity(2, domain=g.domain)
     b = [Polynomial.constant(2, 0.7), Polynomial.constant(2, -0.3)]
     u = sine_mode(g, (1, 2)).astype(complex)
-    assert magnetic_expansion_residual(field, b, u, g) < 1e-12
+    assert per_call.magnetic(field, b, u, g) < 1e-12
 
 
 def test_magnetic_variable_b_second_order():
@@ -335,7 +331,7 @@ def test_magnetic_variable_b_second_order():
         b = [Polynomial.coordinate(2, 1), Polynomial.coordinate(2, 0) * 0.5]
         x = g.space_points
         u = sine_mode(g, (1, 1)) * np.exp(1j * 2 * x[..., 0])
-        vals.append(magnetic_expansion_residual(field, b, u, g))
+        vals.append(per_call.magnetic(field, b, u, g))
     assert 3.0 <= vals[0] / vals[1] <= 5.0
 
 
@@ -346,7 +342,7 @@ def test_magnetic_unit_field_reduction():
     field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
     b = [Polynomial.coordinate(2, 1), Polynomial.coordinate(2, 0) * 0.5]
     u = np.ones(g.space_shape, dtype=complex)
-    assert magnetic_expansion_residual(field, b, u, g) < 5e-3
+    assert per_call.magnetic(field, b, u, g) < 5e-3
 
 
 def _variable_table(n):
@@ -371,7 +367,7 @@ def test_magnetic_residual_matches_frozen_nested_laplacian(n):
     u = sine_mode(g, (1, 2, 1)[:n]) * np.exp(1j * g.space_points[..., 0])
     coords = [Polynomial.coordinate(n, (ax + 1) % n) for ax in range(n)]
     for b in (coords, [Polynomial(n, {})] * n):
-        assert magnetic_expansion_residual(field, b, u, g) == frozen(field, b, u, g)
+        assert per_call.magnetic(field, b, u, g) == frozen(field, b, u, g)
 
 
 def test_lower_order_declared_bound_validated():

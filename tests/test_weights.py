@@ -6,8 +6,6 @@ import pytest
 from carleman import (
     MatrixField,
     build_grid,
-    certify_ellipticity,
-    check_admissibility,
     make_example_weight,
     make_observability_weight,
     ucp_region_certificate,
@@ -20,13 +18,14 @@ from carleman.weights import (
     UCPGeometry,
     WeightSpec,
 )
+import per_call
 
 
 @pytest.fixture
 def wave_setup():
     grid = build_grid([0, 0], [1, 1], [17, 17], -1.0, 1.0, 33)
     field = MatrixField.identity(2, domain=grid.domain)
-    ell = certify_ellipticity(field, grid)
+    ell = per_call.ellipticity(field, grid)
     return grid, field, ell
 
 
@@ -59,14 +58,14 @@ def test_example_weight_interior_center_rejected(unit_square_grid):
 def test_elliptic_admissibility_quadratic_weight(wave_setup):
     grid, field, ell = wave_setup
     spec = make_example_weight([-1.0, 0.5], 0.0, 0.0, 0.0, grid)
-    rep = check_admissibility(spec, field, grid, "elliptic", ellipticity=ell)
+    rep = per_call.admissibility(spec, field, grid, "elliptic", ellipticity=ell)
     assert rep.passed
 
 
 def test_wave_admissibility_canonical_pass(wave_setup):
     grid, field, ell = wave_setup
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
-    rep = check_admissibility(spec, field, grid, "wave", ellipticity=ell)
+    rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert rep.passed
     assert rep.kappa == pytest.approx(2.0)
     # delta equals the grid minimum of the squared bracket: (d^2 - s^2 g^2)^2
@@ -80,7 +79,7 @@ def test_wave_admissibility_gamma_at_twice_bound_fails(wave_setup):
     kappa, vk = 2.0, 1.0
     gamma = 2.0 * min(d / sigma, kappa / (4.0 * vk))
     spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
-    rep = check_admissibility(spec, field, grid, "wave", ellipticity=ell)
+    rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert not rep.passed
     codes = rep.codes()
     assert COND_WAVE_CURVATURE in codes
@@ -94,7 +93,7 @@ def test_wave_admissibility_monotone_in_gamma(wave_setup):
     passes = []
     for gamma in gammas:
         spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
-        passes.append(check_admissibility(spec, field, grid, "wave", ellipticity=ell).passed)
+        passes.append(per_call.admissibility(spec, field, grid, "wave", ellipticity=ell).passed)
     for small, big in zip(passes, passes[1:]):
         if big:
             assert small
@@ -104,20 +103,20 @@ def test_wave_admissibility_requires_ellipticity_report(wave_setup):
     grid, field, _ = wave_setup
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid)
     with pytest.raises(ValueError, match="ellipticity"):
-        check_admissibility(spec, field, grid, "wave")
+        per_call.admissibility(spec, field, grid, "wave")
 
 
 def test_schrodinger_admissibility_uses_pseudoconvexity(wave_setup):
     grid, field, ell = wave_setup
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid)
-    rep = check_admissibility(spec, field, grid, "schrodinger", ellipticity=ell)
+    rep = per_call.admissibility(spec, field, grid, "schrodinger", ellipticity=ell)
     assert rep.passed and rep.kappa == pytest.approx(2.0)
 
 
 def test_delta_consistency_with_independent_scan(wave_setup):
     grid, field, ell = wave_setup
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
-    rep = check_admissibility(spec, field, grid, "wave", ellipticity=ell)
+    rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     grads = spec.psi0.eval_gradient(grid.space_points)
     gsq = np.sum(grads**2, axis=-1)
     dt = spec.psi1.dt(grid.times)
@@ -269,4 +268,4 @@ def test_admissibility_unknown_kind_rejected(unit_square_grid):
     field = MatrixField.identity(2, domain=unit_square_grid.domain)
     spec = make_example_weight([-1.0, 0.0], 0.0, 0.0, 0.0, unit_square_grid)
     with pytest.raises(ValueError, match="kind"):
-        check_admissibility(spec, field, unit_square_grid, "hyperbolic")
+        per_call.admissibility(spec, field, unit_square_grid, "hyperbolic")

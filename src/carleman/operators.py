@@ -527,10 +527,11 @@ def green_residual(
 
 
 class RiemannianField:
-    """Conformal metric built from A for n >= 3; g = |det A|^(1/(n-2)) A^(-1).
+    """Conformal metric built from A for n = 3; g = |det A|^(1/(n-2)) A^(-1).
 
     Built from node samples ``a_vals`` of A and ``da_vals`` of its first
-    derivatives, which it holds."""
+    derivatives, which it holds.  det A and its gradient come from the 3 x 3
+    cofactors of A, so A is never inverted."""
 
     def __init__(self, a_vals: np.ndarray, da_vals: np.ndarray):
         self.n = a_vals.shape[-1]
@@ -538,20 +539,28 @@ class RiemannianField:
             raise ValueError(f"metric exponent undefined for n={self.n}")
         self.a_vals = a_vals
         self.da_vals = da_vals
-        det = np.linalg.det(self.a_vals)
+        # C_kl = a_(k+1)(l+1) a_(k+2)(l+2) - a_(k+1)(l+2) a_(k+2)(l+1), indices mod 3;
+        # entry by entry, so no temporary is larger than one node array
+        a = a_vals
+        self.cofactors = np.empty_like(a)
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            for l in range(3):
+                l1, l2 = (l + 1) % 3, (l + 2) % 3
+                self.cofactors[..., k, l] = (a[..., k1, l1] * a[..., k2, l2]
+                                             - a[..., k1, l2] * a[..., k2, l1])
+        det = sum(a[..., 0, l] * self.cofactors[..., 0, l] for l in range(3))
         if float(np.min(np.abs(det))) <= 0.0:
             raise ValueError("det A must be bounded away from zero")
         expo = 1.0 / (self.n - 2.0)
         self.det_a = det
         self.sqrt_det_g = np.abs(det) ** expo
         self.inv_scale = np.abs(det) ** (-expo)  # 1 / sqrt|g|
-        self.inv_a = np.linalg.inv(self.a_vals)
-        self.g = self.sqrt_det_g[..., None, None] * self.inv_a
 
     def inv_scale_gradient(self) -> np.ndarray:
-        """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula."""
-        trace = np.einsum("...lk,...klp->...p", self.inv_a, self.da_vals)
-        ddet = self.det_a[..., None] * trace
+        """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula,
+        d_p det A = trace(adj(A) d_p A) = sum_kl C_kl d_p a_kl."""
+        ddet = np.einsum("...kl,...klp->...p", self.cofactors, self.da_vals)
         expo = 1.0 / (self.n - 2.0)
         sign = np.sign(self.det_a)[..., None]
         return -expo * np.abs(self.det_a)[..., None] ** (-expo - 1.0) * sign * ddet

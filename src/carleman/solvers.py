@@ -2,19 +2,30 @@
 Schrodinger, boundary traces, energies and the semigroup smoothing-bound
 check.
 
-One private level loop, ``_march``, checks the data once, takes the
-interior block L of ``operators.assemble_operator`` once and advances the
+One private level loop, ``_march``, checks the data once and advances the
 interior nodes of K runs level by level as an ``(N_int, K)`` block; one
 run is a K = 1 block.  It has two step rules: the explicit leapfrog for
-wave, one sparse product per step, and for heat (c = 1) and Schrodinger
+wave, one sparse product per step with the interior block L of
+``operators.assemble_operator``, and for heat (c = 1) and Schrodinger
 (c = i) the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt
-f_mid``, whose matrix is factorized once and solved with all K right-hand
-sides per step.  For Schrodinger the trapezoid step is a Cayley transform
-of the symmetric discrete operator, so the L2 norm is conserved to
+f_mid``.  The trapezoid rule takes one of two routes.  A run without first-
+or zero-order terms or source, whose A is axis-separable with positive
+definite per-axis tridiagonals (every half-point a_kk positive), takes the
+modal route: -L is the Kronecker sum of those tridiagonals, so the step is
+diagonal in the products of their eigenvectors, mode mu being multiplied by
+``(1 - c dt mu/2) / (1 + c dt mu/2)``.  LAPACK ``dpteqr`` gives the per-axis
+eigenpairs, the data are transformed into modal coefficients once, and
+each level is transformed back; nothing is assembled or factorized.  Every
+other run takes the LU route: L is assembled, ``I - c dt/2 L`` is
+factorized once by ``splu`` and solved with all K right-hand sides per
+step.  For Schrodinger the trapezoid step is a Cayley transform of the
+symmetric discrete operator, so on either route the L2 norm is conserved to
 rounding, which the conservation checks rely on.  A CSR product with a
-dense block keeps each column's summation order, so each column of a block
-follows its single run's arithmetic (the real multi-right-hand-side
-SuperLU solve of heat rounds differently, at the 1e-16 level).
+dense block keeps each column's summation order, and the modal transforms
+act on each datum by products whose shapes do not depend on K, so each
+column of a block follows its single run's arithmetic (the real
+multi-right-hand-side SuperLU solve of heat rounds differently, at the
+1e-16 level).
 
 Callers say what they keep.  ``solve_evolution`` runs one datum and keeps
 the space-time array, whose boundary ring stays zero, the velocity and
@@ -253,11 +264,15 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
            t_final: float, grid: SpaceTimeGrid):
     """Check the data of one kind once and set up their level loop.
 
-    Returns the all-node operator, the dtype and a generator of the interior
-    levels 0, ..., nt - 1 in C order: ``(N_int, K)`` blocks with one column
-    per datum.  A CSR product with a dense block keeps each column's
-    summation order, so a column follows the arithmetic of its single run.
-    A non-finite value at any level of any column raises ``FloatingPointError``.
+    Returns the all-node operator (None on the modal route, which assembles
+    nothing), the dtype and a generator of the interior levels 0, ..., nt - 1
+    in C order: ``(N_int, K)`` blocks with one column per datum.  Wave runs
+    the leapfrog; heat and Schrodinger run the trapezoid rule on the modal
+    route when there is no lower-order term and no source and A is
+    axis-separable with positive definite per-axis tridiagonals, and on the
+    ``splu`` route otherwise.  A column follows the arithmetic of its single
+    run.  A non-finite value at any level of any column raises
+    ``FloatingPointError``.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown evolution kind {kind!r}")
@@ -280,9 +295,15 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     sources = [None if s is None else np.asarray(s) for s in sources]
     if any(s is not None and s.shape != grid.shape for s in sources):
         raise ValueError(f"{kind} source must be a space-time array")
-    inner, _ = _interior(grid)
-    full = assemble_operator(field, lower, grid)
-    mat = _interior_block(full, grid)
+    inner, inner_shape = _interior(grid)
+    forced = any(s is not None for s in sources)
+    modal = None  # per axis (eigenvalues, eigenvectors) on the modal route
+    if not wave and lower is None and not forced and _axis_separable(field):
+        modal = _axis_eigenpairs(field, grid)
+    full = mat = None
+    if modal is None:
+        full = assemble_operator(field, lower, grid)
+        mat = _interior_block(full, grid)
 
     def columns(arrays) -> np.ndarray:  # interior values of space arrays
         return np.stack([a[inner].reshape(-1) for a in arrays], axis=-1)
@@ -295,12 +316,12 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
             raise ValueError("time coefficient makes the leapfrog update singular")
         q0, denom = q0[inner].reshape(-1, 1), denom[inner].reshape(-1, 1)  # one per row
         lag = 1.0 + 0.5 * dt * q0
-    complex_run = kind == "schrodinger" or mat.dtype.kind == "c" or any(
+    complex_run = kind == "schrodinger" or (mat is not None and mat.dtype.kind == "c") or any(
         np.iscomplexobj(a) for a in (*u0, *u1, *sources, q0)
     )
     dtype = np.complex128 if complex_run else np.float64
+    half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
 
-    forced = any(s is not None for s in sources)
     if forced:  # the sources on the interior nodes, levels along axis 1
         forcing = np.stack([(np.zeros(grid.shape) if s is None else s)[inner]
                             .reshape(mat.shape[0], -1) for s in sources], axis=-1)
@@ -308,11 +329,15 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     if wave:
         v1 = columns(u1)
         step = dt**2 * mat
+    elif modal is not None:
+        mu = _kronecker_sum([axis_mu for axis_mu, _ in modal])
+        ratio = ((1.0 - half * mu) / (1.0 + half * mu)).reshape(-1)
+        to_modes = [np.ascontiguousarray(vec.T) for _, vec in modal]
+        to_nodes = [vec for _, vec in modal]
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
         eye = sp.identity(mat.shape[0], format="csr", dtype=dtype)
         solver = spla.splu((eye - half * mat).tocsc())
         rhs_mat = (eye + half * mat).tocsr()
@@ -320,8 +345,13 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     def levels():
         prev, cur = None, columns(u0).astype(dtype)
         yield _finite(cur)
+        if modal is not None:  # one row of coefficients per datum
+            coef = _along_axes(to_modes, cur.T, inner_shape)
         for m in range(grid.nt - 1):
-            if not wave:
+            if modal is not None:
+                coef = ratio * coef
+                nxt = _along_axes(to_nodes, coef, inner_shape).T
+            elif not wave:
                 rhs = rhs_mat @ cur
                 if forced:
                     rhs = rhs - dt * (0.5 * (forcing[:, m] + forcing[:, m + 1]))
@@ -361,10 +391,13 @@ def solve_evolution(
     K = 1 block of ``_march``.  wave: explicit leapfrog, one sparse product
     per step with the interior operator L (CFL checked); heat (c = 1) and
     schrodinger (c = i): the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2
-    L) v - dt f_mid`` with one sparse factorization reused for all levels.  Schrodinger runs are complex; any
-    other run is complex exactly when its data, source, operator or time
-    coefficient is.  Keeps the whole space-time array, the velocity (wave),
-    the energy record and the traces.
+    L) v - dt f_mid``, stepped mode by mode in the per-axis eigenbasis when
+    ``lower`` is None, there is no source and A is axis-separable with
+    positive half-point a_kk, and otherwise with one sparse factorization
+    reused for all levels.  Schrodinger runs are complex; any other run is
+    complex exactly when its data, source, operator or time coefficient is.
+    Keeps the whole space-time array, the velocity (wave), the energy record
+    and the traces.
     """
     full, dtype, levels = _march(kind, field, lower, [data], t_final, grid)
     inner, inner_shape = _interior(grid)
@@ -425,12 +458,15 @@ def solve_block(
 ) -> BlockState:
     """Run K data of one kind in one level loop; keep traces and last levels.
 
-    The checks and step rules of ``solve_evolution`` on an ``(N_int, K)``
-    block: one CSR-times-dense product per leapfrog step, one K-right-hand-
-    side solve per trapezoid step with one factorization per block.  Per
-    level only the interior nodes the one-sided trace stencils read are
-    gathered; the traces are formed after the loop by the same stencil on the
-    same values.  No velocity, energy record or space-time array is kept.
+    The checks, step rules and routes of ``solve_evolution`` on an
+    ``(N_int, K)`` block: one CSR-times-dense product per leapfrog step; per
+    trapezoid step, one scaling of the modal coefficients and one transform
+    back on the modal route, or one K-right-hand-side solve with one
+    factorization per block on the LU route (any member with a source puts
+    the whole block on it).  Per level only the interior nodes the one-sided
+    trace stencils read are gathered; the traces are formed after the loop by
+    the same stencil on the same values.  No velocity, energy record or
+    space-time array is kept.
     """
     if not data:
         raise ValueError("empty block")
@@ -531,23 +567,76 @@ def _axis_separable(field: MatrixField) -> bool:
     )
 
 
-def _separable_spectrum(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
-    """Every eigenvalue, ascending, of the interior -Delta_A of an
-    axis-separable A.  The operator is the Kronecker sum of one tridiagonal
-    per axis, with diagonal ``hi + lo`` and off-diagonal ``-a`` from a_kk / h_k^2
-    at that axis's half points (the values ``assemble_operator`` reads), so
-    its eigenvalues are every sum of one eigenvalue per axis."""
-    import scipy.linalg as sla
-
-    mu = np.zeros(())
+def _axis_tridiagonals(field: MatrixField,
+                       grid: SpaceTimeGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis of an axis-separable A, the diagonal ``hi + lo`` and the
+    off-diagonal ``-a`` of the 1-D tridiagonal built from a = a_kk / h_k^2 at
+    that axis's half points (the values ``assemble_operator`` reads).  The
+    interior -Delta_A is their Kronecker sum."""
+    tridiagonals = []
     for k in range(grid.n):
         x = grid.domain.axis_coords(k)
         pts = np.zeros((x.size - 1, grid.n))  # a_kk reads only column k
         pts[:, k] = 0.5 * (x[1:] + x[:-1])
         a = field.entry(k, k)(pts) / grid.domain.spacings[k] ** 2
-        axis_mu = sla.eigvalsh_tridiagonal(a[1:] + a[:-1], -a[1:-1], check_finite=False)
-        mu = mu[..., None] + axis_mu
-    return np.sort(mu, axis=None)
+        tridiagonals.append((a[1:] + a[:-1], -a[1:-1]))
+    return tridiagonals
+
+
+def _separable_spectrum(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
+    """Every eigenvalue, ascending, of the interior -Delta_A of an
+    axis-separable A: every sum of one eigenvalue per axis tridiagonal."""
+    import scipy.linalg as sla
+
+    return np.sort(_kronecker_sum([sla.eigvalsh_tridiagonal(d, e, check_finite=False)
+                                   for d, e in _axis_tridiagonals(field, grid)]), axis=None)
+
+
+def _kronecker_sum(per_axis: list[np.ndarray]) -> np.ndarray:
+    """Every sum of one entry per axis, axis k along dimension k: the
+    eigenvalues of a Kronecker sum, in C order of the interior nodes."""
+    total = np.zeros(())
+    for values in per_axis:
+        total = total[..., None] + values
+    return total
+
+
+def _axis_eigenpairs(field: MatrixField, grid: SpaceTimeGrid) -> list | None:
+    """Per axis of an axis-separable A, the eigenvalues and orthonormal
+    eigenvectors (columns) of its tridiagonal, or None unless every one is
+    positive definite (so when every half-point a_kk is positive).
+
+    LAPACK ``dpteqr`` works on the bidiagonal Cholesky factor, which gives
+    the eigenvalues to high relative accuracy (Demmel and Kahan, SIAM J. Sci.
+    Stat. Comput. 11, 1990); its ``info`` is nonzero when the factor does not
+    exist.  A 1 x 1 tridiagonal returns at once, so its sign is read off."""
+    from scipy.linalg import lapack
+
+    pairs = []
+    for d, e in _axis_tridiagonals(field, grid):
+        # the wrapper wants one off-diagonal entry even for a 1 x 1 matrix
+        mu, _, vec, info = lapack.dpteqr(d, e if e.size else np.zeros(1), np.eye(d.size),
+                                         compute_z=1)
+        if info != 0 or mu.min() <= 0.0:
+            return None
+        pairs.append((mu, vec))
+    return pairs
+
+
+def _along_axes(mats: list[np.ndarray], block: np.ndarray, shape: list[int]) -> np.ndarray:
+    """Apply ``mats[k]`` along space axis k of each row of a ``(K, N_int)``
+    block of interior arrays in C order of ``shape``.  One matrix product per
+    row and slab, so a row's arithmetic does not depend on K; the matrices are
+    real, so a complex block is transformed as its real and imaginary parts."""
+    if np.iscomplexobj(block):
+        out = np.empty_like(block)
+        out.real = _along_axes(mats, block.real, shape)
+        out.imag = _along_axes(mats, block.imag, shape)
+        return out
+    out = block
+    for k, mat in enumerate(mats):
+        out = np.matmul(mat, out.reshape(-1, shape[k], int(np.prod(shape[k + 1:]))))
+    return out.reshape(block.shape)
 
 
 def _upper_band(mat: sp.csr_matrix, grid: SpaceTimeGrid) -> np.ndarray:

@@ -67,12 +67,31 @@ def test_audit_loads_sparse_without_its_solvers(tmp_path):
     assert "scipy.sparse" in loaded[1] and "scipy.sparse.linalg" not in loaded[1]
 
 
-def test_heat_solve_loads_the_sparse_solvers(tmp_path):
+def _heat_solve_config(tmp_path, coefficients: dict) -> Path:
     cfg = yaml.safe_load(WAVE_AUDIT.read_text())
     cfg["grid"]["t1"] = 0.0  # solves start at t = 0
     cfg["solve"] = {"kind": "heat"}
+    cfg["coefficients"] = coefficients
     config = tmp_path / "heat.yaml"
     config.write_text(yaml.safe_dump(cfg))
+    return config
+
+
+def test_separable_heat_solve_loads_lapack_without_the_sparse_solvers(tmp_path):
+    config = _heat_solve_config(tmp_path, {"family": "identity"})
+    loaded = _loaded_stacks([_command("solve", config, tmp_path)])
+    assert loaded[0] == set()
+    assert "scipy.linalg" in loaded[1] and "scipy.sparse.linalg" not in loaded[1]
+
+
+def test_variable_heat_solve_loads_the_sparse_solvers(tmp_path):
+    entries = [
+        {"k": 0, "l": 0, "terms": [{"powers": [0, 0], "coeff": 1.0},
+                                   {"powers": [1, 0], "coeff": 0.2}]},
+        {"k": 0, "l": 1, "terms": [{"powers": [1, 1], "coeff": 0.1}]},
+        {"k": 1, "l": 1, "terms": [{"powers": [0, 0], "coeff": 1.0}]},
+    ]
+    config = _heat_solve_config(tmp_path, {"family": "polynomial", "entries": entries})
     loaded = _loaded_stacks([_command("solve", config, tmp_path)])
     assert loaded[0] == set()
     assert "scipy.sparse.linalg" in loaded[1]

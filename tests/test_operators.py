@@ -287,8 +287,28 @@ def test_riemannian_metric_structure():
     metric = RiemannianField(*per_call.field_sample(field, g.space_points))
     # sqrt|g| = |det A|^(1/(n-2)) = 4 for n = 3
     assert np.allclose(metric.sqrt_det_g, 4.0)
-    eigs = np.linalg.eigvalsh(metric.g)
+    g_metric = metric.sqrt_det_g[..., None, None] * np.linalg.inv(metric.a_vals)
+    eigs = np.linalg.eigvalsh(g_metric)
     assert np.all(eigs > 0)
+
+
+def test_riemannian_cofactors_match_the_batched_inverse():
+    """det A and the Jacobi gradient from the 3 x 3 cofactors agree with
+    ``numpy.linalg.det`` and ``trace(A^-1 d_p A)`` to rounding, for random
+    symmetric A of either sign of det A."""
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(200, 3, 3))
+    a = a + np.swapaxes(a, -1, -2)
+    da = rng.normal(size=(200, 3, 3, 3))
+    da = da + np.swapaxes(da, 1, 2)
+    metric = RiemannianField(a, da)
+    det = np.linalg.det(a)
+    assert np.any(det < 0) and np.any(det > 0)
+    assert np.all(np.abs(metric.det_a - det) <= 1e-13 * np.abs(det))
+    ddet = det[:, None] * np.einsum("...lk,...klp->...p", np.linalg.inv(a), da)
+    expected = -np.abs(det)[:, None] ** -2.0 * np.sign(det)[:, None] * ddet
+    got = metric.inv_scale_gradient()
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_riemannian_residual_evaluates_a_once_beyond_the_assembly(monkeypatch):

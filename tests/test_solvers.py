@@ -342,18 +342,36 @@ def test_traces_and_norms_taken_at_once_match_per_level():
 # -- trapezoid rule vs the frozen heat and Schrodinger steppers ----------------------
 
 
+def _modal_route(kind, field, lower, data) -> bool:
+    """Whether a run takes the modal route: heat or Schrodinger without
+    lower-order terms or source, with an axis-separable A (every separable
+    field of these cases is positive)."""
+    return (kind != "wave" and lower is None and getattr(data, "source", None) is None
+            and _axis_separable(field))
+
+
+def _assert_route_agreement(pairs, modal: bool) -> None:
+    """LU-route arrays bit for bit; modal-route arrays within 1e-12 of each
+    reference array's largest magnitude."""
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        if modal:
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(
+                np.abs(ref), initial=0.0)
+        else:
+            assert got.tobytes() == ref.tobytes()
+
+
 def _assert_matches_trapezoid_reference(kind, field, lower, data, g):
-    """Bit-for-bit agreement of levels, traces and L2 norms with the frozen
-    per-kind solver."""
+    """Agreement of levels, traces and L2 norms with the frozen per-kind
+    solver: bit for bit on the LU route, to rounding on the modal route."""
     state = solve_evolution(kind, field, lower, data, g.t2, g)
     reference = reference_heat if kind == "heat" else reference_schrodinger
     u, traces, norms = reference(field, lower, data, g)
     assert state.velocity is None and state.energy.kind == "l2"
     pairs = [(state.u, u), (state.energy.values, norms)]
     pairs += list(zip(state.traces, traces, strict=True))
-    for got, ref in pairs:
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+    _assert_route_agreement(pairs, _modal_route(kind, field, lower, data))
 
 
 @pytest.mark.parametrize("case", ["heat-source", "heat-complex", "schrodinger-zero"])
@@ -373,6 +391,118 @@ def test_trapezoid_matches_frozen_steppers(case):
     _assert_matches_trapezoid_reference(kind, field, lower, data, g)
 
 
+def _separable_field(g, seed: int) -> MatrixField:
+    """a_kk = c0 + c1 x_k + c2 x_k^2 with c0 in [2, 3] and |c1|, |c2| <= 0.5:
+    positive on the unit box."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    entries = {}
+    for k in range(n):
+        powers = [tuple(e if i == k else 0 for i in range(n)) for e in range(3)]
+        coeffs = [rng.uniform(2.0, 3.0), *rng.uniform(-0.5, 0.5, size=2)]
+        entries[(k, k)] = poly_from_table(n, list(zip(powers, coeffs)))
+    return MatrixField.from_entry_polys(n, entries, domain=g.domain)
+
+
+@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
+@pytest.mark.parametrize("nodes", [[33], [13, 11], [7, 8, 6]], ids=["1d", "2d", "3d"])
+def test_modal_route_matches_frozen_steppers(kind, nodes):
+    """Separable variable a_kk, no lower-order term, no source: the modal
+    route agrees with the frozen LU steppers to rounding."""
+    n = len(nodes)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 0.4, 17)
+    field = _separable_field(g, 11)
+    rng = np.random.default_rng(4)
+    u0 = rng.normal(size=g.space_shape) + 1j * rng.normal(size=g.space_shape)
+    data = HeatData(u0.real) if kind == "heat" else SchrodingerData(u0)
+    assert _modal_route(kind, field, None, data)
+    _assert_matches_trapezoid_reference(kind, field, None, data, g)
+
+
+def test_modal_route_matches_the_separated_solution():
+    """A 41^2 sine mode is an exact eigenvector of the flux Laplacian, so
+    every level is ``r^m v`` with ``r = (1 - c dt mu/2) / (1 + c dt mu/2)``.
+    The modal traces match the separated ones to 1e-13 relative; per-axis
+    eigenvalues from ``eigh_tridiagonal`` instead of ``dpteqr`` miss this
+    for Schrodinger (1.9e-13)."""
+    from carleman.solvers import _face_trace
+
+    g = build_grid([0, 0], [1, 1], [41, 41], 0.0, 1.0, 65)
+    field = MatrixField.identity(2, domain=g.domain)
+    v = sine_mode(g, (2, 3))
+    h = g.domain.spacings[0]
+    mu = sum(4.0 / h**2 * np.sin(k * np.pi * h / 2) ** 2 for k in (2, 3))
+    for kind, c in [("heat", 1.0), ("schrodinger", 1j)]:
+        data = HeatData(v) if kind == "heat" else SchrodingerData(v.astype(complex))
+        state = solve_evolution(kind, field, None, data, g.t2, g)
+        factors = ((1.0 - 0.5 * c * g.dt * mu) / (1.0 + 0.5 * c * g.dt * mu)) ** np.arange(g.nt)
+        for f, trace in enumerate(state.traces):
+            exact = _face_trace(v, g, f).reshape(-1, 1) * factors
+            assert np.max(np.abs(trace - exact)) <= 1e-13 * np.max(np.abs(exact)), (kind, f)
+
+
+def _route_case(case, kind):
+    """A small heat or Schrodinger run; ``case`` names what, if anything,
+    keeps it off the modal route."""
+    nodes, tables, lower, source = [9, 8], None, None, None
+    rng = np.random.default_rng(6)
+    if case == "non-separable":
+        tables = _VARIABLE_2D
+    elif case == "lower-order":
+        lower = LowerOrderCoeffs(kind="parabolic" if kind == "heat" else "schrodinger", zero=1.5)
+    elif case == "source":
+        source = rng.normal(size=(*nodes, 9))
+    elif case == "sign-changing-a":  # a_11 = y - 0.5 vanishes mid-box
+        tables = {(0, 0): [((0, 0), 1.0)], (1, 1): [((0, 0), -0.5), ((0, 1), 1.0)]}
+    elif case == "negative-a-one-node":  # one interior node on the x axis
+        nodes, tables = [3, 8], {(0, 0): [((0, 0), -1.0)], (1, 1): [((0, 0), 1.0)]}
+    g = build_grid([0.0, 0.0], [1.0, 1.0], nodes, 0.0, 0.5, 9)
+    field = (MatrixField.identity(2, domain=g.domain) if tables is None
+             else MatrixField.from_tables(2, tables, domain=g.domain))
+    if case == "variable-separable":
+        field = _separable_field(g, 3)
+    u0 = rng.normal(size=g.space_shape)
+    data = HeatData(u0, source=source) if kind == "heat" else SchrodingerData(u0 + 0j)
+    return field, lower, data, g
+
+
+@pytest.mark.parametrize("case, kind", [
+    (case, kind)
+    for case in ["separable", "variable-separable", "non-separable", "lower-order", "source",
+                 "sign-changing-a", "negative-a-one-node"]
+    for kind in ["heat", "schrodinger"]
+    if not (case == "source" and kind == "schrodinger")  # Schrodinger data carry no source
+])
+def test_trapezoid_route_pin(case, kind, monkeypatch):
+    """Separable heat and Schrodinger runs factor nothing and assemble
+    nothing; a non-separable field, a lower-order term, a source or a
+    non-positive half-point a_kk keeps one ``splu`` per run."""
+    import scipy.sparse.linalg as spla
+
+    from carleman import solvers
+
+    field, lower, data, g = _route_case(case, kind)
+    modal = case in ("separable", "variable-separable")
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        if modal:
+            raise AssertionError("the modal route called splu")
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modal route assembled the operator")
+
+    monkeypatch.setattr(spla, "splu", counting)
+    if modal:
+        monkeypatch.setattr(solvers, "assemble_operator", refuse)
+    solve_evolution(kind, field, lower, data, g.t2, g)
+    solve_block(kind, field, lower, [data, data], g.t2, g)
+    assert len(calls) == (0 if modal else 2)
+
+
 _small = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
@@ -384,7 +514,13 @@ def _trapezoid_cases(draw):
     g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, draw(st.floats(0.05, 1.0)),
                    draw(st.integers(3, 7)))
     diag = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
-    field = MatrixField.constant(np.diag(diag), domain=g.domain)
+    matrix = np.diag(diag)
+    shape = draw(st.sampled_from(["constant", "separable", "cross"]))
+    if shape == "cross" and n == 2:  # not separable: the LU route
+        matrix[0, 1] = matrix[1, 0] = 0.25 * min(diag)
+    field = MatrixField.constant(matrix, domain=g.domain)
+    if shape == "separable":
+        field = _separable_field(g, draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u0 = rng.normal(size=g.space_shape)
     if draw(st.booleans()):
@@ -407,8 +543,10 @@ def _trapezoid_cases(draw):
 @given(_trapezoid_cases())
 def test_trapezoid_matches_frozen_steppers_property(case):
     """Heat and Schrodinger share one trapezoid rule, c = 1 or i, and it
-    reproduces the frozen per-kind solvers bit for bit on random 1D/2D grids,
-    data, sources and lower-order terms."""
+    reproduces the frozen per-kind solvers on random 1D/2D grids, fields,
+    data, sources and lower-order terms: bit for bit on the LU route (any
+    lower-order term, source or off-diagonal entry), to rounding on the modal
+    route."""
     _assert_matches_trapezoid_reference(*case)
 
 
@@ -851,15 +989,21 @@ def test_block_columns_match_single_runs_property(case):
     """Each column of one block solve reproduces the K = 1 ``solve_evolution``
     of its datum: traces, last level and (wave) last velocity bit for bit for
     wave and Schrodinger; heat within 1e-14 of each array's maximum, since
-    SuperLU's multi-right-hand-side real solve rounds differently."""
+    SuperLU's multi-right-hand-side real solve rounds differently.  A heat
+    block with a source in one member takes the LU route, while a sourceless
+    member alone may take the modal one; those two agree to rounding."""
     kind, field, lower, data, g = case
     block = solve_block(kind, field, lower, data, g.t2, g)
+    block_modal = all(_modal_route(kind, field, lower, d) for d in data)
     for k, datum in enumerate(data):
         state = solve_evolution(kind, field, lower, datum, g.t2, g)
         pairs = list(zip(block.member_traces(k), state.traces, strict=True))
         pairs.append((block.final(k), state.u[..., -1]))
         if kind == "wave":
             pairs.append((block.final_velocity(k), state.velocity[..., -1]))
+        if _modal_route(kind, field, lower, datum) != block_modal:
+            _assert_route_agreement(pairs, modal=True)
+            continue
         for got, ref in pairs:
             assert got.shape == ref.shape and got.dtype == ref.dtype
             if kind == "heat":
@@ -875,9 +1019,10 @@ def test_block_columns_match_single_runs_property(case):
 @given(data=st.data())
 def test_solve_evolution_matches_frozen_vector_loop_property(kind, n, data):
     """One run is a K = 1 block, and ``solve_evolution`` keeps the arrays of
-    the frozen vector-mode level loop bit for bit: space-time array,
-    velocity, energy and traces, for every kind on 1D-3D grids, with and
-    without lower-order terms, sources and complex data."""
+    the frozen vector-mode level loop: space-time array, velocity, energy and
+    traces, for every kind on 1D-3D grids, with and without lower-order
+    terms, sources and complex data; bit for bit except on the modal route,
+    where they agree to rounding."""
     kind, field, lower, (datum,), g = data.draw(
         _block_cases(kinds=(kind,), dims=(n,), max_members=1))
     state = solve_evolution(kind, field, lower, datum, g.t2, g)
@@ -887,9 +1032,7 @@ def test_solve_evolution_matches_frozen_vector_loop_property(kind, n, data):
         pairs.append((state.velocity, velocity))
     else:
         assert state.velocity is None and velocity is None
-    for got, ref in pairs:
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
+    _assert_route_agreement(pairs, _modal_route(kind, field, lower, datum))
 
 
 def test_block_keeps_no_space_time_array():

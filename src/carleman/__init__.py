@@ -14,10 +14,7 @@ from .audit import (
 from .coefficients import (
     EllipticityReport,
     MatrixField,
-    OrthogonalMap,
     certify_ellipticity,
-    eval_with_derivatives,
-    rotate_field,
 )
 from .experiments import (
     ObservabilityReport,
@@ -29,8 +26,6 @@ from .geometry import (
     BoxDomain,
     SpaceTimeGrid,
     build_grid,
-    integrate_dmu,
-    integrate_interior,
     separable,
     sine_profile,
     smooth_bump,
@@ -39,7 +34,6 @@ from .operators import (
     ConjugationCoeffs,
     LowerOrderCoeffs,
     RiemannianField,
-    apply_operator,
     conjugation_coeffs,
     conjugation_residual,
     green_residual,
@@ -50,11 +44,9 @@ from .polynomials import Polynomial, poly_from_table
 from .pseudoconvex import (
     FlattenedChart,
     PseudoconvexCertificate,
-    SymbolProbe,
     ThetaDecomposition,
     certify_pseudoconvex,
     flatten_and_certify_hypersurface,
-    subellipticity_bracket,
     theta_decomposition,
 )
 from .solvers import (

@@ -139,6 +139,18 @@ def _get(block: dict, key: str, where: str, default=_need):
     return block[key]
 
 
+def _number(block: dict, name: str, key: str, default=_need, positive: bool = False,
+            finite: bool = True) -> float:
+    """A number entry of config block ``name``: never NaN, finite unless not
+    ``finite``, and > 0 if ``positive``."""
+    value = _get(block, key, name, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or np.isnan(value)
+            or (finite and np.isinf(value)) or (positive and not value > 0)):
+        what = f"a {'positive ' if positive else ''}{'finite ' if finite else ''}number"
+        raise ConfigError(f"{name}: {key} must be {what}, got {value!r}")
+    return float(value)
+
+
 def build_grid_from(cfg: dict) -> SpaceTimeGrid:
     g = _need(cfg, "grid")
     try:
@@ -198,14 +210,14 @@ def build_weight_from(
     w = _need(cfg, "weight")
     family = _get(w, "family", "weight", "example")
     extras: dict = {"family": family}
+    lam = _number(w, "weight", "lambda", 1.0, positive=True)
+    shift = _number(w, "weight", "shift", 0.0)
     try:
-        lam = float(_get(w, "lambda", "weight", 1.0))
-        shift = float(_get(w, "shift", "weight", 0.0))
         if family == "example":
             spec = make_example_weight(
                 _get(w, "x0", "weight"),
-                float(_get(w, "t0", "weight", 0.0)),
-                float(_get(w, "gamma", "weight", 0.0)),
+                _number(w, "weight", "t0", 0.0),
+                _number(w, "weight", "gamma", 0.0),
                 shift,
                 grid,
                 lam=lam,
@@ -215,8 +227,8 @@ def build_weight_from(
             psi0 = _psi0_from(w, grid.n)
             spec, thresholds = make_observability_weight(
                 psi0,
-                float(_get(w, "alpha", "weight")),
-                float(_get(w, "t_obs", "weight", grid.t2)),
+                _number(w, "weight", "alpha"),
+                _number(w, "weight", "t_obs", grid.t2),
                 shift,
                 field,
                 grid,
@@ -228,15 +240,16 @@ def build_weight_from(
             psi0 = _psi0_from(w, grid.n)
             p1 = w.get("psi1", {"family": "zero"})
             fam1 = p1.get("family", "zero")
+            where = "weight: psi1"
             if fam1 == "zero":
                 profile = TimeProfile.zero()
             elif fam1 == "quadratic":
                 profile = TimeProfile.quadratic(
-                    float(p1.get("gamma", 0.0)), float(p1.get("t0", 0.0))
+                    _number(p1, where, "gamma", 0.0), _number(p1, where, "t0", 0.0)
                 )
             elif fam1 == "observability":
                 profile = TimeProfile.observability(
-                    float(p1["alpha"]), float(p1.get("t_obs", grid.t2))
+                    _number(p1, where, "alpha"), _number(p1, where, "t_obs", grid.t2)
                 )
             else:
                 raise ConfigError(f"unknown psi1 family {fam1!r}")
@@ -346,16 +359,6 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 # -- commands -------------------------------------------------------------------------
 
 
-def _positive(block: dict, name: str, key: str, default: float, finite: bool = True) -> float:
-    """A positive number entry of config block ``name``; +inf only if not ``finite``."""
-    value = block.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0
-            or (finite and value == np.inf)):
-        what = "a positive finite number" if finite else "a positive number"
-        raise ConfigError(f"{name}: {key} must be {what}, got {value!r}")
-    return float(value)
-
-
 def _node_sample(field: MatrixField, psi0: Polynomial, pts: np.ndarray):
     """A, its first derivatives and the gradient and Hessian of psi0 at the
     nodes ``pts``: a command evaluates each once and hands it to every reader."""
@@ -374,8 +377,8 @@ def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
 def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     c = _block(cfg, "coefficients")
-    kappa_max = _positive(c, "coefficients", "kappa_max", np.inf, finite=False)
-    m_max = _positive(c, "coefficients", "m_max", np.inf, finite=False)
+    kappa_max = _number(c, "coefficients", "kappa_max", np.inf, positive=True, finite=False)
+    m_max = _number(c, "coefficients", "m_max", np.inf, positive=True, finite=False)
     kind = _block(cfg, "equation").get("kind", "wave")
     spec, extras = build_weight_from(cfg, field, grid)
     ell, adm = _certify_weight(field, spec, grid, kind, kappa_max, m_max)
@@ -437,7 +440,7 @@ def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     surface = poly_from_table(
         grid.n - 1, [(tuple(t["powers"]), float(t["coeff"])) for t in terms]
     ) if terms else Polynomial(grid.n - 1, {})
-    radius = _positive(block, "flatten", "radius", 0.5)
+    radius = _number(block, "flatten", "radius", 0.5, positive=True)
     chart, cert = flatten_and_certify_hypersurface(field, surface, radius)
     report = {
         "radius": chart.radius,
@@ -489,11 +492,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     lower = build_lower_from(cfg, eq_kind, grid)
     _, adm = _certify_weight(field, spec, grid, eq_kind)
     count = _integer(block, "audit", "ensemble", 20)
-    target = block.get("target", 0.0)
-    if (isinstance(target, bool) or not isinstance(target, (int, float))
-            or not np.isfinite(target)):
-        raise ConfigError(f"audit: target must be a finite number, got {target!r}")
-    target = float(target)
+    target = _number(block, "audit", "target", 0.0)
     complex_fields = eq_kind == "schrodinger"
     spatial = eq_kind == "elliptic"
     ensemble = default_ensemble(
@@ -577,19 +576,19 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     block = _block(cfg, "ucp")
-    c = float(_get(block, "c", "ucp"))
-    eps = float(_get(block, "eps", "ucp"))
-    t_span = float(_get(block, "t_span", "ucp"))
-    lam = float(block.get("lambda", 1.0))
-    shift = float(block.get("shift", 0.0))
+    c = _number(block, "ucp", "c")
+    eps = _number(block, "ucp", "eps")
+    t_span = _number(block, "ucp", "t_span")
+    lam = _number(block, "ucp", "lambda", 1.0, positive=True)
+    shift = _number(block, "ucp", "shift", 0.0)
     center = tuple(float(v) for v in block.get("center", [0.0] * grid.n))
     geom = UCPGeometry(
         center=center,
         c=c,
-        r=float(block.get("r", c / 2.0)),
-        r0=float(block.get("r0", c / 2.0)),
-        rho0=float(block.get("rho0", c / 8.0)),
-        rho1=float(block.get("rho1", c / 4.0)),
+        r=_number(block, "ucp", "r", c / 2.0),
+        r0=_number(block, "ucp", "r0", c / 2.0),
+        rho0=_number(block, "ucp", "rho0", c / 8.0),
+        rho1=_number(block, "ucp", "rho1", c / 4.0),
         eps=eps,
         t_span=t_span,
     )
@@ -620,9 +619,12 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     mode = block.get("mode", [1] * grid.n)
     if not isinstance(mode, list):
         raise ConfigError(f"solve: mode must be a list of integers, got {mode!r}")
+    if len(mode) > grid.n:
+        raise ConfigError(f"solve: mode must have at most one entry per axis ({grid.n}), "
+                          f"got {mode!r}")
     for m in mode:
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ConfigError(f"solve: mode must be an integer per axis, got {m!r}")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ConfigError(f"solve: mode must be a positive integer per axis, got {m!r}")
     data = _sine_data(kind, separable(
         grid, [sine_profile(mode[ax] if ax < len(mode) else 1) for ax in range(grid.n)]
     ))
@@ -678,8 +680,8 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = _block(cfg, "observability")
     kind = block.get("kind", "wave")
-    alpha = float(block.get("alpha", 0.5))
-    t_obs = float(block.get("t_obs", grid.t2))
+    alpha = _number(block, "observability", "alpha", 0.5)
+    t_obs = _number(block, "observability", "t_obs", grid.t2)
     w = _need(cfg, "weight")
     psi0 = _psi0_from(w, grid.n)
     n_modes = _integer(block, "observability", "modes", 5)
@@ -729,7 +731,7 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    tau = _positive(_block(cfg, "identities"), "identities", "tau", 1.0)
+    tau = _number(_block(cfg, "identities"), "identities", "tau", 1.0, positive=True)
     spec, _ = build_weight_from(cfg, field, grid)
     kind = _block(cfg, "equation").get("kind", "wave")
     a, da, grad0, hess0 = _node_sample(field, spec.psi0, grid.space_points)

@@ -13,21 +13,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import BoxDomain, SpaceTimeGrid
+from .geometry import BoxDomain
 from .polynomials import Polynomial, poly_from_table
 
 __all__ = [
     "MatrixField",
     "EllipticityReport",
-    "OrthogonalMap",
-    "eval_with_derivatives",
     "certify_ellipticity",
-    "rotate_field",
     "symmetric_eigenvalues",
 ]
 
 _SYM_TOL = 1e-14
-_ORTHO_TOL = 1e-12
 
 
 def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -193,20 +189,6 @@ class MatrixField:
                     out[k, l, p] = out[l, k, p] = self._d1[k][l][p](pts)
         return np.moveaxis(out, (0, 1, 2), (-3, -2, -1)).copy()
 
-    def second_derivatives(self, points: np.ndarray) -> np.ndarray:
-        """d2[..., k, l, p, q] = d_p d_q a_{kl}."""
-        pts = np.asarray(points, dtype=float)
-        n = self.n
-        out = np.empty(pts.shape[:-1] + (n, n, n, n))
-        for k in range(n):
-            for l in range(k, n):
-                for p in range(n):
-                    for q in range(n):
-                        v = self._d2[k][l][p][q](pts)
-                        out[..., k, l, p, q] = v
-                        out[..., l, k, p, q] = v
-        return out
-
     def higher_derivative_sup(self, points: np.ndarray) -> float:
         """max |d^j a_kl| over the points for derivative orders j = 2, 3.
 
@@ -237,17 +219,6 @@ def _leaves(cell):
     else:
         for sub in cell:
             yield from _leaves(sub)
-
-
-def eval_with_derivatives(field: MatrixField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A(x), first and second derivative tensors at a single point.
-
-    Raises if the field carries a domain and x falls outside its closure.
-    """
-    x = np.asarray(x, dtype=float)
-    if field.domain is not None and not field.domain.contains(x):
-        raise ValueError(f"point {x.tolist()} outside the field domain")
-    return field(x), field.first_derivatives(x), field.second_derivatives(x)
 
 
 @dataclass
@@ -315,78 +286,3 @@ def certify_ellipticity(
         argmin_node=tuple(float(v) for v in pts[argmin]),
         argmax_node=tuple(float(v) for v in pts[argmax]),
     )
-
-
-@dataclass(frozen=True)
-class OrthogonalMap:
-    """y = O x + shift with O orthogonal to 1e-12."""
-
-    matrix: np.ndarray
-    shift: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        s = np.zeros(m.shape[0]) if self.shift is None else np.asarray(self.shift, dtype=float)
-        object.__setattr__(self, "shift", s)
-        defect = np.max(np.abs(m.T @ m - np.eye(m.shape[0])))
-        if defect > _ORTHO_TOL:
-            raise ValueError(f"map is not orthogonal (defect {defect:.3e})")
-
-    @classmethod
-    def rotation_2d(cls, angle: float) -> "OrthogonalMap":
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s], [s, c]]))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.matrix.T + self.shift
-
-    def inverse_apply(self, y: np.ndarray) -> np.ndarray:
-        return (np.asarray(y) - self.shift) @ self.matrix
-
-
-def _image_box(domain: BoxDomain, mp: OrthogonalMap) -> BoxDomain | None:
-    """Image of the box when the map is a signed permutation; else None."""
-    m = mp.matrix
-    is_signed_perm = np.all(np.isin(np.round(m, 12), (-1.0, 0.0, 1.0))) and np.all(
-        np.sum(np.abs(np.round(m, 12)), axis=0) == 1.0
-    )
-    if not is_signed_perm:
-        return None
-    corners = np.stack(
-        np.meshgrid(*[(lo, hi) for lo, hi in zip(domain.lows, domain.highs)], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, domain.n)
-    imgs = mp.apply(corners)
-    return BoxDomain(
-        tuple(np.min(imgs, axis=0)), tuple(np.max(imgs, axis=0)), domain.nodes_per_axis
-    )
-
-
-def rotate_field(field: MatrixField, mp: OrthogonalMap) -> MatrixField:
-    """Conjugated field B(y) = O A(O^t (y - shift)) O^t.
-
-    Built by affine substitution into the monomial tables, so evaluation is
-    exact and the spectrum (hence the ellipticity constant) is preserved.
-    """
-    n = field.n
-    o = mp.matrix
-    # x = O^t (y - shift)
-    back_matrix = o.T
-    back_shift = -o.T @ mp.shift
-    composed = [
-        [field.entries[k][l].compose_affine(back_matrix, back_shift) for l in range(n)]
-        for k in range(n)
-    ]
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for i in range(n):
-        for j in range(i, n):
-            acc = Polynomial(n, {})
-            for k in range(n):
-                for l in range(n):
-                    c = o[i, k] * o[j, l]
-                    if c != 0.0:
-                        acc = acc + composed[k][l] * c
-            entries[(i, j)] = acc
-    new_domain = _image_box(field.domain, mp) if field.domain is not None else None
-    return MatrixField.from_entry_polys(n, entries, domain=new_domain)

@@ -31,7 +31,6 @@ from .polynomials import Polynomial
 from .pseudoconvex import certificate_from_scan, certify_pseudoconvex, theta_scan
 from .solvers import (
     BlockState,
-    EvolutionState,
     GammaPlusMask,
     WaveData,
     _dirichlet_form,
@@ -51,7 +50,6 @@ __all__ = [
     "WorstCaseResult",
     "observability_experiment",
     "worst_case_ratio",
-    "trace_norm_sigma_plus",
 ]
 
 # experiment kind -> the evolution it solves
@@ -82,11 +80,6 @@ def _grad_seminorm(u_level: np.ndarray, op: sp.csr_matrix, grid: SpaceTimeGrid) 
 
 def _l2(u_level: np.ndarray, grid: SpaceTimeGrid) -> float:
     return float(np.sqrt(np.sum(np.abs(u_level) ** 2 * grid.space_weights)))
-
-
-def trace_norm_sigma_plus(state: EvolutionState, mask: GammaPlusMask) -> float:
-    """L2 norm of the outward normal derivative over the plus boundary."""
-    return _sigma_plus_norm(state.traces, mask, state.grid)
 
 
 def _sigma_plus_norm(traces: list[np.ndarray], mask: GammaPlusMask, grid: SpaceTimeGrid) -> float:

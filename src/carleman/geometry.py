@@ -8,8 +8,7 @@ The boundary of the cylinder Q = Omega x (t1, t2) carries the measure
 
 so integrating over the whole of dQ adds a lateral surface-time quadrature
 to two volume integrals at the end times.  ``SpaceTimeGrid.dmu_nodes`` holds
-these node sets with their weights; ``integrate_lateral``, ``integrate_dmu``
-and the audit sum over them.
+these node sets with their weights; the audit sums over them.
 
 Test fields (sine modes, cutoff windows, C-infinity bumps) are products of
 1-D profiles of the unit coordinates, built by ``separable``.
@@ -30,9 +29,6 @@ __all__ = [
     "separable",
     "sine_profile",
     "smooth_bump",
-    "integrate_interior",
-    "integrate_lateral",
-    "integrate_dmu",
 ]
 
 
@@ -305,39 +301,3 @@ def smooth_bump(s, lo: float, hi: float) -> np.ndarray:
     zz = 2.0 * z[inside] - 1.0
     out[inside] = np.exp(-1.0 / (1.0 - zz**2))
     return out
-
-
-def integrate_interior(f, grid: SpaceTimeGrid) -> float:
-    """Composite trapezoid approximation of the integral of f over Q."""
-    vals = np.asarray(f)
-    if vals.shape != grid.shape:
-        raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite values in interior integrand")
-    w = grid.space_weights[..., None] * grid.time_weights
-    return float(np.sum(vals * w))
-
-
-def integrate_lateral(g, grid: SpaceTimeGrid) -> float:
-    """Surface-time integral over the lateral boundary Sigma."""
-    vals = np.asarray(g)
-    if vals.shape != grid.shape:
-        raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
-    idx, w = grid.dmu_nodes()[0]
-    lateral = vals.ravel()[idx]
-    if not np.all(np.isfinite(lateral)):
-        raise ValueError("non-finite values on the lateral boundary")
-    return float(lateral @ w)
-
-
-def integrate_dmu(g, grid: SpaceTimeGrid) -> float:
-    """Integral of g over dQ with respect to dmu (lateral + two time caps)."""
-    vals = np.asarray(g)
-    if vals.shape != grid.shape:
-        raise ValueError(f"expected space-time shape {grid.shape}, got {vals.shape}")
-    caps = vals[..., 0], vals[..., -1]
-    for c, label in zip(caps, ("t1", "t2")):
-        if not np.all(np.isfinite(c)):
-            raise ValueError(f"missing cap data at {label}")
-    idx, w = grid.dmu_nodes()[1]
-    return integrate_lateral(vals, grid) + float(vals.ravel()[idx] @ w)

@@ -6,8 +6,8 @@ diagonal terms difference half-node fluxes a_kk(x +- h/2) du, its
 off-diagonal terms nest centered differences around the nodal coefficient,
 so for symmetric A the (k,l) and (l,k) terms are mutual adjoints and the
 interior block is exactly symmetric.  Rows of boundary nodes are empty, so
-outputs are zero on the boundary ring.  ``laplacian_flux`` and
-``apply_operator`` are matrix-vector products with it.
+outputs are zero on the boundary ring.  The evolution operators apply it
+as one matrix-vector product, plus their time part.
 
 Conjugating an evolution operator with Phi = exp(-tau * phi) produces split
 operators whose coefficient fields (a, b, B, d, c) are assembled here
@@ -38,14 +38,12 @@ __all__ = [
     "LowerOrderCoeffs",
     "ConjugationCoeffs",
     "RiemannianField",
-    "apply_operator",
     "assemble_operator",
     "conjugation_coeffs",
     "conjugation_residual",
     "green_residual",
     "riemannian_identity_residual",
     "magnetic_expansion_residual",
-    "laplacian_flux",
     "gradient_space",
     "gradient_time",
 ]
@@ -198,17 +196,6 @@ def _matvec(mat: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
     return (mat @ u.reshape(mat.shape[0], -1)).reshape(u.shape)
 
 
-def laplacian_flux(field: MatrixField, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Flux-form Delta_A on space(+trailing) arrays; zero on the boundary ring.
-
-    One product with ``assemble_operator(field, None, grid)``.
-    """
-    u = np.asarray(u)
-    if u.shape[: grid.n] != grid.space_shape:
-        raise ValueError("array does not match the spatial grid")
-    return _matvec(assemble_operator(field, None, grid), u)
-
-
 @dataclass
 class LowerOrderCoeffs:
     """First- and zero-order coefficients; values are scalars or polynomials.
@@ -268,30 +255,6 @@ def _coeff_space(c, grid: SpaceTimeGrid) -> np.ndarray:
     return np.asarray(c)
 
 
-def apply_operator(
-    kind: str,
-    field: MatrixField,
-    lower: LowerOrderCoeffs | None,
-    u: np.ndarray,
-    grid: SpaceTimeGrid,
-) -> np.ndarray:
-    """Apply the selected evolution operator; boundary ring and caps are 0.
-
-    Elliptic input is a spatial array, everything else space-time with time
-    as the last axis.  The spatial part, first- and zero-order terms
-    included, is one product with ``assemble_operator``; the dtype is the
-    result type of that matrix, ``u`` and the time part.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    lower = _checked_lower(kind, lower, grid)
-    u = np.asarray(u)
-    expected = grid.space_shape if kind == "elliptic" else grid.shape
-    if u.shape != expected:
-        raise ValueError(f"expected shape {expected}, got {u.shape}")
-    return _apply_assembled(kind, assemble_operator(field, lower, grid), lower.time, u, grid)
-
-
 def _checked_lower(kind: str, lower: LowerOrderCoeffs | None,
                    grid: SpaceTimeGrid) -> LowerOrderCoeffs:
     """``lower`` (none if None) after checking its kind and first-order terms."""
@@ -305,7 +268,13 @@ def _checked_lower(kind: str, lower: LowerOrderCoeffs | None,
 
 def _apply_assembled(kind: str, mat: sp.csr_matrix, time_coeff, u: np.ndarray,
                      grid: SpaceTimeGrid) -> np.ndarray:
-    """``apply_operator`` with the spatial matrix already assembled."""
+    """The selected evolution operator applied to ``u``, with ``mat`` the
+    spatial part assembled by ``assemble_operator``; boundary ring and caps are 0.
+
+    Elliptic input is a spatial array, everything else space-time with time
+    as the last axis.  The dtype is the result type of ``mat``, ``u`` and the
+    time part.
+    """
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite values in the input field")
     out = _matvec(mat, u)

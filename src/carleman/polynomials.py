@@ -167,20 +167,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def compose_affine(self, matrix: np.ndarray, shift: np.ndarray) -> "Polynomial":
-        """Substitute ``x = matrix @ y + shift``."""
-        matrix = np.asarray(matrix, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        m = matrix.shape[1]
-        comps = []
-        for i in range(self.nvars):
-            terms: dict[tuple[int, ...], float] = {(0,) * m: float(shift[i])}
-            for j in range(m):
-                key = tuple(1 if k == j else 0 for k in range(m))
-                terms[key] = terms.get(key, 0.0) + float(matrix[i, j])
-            comps.append(Polynomial(m, terms))
-        return self.compose(comps)
-
     # -- misc -----------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -33,16 +33,12 @@ __all__ = [
     "ThetaDecomposition",
     "PseudoconvexCertificate",
     "FlattenedChart",
-    "SymbolProbe",
     "theta_decomposition",
-    "theta_tensors",
     "upsilon_theta",
     "theta_scan",
     "certify_pseudoconvex",
     "certificate_from_scan",
     "flatten_and_certify_hypersurface",
-    "subellipticity_bracket",
-    "symbol_probe",
 ]
 
 DEFAULT_GRAD_TOL = 1e-8
@@ -51,22 +47,11 @@ _CHART_NODES_PER_AXIS = 9  # chart grid of the flattening certificate
 
 @dataclass
 class ThetaDecomposition:
-    """Lambda / Upsilon / Theta at one point, plus min symmetric eigenvalue."""
+    """Upsilon / Theta at one point, plus min symmetric eigenvalue."""
 
-    Lambda: np.ndarray  # (n, n, n), last index is the contracted superscript
     Upsilon: np.ndarray  # (n, n)
     Theta: np.ndarray  # (n, n)
     theta_sym_min: float
-
-
-def lambda_tensor(a_vals: np.ndarray, da_vals: np.ndarray) -> np.ndarray:
-    """Lambda[..., k, l, m] from A values and first derivatives.
-
-    ``da_vals[..., k, l, p]`` holds d_p a_{kl}.
-    """
-    first = np.einsum("...klp,...pm->...klm", da_vals, a_vals)
-    second = np.einsum("...kp,...lmp->...klm", a_vals, da_vals)
-    return -first + 2.0 * second
 
 
 def upsilon_theta(
@@ -83,26 +68,16 @@ def upsilon_theta(
     return ups, 2.0 * (a @ hess_h @ a) + ups
 
 
-def theta_tensors(
-    field: MatrixField, h: Polynomial, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (Lambda, Upsilon, Theta) over an array of points."""
-    pts = np.asarray(points, dtype=float)
-    a = field(pts)
-    da = field.first_derivatives(pts)
-    ups, theta = upsilon_theta(a, da, h.eval_gradient(pts), h.eval_hessian(pts))
-    return lambda_tensor(a, da), ups, theta
-
-
 def theta_decomposition(field: MatrixField, h: Polynomial, x) -> ThetaDecomposition:
     """Assemble the decomposition at a single point."""
     if h.nvars != field.n:
         raise ValueError(f"weight has {h.nvars} variables, field has {field.n}")
     x = np.asarray(x, dtype=float)
-    lam, ups, theta = theta_tensors(field, h, x)
+    ups, theta = upsilon_theta(field(x), field.first_derivatives(x),
+                               h.eval_gradient(x), h.eval_hessian(x))
     sym = 0.5 * (theta + theta.T)
     smin = float(symmetric_eigenvalues(sym)[0])
-    return ThetaDecomposition(Lambda=lam, Upsilon=ups, Theta=theta, theta_sym_min=smin)
+    return ThetaDecomposition(Upsilon=ups, Theta=theta, theta_sym_min=smin)
 
 
 @dataclass
@@ -233,12 +208,6 @@ class FlattenedChart:
     jacobian_min_quadform: float
     forward_map: list[Polynomial]
     inverse_map: list[Polynomial]
-
-    def map_points(self, pts: np.ndarray) -> np.ndarray:
-        return _apply_map(self.forward_map, pts)
-
-    def unmap_points(self, pts: np.ndarray) -> np.ndarray:
-        return _apply_map(self.inverse_map, pts)
 
 
 def _apply_map(components: list[Polynomial], pts: np.ndarray) -> np.ndarray:
@@ -377,67 +346,3 @@ def flatten_and_certify_hypersurface(
         inverse_map=inverse,
     )
     return chart, cert
-
-
-# -- sub-ellipticity bracket ---------------------------------------------------
-
-
-@dataclass
-class SymbolProbe:
-    """Principal symbol pieces at one (x, xi, tau) with weight exp(lambda*psi)."""
-
-    p: float
-    p0: float
-    p1: float
-    bracket: float
-
-
-def _phi_derivatives(psi0: Polynomial, lam: float, x: np.ndarray):
-    psi = float(psi0(x))
-    phi = float(np.exp(lam * psi))
-    grad_psi = psi0.eval_gradient(x)
-    hess_psi = psi0.eval_hessian(x)
-    grad_phi = lam * phi * grad_psi
-    hess_phi = lam * phi * (lam * np.outer(grad_psi, grad_psi) + hess_psi)
-    return phi, grad_phi, hess_phi
-
-
-def symbol_probe(
-    field: MatrixField, psi0: Polynomial, lam: float, x, xi, tau: float
-) -> SymbolProbe:
-    """p, p0, p1 and the Poisson bracket {p0, p1}, all analytic."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    a = field(x)
-    da = field.first_derivatives(x)
-    phi, grad_phi, hess_phi = _phi_derivatives(psi0, lam, x)
-
-    p = float(xi @ a @ xi)
-    p0 = p - tau**2 * float(grad_phi @ a @ grad_phi)
-    p1 = 2.0 * tau * float(xi @ a @ grad_phi)
-
-    # dxi p0 = 2 A xi ; dxi p1 = 2 tau A grad_phi
-    dxi_p0 = 2.0 * a @ xi
-    dxi_p1 = 2.0 * tau * a @ grad_phi
-    # dx_j p0 = xi^t (d_j A) xi - tau^2 [grad_phi^t (d_j A) grad_phi
-    #           + 2 grad_phi^t A (d_j grad_phi)]
-    dx_p0 = np.einsum("klj,k,l->j", da, xi, xi) - tau**2 * (
-        np.einsum("klj,k,l->j", da, grad_phi, grad_phi)
-        + 2.0 * np.einsum("k,kl,lj->j", grad_phi, a, hess_phi)
-    )
-    # dx_j p1 = 2 tau [xi^t (d_j A) grad_phi + xi^t A (d_j grad_phi)]
-    dx_p1 = 2.0 * tau * (
-        np.einsum("klj,k,l->j", da, xi, grad_phi)
-        + np.einsum("k,kl,lj->j", xi, a, hess_phi)
-    )
-    bracket = float(dxi_p0 @ dx_p1 - dx_p0 @ dxi_p1)
-    return SymbolProbe(p=p, p0=p0, p1=p1, bracket=bracket)
-
-
-def subellipticity_bracket(
-    field: MatrixField, psi0: Polynomial, lam: float, x, xi, tau: float
-) -> float:
-    """Raw Poisson bracket value; the characteristic equations are not enforced."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return symbol_probe(field, psi0, lam, x, xi, tau).bracket

@@ -65,7 +65,6 @@ from .operators import (
     _one_sided,
     assemble_operator,
     gradient_time,
-    laplacian_flux,
 )
 from .polynomials import Polynomial
 
@@ -162,10 +161,6 @@ class GammaPlusMask:
                 bits.append(f"face {f}: {count} nodes" + (" (all)" if mask.all() else ""))
         return "; ".join(bits) if bits else "empty"
 
-    @property
-    def is_empty(self) -> bool:
-        return not any(int(np.sum(m)) for m in self.face_masks)
-
     def sigma_plus_weights(self, grid: SpaceTimeGrid) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Trapezoid quadrature of Sigma+ = Gamma+ x (t1, t2) per face with plus
         nodes: ``(face, plus mask on the face nodes, dsigma dt weights of shape
@@ -227,19 +222,14 @@ def _face_trace(u_level: np.ndarray, grid: SpaceTimeGrid, face: int) -> np.ndarr
     return _one_sided(u_level, axis, h, -1)
 
 
-def dirichlet_seminorm_sq(u: np.ndarray, field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
-    """Discrete Dirichlet form -<Delta_A u, u> with uniform cell volume.
-
-    For Dirichlet fields this is the quadratic form of the symmetric flux
-    stencil, the quantity the leapfrog conserves semidiscretely; it agrees
-    with the integral of |grad u|_A^2 to second order.  Accepts trailing
-    axes; reduces over space.
-    """
-    return _dirichlet_form(laplacian_flux(field, u, grid), u, grid)
-
-
 def _dirichlet_form(lap: np.ndarray, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """-<lap, u> with uniform cell volume, reduced over space, clamped at 0."""
+    """-<lap, u> with uniform cell volume, reduced over space, clamped at 0.
+
+    With ``lap`` the product of ``assemble_operator(field, None, grid)`` and
+    a Dirichlet field ``u``, this is the quadratic form of the symmetric flux
+    stencil, the quantity the leapfrog conserves semidiscretely; it agrees
+    with the integral of |grad u|_A^2 to second order.
+    """
     cell = float(np.prod(grid.domain.spacings))
     form = -np.sum((lap * np.conj(u)).real, axis=tuple(range(grid.n))) * cell
     return np.maximum(form, 0.0)
@@ -414,10 +404,10 @@ def solve_evolution(
         velocity[..., 0] = np.asarray(data.u1)
         if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
                              and _is_zero_coeff(lower.zero)):
-            # the operator already assembled is the one laplacian_flux would
-            form = _dirichlet_form(_matvec(full, u), u, grid)
+            op = full  # the operator already assembled is Delta_A alone
         else:
-            form = dirichlet_seminorm_sq(u, field, grid)
+            op = assemble_operator(field, None, grid)
+        form = _dirichlet_form(_matvec(op, u), u, grid)
         energy = EnergyRecord(kind="wave", values=np.sqrt(
             form + np.sum(np.abs(velocity) ** 2 * w, axis=space)
         ))

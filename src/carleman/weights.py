@@ -123,9 +123,6 @@ class WeightSpec:
     def psi_space(self, grid: SpaceTimeGrid) -> np.ndarray:
         return self.psi0(grid.space_points) + self.shift
 
-    def phi_values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        return np.exp(self.lam * self.psi_values(grid))
-
     def min_psi(self, grid: SpaceTimeGrid) -> float:
         space_min = float(np.min(self.psi0(grid.space_points)))
         time_min = float(np.min(self.psi1(grid.times)))
@@ -318,10 +315,6 @@ class ObservabilityThresholds:
     t_obs: float
     delta: float
     checks: dict[str, bool]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
 
 
 def make_observability_weight(

@@ -6,12 +6,19 @@ to all of them.  Tests that exercise one reader at a time call it through
 these wrappers, which evaluate ``field(grid.space_points)``,
 ``first_derivatives``, ``eval_gradient`` and ``eval_hessian`` (and assemble the
 operator) for that call alone, with the signatures the readers had before.
+The operator products and boundary quadratures that the library forms inline
+have wrappers here too.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from carleman.coefficients import certify_ellipticity
 from carleman.operators import (
+    _apply_assembled,
+    _checked_lower,
+    _matvec,
     assemble_operator,
     conjugation_coeffs,
     conjugation_residual,
@@ -19,7 +26,8 @@ from carleman.operators import (
     magnetic_expansion_residual,
     riemannian_identity_residual,
 )
-from carleman.pseudoconvex import theta_scan
+from carleman.pseudoconvex import theta_scan, upsilon_theta
+from carleman.solvers import _dirichlet_form
 from carleman.weights import check_admissibility
 
 
@@ -47,6 +55,11 @@ def scan(field, h, pts):
     return theta_scan(*field_sample(field, pts), *weight_sample(h, pts))
 
 
+def theta(field, h, pts):
+    """(Upsilon, Theta) at the points ``pts``."""
+    return upsilon_theta(*field_sample(field, pts), *weight_sample(h, pts))
+
+
 def coeffs(spec, field, kind, tau, grid, admissibility=None):
     pts = grid.space_points
     return conjugation_coeffs(spec, *field_sample(field, pts),
@@ -72,3 +85,32 @@ def riemannian(field, u, grid):
 def magnetic(field, b_field, u, grid):
     return magnetic_expansion_residual(*field_sample(field, grid.space_points),
                                        b_field, u, grid)
+
+
+def apply(kind, field, lower, u, grid):
+    """The evolution operator of ``kind`` applied to ``u``; zero on the
+    boundary ring and, off the elliptic kind, on the time caps."""
+    lower = _checked_lower(kind, lower, grid)
+    return _apply_assembled(kind, assemble_operator(field, lower, grid), lower.time, u, grid)
+
+
+def laplacian(field, u, grid):
+    """Flux-form Delta_A of a space(+trailing) array; zero on the boundary ring."""
+    return _matvec(assemble_operator(field, None, grid), u)
+
+
+def dirichlet_seminorm_sq(u, field, grid):
+    """Discrete Dirichlet form -<Delta_A u, u>, reduced over space."""
+    return _dirichlet_form(laplacian(field, u, grid), u, grid)
+
+
+def integrate_lateral(g, grid):
+    """Surface-time integral of ``g`` over the lateral boundary Sigma."""
+    idx, w = grid.dmu_nodes()[0]
+    return float(np.asarray(g).ravel()[idx] @ w)
+
+
+def integrate_dmu(g, grid):
+    """Integral of ``g`` over dQ with respect to dmu: Sigma and the two time caps."""
+    idx, w = grid.dmu_nodes()[1]
+    return integrate_lateral(g, grid) + float(np.asarray(g).ravel()[idx] @ w)

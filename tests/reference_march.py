@@ -19,7 +19,6 @@ from carleman.operators import (
     _matvec,
     assemble_operator,
     gradient_time,
-    laplacian_flux,
 )
 from carleman.solvers import cfl_limit
 from reference_stencil import face_trace
@@ -123,7 +122,7 @@ def reference_evolution(kind, field, lower, data, grid):
                              and _is_zero_coeff(lower.zero)):
             form = _dirichlet_form(_matvec(full, u), u, grid)
         else:
-            form = _dirichlet_form(laplacian_flux(field, u, grid), u, grid)
+            form = _dirichlet_form(_matvec(assemble_operator(field, None, grid), u), u, grid)
         energy = np.sqrt(form + np.sum(np.abs(velocity) ** 2 * w, axis=space))
     else:
         energy = np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=space))

@@ -19,7 +19,13 @@ from carleman.audit import (
     _check_finite_sides,
     _check_vanishing,
 )
-from carleman.operators import apply_operator, gradient_space, gradient_time
+from carleman.operators import (
+    _apply_assembled,
+    _checked_lower,
+    assemble_operator,
+    gradient_space,
+    gradient_time,
+)
 from reference_stencil import face_trace
 
 
@@ -103,7 +109,8 @@ def reference_sides(
             lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam * phi * grad_sq
         lhs = float(np.sum(env * lhs_density * w))
 
-    lu = apply_operator(op_kind, field, lower, u, grid)
+    lower = _checked_lower(op_kind, lower, grid)
+    lu = _apply_assembled(op_kind, assemble_operator(field, lower, grid), lower.time, u, grid)
     src_density = np.abs(lu) ** 2
     rhs_source = float(np.sum(env * src_density * w))
     if kind == "wave_single_param":
@@ -180,7 +187,9 @@ def _reference_elliptic(
         lhs_density = tau**3 * lam**4 * phi**3 * usq + tau * lam**2 * phi * grad_sq
         lhs = float(np.sum(env * lhs_density * grid.space_weights))
 
-        lu = apply_operator("elliptic", field, lower, u, grid)
+        lower = _checked_lower("elliptic", lower, grid)
+        lu = _apply_assembled("elliptic", assemble_operator(field, lower, grid), lower.time, u,
+                              grid)
         rhs_source = float(np.sum(env * np.abs(lu) ** 2 * grid.space_weights))
 
         bdens = env * (tau**3 * lam**3 * phi**3 * usq + tau * lam * phi * grad_sq)

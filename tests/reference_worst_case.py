@@ -17,13 +17,15 @@ import numpy as np
 from carleman.experiments import WorstCaseResult
 from carleman.geometry import separable, sine_profile
 from carleman.pseudoconvex import certify_pseudoconvex
-from carleman.solvers import WaveData, dirichlet_seminorm_sq, gamma_plus, solve_evolution
+from carleman.operators import _matvec, assemble_operator
+from carleman.solvers import WaveData, _dirichlet_form, gamma_plus, solve_evolution
 
 _ZERO_OBS_REL = 1e-12
 
 
 def _data_norm(datum: WaveData, field, grid) -> float:
-    seminorm = float(np.sqrt(dirichlet_seminorm_sq(datum.u0, field, grid)))
+    lap = _matvec(assemble_operator(field, None, grid), datum.u0)
+    seminorm = float(np.sqrt(_dirichlet_form(lap, datum.u0, grid)))
     l2 = float(np.sqrt(np.sum(np.abs(datum.u1) ** 2 * grid.space_weights)))
     return math.sqrt(seminorm**2 + l2**2)
 

@@ -28,7 +28,6 @@ from carleman import (
 )
 from carleman.audit import compare_refinement, default_ensemble, sweep_audit
 from carleman.polynomials import Polynomial
-from carleman.pseudoconvex import theta_tensors
 from conftest import interior_bump_spacetime, sine_mode
 import per_call
 
@@ -86,7 +85,7 @@ def test_criterion_2_scalar_affine_cross_check():
         worst_closed = 0.0
         worst_fd = 0.0
         pts = rng.uniform(0.0, 1.0, size=(100, 2))
-        _, ups, _ = theta_tensors(field, weight, pts)
+        ups, _ = per_call.theta(field, weight, pts)
         for i, x in enumerate(pts):
             a = 1.0 + x[0] / 10.0
             d = x - x0

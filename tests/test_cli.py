@@ -195,7 +195,7 @@ def _put(block, key, value):
     "command, probe, message",
     [
         ("flatten", _no_powers, "error: config: missing key 'powers'"),
-        ("certify", _no_alpha, "error: config: missing key 'alpha'"),
+        ("certify", _no_alpha, "error: missing key 'alpha' in block 'weight: psi1'"),
         ("carleman-audit", _lower_list, "error: equation: lower must be a mapping, got list"),
         ("certify", _put("grid", "nodes", [17.9, 17]),
          "error: grid: nodes must be an integer per axis, got 17.9"),
@@ -209,12 +209,12 @@ def _put(block, key, value):
         ("carleman-audit", _put(None, "seed", -1),
          "error: seed: seed must be a non-negative integer, got -1"),
         ("solve", _put("solve", "mode", [1.5]),
-         "error: solve: mode must be an integer per axis, got 1.5"),
+         "error: solve: mode must be a positive integer per axis, got 1.5"),
         ("solve", _put("solve", "mode", 2), "error: solve: mode must be a list of integers, got 2"),
         ("certify", _put("weight", "lambda", "big"),
-         "error: weight: could not convert string to float: 'big'"),
+         "error: weight: lambda must be a positive finite number, got 'big'"),
         ("certify", _put("weight", "shift", "abc"),
-         "error: weight: could not convert string to float: 'abc'"),
+         "error: weight: shift must be a finite number, got 'abc'"),
         ("theta", _put("theta", "points", [[0.5]]),
          "error: theta: points last axis 1 != nvars 2"),
         ("flatten", _put("flatten", "radius", -0.5),
@@ -262,6 +262,67 @@ def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, pro
     # a number checked before any scan: no report is written
     if command in ("flatten", "identities") or "_max" in message:
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _observability_weight(t_obs):
+    def probe(cfg):
+        cfg["weight"] = {"family": "observability", "x0": [-0.5], "alpha": 0.5, "t_obs": t_obs}
+    return probe
+
+
+@pytest.mark.parametrize(
+    "config, command, probe, message",
+    [
+        ("wave_audit", "certify", _put("weight", "gamma", _NAN),
+         "weight: gamma must be a finite number, got nan"),
+        ("wave_audit", "certify", _put("weight", "t0", _NAN),
+         "weight: t0 must be a finite number, got nan"),
+        ("wave_audit", "certify", _put("weight", "lambda", _NAN),
+         "weight: lambda must be a positive finite number, got nan"),
+        ("wave_audit", "certify", _put("weight", "lambda", _INF),
+         "weight: lambda must be a positive finite number, got inf"),
+        ("wave_audit", "certify", _put("weight", "shift", _INF),
+         "weight: shift must be a finite number, got inf"),
+        ("wave_observability_1d", "certify", _observability_weight(_INF),
+         "weight: t_obs must be a finite number, got inf"),
+        ("wave_observability_1d", "observability", _put("observability", "t_obs", _INF),
+         "observability: t_obs must be a finite number, got inf"),
+        ("wave_observability_1d", "observability", _put("observability", "t_obs", _NAN),
+         "observability: t_obs must be a finite number, got nan"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "eps", _NAN),
+         "ucp: eps must be a finite number, got nan"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "t_span", _INF),
+         "ucp: t_span must be a finite number, got inf"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "r", _INF),
+         "ucp: r must be a finite number, got inf"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "lambda", _INF),
+         "ucp: lambda must be a positive finite number, got inf"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "shift", _NAN),
+         "ucp: shift must be a finite number, got nan"),
+        ("wave_observability_1d", "solve", _put("solve", "mode", [0]),
+         "solve: mode must be a positive integer per axis, got 0"),
+        ("wave_observability_1d", "solve", _put("solve", "mode", [1, 2]),
+         "solve: mode must have at most one entry per axis (1), got [1, 2]"),
+    ],
+    ids=["weight-gamma-nan", "weight-t0-nan", "weight-lambda-nan", "weight-lambda-inf",
+         "weight-shift-inf", "weight-t_obs-inf", "observability-t_obs-inf",
+         "observability-t_obs-nan", "ucp-eps-nan", "ucp-t_span-inf", "ucp-r-inf",
+         "ucp-lambda-inf", "ucp-shift-nan", "mode-zero", "mode-too-long"],
+)
+def test_bad_command_numbers_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
+                                                  message):
+    """Numbers that no check downstream would catch (a NaN weight certified, an
+    infinite observation time passed every grid check) stop before any scan."""
+    cfg = yaml.safe_load((SHIPPED / f"{config}.yaml").read_text())
+    probe(cfg)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert run(command, path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
 
 
 def test_certify_accepts_infinite_tolerances(tmp_path):

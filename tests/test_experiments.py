@@ -10,9 +10,9 @@ from carleman import (
     solve_evolution,
     worst_case_ratio,
 )
-from carleman.experiments import CheckFailedError, trace_norm_sigma_plus
+from carleman.experiments import CheckFailedError, _sigma_plus_norm
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import HeatData, dirichlet_seminorm_sq, gamma_plus
+from carleman.solvers import HeatData, gamma_plus
 from carleman.weights import make_observability_weight
 from conftest import sine_mode
 import per_call
@@ -96,7 +96,7 @@ def test_trace_norm_monotone_in_observation_time(validation_1d):
             "wave", f, None, WaveData(np.sin(np.pi * x), np.zeros_like(x)), t_final, g
         )
         mask = gamma_plus(f, PSI0_1D, g)
-        norms.append(trace_norm_sigma_plus(state, mask))
+        norms.append(_sigma_plus_norm(state.traces, mask, g))
     assert norms[0] <= norms[1] + 1e-12
     assert norms[1] <= norms[2] + 1e-12
 
@@ -264,10 +264,10 @@ def test_ensemble_block_matches_member_solves(kind):
     for sample, datum in zip(report.samples, ensemble, strict=True):
         state = solve_evolution(solve_kind, field, None, datum, g.t2, g)
         level = state.u[..., -1] if kind == "heat_final" else datum.u0
-        dn = float(np.sqrt(dirichlet_seminorm_sq(level, field, g)))
+        dn = float(np.sqrt(per_call.dirichlet_seminorm_sq(level, field, g)))
         if kind == "wave":
             dn = float(np.sqrt(dn**2 + np.sum(np.abs(datum.u1) ** 2 * g.space_weights)))
-        tr = trace_norm_sigma_plus(state, mask)
+        tr = _sigma_plus_norm(state.traces, mask, g)
         if kind == "heat_final":
             assert sample.data_norm == pytest.approx(dn, rel=1e-12, abs=0.0)
             assert sample.trace_norm == pytest.approx(tr, rel=1e-12, abs=0.0)

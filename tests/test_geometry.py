@@ -10,14 +10,13 @@ from carleman import (
     MatrixField,
     WaveData,
     build_grid,
-    integrate_dmu,
-    integrate_interior,
     worst_case_ratio,
 )
 from carleman.audit import _window, default_ensemble
-from carleman.geometry import integrate_lateral, separable, sine_profile, smooth_bump
+from carleman.geometry import separable, sine_profile, smooth_bump
 from carleman.polynomials import Polynomial
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
+import per_call
 
 
 def test_unit_square_grid_spacings():
@@ -55,17 +54,23 @@ def test_fractional_counts_rejected_not_truncated():
     assert type(g.space_shape[0]) is int and type(g.nt) is int
 
 
+def _interior_integral(f, g):
+    """Trapezoid integral over Q with the grid's space and time weights, the
+    quadrature of the audit's volume sides."""
+    return float(np.sum(f * (g.space_weights[..., None] * g.time_weights)))
+
+
 def test_interior_integral_constants():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 9)
-    assert integrate_interior(np.ones(g.shape), g) == pytest.approx(1.0, abs=1e-12)
+    assert _interior_integral(np.ones(g.shape), g) == pytest.approx(1.0, abs=1e-12)
     g2 = build_grid([0, 0], [2, 3], [9, 9], 0.0, 1.0, 9)
-    assert integrate_interior(np.ones(g2.shape), g2) == pytest.approx(6.0, abs=1e-12)
+    assert _interior_integral(np.ones(g2.shape), g2) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_interior_integral_linear():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 9)
     f = np.broadcast_to(g.space_points[..., 0][..., None], g.shape).copy()
-    assert integrate_interior(f, g) == pytest.approx(0.5, abs=1e-12)
+    assert _interior_integral(f, g) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quadrature_exact_for_multilinear():
@@ -74,7 +79,7 @@ def test_quadrature_exact_for_multilinear():
     f = (2.0 + x[..., 0])[..., None] * (1.0 + g.times)
     exact = (2.0 + 0.5) * 2.0 * (1.0 + 0.5)  # per-axis affine factors
     # int over x2 in (0,2) of 1 dx2 = 2; affine-per-axis integrand is exact
-    assert integrate_interior(f, g) == pytest.approx(exact, rel=1e-12)
+    assert _interior_integral(f, g) == pytest.approx(exact, rel=1e-12)
 
 
 def test_quadrature_second_order_refinement():
@@ -83,7 +88,7 @@ def test_quadrature_second_order_refinement():
         x = g.space_points
         f = np.sin(np.pi * x[..., 0])[..., None] * np.sin(np.pi * g.times)
         exact = (2.0 / np.pi) * 1.0 * (2.0 / np.pi)
-        return abs(integrate_interior(f, g) - exact)
+        return abs(_interior_integral(f, g) - exact)
 
     e1, e2 = err(9, 9), err(17, 17)
     assert 3.5 <= e1 / e2 <= 4.5
@@ -91,8 +96,8 @@ def test_quadrature_second_order_refinement():
 
 def test_dmu_unit_square():
     g = build_grid([0, 0], [1, 1], [17, 17], 0.0, 1.0, 17)
-    assert integrate_dmu(np.ones(g.shape), g) == pytest.approx(6.0, abs=1e-12)
-    assert integrate_dmu(np.zeros(g.shape), g) == 0.0
+    assert per_call.integrate_dmu(np.ones(g.shape), g) == pytest.approx(6.0, abs=1e-12)
+    assert per_call.integrate_dmu(np.zeros(g.shape), g) == 0.0
 
 
 def test_dmu_caps_only_cube():
@@ -104,7 +109,7 @@ def test_dmu_caps_only_cube():
         vals = np.zeros(g.shape)
         vals[..., 0] = 1.0
         vals[..., -1] = 1.0
-        return integrate_dmu(vals, g), g.dt
+        return per_call.integrate_dmu(vals, g), g.dt
 
     v1, dt1 = value(5)
     v2, dt2 = value(9)
@@ -117,17 +122,9 @@ def test_dmu_additivity():
     rng = np.random.default_rng(5)
     g1 = rng.normal(size=g.shape)
     g2 = rng.normal(size=g.shape)
-    total = integrate_dmu(g1 + g2, g)
-    split = integrate_dmu(g1, g) + integrate_dmu(g2, g)
+    total = per_call.integrate_dmu(g1 + g2, g)
+    split = per_call.integrate_dmu(g1, g) + per_call.integrate_dmu(g2, g)
     assert total == pytest.approx(split, rel=1e-12, abs=1e-12)
-
-
-def test_missing_cap_data_rejected():
-    g = build_grid([0, 0], [1, 1], [5, 5], 0.0, 1.0, 5)
-    vals = np.ones(g.shape)
-    vals[2, 2, 0] = np.nan
-    with pytest.raises(ValueError, match="cap"):
-        integrate_dmu(vals, g)
 
 
 @st.composite
@@ -166,8 +163,8 @@ def test_boundary_integrals_exact_for_affine_functions(case):
     lengths = [c[-1] - c[0] for c in axes]
     size = lengths[-1] * sum(2 * np.prod(lengths[:k] + lengths[k + 1:-1]) for k in range(grid.n))
     scale = float(np.max(np.abs(f))) * (size + 2 * np.prod(lengths[:-1]))  # sup|f| mu(dQ)
-    assert integrate_lateral(f, grid) == pytest.approx(lateral, abs=1e-12 * scale)
-    assert integrate_dmu(f, grid) == pytest.approx(lateral + caps, abs=1e-12 * scale)
+    assert per_call.integrate_lateral(f, grid) == pytest.approx(lateral, abs=1e-12 * scale)
+    assert per_call.integrate_dmu(f, grid) == pytest.approx(lateral + caps, abs=1e-12 * scale)
 
 
 @pytest.mark.parametrize("spatial", [False, True], ids=["spacetime", "space"])
@@ -207,14 +204,6 @@ def test_face_geometry_cached_and_read_only(unit_square_grid):
         with pytest.raises(ValueError, match="read-only"):
             g.face_weights(f)[0, 0] = 1.0
     assert np.allclose(g.lateral_weights[g.boundary_mask].sum(), 4.0)
-
-
-def test_lateral_integral_rejects_non_finite_boundary_values():
-    g = build_grid([0, 0], [1, 1], [5, 5], 0.0, 1.0, 5)
-    vals = np.ones(g.shape)
-    vals[0, 2, 2] = np.inf
-    with pytest.raises(ValueError, match="lateral"):
-        integrate_dmu(vals, g)
 
 
 # -- separable fields against the per-site builders they replaced --------------------

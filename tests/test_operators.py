@@ -4,12 +4,11 @@ import pytest
 from carleman import (
     MatrixField,
     RiemannianField,
-    apply_operator,
     build_grid,
     make_example_weight,
     riemannian_identity_residual,
 )
-from carleman.operators import LowerOrderCoeffs, assemble_operator, laplacian_flux
+from carleman.operators import LowerOrderCoeffs, assemble_operator
 from carleman.polynomials import Polynomial, poly_from_table
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
 import per_call
@@ -30,7 +29,7 @@ def inner(arr, grid, margin=1):
 def test_elliptic_quadratic_exact(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     u = grid2.space_points[..., 0] ** 2
-    out = apply_operator("elliptic", field, None, u, grid2)
+    out = per_call.apply("elliptic", field, None, u, grid2)
     assert np.max(np.abs(inner(out, grid2) - 2.0)) < 1e-11
 
 
@@ -38,7 +37,7 @@ def test_stencil_exact_per_axis_quadratics_constant_field(grid2):
     field = MatrixField.constant(np.array([[2.0, 0.4], [0.4, 1.0]]), domain=grid2.domain)
     x = grid2.space_points
     u = (1.0 + x[..., 0] + x[..., 0] ** 2) * (2.0 - x[..., 1] + 0.5 * x[..., 1] ** 2)
-    out = laplacian_flux(field, u, grid2)
+    out = per_call.laplacian(field, u, grid2)
     # exact second derivatives of the separable polynomial
     f0 = 1.0 + x[..., 0] + x[..., 0] ** 2
     f1 = 2.0 - x[..., 1] + 0.5 * x[..., 1] ** 2
@@ -56,7 +55,7 @@ def test_wave_dalembert_mode_residual_decays():
         field = MatrixField.identity(1, domain=g.domain)
         x = g.space_points[..., 0]
         u = np.sin(np.pi * x)[:, None] * np.sin(np.pi * g.times)
-        out = apply_operator("wave", field, None, u, g)
+        out = per_call.apply("wave", field, None, u, g)
         return np.max(np.abs(out[1:-1, 1:-1]))
 
     r1, r2 = residual(33), residual(65)
@@ -69,7 +68,7 @@ def test_wave_dalembert_equal_spacing_cancels_exactly():
     field = MatrixField.identity(1, domain=g.domain)
     x = g.space_points[..., 0]
     u = np.sin(np.pi * x)[:, None] * np.sin(np.pi * g.times)
-    out = apply_operator("wave", field, None, u, g)
+    out = per_call.apply("wave", field, None, u, g)
     assert np.max(np.abs(out[1:-1, 1:-1])) < 1e-11
 
 
@@ -77,7 +76,7 @@ def test_parabolic_constant_with_zero_order(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     lower = LowerOrderCoeffs(kind="parabolic", zero=3.0)
     u = np.ones(grid2.shape)
-    out = apply_operator("parabolic", field, lower, u, grid2)
+    out = per_call.apply("parabolic", field, lower, u, grid2)
     assert np.max(np.abs(inner(out, grid2)[..., 1:-1] - 3.0)) < 1e-12
 
 
@@ -85,7 +84,7 @@ def test_kind_coefficient_mismatch_rejected(grid2):
     field = MatrixField.identity(2, domain=grid2.domain)
     lower = LowerOrderCoeffs(kind="wave", time=1.0)
     with pytest.raises(ValueError, match="wave"):
-        apply_operator("elliptic", field, lower, np.ones(grid2.space_shape), grid2)
+        per_call.apply("elliptic", field, lower, np.ones(grid2.space_shape), grid2)
     with pytest.raises(ValueError):
         LowerOrderCoeffs(kind="elliptic", time=1.0)
 
@@ -105,8 +104,8 @@ def test_flux_stencil_discrete_self_adjointness(grid2):
     v = np.zeros(grid2.space_shape)
     u[3:-3, 3:-3] = rng.normal(size=u[3:-3, 3:-3].shape)
     v[3:-3, 3:-3] = rng.normal(size=v[3:-3, 3:-3].shape)
-    lu = laplacian_flux(field, u, grid2)
-    lv = laplacian_flux(field, v, grid2)
+    lu = per_call.laplacian(field, u, grid2)
+    lv = per_call.laplacian(field, v, grid2)
     defect = abs(float(np.sum(lu * v)) - float(np.sum(u * lv)))
     scale = max(1.0, abs(float(np.sum(lu * v))))
     assert defect / scale < 1e-11
@@ -117,7 +116,7 @@ def test_nonfinite_input_rejected(grid2):
     u = np.ones(grid2.space_shape)
     u[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        apply_operator("elliptic", field, None, u, grid2)
+        per_call.apply("elliptic", field, None, u, grid2)
 
 
 # -- conjugation ------------------------------------------------------------------

@@ -41,17 +41,6 @@ def test_gradient_hessian_shapes():
     assert np.allclose(p.eval_hessian(pts), np.eye(2))
 
 
-def test_affine_composition_is_exact():
-    rng = np.random.default_rng(3)
-    p = random_poly(rng, 2)
-    theta = 0.3
-    mat = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    shift = np.array([0.2, -0.1])
-    q = p.compose_affine(mat, shift)
-    y = rng.uniform(-1, 1, size=(10, 2))
-    assert np.allclose(q(y), p(y @ mat.T + shift), atol=1e-12)
-
-
 def test_general_composition():
     p = poly_from_table(2, [((1, 0), 1.0), ((0, 2), 1.0)])  # x1 + x2^2
     comps = [

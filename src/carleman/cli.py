@@ -151,6 +151,14 @@ def _number(block: dict, name: str, key: str, default=_need, positive: bool = Fa
     return float(value)
 
 
+def _point(block: dict, name: str, key: str, n: int, default=_need) -> tuple[float, ...]:
+    """A point entry of config block ``name``: a list of ``n`` finite numbers."""
+    value = _get(block, key, name, default)
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{name}: {key} must be a list of {n} finite numbers, got {value!r}")
+    return tuple(_number({key: v}, name, key) for v in value)
+
+
 def build_grid_from(cfg: dict) -> SpaceTimeGrid:
     g = _need(cfg, "grid")
     try:
@@ -239,6 +247,8 @@ def build_weight_from(
         if family == "custom":
             psi0 = _psi0_from(w, grid.n)
             p1 = w.get("psi1", {"family": "zero"})
+            if not isinstance(p1, dict):
+                raise ConfigError(f"weight: psi1 must be a mapping, got {type(p1).__name__}")
             fam1 = p1.get("family", "zero")
             where = "weight: psi1"
             if fam1 == "zero":
@@ -403,7 +413,10 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     results = []
     try:
         for p in points or []:
-            dec = theta_decomposition(field, spec.psi0, np.asarray(p, dtype=float))
+            point = np.asarray(p, dtype=float)
+            if not np.isfinite(point).all():
+                raise ConfigError(f"theta: points must have finite coordinates, got {p!r}")
+            dec = theta_decomposition(field, spec.psi0, point)
             results.append(
                 {
                     "point": list(map(float, p)),
@@ -581,7 +594,7 @@ def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     t_span = _number(block, "ucp", "t_span")
     lam = _number(block, "ucp", "lambda", 1.0, positive=True)
     shift = _number(block, "ucp", "shift", 0.0)
-    center = tuple(float(v) for v in block.get("center", [0.0] * grid.n))
+    center = _point(block, "ucp", "center", grid.n, [0.0] * grid.n)
     geom = UCPGeometry(
         center=center,
         c=c,

@@ -2,54 +2,65 @@
 Schrodinger, boundary traces, energies and the semigroup smoothing-bound
 check.
 
-One private level loop, ``_march``, checks the data once and advances the
-interior nodes of K runs level by level as an ``(N_int, K)`` block; one
-run is a K = 1 block.  It has two step rules: the explicit leapfrog for
-wave, one sparse product per step with the interior block L of
-``operators.assemble_operator``, and for heat (c = 1) and Schrodinger
-(c = i) the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt
-f_mid``.  The trapezoid rule takes one of two routes.  A run without first-
-or zero-order terms or source, whose A is axis-separable with positive
-definite per-axis tridiagonals (every half-point a_kk positive), takes the
-modal route: -L is the Kronecker sum of those tridiagonals, so the step is
-diagonal in the products of their eigenvectors, mode mu being multiplied by
-``(1 - c dt mu/2) / (1 + c dt mu/2)``.  LAPACK ``dpteqr`` gives the per-axis
-eigenpairs, the data are transformed into modal coefficients once, and
-each level is transformed back; nothing is assembled or factorized.  Every
-other run takes the LU route: L is assembled, ``I - c dt/2 L`` is
-factorized once by ``splu`` and solved with all K right-hand sides per
-step.  For Schrodinger the trapezoid step is a Cayley transform of the
-symmetric discrete operator, so on either route the L2 norm is conserved to
-rounding, which the conservation checks rely on.  A CSR product with a
-dense block keeps each column's summation order, and the modal transforms
-act on each datum by products whose shapes do not depend on K, so each
-column of a block follows its single run's arithmetic (the real
-multi-right-hand-side SuperLU solve of heat rounds differently, at the
+One private level loop, ``_march``, checks the data once and advances K runs
+together; one run is a K = 1 block.  It has two step rules, the explicit
+leapfrog for wave and for heat (c = 1) and Schrodinger (c = i) the trapezoid
+rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid``, and each takes one
+of two routes.  A run without first- or zero-order terms or source, whose A
+is axis-separable with positive definite per-axis tridiagonals (every
+half-point a_kk positive), takes the modal route: -L is the Kronecker sum of
+those tridiagonals (Lynch, Rice and Thomas, Numer. Math. 6, 1964), so each
+step rule is a scalar recurrence per product of their eigenvectors, mode mu
+running ``c[m+1] = 2 c[m] - c[m-1] - dt^2 mu c[m]`` (leapfrog) or being
+multiplied by ``(1 - c dt mu/2) / (1 + c dt mu/2)`` (trapezoid).  LAPACK
+``dpteqr`` gives the per-axis eigenpairs, the data are transformed into
+modal coefficients once, and nothing is assembled or factorized.  The
+one-sided trace stencil acts within one level, so the trace of a level on a
+face is a fixed linear functional of its coefficients (Infante and Zuazua,
+M2AN 33, 1999): the stencil applied to the eigenvectors of the face's axis,
+times the eigenvectors of the other axes.  Every other run takes the nodal
+route on the ``(N_int, K)`` interior block: one sparse product per leapfrog
+step with the interior block L of ``operators.assemble_operator``, or one
+``splu`` factorization of ``I - c dt/2 L`` solved with all K right-hand sides
+per trapezoid step.  For Schrodinger the trapezoid step is a Cayley
+transform of the symmetric discrete operator, so on either route the L2
+norm is conserved to rounding, which the conservation checks rely on.  A
+CSR product with a dense block keeps each column's summation order, and
+every modal transform and trace functional acts on each datum and level by
+matrix products whose shapes do not depend on K or on how levels are
+grouped, so each column of a block follows its single run's arithmetic (the
+real multi-right-hand-side SuperLU solve of heat rounds differently, at the
 1e-16 level).
 
 Callers say what they keep.  ``solve_evolution`` runs one datum and keeps
 the space-time array, whose boundary ring stays zero, the velocity and
-energy record (wave) and the traces, taken on the whole array one call per
-face; without first- or zero-order terms the wave energy takes its
-Dirichlet form from the operator already assembled.  ``solve_block`` runs
-K data and keeps, per level, only the interior nodes the one-sided trace
-stencils read, plus the last three levels: the Sigma+ traces, the final
-state and the final velocity, without any space-time array.
+energy record (wave) and the traces.  On the modal route every level is
+transformed back, the traces come from the trace functionals and the wave
+energy takes its Dirichlet form ``cell * sum mu |c|^2`` from the
+coefficients; otherwise the traces are taken on the whole array one call
+per face and, without first- or zero-order terms, the Dirichlet form comes
+from the operator already assembled.  ``solve_block`` runs K data and keeps
+the Sigma+ traces, the final state and the final velocity, without any
+space-time array: on the modal route it sends chunks of coefficient levels
+through the trace functionals and transforms back only the last three
+levels; otherwise it keeps, per level, only the interior nodes the trace
+stencils read, plus the last three levels.
 
 ``smoothing_bound_check`` needs every eigenvalue of the interior -Delta_A
 (at most 4096 unknowns), by one of three routes.  When A is axis-separable
 (diagonal, each a_kk a polynomial in x_k alone; every 1-D field is), the
 operator is a Kronecker sum of one tridiagonal per axis, so its spectrum is
 every sum of one eigenvalue per axis, each axis solved by
-``scipy.linalg.eigvalsh_tridiagonal`` (Lynch, Rice and Thomas, Numer. Math.
-6, 1964) and nothing assembled.  Otherwise, in 2-D it numbers the nodes
-with the longest axis slowest, copies the band of the matrix into LAPACK
-band storage and calls ``scipy.linalg.eig_banded``; in 3-D, where the band
-is too wide to gain, it calls the dense ``numpy.linalg.eigvalsh``.
+``scipy.linalg.eigvalsh_tridiagonal`` and nothing assembled.  Otherwise, in
+2-D it numbers the nodes with the longest axis slowest, copies the band of
+the matrix into LAPACK band storage and calls ``scipy.linalg.eig_banded``;
+in 3-D, where the band is too wide to gain, it calls the dense
+``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -216,10 +227,14 @@ def _interior_block(full: sp.csr_matrix, grid: SpaceTimeGrid) -> sp.csr_matrix:
 def _face_trace(u_level: np.ndarray, grid: SpaceTimeGrid, face: int) -> np.ndarray:
     """Outward normal derivative on one face, 3-point one-sided."""
     axis, side = grid.face_axis_side(face)
-    h = grid.domain.spacings[axis]
+    return _outward_derivative(u_level, axis, grid.domain.spacings[axis], side)
+
+
+def _outward_derivative(u: np.ndarray, axis: int, h: float, side: int) -> np.ndarray:
+    """Outward derivative at the low (``side`` 0) or high end of an axis."""
     if side == 0:
-        return -_one_sided(u_level, axis, h, 0)
-    return _one_sided(u_level, axis, h, -1)
+        return -_one_sided(u, axis, h, 0)
+    return _one_sided(u, axis, h, -1)
 
 
 def _dirichlet_form(lap: np.ndarray, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -255,14 +270,19 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     """Check the data of one kind once and set up their level loop.
 
     Returns the all-node operator (None on the modal route, which assembles
-    nothing), the dtype and a generator of the interior levels 0, ..., nt - 1
-    in C order: ``(N_int, K)`` blocks with one column per datum.  Wave runs
-    the leapfrog; heat and Schrodinger run the trapezoid rule on the modal
-    route when there is no lower-order term and no source and A is
-    axis-separable with positive definite per-axis tridiagonals, and on the
-    ``splu`` route otherwise.  A column follows the arithmetic of its single
-    run.  A non-finite value at any level of any column raises
-    ``FloatingPointError``.
+    nothing), the dtype, the modal basis (None off the modal route) and a
+    generator.  A run without lower-order term or source whose A is
+    axis-separable with positive definite per-axis tridiagonals takes the
+    modal route: the generator yields the modal coefficients of levels 0, ...,
+    nt - 1 in chunks, ``(levels, K, N_int)`` arrays that stay valid until the
+    next chunk is drawn, each mode running the leapfrog ``c[m+1] = 2 c[m] -
+    c[m-1] - dt^2 mu c[m]`` from ``c[1] = c[0] + dt b - (dt^2 mu/2) c[0]``
+    (wave) or the trapezoid factor ``(1 - c dt mu/2) / (1 + c dt mu/2)``.
+    Otherwise it yields the interior levels in C order, ``(N_int, K)`` blocks
+    with one column per datum, from the CSR leapfrog (wave) or the ``splu``
+    trapezoid rule.  Wave runs are CFL-checked on either route.  A column
+    follows the arithmetic of its single run.  A non-finite value at any level
+    of any column raises ``FloatingPointError``.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown evolution kind {kind!r}")
@@ -287,11 +307,13 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
         raise ValueError(f"{kind} source must be a space-time array")
     inner, inner_shape = _interior(grid)
     forced = any(s is not None for s in sources)
-    modal = None  # per axis (eigenvalues, eigenvectors) on the modal route
-    if not wave and lower is None and not forced and _axis_separable(field):
-        modal = _axis_eigenpairs(field, grid)
+    basis = None
+    if lower is None and not forced and _axis_separable(field):
+        pairs = _axis_eigenpairs(field, grid)
+        if pairs is not None:
+            basis = _ModalBasis(pairs, grid)
     full = mat = None
-    if modal is None:
+    if basis is None:
         full = assemble_operator(field, lower, grid)
         mat = _interior_block(full, grid)
 
@@ -312,6 +334,13 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     dtype = np.complex128 if complex_run else np.float64
     half = 0.5 * (1j if kind == "schrodinger" else 1) * dt
 
+    if basis is not None:
+        def rows(arrays) -> np.ndarray:  # interior values, one row per datum
+            return np.stack([a[inner].reshape(-1) for a in arrays]).astype(dtype)
+
+        chunks = _modal_chunks(basis, half, grid, rows(u0), rows(u1) if wave else None)
+        return None, dtype, basis, chunks
+
     if forced:  # the sources on the interior nodes, levels along axis 1
         forcing = np.stack([(np.zeros(grid.shape) if s is None else s)[inner]
                             .reshape(mat.shape[0], -1) for s in sources], axis=-1)
@@ -319,11 +348,6 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     if wave:
         v1 = columns(u1)
         step = dt**2 * mat
-    elif modal is not None:
-        mu = _kronecker_sum([axis_mu for axis_mu, _ in modal])
-        ratio = ((1.0 - half * mu) / (1.0 + half * mu)).reshape(-1)
-        to_modes = [np.ascontiguousarray(vec.T) for _, vec in modal]
-        to_nodes = [vec for _, vec in modal]
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -335,13 +359,8 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     def levels():
         prev, cur = None, columns(u0).astype(dtype)
         yield _finite(cur)
-        if modal is not None:  # one row of coefficients per datum
-            coef = _along_axes(to_modes, cur.T, inner_shape)
         for m in range(grid.nt - 1):
-            if modal is not None:
-                coef = ratio * coef
-                nxt = _along_axes(to_nodes, coef, inner_shape).T
-            elif not wave:
+            if not wave:
                 rhs = rhs_mat @ cur
                 if forced:
                     rhs = rhs - dt * (0.5 * (forcing[:, m] + forcing[:, m + 1]))
@@ -364,7 +383,109 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
             prev, cur = cur, nxt
             yield _finite(nxt)
 
-    return full, dtype, levels()
+    return full, dtype, None, levels()
+
+
+def _modal_chunks(basis: _ModalBasis, half, grid: SpaceTimeGrid, u0: np.ndarray,
+                  u1: np.ndarray | None):
+    """The modal coefficients of levels 0, ..., nt - 1 from the ``(K, N_int)``
+    interior rows of u0 and, for the leapfrog, u1 (else the trapezoid rule with
+    ``half = c dt/2``): ``(levels, K, N_int)`` per chunk, written into one
+    reused buffer of ``_chunk_levels`` levels."""
+    dt, nt, mu = grid.dt, grid.nt, basis.mu
+    coef = _finite(basis.modes(u0))
+    wave = u1 is not None
+    if wave:
+        step = dt**2 * mu
+        first = coef + dt * basis.modes(u1) - (0.5 * step) * coef
+    else:
+        ratio = (1.0 - half * mu) / (1.0 + half * mu)
+    length = _chunk_levels(grid)
+    buf = np.empty((length, *coef.shape), dtype=coef.dtype)
+    prev = cur = None
+    for m0 in range(0, nt, length):
+        chunk = buf[:min(length, nt - m0)]
+        for m, out in enumerate(chunk, start=m0):
+            if m == 0:
+                out[...] = coef
+            elif not wave:
+                np.multiply(ratio, cur, out=out)
+            elif m == 1:
+                out[...] = first
+            else:
+                np.multiply(cur, 2.0, out=out)
+                out -= prev
+                out -= step * cur
+            prev, cur = cur, out
+        yield _finite(chunk)
+
+
+def _chunk_levels(grid: SpaceTimeGrid) -> int:
+    """Levels per chunk of modal coefficients: as many as keep a chunk within
+    the slab array of the nodal route, (slab nodes + 1) x nt per datum, where
+    the slab is every interior node within two of a face.  At least three
+    (every grid has nt >= 3), so a level never overwrites the two it is
+    computed from."""
+    inner = [m - 2 for m in grid.space_shape]
+    size = math.prod(inner)
+    slab = size - math.prod(max(m - 4, 0) for m in inner)
+    return min(grid.nt, max(3, (slab + 1) * grid.nt // size))
+
+
+class _ModalBasis:
+    """The eigenbasis of the interior -L of an axis-separable A, from the
+    per-axis eigenpairs of ``_axis_eigenpairs``: every sum ``mu`` of one
+    eigenvalue per axis in C order of the interior nodes, the transforms
+    between interior values and modal coefficients, and per face the trace
+    functional.
+
+    The trace on a face of axis k is the 3-point one-sided stencil of
+    ``_face_trace`` applied to the rows of ``V_k`` next to that face (a
+    boundary row is zero), times ``V_j`` along each other axis: a fixed
+    linear map from the coefficients of a level to its trace on the
+    interior nodes of the face, whose ring nodes read only boundary values
+    and stay zero."""
+
+    def __init__(self, pairs: list, grid: SpaceTimeGrid):
+        self.shape = [vec.shape[0] for _, vec in pairs]
+        self.mu = _kronecker_sum([axis_mu for axis_mu, _ in pairs]).reshape(-1)
+        self.to_modes = [(k, np.ascontiguousarray(vec.T)) for k, (_, vec) in enumerate(pairs)]
+        self.to_nodes = [(k, vec) for k, (_, vec) in enumerate(pairs)]
+        self.faces, self.face_shapes = [], []
+        for f in range(grid.num_faces):
+            axis, side = grid.face_axis_side(f)
+            padded = np.zeros((self.shape[axis] + 2, self.shape[axis]))
+            padded[1:-1] = pairs[axis][1]
+            functional = _outward_derivative(padded, 0, grid.domain.spacings[axis], side)
+            self.faces.append([(axis, functional.reshape(1, -1))]
+                              + [(j, mat) for j, mat in self.to_nodes if j != axis])
+            self.face_shapes.append([m for k, m in enumerate(grid.space_shape) if k != axis])
+        # the face's interior nodes, and (levels, K, *those nodes) -> (*nodes, levels, K)
+        self.ring = (slice(1, -1),) * (grid.n - 1)
+        self.order = (*range(2, grid.n + 1), 0, 1)
+
+    def modes(self, rows: np.ndarray) -> np.ndarray:
+        """``(rows, N_int)`` interior values to modal coefficients."""
+        return _along_axes(self.to_modes, rows, self.shape)
+
+    def nodes(self, rows: np.ndarray) -> np.ndarray:
+        """``(rows, N_int)`` modal coefficients to interior values."""
+        return _along_axes(self.to_nodes, rows, self.shape)
+
+    def trace_arrays(self, nt: int, size: int, dtype) -> list[np.ndarray]:
+        """Zero traces per face, ``(*face shape, nt, K)``."""
+        return [np.zeros((*shape, nt, size), dtype=dtype) for shape in self.face_shapes]
+
+    def write_traces(self, traces: list[np.ndarray], chunk: np.ndarray, m0: int) -> None:
+        """Write the traces of a ``(levels, K, N_int)`` chunk of coefficients
+        into ``trace_arrays`` at levels ``m0, m0 + 1, ...``, on the interior
+        nodes of each face."""
+        rows = chunk.reshape(-1, chunk.shape[-1])
+        levels = (slice(m0, m0 + len(chunk)),)
+        for out, functional, shape in zip(traces, self.faces, self.face_shapes):
+            vals = _along_axes(functional, rows, self.shape).reshape(
+                *chunk.shape[:2], *[m - 2 for m in shape])
+            out[self.ring + levels] = vals.transpose(self.order)
 
 
 def solve_evolution(
@@ -378,22 +499,43 @@ def solve_evolution(
     """Run the IBVP with homogeneous Dirichlet boundary on the grid's times.
 
     ``data`` is a ``WaveData``, ``HeatData`` or ``SchrodingerData``, run as a
-    K = 1 block of ``_march``.  wave: explicit leapfrog, one sparse product
-    per step with the interior operator L (CFL checked); heat (c = 1) and
-    schrodinger (c = i): the trapezoid rule ``(I - c dt/2 L) v' = (I + c dt/2
-    L) v - dt f_mid``, stepped mode by mode in the per-axis eigenbasis when
-    ``lower`` is None, there is no source and A is axis-separable with
-    positive half-point a_kk, and otherwise with one sparse factorization
-    reused for all levels.  Schrodinger runs are complex; any other run is
-    complex exactly when its data, source, operator or time coefficient is.
-    Keeps the whole space-time array, the velocity (wave), the energy record
-    and the traces.
+    K = 1 block of ``_march``.  wave: explicit leapfrog (CFL checked);
+    heat (c = 1) and schrodinger (c = i): the trapezoid rule ``(I - c dt/2 L)
+    v' = (I + c dt/2 L) v - dt f_mid``.  When ``lower`` is None, there is no
+    source and A is axis-separable with positive half-point a_kk, each step
+    acts mode by mode in the per-axis eigenbasis, every level is transformed
+    back and the traces are the modal trace functionals, as ``solve_block``
+    takes them; otherwise the leapfrog makes one sparse product per step with
+    the interior operator L, the trapezoid rule reuses one sparse
+    factorization, and the traces are taken on the whole array one call per
+    face.  Schrodinger runs are complex; any other run is complex exactly
+    when its data, source, operator or time coefficient is.  Keeps the whole
+    space-time array, the velocity (wave), the energy record and the traces.
     """
-    full, dtype, levels = _march(kind, field, lower, [data], t_final, grid)
+    full, dtype, basis, levels = _march(kind, field, lower, [data], t_final, grid)
     inner, inner_shape = _interior(grid)
+    nt = grid.nt
     u = np.zeros(grid.shape, dtype=dtype)  # the boundary ring stays zero
-    for m, level in enumerate(levels):
-        u[inner + (m,)] = level.reshape(inner_shape)
+    if basis is None:
+        for m, level in enumerate(levels):
+            u[inner + (m,)] = level.reshape(inner_shape)
+        traces = [_face_trace(u, grid, f).reshape(-1, nt) for f in range(grid.num_faces)]
+    else:
+        traces = basis.trace_arrays(nt, 1, dtype)
+        form = np.empty(nt)  # the wave's Dirichlet form, cell * sum of mu |c|^2
+        cell = math.prod(grid.domain.spacings)
+        m0 = 0
+        for chunk in levels:
+            rows = chunk.reshape(len(chunk), -1)
+            m1 = m0 + len(rows)
+            u[inner + (slice(m0, m1),)] = np.moveaxis(
+                basis.nodes(rows).reshape(-1, *inner_shape), 0, -1)
+            basis.write_traces(traces, chunk, m0)
+            if kind == "wave":
+                form[m0:m1] = ((rows * np.conj(rows)).real @ basis.mu) * cell
+            m0 = m1
+        u[inner + (0,)] = np.asarray(data.u0)[inner]  # level 0 is the datum, as off the route
+        traces = [t.reshape(-1, nt) for t in traces]
     _check_dirichlet(u, grid)
     # energy: sqrt(Dirichlet form + L2 norm of the velocity) for wave, the L2
     # norm otherwise, per level; traces as (face nodes, nt) per face
@@ -402,18 +544,18 @@ def solve_evolution(
     if kind == "wave":
         velocity = gradient_time(u, grid)
         velocity[..., 0] = np.asarray(data.u1)
-        if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
-                             and _is_zero_coeff(lower.zero)):
-            op = full  # the operator already assembled is Delta_A alone
-        else:
-            op = assemble_operator(field, None, grid)
-        form = _dirichlet_form(_matvec(op, u), u, grid)
+        if basis is None:
+            if lower is None or (all(_is_zero_coeff(c) for c in lower.space)
+                                 and _is_zero_coeff(lower.zero)):
+                op = full  # the operator already assembled is Delta_A alone
+            else:
+                op = assemble_operator(field, None, grid)
+            form = _dirichlet_form(_matvec(op, u), u, grid)
         energy = EnergyRecord(kind="wave", values=np.sqrt(
             form + np.sum(np.abs(velocity) ** 2 * w, axis=space)
         ))
     else:
         energy = EnergyRecord(kind="l2", values=np.sqrt(np.sum(np.abs(u) ** 2 * w, axis=space)))
-    traces = [_face_trace(u, grid, f).reshape(-1, grid.nt) for f in range(grid.num_faces)]
     return EvolutionState(kind=kind, grid=grid, u=u, velocity=velocity, traces=traces,
                           energy=energy)
 
@@ -448,30 +590,45 @@ def solve_block(
 ) -> BlockState:
     """Run K data of one kind in one level loop; keep traces and last levels.
 
-    The checks, step rules and routes of ``solve_evolution`` on an
-    ``(N_int, K)`` block: one CSR-times-dense product per leapfrog step; per
-    trapezoid step, one scaling of the modal coefficients and one transform
-    back on the modal route, or one K-right-hand-side solve with one
-    factorization per block on the LU route (any member with a source puts
-    the whole block on it).  Per level only the interior nodes the one-sided
-    trace stencils read are gathered; the traces are formed after the loop by
-    the same stencil on the same values.  No velocity, energy record or
-    space-time array is kept.
+    The checks, step rules and routes of ``solve_evolution`` on K data (any
+    member with a source puts the whole block off the modal route).  On the
+    modal route no level is transformed back to the interior nodes but the
+    last three: each chunk of coefficient levels goes through the per-face
+    trace functionals straight into the traces.  Otherwise each step is one
+    CSR-times-dense product (leapfrog) or one K-right-hand-side solve with one
+    factorization per block (trapezoid); per level only the interior nodes
+    the one-sided trace stencils read are gathered, and the traces are formed
+    after the loop by the same stencil on the same values.  No velocity,
+    energy record or space-time array is kept.
     """
     if not data:
         raise ValueError("empty block")
-    _, dtype, levels = _march(kind, field, lower, list(data), t_final, grid)
-    gather, slabs = _trace_slabs(grid)
+    _, dtype, basis, levels = _march(kind, field, lower, list(data), t_final, grid)
     nt, size = grid.nt, len(data)
     inner, inner_shape = _interior(grid)
-    kept = np.zeros((gather.size + 1, nt, size), dtype=dtype)  # last row: the boundary
     last = np.zeros((*grid.space_shape, 3, size), dtype=dtype)
-    for m, level in enumerate(levels):
-        kept[:-1, m] = level[gather]
-        if m >= nt - 3:
-            last[inner + (m - nt + 3,)] = level.reshape(*inner_shape, size)
+    if basis is None:
+        gather, slabs = _trace_slabs(grid)
+        kept = np.zeros((gather.size + 1, nt, size), dtype=dtype)  # last row: the boundary
+        for m, level in enumerate(levels):
+            kept[:-1, m] = level[gather]
+            if m >= nt - 3:
+                last[inner + (m - nt + 3,)] = level.reshape(*inner_shape, size)
+        traces = [_face_trace(kept[s], grid, f).reshape(-1, nt, size)
+                  for f, s in enumerate(slabs)]
+    else:
+        traces = basis.trace_arrays(nt, size, dtype)
+        m0 = 0
+        for chunk in levels:
+            basis.write_traces(traces, chunk, m0)
+            for m in range(max(m0, nt - 3), m0 + len(chunk)):
+                last[inner + (m - nt + 3,)] = basis.nodes(chunk[m - m0]).T.reshape(
+                    *inner_shape, size)
+            m0 += len(chunk)
+        if nt <= 3:  # level 0 is kept: the data, as in solve_evolution
+            last[inner + (3 - nt,)] = np.stack([np.asarray(d.u0)[inner] for d in data], axis=-1)
+        traces = [t.reshape(-1, nt, size) for t in traces]
     _check_dirichlet(last, grid)
-    traces = [_face_trace(kept[s], grid, f).reshape(-1, nt, size) for f, s in enumerate(slabs)]
     return BlockState(kind=kind, grid=grid, traces=traces, last=last)
 
 
@@ -599,34 +756,51 @@ def _axis_eigenpairs(field: MatrixField, grid: SpaceTimeGrid) -> list | None:
     LAPACK ``dpteqr`` works on the bidiagonal Cholesky factor, which gives
     the eigenvalues to high relative accuracy (Demmel and Kahan, SIAM J. Sci.
     Stat. Comput. 11, 1990); its ``info`` is nonzero when the factor does not
-    exist.  A 1 x 1 tridiagonal returns at once, so its sign is read off."""
+    exist.  A 1 x 1 tridiagonal returns at once, so its sign is read off.
+    Axes with the same tridiagonal (a square grid of identity A) share one
+    solve."""
     from scipy.linalg import lapack
 
-    pairs = []
+    pairs, solved = [], {}
     for d, e in _axis_tridiagonals(field, grid):
-        # the wrapper wants one off-diagonal entry even for a 1 x 1 matrix
-        mu, _, vec, info = lapack.dpteqr(d, e if e.size else np.zeros(1), np.eye(d.size),
-                                         compute_z=1)
-        if info != 0 or mu.min() <= 0.0:
-            return None
-        pairs.append((mu, vec))
+        key = (d.tobytes(), e.tobytes())
+        if key not in solved:
+            # the wrapper wants one off-diagonal entry even for a 1 x 1 matrix
+            mu, _, vec, info = lapack.dpteqr(d, e if e.size else np.zeros(1), np.eye(d.size),
+                                             compute_z=1)
+            if info != 0 or mu.min() <= 0.0:
+                return None
+            solved[key] = (mu, vec)
+        pairs.append(solved[key])
     return pairs
 
 
-def _along_axes(mats: list[np.ndarray], block: np.ndarray, shape: list[int]) -> np.ndarray:
-    """Apply ``mats[k]`` along space axis k of each row of a ``(K, N_int)``
-    block of interior arrays in C order of ``shape``.  One matrix product per
-    row and slab, so a row's arithmetic does not depend on K; the matrices are
-    real, so a complex block is transformed as its real and imaginary parts."""
-    if np.iscomplexobj(block):
-        out = np.empty_like(block)
-        out.real = _along_axes(mats, block.real, shape)
-        out.imag = _along_axes(mats, block.imag, shape)
+def _along_axes(mats: list[tuple[int, np.ndarray]], rows: np.ndarray,
+                shape: list[int]) -> np.ndarray:
+    """Apply each ``(axis, matrix)`` of ``mats`` in turn along that space axis
+    of every row of a ``(rows, N)`` block of arrays in C order of ``shape``; a
+    matrix may be rectangular (a trace functional is one row).
+
+    Each product is a stack of one matrix product per row (per row and slab
+    of the leading axes, except along the last axis), whose shapes depend on
+    ``shape`` alone: a row's arithmetic depends neither on the number of rows
+    nor on its place among them.  The matrices are real, so a complex block
+    is transformed as its real and imaginary parts."""
+    if np.iscomplexobj(rows):
+        real = _along_axes(mats, rows.real, shape)
+        out = np.empty(real.shape, dtype=rows.dtype)
+        out.real = real
+        out.imag = _along_axes(mats, rows.imag, shape)
         return out
-    out = block
-    for k, mat in enumerate(mats):
-        out = np.matmul(mat, out.reshape(-1, shape[k], int(np.prod(shape[k + 1:]))))
-    return out.reshape(block.shape)
+    out, shape = rows, list(shape)
+    for axis, mat in mats:
+        after = math.prod(shape[axis + 1:])
+        if after == 1:
+            out = np.matmul(out.reshape(-1, math.prod(shape[:axis]), shape[axis]), mat.T)
+        else:
+            out = np.matmul(mat, out.reshape(-1, shape[axis], after))
+        shape[axis] = mat.shape[0]
+    return out.reshape(len(rows), -1)
 
 
 def _upper_band(mat: sp.csr_matrix, grid: SpaceTimeGrid) -> np.ndarray:

@@ -267,6 +267,10 @@ def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, pro
 _NAN, _INF = float("nan"), float("inf")
 
 
+def _psi1_list(cfg):
+    cfg["weight"] = {"family": "custom", "x0": [-0.5, 0.5], "psi1": [1, 2]}
+
+
 def _observability_weight(t_obs):
     def probe(cfg):
         cfg["weight"] = {"family": "observability", "x0": [-0.5], "alpha": 0.5, "t_obs": t_obs}
@@ -302,6 +306,14 @@ def _observability_weight(t_obs):
          "ucp: lambda must be a positive finite number, got inf"),
         ("wave_audit", "ucp-certificate", _put("ucp", "shift", _NAN),
          "ucp: shift must be a finite number, got nan"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "center", [_NAN, 0.0]),
+         "ucp: center must be a finite number, got nan"),
+        ("wave_audit", "ucp-certificate", _put("ucp", "center", [0.0]),
+         "ucp: center must be a list of 2 finite numbers, got [0.0]"),
+        ("wave_audit", "certify", _psi1_list,
+         "weight: psi1 must be a mapping, got list"),
+        ("wave_audit", "theta", _put("theta", "points", [[_NAN, 0.5]]),
+         "theta: points must have finite coordinates, got [nan, 0.5]"),
         ("wave_observability_1d", "solve", _put("solve", "mode", [0]),
          "solve: mode must be a positive integer per axis, got 0"),
         ("wave_observability_1d", "solve", _put("solve", "mode", [1, 2]),
@@ -310,7 +322,8 @@ def _observability_weight(t_obs):
     ids=["weight-gamma-nan", "weight-t0-nan", "weight-lambda-nan", "weight-lambda-inf",
          "weight-shift-inf", "weight-t_obs-inf", "observability-t_obs-inf",
          "observability-t_obs-nan", "ucp-eps-nan", "ucp-t_span-inf", "ucp-r-inf",
-         "ucp-lambda-inf", "ucp-shift-nan", "mode-zero", "mode-too-long"],
+         "ucp-lambda-inf", "ucp-shift-nan", "ucp-center-nan", "ucp-center-too-short",
+         "psi1-not-a-mapping", "theta-point-nan", "mode-zero", "mode-too-long"],
 )
 def test_bad_command_numbers_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
                                                   message):

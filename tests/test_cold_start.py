@@ -67,12 +67,12 @@ def test_audit_loads_sparse_without_its_solvers(tmp_path):
     assert "scipy.sparse" in loaded[1] and "scipy.sparse.linalg" not in loaded[1]
 
 
-def _heat_solve_config(tmp_path, coefficients: dict) -> Path:
+def _heat_solve_config(tmp_path, coefficients: dict, kind: str = "heat") -> Path:
     cfg = yaml.safe_load(WAVE_AUDIT.read_text())
     cfg["grid"]["t1"] = 0.0  # solves start at t = 0
-    cfg["solve"] = {"kind": "heat"}
+    cfg["solve"] = {"kind": kind}
     cfg["coefficients"] = coefficients
-    config = tmp_path / "heat.yaml"
+    config = tmp_path / f"{kind}.yaml"
     config.write_text(yaml.safe_dump(cfg))
     return config
 
@@ -82,6 +82,13 @@ def test_separable_heat_solve_loads_lapack_without_the_sparse_solvers(tmp_path):
     loaded = _loaded_stacks([_command("solve", config, tmp_path)])
     assert loaded[0] == set()
     assert "scipy.linalg" in loaded[1] and "scipy.sparse.linalg" not in loaded[1]
+
+
+def test_separable_wave_solve_loads_lapack_without_sparse(tmp_path):
+    """The modal leapfrog needs the per-axis eigenpairs and no sparse matrix."""
+    config = _heat_solve_config(tmp_path, {"family": "identity"}, kind="wave")
+    loaded = _loaded_stacks([_command("solve", config, tmp_path)])
+    assert loaded == [set(), {"scipy.linalg"}]
 
 
 def test_variable_heat_solve_loads_the_sparse_solvers(tmp_path):

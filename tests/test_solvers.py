@@ -293,9 +293,11 @@ def test_wave_rejects_singular_time_coefficient():
 
 @pytest.mark.parametrize("case", ["1d", "3d", "variable-A", "source", "complex", "time-only"])
 def test_wave_energy_matches_the_dirichlet_seminorm(case):
-    """Without first- and zero-order terms the wave energy takes its Dirichlet
-    form from the stepping operator; it equals the one of
-    the Dirichlet form of the assembled Delta_A bit for bit."""
+    """Off the modal route, without first- and zero-order terms, the wave
+    energy takes its Dirichlet form from the stepping operator; it equals the
+    Dirichlet form of the assembled Delta_A bit for bit.  On the modal route
+    (1d, 3d, complex) the form is ``cell * sum mu |c|^2`` of the modal
+    coefficients, equal to rounding."""
     field, lower, data, g = _wave_case("2d" if case == "time-only" else case)
     if case == "time-only":
         lower = LowerOrderCoeffs(kind="wave", time=0.4)
@@ -303,10 +305,14 @@ def test_wave_energy_matches_the_dirichlet_seminorm(case):
     kinetic = np.sum(np.abs(state.velocity) ** 2 * g.space_weights[..., None],
                      axis=tuple(range(g.n)))
     expected = np.sqrt(per_call.dirichlet_seminorm_sq(state.u, field, g) + kinetic)
-    assert np.array_equal(state.energy.values, expected)
+    modal = _modal_route("wave", field, lower, data)
+    assert modal == (case in ("1d", "3d", "complex"))
+    _assert_route_agreement([(state.energy.values, expected)], modal)
 
 
 def test_wave_solve_assembles_the_operator_once(monkeypatch):
+    """Off the modal route (a non-separable A) the wave solve steps and takes
+    its energy with one assembled operator."""
     from carleman import operators, solvers
 
     calls = []
@@ -317,35 +323,45 @@ def test_wave_solve_assembles_the_operator_once(monkeypatch):
 
     monkeypatch.setattr(operators, "assemble_operator", counting)
     monkeypatch.setattr(solvers, "assemble_operator", counting)
-    field, _, data, g = _wave_case("2d")
+    field, _, data, g = _wave_case("variable-A")
     solve_evolution("wave", field, None, data, 0.6, g)
     assert len(calls) == 1
 
 
 def test_traces_and_norms_taken_at_once_match_per_level():
+    """Off the modal route (an off-diagonal A) the traces are the per-level
+    face traces of the space-time array bit for bit; on it (identity A) they
+    come from the modal trace functionals and agree to rounding."""
     from carleman.solvers import _face_trace
 
     g = build_grid([0, 0, 0], [1, 1, 1], [6, 5, 7], 0.0, 1.0, 4)
-    u = np.random.default_rng(2).normal(size=g.shape)
-    state = solve_evolution(
-        "heat", MatrixField.identity(3, domain=g.domain), None, HeatData(u[..., 0]), 1.0, g
-    )
-    for f in range(g.num_faces):
-        levels = [_face_trace(state.u[..., m], g, f).reshape(-1) for m in range(g.nt)]
-        assert np.array_equal(state.traces[f], np.stack(levels, axis=-1))
-    norms = [np.sqrt(np.sum(state.u[..., m] ** 2 * g.space_weights)) for m in range(g.nt)]
-    assert np.allclose(state.energy.values, norms, rtol=1e-14, atol=0.0)
+    data = HeatData(np.random.default_rng(2).normal(size=g.space_shape))
+    cross = np.eye(3)
+    cross[0, 1] = cross[1, 0] = 0.2
+    for matrix, modal in [(np.eye(3), True), (cross, False)]:
+        field = MatrixField.constant(matrix, domain=g.domain)
+        assert _modal_route("heat", field, None, data) == modal
+        state = solve_evolution("heat", field, None, data, 1.0, g)
+        pairs = []
+        for f in range(g.num_faces):
+            levels = [_face_trace(state.u[..., m], g, f).reshape(-1) for m in range(g.nt)]
+            pairs.append((state.traces[f], np.stack(levels, axis=-1)))
+        if modal:
+            _assert_route_agreement(pairs, modal=True)
+        else:
+            assert all(np.array_equal(got, ref) for got, ref in pairs)
+        norms = [np.sqrt(np.sum(state.u[..., m] ** 2 * g.space_weights)) for m in range(g.nt)]
+        assert np.allclose(state.energy.values, norms, rtol=1e-14, atol=0.0)
 
 
 # -- trapezoid rule vs the frozen heat and Schrodinger steppers ----------------------
 
 
 def _modal_route(kind, field, lower, data) -> bool:
-    """Whether a run takes the modal route: heat or Schrodinger without
-    lower-order terms or source, with an axis-separable A (every separable
-    field of these cases is positive)."""
-    return (kind != "wave" and lower is None and getattr(data, "source", None) is None
-            and _axis_separable(field))
+    """Whether a run takes the modal route: any kind without lower-order
+    terms or source, with an axis-separable A (every separable field of these
+    cases is positive)."""
+    return lower is None and getattr(data, "source", None) is None and _axis_separable(field)
 
 
 def _assert_route_agreement(pairs, modal: bool) -> None:
@@ -437,6 +453,94 @@ def test_modal_route_matches_the_separated_solution():
         for f, trace in enumerate(state.traces):
             exact = _face_trace(v, g, f).reshape(-1, 1) * factors
             assert np.max(np.abs(trace - exact)) <= 1e-13 * np.max(np.abs(exact)), (kind, f)
+
+
+@pytest.mark.parametrize("nodes", [[41], [17, 13], [9, 8, 7]], ids=["1d", "2d", "3d"])
+def test_modal_wave_matches_the_separated_solution(nodes):
+    """A sine mode v is an exact eigenvector of the flux Laplacian of identity
+    A, so for u1 = beta v every level of the modal leapfrog is ``c_m v`` with
+    ``c_0 = 1``, ``c_1 = 1 + dt beta - dt^2 mu / 2`` and ``c[m+1] = 2 c[m] -
+    c[m-1] - dt^2 mu c[m]``.  The traces of ``solve_evolution`` and
+    ``solve_block`` match ``c_m`` times the mode's trace to 1e-13 relative."""
+    from carleman.solvers import _face_trace
+
+    n = len(nodes)
+    probe = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    field = MatrixField.identity(n, domain=probe.domain)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0,
+                   int(np.ceil(1.0 / (0.5 * cfl_limit(field, probe)))) + 1)
+    ks = (2, 3, 1)[:n]
+    v = sine_mode(g, ks)
+    mu = sum(4.0 / h**2 * np.sin(k * np.pi * h / 2) ** 2
+             for k, h in zip(ks, g.domain.spacings))
+    beta, dt = 0.7, g.dt
+    c = [1.0, 1.0 + dt * beta - 0.5 * dt**2 * mu]
+    while len(c) < g.nt:
+        c.append(2.0 * c[-1] - c[-2] - dt**2 * mu * c[-1])
+    data = WaveData(v, beta * v)
+    state = solve_evolution("wave", field, None, data, g.t2, g)
+    block = solve_block("wave", field, None, [data], g.t2, g)
+    inner = (slice(1, -1),) * n
+    assert np.array_equal(state.u[inner + (0,)], v[inner])  # level 0 is the datum itself
+    for f in range(g.num_faces):
+        exact = _face_trace(v, g, f).reshape(-1, 1) * np.array(c)
+        for got in (state.traces[f], block.member_traces(0)[f]):
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact)), f
+
+
+def _wave_route_case(case):
+    """A small wave run; ``case`` names what, if anything, keeps it off the
+    modal route."""
+    nodes, tables, lower, source = [9, 8], None, None, None
+    rng = np.random.default_rng(7)
+    g = build_grid([0.0, 0.0], [1.0, 1.0], nodes, 0.0, 0.5, 33)
+    if case == "non-separable":
+        tables = _VARIABLE_2D
+    elif case == "lower-order":
+        lower = LowerOrderCoeffs(kind="wave", zero=1.5)
+    elif case == "source":
+        source = rng.normal(size=g.shape)
+    field = (MatrixField.identity(2, domain=g.domain) if tables is None
+             else MatrixField.from_tables(2, tables, domain=g.domain))
+    if case == "variable-separable":
+        field = _separable_field(g, 3)
+    data = WaveData(rng.normal(size=g.space_shape), rng.normal(size=g.space_shape), source)
+    return field, lower, data, g
+
+
+@pytest.mark.parametrize("case", ["separable", "variable-separable", "non-separable",
+                                  "lower-order", "source"])
+def test_wave_route_pin(case, monkeypatch):
+    """Identity-A and variable separable wave runs of ``solve_evolution`` and
+    ``solve_block`` assemble nothing and make no CSR product; a non-separable
+    field, a lower-order term or a source steps with one CSR product per
+    level."""
+    import scipy.sparse as sp
+
+    from carleman import solvers
+
+    field, lower, data, g = _wave_route_case(case)
+    modal = case in ("separable", "variable-separable")
+    assert _modal_route("wave", field, lower, data) == modal
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counting(self, other):
+        products.append(np.shape(other))
+        return matmul(self, other)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modal route assembled the operator")
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    if modal:
+        monkeypatch.setattr(solvers, "assemble_operator", refuse)
+    solve_evolution("wave", field, lower, data, g.t2, g)
+    solve_block("wave", field, lower, [data, data], g.t2, g)
+    if modal:
+        assert products == []
+    else:  # nt - 1 steps per run, plus the energy product of the single run
+        assert len(products) >= 2 * (g.nt - 1)
 
 
 def _route_case(case, kind):

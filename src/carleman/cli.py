@@ -151,11 +151,14 @@ def _number(block: dict, name: str, key: str, default=_need, positive: bool = Fa
     return float(value)
 
 
-def _point(block: dict, name: str, key: str, n: int, default=_need) -> tuple[float, ...]:
-    """A point entry of config block ``name``: a list of ``n`` finite numbers."""
+def _point(block: dict, name: str, key: str, n: int | None = None,
+           default=_need) -> tuple[float, ...]:
+    """A point entry of config block ``name``: a list of ``n`` (any number
+    when None) finite numbers."""
     value = _get(block, key, name, default)
-    if not isinstance(value, list) or len(value) != n:
-        raise ConfigError(f"{name}: {key} must be a list of {n} finite numbers, got {value!r}")
+    if not isinstance(value, list) or (n is not None and len(value) != n):
+        size = "" if n is None else f"{n} "
+        raise ConfigError(f"{name}: {key} must be a list of {size}finite numbers, got {value!r}")
     return tuple(_number({key: v}, name, key) for v in value)
 
 
@@ -163,11 +166,11 @@ def build_grid_from(cfg: dict) -> SpaceTimeGrid:
     g = _need(cfg, "grid")
     try:
         return build_grid(
-            _get(g, "lows", "grid"),
-            _get(g, "highs", "grid"),
+            _point(g, "grid", "lows"),
+            _point(g, "grid", "highs"),
             _get(g, "nodes", "grid"),
-            _get(g, "t1", "grid", 0.0),
-            _get(g, "t2", "grid", 1.0),
+            _number(g, "grid", "t1", 0.0),
+            _number(g, "grid", "t2", 1.0),
             _get(g, "nt", "grid", 33),
         )
     except ValueError as exc:
@@ -413,13 +416,11 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     results = []
     try:
         for p in points or []:
-            point = np.asarray(p, dtype=float)
-            if not np.isfinite(point).all():
-                raise ConfigError(f"theta: points must have finite coordinates, got {p!r}")
-            dec = theta_decomposition(field, spec.psi0, point)
+            point = _point({"points": p}, "theta", "points", grid.n)
+            dec = theta_decomposition(field, spec.psi0, np.asarray(point))
             results.append(
                 {
-                    "point": list(map(float, p)),
+                    "point": list(point),
                     "Theta": dec.Theta,
                     "Upsilon": dec.Upsilon,
                     "theta_sym_min": dec.theta_sym_min,

@@ -136,8 +136,10 @@ def _block_quotients(
     mask: GammaPlusMask,
     op: sp.csr_matrix,
 ) -> tuple[list[tuple[float, float]], BlockState]:
-    """(data norm, Sigma+ trace norm) of each datum, from one block solve."""
-    block = solve_block(_SOLVE_KIND[kind], field, lower, data, t_obs, grid)
+    """(data norm, Sigma+ trace norm) of each datum, from one block solve that
+    traces only the faces with plus nodes."""
+    block = solve_block(_SOLVE_KIND[kind], field, lower, data, t_obs, grid,
+                        faces=[f for f, m in enumerate(mask.face_masks) if np.any(m)])
     norms = []
     for k, datum in enumerate(data):
         tr = _sigma_plus_norm(block.member_traces(k), mask, grid)
@@ -307,7 +309,7 @@ def _wave_back_propagate(
     src = _boundary_layer_source(traces, mask, grid)
     zero = np.zeros(grid.space_shape)
     block = solve_block("wave", field, None, [WaveData(u0=zero, u1=zero, source=src)],
-                        grid.t2, grid)
+                        grid.t2, grid, faces=())
     return WaveData(u0=block.final(0), u1=block.final_velocity(0))
 
 

@@ -17,6 +17,7 @@ Test fields (sine modes, cutoff windows, C-infinity bumps) are products of
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,6 +126,12 @@ class SpaceTimeGrid:
     @cached_property
     def times(self) -> np.ndarray:
         return np.linspace(self.t1, self.t2, self.nt)
+
+    @cached_property
+    def per_field(self) -> weakref.WeakKeyDictionary:
+        """Work that depends on this grid and one coefficient field alone,
+        keyed by the field and dropped with it."""
+        return weakref.WeakKeyDictionary()
 
     @cached_property
     def space_points(self) -> np.ndarray:

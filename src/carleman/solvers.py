@@ -6,31 +6,34 @@ One private level loop, ``_march``, checks the data once and advances K runs
 together; one run is a K = 1 block.  It has two step rules, the explicit
 leapfrog for wave and for heat (c = 1) and Schrodinger (c = i) the trapezoid
 rule ``(I - c dt/2 L) v' = (I + c dt/2 L) v - dt f_mid``, and each takes one
-of two routes.  A run without first- or zero-order terms or source, whose A
-is axis-separable with positive definite per-axis tridiagonals (every
+of two routes.  A run without first- or zero-order terms, whose A is
+axis-separable with positive definite per-axis tridiagonals (every
 half-point a_kk positive), takes the modal route: -L is the Kronecker sum of
 those tridiagonals (Lynch, Rice and Thomas, Numer. Math. 6, 1964), so each
 step rule is a scalar recurrence per product of their eigenvectors, mode mu
-running ``c[m+1] = 2 c[m] - c[m-1] - dt^2 mu c[m]`` (leapfrog) or being
-multiplied by ``(1 - c dt mu/2) / (1 + c dt mu/2)`` (trapezoid).  LAPACK
-``dpteqr`` gives the per-axis eigenpairs, the data are transformed into
-modal coefficients once, and nothing is assembled or factorized.  The
-one-sided trace stencil acts within one level, so the trace of a level on a
-face is a fixed linear functional of its coefficients (Infante and Zuazua,
-M2AN 33, 1999): the stencil applied to the eigenvectors of the face's axis,
-times the eigenvectors of the other axes.  Every other run takes the nodal
-route on the ``(N_int, K)`` interior block: one sparse product per leapfrog
-step with the interior block L of ``operators.assemble_operator``, or one
-``splu`` factorization of ``I - c dt/2 L`` solved with all K right-hand sides
-per trapezoid step.  For Schrodinger the trapezoid step is a Cayley
-transform of the symmetric discrete operator, so on either route the L2
-norm is conserved to rounding, which the conservation checks rely on.  A
-CSR product with a dense block keeps each column's summation order, and
-every modal transform and trace functional acts on each datum and level by
-matrix products whose shapes do not depend on K or on how levels are
-grouped, so each column of a block follows its single run's arithmetic (the
-real multi-right-hand-side SuperLU solve of heat rounds differently, at the
-1e-16 level).
+running ``c[m+1] = 2 c[m] - c[m-1] - dt^2 mu c[m] - dt^2 f[m]`` (leapfrog)
+or ``c[m+1] = r c[m] - dt (f[m] + f[m+1]) / (2 + c dt mu)`` with ``r = (1 -
+c dt mu/2) / (1 + c dt mu/2)`` (trapezoid), f the mode's coefficient of the
+source.  LAPACK ``dpteqr`` gives the per-axis eigenpairs, once per field and
+grid (``SpaceTimeGrid.per_field`` holds them, and the CFL limit), the data
+and sources are transformed into modal coefficients once, and nothing is
+assembled or factorized.  The one-sided trace stencil acts within one level,
+so the trace of a level on a face is a fixed linear functional of its
+coefficients (Infante and Zuazua, M2AN 33, 1999): the stencil applied to the
+eigenvectors of the face's axis, times the eigenvectors of the other axes.
+Every other run takes the nodal route on the ``(N_int, K)`` interior block:
+one sparse product per leapfrog step with the interior block L of
+``operators.assemble_operator``, or one ``splu`` factorization of ``I - c
+dt/2 L`` solved with all K right-hand sides per trapezoid step.  For
+Schrodinger the trapezoid step is a Cayley transform of the symmetric
+discrete operator, so on either route the L2 norm is conserved to rounding,
+which the conservation checks rely on.  A CSR product with a dense block
+keeps each column's summation order, and every modal transform and trace
+functional acts on each datum and level by matrix products whose shapes do
+not depend on K or on how levels are grouped (a source is transformed datum
+by datum), so each column of a block follows its single run's arithmetic
+(the real multi-right-hand-side SuperLU solve of heat rounds differently, at
+the 1e-16 level).
 
 Callers say what they keep.  ``solve_evolution`` runs one datum and keeps
 the space-time array, whose boundary ring stays zero, the velocity and
@@ -40,11 +43,11 @@ energy takes its Dirichlet form ``cell * sum mu |c|^2`` from the
 coefficients; otherwise the traces are taken on the whole array one call
 per face and, without first- or zero-order terms, the Dirichlet form comes
 from the operator already assembled.  ``solve_block`` runs K data and keeps
-the Sigma+ traces, the final state and the final velocity, without any
-space-time array: on the modal route it sends chunks of coefficient levels
-through the trace functionals and transforms back only the last three
-levels; otherwise it keeps, per level, only the interior nodes the trace
-stencils read, plus the last three levels.
+the traces of the faces asked for, the final state and the final velocity,
+without any space-time array: on the modal route it sends chunks of
+coefficient levels through the trace functionals and transforms back only
+the last three levels; otherwise it keeps, per level, only the interior
+nodes the trace stencils read, plus the last three levels.
 
 ``smoothing_bound_check`` needs every eigenvalue of the interior -Delta_A
 (at most 4096 unknowns), by one of three routes.  When A is axis-separable
@@ -144,11 +147,11 @@ class BlockState:
 
     kind: str
     grid: SpaceTimeGrid
-    traces: list[np.ndarray]  # per face: (face nodes, nt, K)
+    traces: list[np.ndarray | None]  # per face: (face nodes, nt, K), None unless asked for
     last: np.ndarray  # (*space_shape, 3, K): levels nt - 3, nt - 2 and nt - 1
 
-    def member_traces(self, k: int) -> list[np.ndarray]:
-        return [np.ascontiguousarray(t[..., k]) for t in self.traces]
+    def member_traces(self, k: int) -> list[np.ndarray | None]:
+        return [None if t is None else np.ascontiguousarray(t[..., k]) for t in self.traces]
 
     def final(self, k: int) -> np.ndarray:
         return self.last[..., -1, k].copy()
@@ -204,6 +207,15 @@ def cfl_limit(field: MatrixField, grid: SpaceTimeGrid) -> float:
     lam_max = float(np.max(eigs[..., -1]))
     h_min = min(grid.domain.spacings)
     return 0.9 * h_min / np.sqrt(grid.n * lam_max)
+
+
+def _held(field: MatrixField, grid: SpaceTimeGrid, make):
+    """``make(field, grid)``, computed once per field and grid and held in
+    ``grid.per_field`` while the field lives."""
+    held = grid.per_field.setdefault(field, {})
+    if make not in held:
+        held[make] = make(field, grid)
+    return held[make]
 
 
 # -- the interior block of the spatial operator ------------------------------------
@@ -271,18 +283,22 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
 
     Returns the all-node operator (None on the modal route, which assembles
     nothing), the dtype, the modal basis (None off the modal route) and a
-    generator.  A run without lower-order term or source whose A is
-    axis-separable with positive definite per-axis tridiagonals takes the
-    modal route: the generator yields the modal coefficients of levels 0, ...,
-    nt - 1 in chunks, ``(levels, K, N_int)`` arrays that stay valid until the
-    next chunk is drawn, each mode running the leapfrog ``c[m+1] = 2 c[m] -
-    c[m-1] - dt^2 mu c[m]`` from ``c[1] = c[0] + dt b - (dt^2 mu/2) c[0]``
-    (wave) or the trapezoid factor ``(1 - c dt mu/2) / (1 + c dt mu/2)``.
-    Otherwise it yields the interior levels in C order, ``(N_int, K)`` blocks
-    with one column per datum, from the CSR leapfrog (wave) or the ``splu``
-    trapezoid rule.  Wave runs are CFL-checked on either route.  A column
-    follows the arithmetic of its single run.  A non-finite value at any level
-    of any column raises ``FloatingPointError``.
+    generator.  A run without lower-order term whose A is axis-separable with
+    positive definite per-axis tridiagonals takes the modal route, with the
+    basis of ``_modal_basis`` held per field and grid: each datum's interior
+    source, if any, is transformed into modal coefficients f once, and the
+    generator yields the modal coefficients of levels 0, ..., nt - 1 in
+    chunks, ``(levels, K, N_int)`` arrays that stay valid until the next chunk
+    is drawn.  Each mode runs the leapfrog ``c[m+1] = 2 c[m] - c[m-1] - dt^2
+    mu c[m] - dt^2 f[m]`` from ``c[1] = c[0] + dt b - (dt^2 mu/2) c[0] -
+    (dt^2/2) f[0]`` (wave), or ``c[m+1] = r c[m] - dt (f[m] + f[m+1]) / (2 +
+    c dt mu)`` with the trapezoid factor ``r = (1 - c dt mu/2) / (1 + c dt
+    mu/2)``: the source enters where the nodal steps add it.  Otherwise it
+    yields the interior levels in C order, ``(N_int, K)`` blocks with one
+    column per datum, from the CSR leapfrog (wave) or the ``splu`` trapezoid
+    rule.  Wave runs are CFL-checked on either route, with the limit held per
+    field and grid.  A column follows the arithmetic of its single run.  A
+    non-finite value at any level of any column raises ``FloatingPointError``.
     """
     if kind not in SOLVE_KINDS:
         raise ValueError(f"unknown evolution kind {kind!r}")
@@ -291,7 +307,7 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
     wave = kind == "wave"
     dt = grid.dt
     if wave:
-        limit = cfl_limit(field, grid)
+        limit = _held(field, grid, cfl_limit)
         if dt > limit:
             need = int(np.ceil((grid.t2 - grid.t1) / limit)) + 1
             raise ValueError(
@@ -307,11 +323,7 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
         raise ValueError(f"{kind} source must be a space-time array")
     inner, inner_shape = _interior(grid)
     forced = any(s is not None for s in sources)
-    basis = None
-    if lower is None and not forced and _axis_separable(field):
-        pairs = _axis_eigenpairs(field, grid)
-        if pairs is not None:
-            basis = _ModalBasis(pairs, grid)
+    basis = _held(field, grid, _modal_basis) if lower is None else None
     full = mat = None
     if basis is None:
         full = assemble_operator(field, lower, grid)
@@ -338,7 +350,13 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
         def rows(arrays) -> np.ndarray:  # interior values, one row per datum
             return np.stack([a[inner].reshape(-1) for a in arrays]).astype(dtype)
 
-        chunks = _modal_chunks(basis, half, grid, rows(u0), rows(u1) if wave else None)
+        forcing = None
+        if forced:  # (K, N_int, nt), zero for a datum without source
+            forcing = np.zeros((len(data), basis.mu.size, grid.nt), dtype=dtype)
+            for k, s in enumerate(sources):
+                if s is not None:
+                    forcing[k] = basis.source_modes(_finite(s[inner]))
+        chunks = _modal_chunks(basis, half, grid, rows(u0), rows(u1) if wave else None, forcing)
         return None, dtype, basis, chunks
 
     if forced:  # the sources on the interior nodes, levels along axis 1
@@ -387,19 +405,26 @@ def _march(kind: str, field: MatrixField, lower: LowerOrderCoeffs | None, data: 
 
 
 def _modal_chunks(basis: _ModalBasis, half, grid: SpaceTimeGrid, u0: np.ndarray,
-                  u1: np.ndarray | None):
+                  u1: np.ndarray | None, forcing: np.ndarray | None):
     """The modal coefficients of levels 0, ..., nt - 1 from the ``(K, N_int)``
     interior rows of u0 and, for the leapfrog, u1 (else the trapezoid rule with
-    ``half = c dt/2``): ``(levels, K, N_int)`` per chunk, written into one
-    reused buffer of ``_chunk_levels`` levels."""
+    ``half = c dt/2``), forced by the ``(K, N_int, nt)`` modal source if not
+    None, which this overwrites: ``(levels, K, N_int)`` per chunk, written into
+    one reused buffer of ``_chunk_levels`` levels."""
     dt, nt, mu = grid.dt, grid.nt, basis.mu
     coef = _finite(basis.modes(u0))
     wave = u1 is not None
     if wave:
         step = dt**2 * mu
         first = coef + dt * basis.modes(u1) - (0.5 * step) * coef
+        if forcing is not None:  # level m enters level m + 1, level 0 at half weight
+            forcing *= dt**2
+            forcing[..., 0] *= 0.5
     else:
         ratio = (1.0 - half * mu) / (1.0 + half * mu)
+        if forcing is not None:  # the mean of levels m and m + 1 enters level m + 1
+            forcing = (0.5 * dt) * (forcing[..., :-1] + forcing[..., 1:]) / (
+                1.0 + half * mu)[:, None]
     length = _chunk_levels(grid)
     buf = np.empty((length, *coef.shape), dtype=coef.dtype)
     prev = cur = None
@@ -416,6 +441,8 @@ def _modal_chunks(basis: _ModalBasis, half, grid: SpaceTimeGrid, u0: np.ndarray,
                 np.multiply(cur, 2.0, out=out)
                 out -= prev
                 out -= step * cur
+            if forcing is not None and m:
+                out -= forcing[..., m - 1]
             prev, cur = cur, out
         yield _finite(chunk)
 
@@ -430,6 +457,13 @@ def _chunk_levels(grid: SpaceTimeGrid) -> int:
     size = math.prod(inner)
     slab = size - math.prod(max(m - 4, 0) for m in inner)
     return min(grid.nt, max(3, (slab + 1) * grid.nt // size))
+
+
+def _modal_basis(field: MatrixField, grid: SpaceTimeGrid) -> _ModalBasis | None:
+    """The modal basis of an axis-separable A whose per-axis tridiagonals are
+    all positive definite, else None."""
+    pairs = _axis_eigenpairs(field, grid) if _axis_separable(field) else None
+    return None if pairs is None else _ModalBasis(pairs, grid)
 
 
 class _ModalBasis:
@@ -468,21 +502,34 @@ class _ModalBasis:
         """``(rows, N_int)`` interior values to modal coefficients."""
         return _along_axes(self.to_modes, rows, self.shape)
 
+    def source_modes(self, values: np.ndarray) -> np.ndarray:
+        """``(*interior shape, levels)`` values to ``(N_int, levels)`` modal
+        coefficients, by one stack of matrix products per axis over all levels
+        at once, whose shapes depend on the grid alone."""
+        for k, mat in self.to_modes:
+            shape = values.shape
+            values = np.matmul(mat, values.reshape(math.prod(shape[:k]), shape[k], -1)).reshape(
+                *shape[:k], mat.shape[0], *shape[k + 1:])
+        return values.reshape(-1, values.shape[-1])
+
     def nodes(self, rows: np.ndarray) -> np.ndarray:
         """``(rows, N_int)`` modal coefficients to interior values."""
         return _along_axes(self.to_nodes, rows, self.shape)
 
-    def trace_arrays(self, nt: int, size: int, dtype) -> list[np.ndarray]:
-        """Zero traces per face, ``(*face shape, nt, K)``."""
-        return [np.zeros((*shape, nt, size), dtype=dtype) for shape in self.face_shapes]
+    def trace_arrays(self, nt: int, size: int, dtype, faces) -> list[np.ndarray | None]:
+        """Zero traces, ``(*face shape, nt, K)``, per face in ``faces``, else None."""
+        return [np.zeros((*shape, nt, size), dtype=dtype) if f in faces else None
+                for f, shape in enumerate(self.face_shapes)]
 
-    def write_traces(self, traces: list[np.ndarray], chunk: np.ndarray, m0: int) -> None:
+    def write_traces(self, traces: list[np.ndarray | None], chunk: np.ndarray, m0: int) -> None:
         """Write the traces of a ``(levels, K, N_int)`` chunk of coefficients
         into ``trace_arrays`` at levels ``m0, m0 + 1, ...``, on the interior
-        nodes of each face."""
+        nodes of each face that has a trace array."""
         rows = chunk.reshape(-1, chunk.shape[-1])
         levels = (slice(m0, m0 + len(chunk)),)
         for out, functional, shape in zip(traces, self.faces, self.face_shapes):
+            if out is None:
+                continue
             vals = _along_axes(functional, rows, self.shape).reshape(
                 *chunk.shape[:2], *[m - 2 for m in shape])
             out[self.ring + levels] = vals.transpose(self.order)
@@ -501,8 +548,8 @@ def solve_evolution(
     ``data`` is a ``WaveData``, ``HeatData`` or ``SchrodingerData``, run as a
     K = 1 block of ``_march``.  wave: explicit leapfrog (CFL checked);
     heat (c = 1) and schrodinger (c = i): the trapezoid rule ``(I - c dt/2 L)
-    v' = (I + c dt/2 L) v - dt f_mid``.  When ``lower`` is None, there is no
-    source and A is axis-separable with positive half-point a_kk, each step
+    v' = (I + c dt/2 L) v - dt f_mid``.  When ``lower`` is None and A is
+    axis-separable with positive half-point a_kk, each step
     acts mode by mode in the per-axis eigenbasis, every level is transformed
     back and the traces are the modal trace functionals, as ``solve_block``
     takes them; otherwise the leapfrog makes one sparse product per step with
@@ -521,7 +568,7 @@ def solve_evolution(
             u[inner + (m,)] = level.reshape(inner_shape)
         traces = [_face_trace(u, grid, f).reshape(-1, nt) for f in range(grid.num_faces)]
     else:
-        traces = basis.trace_arrays(nt, 1, dtype)
+        traces = basis.trace_arrays(nt, 1, dtype, range(grid.num_faces))
         form = np.empty(nt)  # the wave's Dirichlet form, cell * sum of mu |c|^2
         cell = math.prod(grid.domain.spacings)
         m0 = 0
@@ -560,24 +607,27 @@ def solve_evolution(
                           energy=energy)
 
 
-def _trace_slabs(grid: SpaceTimeGrid) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Where the one-sided trace stencils read.
+def _trace_slabs(grid: SpaceTimeGrid, faces) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Where the one-sided trace stencils of ``faces`` read.
 
     Returns the C-order interior positions of the nodes in the three-node
-    slab next to any face, and per face the slab as indices into those
-    gathered values, with index ``len(gather)`` standing for a boundary node.
+    slab next to any of those faces, and per face the slab as indices into
+    those gathered values, with index ``len(gather)`` standing for a
+    boundary node.
     """
     inner, inner_shape = _interior(grid)
     pos = np.full(grid.space_shape, -1, dtype=np.intp)
     pos[inner] = np.arange(int(np.prod(inner_shape))).reshape(inner_shape)
-    slabs = []
-    for f in range(grid.num_faces):
+    slabs = {}
+    for f in faces:
         axis, side = grid.face_axis_side(f)
         sl = [slice(None)] * grid.n
         sl[axis] = slice(0, 3) if side == 0 else slice(-3, None)
-        slabs.append(pos[tuple(sl)])
-    gather = np.unique(np.concatenate([s[s >= 0] for s in slabs]))
-    return gather, [np.where(s >= 0, np.searchsorted(gather, s), gather.size) for s in slabs]
+        slabs[f] = pos[tuple(sl)]
+    gather = np.unique(np.concatenate([np.zeros(0, np.intp),
+                                       *(s[s >= 0] for s in slabs.values())]))
+    return gather, {f: np.where(s >= 0, np.searchsorted(gather, s), gather.size)
+                    for f, s in slabs.items()}
 
 
 def solve_block(
@@ -587,37 +637,40 @@ def solve_block(
     data: list,
     t_final: float,
     grid: SpaceTimeGrid,
+    faces=None,
 ) -> BlockState:
     """Run K data of one kind in one level loop; keep traces and last levels.
 
-    The checks, step rules and routes of ``solve_evolution`` on K data (any
-    member with a source puts the whole block off the modal route).  On the
-    modal route no level is transformed back to the interior nodes but the
-    last three: each chunk of coefficient levels goes through the per-face
-    trace functionals straight into the traces.  Otherwise each step is one
-    CSR-times-dense product (leapfrog) or one K-right-hand-side solve with one
-    factorization per block (trapezoid); per level only the interior nodes
-    the one-sided trace stencils read are gathered, and the traces are formed
-    after the loop by the same stencil on the same values.  No velocity,
-    energy record or space-time array is kept.
+    The checks, step rules and routes of ``solve_evolution`` on K data.  Only
+    the faces in ``faces`` (every face when None) get a trace array; the
+    others get None.  On the modal route no level is transformed back to the
+    interior nodes but the last three: each chunk of coefficient levels goes
+    through the trace functionals of those faces straight into their traces.
+    Otherwise each step is one CSR-times-dense product (leapfrog) or one
+    K-right-hand-side solve with one factorization per block (trapezoid); per
+    level only the interior nodes the one-sided trace stencils of those faces
+    read are gathered, and the traces are formed after the loop by the same
+    stencil on the same values.  No velocity, energy record or space-time
+    array is kept.
     """
     if not data:
         raise ValueError("empty block")
     _, dtype, basis, levels = _march(kind, field, lower, list(data), t_final, grid)
     nt, size = grid.nt, len(data)
+    faces = set(range(grid.num_faces) if faces is None else faces)
     inner, inner_shape = _interior(grid)
     last = np.zeros((*grid.space_shape, 3, size), dtype=dtype)
     if basis is None:
-        gather, slabs = _trace_slabs(grid)
+        gather, slabs = _trace_slabs(grid, faces)
         kept = np.zeros((gather.size + 1, nt, size), dtype=dtype)  # last row: the boundary
         for m, level in enumerate(levels):
             kept[:-1, m] = level[gather]
             if m >= nt - 3:
                 last[inner + (m - nt + 3,)] = level.reshape(*inner_shape, size)
-        traces = [_face_trace(kept[s], grid, f).reshape(-1, nt, size)
-                  for f, s in enumerate(slabs)]
+        traces = [None if f not in slabs else _face_trace(kept[slabs[f]], grid, f).reshape(
+            -1, nt, size) for f in range(grid.num_faces)]
     else:
-        traces = basis.trace_arrays(nt, size, dtype)
+        traces = basis.trace_arrays(nt, size, dtype, faces)
         m0 = 0
         for chunk in levels:
             basis.write_traces(traces, chunk, m0)
@@ -627,7 +680,7 @@ def solve_block(
             m0 += len(chunk)
         if nt <= 3:  # level 0 is kept: the data, as in solve_evolution
             last[inner + (3 - nt,)] = np.stack([np.asarray(d.u0)[inner] for d in data], axis=-1)
-        traces = [t.reshape(-1, nt, size) for t in traces]
+        traces = [None if t is None else t.reshape(-1, nt, size) for t in traces]
     _check_dirichlet(last, grid)
     return BlockState(kind=kind, grid=grid, traces=traces, last=last)
 

@@ -216,7 +216,17 @@ def _put(block, key, value):
         ("certify", _put("weight", "shift", "abc"),
          "error: weight: shift must be a finite number, got 'abc'"),
         ("theta", _put("theta", "points", [[0.5]]),
-         "error: theta: points last axis 1 != nvars 2"),
+         "error: theta: points must be a list of 2 finite numbers, got [0.5]"),
+        ("solve", _put("grid", "t1", float("nan")),
+         "error: grid: t1 must be a finite number, got nan"),
+        ("certify", _put("grid", "t1", float("nan")),
+         "error: grid: t1 must be a finite number, got nan"),
+        ("certify", _put("grid", "t2", float("inf")),
+         "error: grid: t2 must be a finite number, got inf"),
+        ("certify", _put("grid", "highs", [True, 1.0]),
+         "error: grid: highs must be a finite number, got True"),
+        ("certify", _put("grid", "lows", 0.0),
+         "error: grid: lows must be a list of finite numbers, got 0.0"),
         ("flatten", _put("flatten", "radius", -0.5),
          "error: flatten: radius must be a positive finite number, got -0.5"),
         ("flatten", _put("flatten", "radius", 0),
@@ -247,7 +257,8 @@ def _put(block, key, value):
     ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list",
          "nodes-fraction", "nodes-too-few", "nt-fraction", "seed-fraction", "seed-text",
          "seed-negative", "mode-fraction", "mode-not-a-list", "lambda-text", "shift-text",
-         "theta-point-too-short", "radius-negative", "radius-zero", "radius-inf",
+         "theta-point-too-short", "grid-t1-nan-solve", "grid-t1-nan-certify", "grid-t2-inf",
+         "grid-highs-bool", "grid-lows-not-a-list", "radius-negative", "radius-zero", "radius-inf",
          "radius-nan", "radius-text", "tau-inf", "tau-nan", "tau-negative", "tau-text",
          "kappa-max-nan", "m-max-nan", "kappa-max-text", "m-max-bool"],
 )
@@ -313,7 +324,9 @@ def _observability_weight(t_obs):
         ("wave_audit", "certify", _psi1_list,
          "weight: psi1 must be a mapping, got list"),
         ("wave_audit", "theta", _put("theta", "points", [[_NAN, 0.5]]),
-         "theta: points must have finite coordinates, got [nan, 0.5]"),
+         "theta: points must be a finite number, got nan"),
+        ("wave_audit", "theta", _put("theta", "points", [0.5]),
+         "theta: points must be a list of 2 finite numbers, got 0.5"),
         ("wave_observability_1d", "solve", _put("solve", "mode", [0]),
          "solve: mode must be a positive integer per axis, got 0"),
         ("wave_observability_1d", "solve", _put("solve", "mode", [1, 2]),
@@ -323,7 +336,8 @@ def _observability_weight(t_obs):
          "weight-shift-inf", "weight-t_obs-inf", "observability-t_obs-inf",
          "observability-t_obs-nan", "ucp-eps-nan", "ucp-t_span-inf", "ucp-r-inf",
          "ucp-lambda-inf", "ucp-shift-nan", "ucp-center-nan", "ucp-center-too-short",
-         "psi1-not-a-mapping", "theta-point-nan", "mode-zero", "mode-too-long"],
+         "psi1-not-a-mapping", "theta-point-nan", "theta-point-a-number", "mode-zero",
+         "mode-too-long"],
 )
 def test_bad_command_numbers_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
                                                   message):
@@ -649,6 +663,50 @@ def test_observability_config_error_still_exits_1(tmp_path, capsys):
     assert run("observability", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == "error: alpha must lie in (0, 1)\n"
+
+
+def test_observability_solves_once_per_basis_without_csr_products(tmp_path, monkeypatch):
+    """One ``observability`` command with the worst-case estimator (the
+    shipped 1-D config, cut to 33 nodes and 257 levels) computes the per-axis
+    eigenpairs once for its field and grid, and none of its solves, the
+    sourced back-propagation included, makes a CSR product; the Dirichlet
+    forms of the data norms make some outside them."""
+    import scipy.sparse as sp
+
+    from carleman import experiments, solvers
+
+    cfg = yaml.safe_load((SHIPPED / "wave_observability_1d.yaml").read_text())
+    cfg["grid"].update(nodes=[33], nt=257)
+    cfg["observability"]["worst_case_iterations"] = 2
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    eigenpairs, sourced, inside, products = [], [], [False], {True: 0, False: 0}
+    pairs, block = solvers._axis_eigenpairs, experiments.solve_block
+    matmul = sp.csr_matrix.__matmul__
+
+    def counting_pairs(*args):
+        eigenpairs.append(args)
+        return pairs(*args)
+
+    def solve(kind, field, lower, data, *args, **kwargs):
+        sourced.append(any(d.source is not None for d in data))
+        inside[0] = True
+        try:
+            return block(kind, field, lower, data, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_matmul(self, other):
+        products[inside[0]] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(solvers, "_axis_eigenpairs", counting_pairs)
+    monkeypatch.setattr(experiments, "solve_block", solve)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
+    assert run("observability", path, tmp_path / "out") == 2
+    assert len(eigenpairs) == 1
+    assert sourced == [False, False, True, False]  # ensemble, seed, back-propagation, trials
+    assert products[True] == 0 and products[False] > 0
 
 
 def test_theta_command_writes_scan(tmp_path):

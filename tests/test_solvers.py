@@ -296,7 +296,7 @@ def test_wave_energy_matches_the_dirichlet_seminorm(case):
     """Off the modal route, without first- and zero-order terms, the wave
     energy takes its Dirichlet form from the stepping operator; it equals the
     Dirichlet form of the assembled Delta_A bit for bit.  On the modal route
-    (1d, 3d, complex) the form is ``cell * sum mu |c|^2`` of the modal
+    (1d, 3d, source, complex) the form is ``cell * sum mu |c|^2`` of the modal
     coefficients, equal to rounding."""
     field, lower, data, g = _wave_case("2d" if case == "time-only" else case)
     if case == "time-only":
@@ -306,7 +306,7 @@ def test_wave_energy_matches_the_dirichlet_seminorm(case):
                      axis=tuple(range(g.n)))
     expected = np.sqrt(per_call.dirichlet_seminorm_sq(state.u, field, g) + kinetic)
     modal = _modal_route("wave", field, lower, data)
-    assert modal == (case in ("1d", "3d", "complex"))
+    assert modal == (case in ("1d", "3d", "source", "complex"))
     _assert_route_agreement([(state.energy.values, expected)], modal)
 
 
@@ -359,9 +359,9 @@ def test_traces_and_norms_taken_at_once_match_per_level():
 
 def _modal_route(kind, field, lower, data) -> bool:
     """Whether a run takes the modal route: any kind without lower-order
-    terms or source, with an axis-separable A (every separable field of these
-    cases is positive)."""
-    return lower is None and getattr(data, "source", None) is None and _axis_separable(field)
+    terms, with an axis-separable A (every separable field of these cases is
+    positive), with or without a source."""
+    return lower is None and _axis_separable(field)
 
 
 def _assert_route_agreement(pairs, modal: bool) -> None:
@@ -494,11 +494,11 @@ def _wave_route_case(case):
     nodes, tables, lower, source = [9, 8], None, None, None
     rng = np.random.default_rng(7)
     g = build_grid([0.0, 0.0], [1.0, 1.0], nodes, 0.0, 0.5, 33)
-    if case == "non-separable":
+    if case.startswith("non-separable"):
         tables = _VARIABLE_2D
-    elif case == "lower-order":
+    if case == "lower-order":
         lower = LowerOrderCoeffs(kind="wave", zero=1.5)
-    elif case == "source":
+    if case.endswith("source"):
         source = rng.normal(size=g.shape)
     field = (MatrixField.identity(2, domain=g.domain) if tables is None
              else MatrixField.from_tables(2, tables, domain=g.domain))
@@ -508,19 +508,19 @@ def _wave_route_case(case):
     return field, lower, data, g
 
 
-@pytest.mark.parametrize("case", ["separable", "variable-separable", "non-separable",
-                                  "lower-order", "source"])
+@pytest.mark.parametrize("case", ["separable", "variable-separable", "source", "non-separable",
+                                  "lower-order", "non-separable-source"])
 def test_wave_route_pin(case, monkeypatch):
     """Identity-A and variable separable wave runs of ``solve_evolution`` and
-    ``solve_block`` assemble nothing and make no CSR product; a non-separable
-    field, a lower-order term or a source steps with one CSR product per
-    level."""
+    ``solve_block``, with or without a source, assemble nothing and make no
+    CSR product; a non-separable field, with or without a source, or a
+    lower-order term steps with one CSR product per level."""
     import scipy.sparse as sp
 
     from carleman import solvers
 
     field, lower, data, g = _wave_route_case(case)
-    modal = case in ("separable", "variable-separable")
+    modal = case in ("separable", "variable-separable", "source")
     assert _modal_route("wave", field, lower, data) == modal
     products = []
     matmul = sp.csr_matrix.__matmul__
@@ -548,12 +548,12 @@ def _route_case(case, kind):
     keeps it off the modal route."""
     nodes, tables, lower, source = [9, 8], None, None, None
     rng = np.random.default_rng(6)
-    if case == "non-separable":
+    if case.startswith("non-separable"):
         tables = _VARIABLE_2D
-    elif case == "lower-order":
-        lower = LowerOrderCoeffs(kind="parabolic" if kind == "heat" else "schrodinger", zero=1.5)
-    elif case == "source":
+    if case.endswith("source"):
         source = rng.normal(size=(*nodes, 9))
+    if case == "lower-order":
+        lower = LowerOrderCoeffs(kind="parabolic" if kind == "heat" else "schrodinger", zero=1.5)
     elif case == "sign-changing-a":  # a_11 = y - 0.5 vanishes mid-box
         tables = {(0, 0): [((0, 0), 1.0)], (1, 1): [((0, 0), -0.5), ((0, 1), 1.0)]}
     elif case == "negative-a-one-node":  # one interior node on the x axis
@@ -570,21 +570,22 @@ def _route_case(case, kind):
 
 @pytest.mark.parametrize("case, kind", [
     (case, kind)
-    for case in ["separable", "variable-separable", "non-separable", "lower-order", "source",
-                 "sign-changing-a", "negative-a-one-node"]
+    for case in ["separable", "variable-separable", "source", "non-separable", "lower-order",
+                 "non-separable-source", "sign-changing-a", "negative-a-one-node"]
     for kind in ["heat", "schrodinger"]
-    if not (case == "source" and kind == "schrodinger")  # Schrodinger data carry no source
+    if not (case.endswith("source") and kind == "schrodinger")  # Schrodinger data carry none
 ])
 def test_trapezoid_route_pin(case, kind, monkeypatch):
-    """Separable heat and Schrodinger runs factor nothing and assemble
-    nothing; a non-separable field, a lower-order term, a source or a
-    non-positive half-point a_kk keeps one ``splu`` per run."""
+    """Separable heat and Schrodinger runs, with or without a source, factor
+    nothing and assemble nothing; a non-separable field, with or without a
+    source, a lower-order term or a non-positive half-point a_kk keeps one
+    ``splu`` per run."""
     import scipy.sparse.linalg as spla
 
     from carleman import solvers
 
     field, lower, data, g = _route_case(case, kind)
-    modal = case in ("separable", "variable-separable")
+    modal = case in ("separable", "variable-separable", "source")
     calls = []
     splu = spla.splu
 
@@ -1137,6 +1138,58 @@ def test_solve_evolution_matches_frozen_vector_loop_property(kind, n, data):
     _assert_route_agreement(pairs, _modal_route(kind, field, lower, datum))
 
 
+@st.composite
+def _sourced_cases(draw):
+    """A wave or heat block on a separable variable A in 1D-3D whose first
+    member carries a source and each other member may."""
+    kind = draw(st.sampled_from(["wave", "heat"]))
+    n = draw(st.integers(1, 3))
+    nodes = [draw(st.integers(4, 9 if n < 3 else 6)) for _ in range(n)]
+    seed = draw(st.integers(0, 2**16))
+    probe = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, 1.0, 3)
+    t_final = draw(st.floats(0.05, 1.0))
+    nt = draw(st.integers(3, 9))
+    if kind == "wave":  # enough steps for the CFL limit
+        nt = max(nt, int(np.ceil(t_final / cfl_limit(_separable_field(probe, seed), probe))) + 1)
+    g = build_grid([0.0] * n, [1.0] * n, nodes, 0.0, t_final, nt)
+    field = _separable_field(g, seed)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = []
+    for k in range(draw(st.integers(1, 3))):
+        source = rng.normal(size=g.shape) if k == 0 or draw(st.booleans()) else None
+        u0 = rng.normal(size=g.space_shape)
+        data.append(WaveData(u0, rng.normal(size=g.space_shape), source) if kind == "wave"
+                    else HeatData(u0, source=source))
+    return kind, field, data, g
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_sourced_cases())
+def test_sourced_modal_runs_match_frozen_steppers_property(case):
+    """Sourced wave and heat runs on a separable A take the modal route, and
+    agree with the frozen nodal steppers to 1e-12 of each array's maximum,
+    through ``solve_evolution`` (space-time array, velocity, energy, traces)
+    and ``solve_block`` (traces, final level, final velocity); each block
+    column equals its K = 1 run bit for bit."""
+    kind, field, data, g = case
+    block = solve_block(kind, field, None, data, g.t2, g)
+    for k, datum in enumerate(data):
+        assert _modal_route(kind, field, None, datum)
+        state = solve_evolution(kind, field, None, datum, g.t2, g)
+        u, velocity, energy, traces = reference_evolution(kind, field, None, datum, g)
+        pairs = [(state.u, u), (state.energy.values, energy),
+                 *zip(state.traces, traces, strict=True),
+                 *zip(block.member_traces(k), traces, strict=True),
+                 (block.final(k), u[..., -1])]
+        columns = [*zip(block.member_traces(k), state.traces, strict=True),
+                   (block.final(k), state.u[..., -1])]
+        if kind == "wave":
+            pairs += [(state.velocity, velocity), (block.final_velocity(k), velocity[..., -1])]
+            columns.append((block.final_velocity(k), state.velocity[..., -1]))
+        _assert_route_agreement(pairs, modal=True)
+        assert all(got.tobytes() == ref.tobytes() for got, ref in columns)
+
+
 def test_block_keeps_no_space_time_array():
     """Three 41^2 x 129 wave members in one block peak below two space-time
     float64 arrays; one K = 1 ``solve_evolution`` holds four or more."""
@@ -1154,6 +1207,22 @@ def test_block_keeps_no_space_time_array():
     finally:
         tracemalloc.stop()
     assert peak < limit, (peak, limit)
+
+
+@pytest.mark.parametrize("case", ["separable", "non-separable"])
+def test_block_traces_only_the_faces_asked_for(case):
+    """Faces not asked for get no trace array; the faces asked for get the
+    traces of the all-face block bit for bit, on either route."""
+    field, _, data, g = _wave_route_case(case)
+    every = solve_block("wave", field, None, [data], g.t2, g)
+    some = solve_block("wave", field, None, [data], g.t2, g, faces=[3, 0])
+    none = solve_block("wave", field, None, [data], g.t2, g, faces=())
+    assert [t is None for t in some.traces] == [False, True, True, False]
+    assert all(t is None for t in none.traces)
+    for f in (0, 3):
+        assert some.traces[f].tobytes() == every.traces[f].tobytes()
+    for block in (some, none):
+        assert block.last.tobytes() == every.last.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["wave", "heat", "schrodinger"])

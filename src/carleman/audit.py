@@ -53,18 +53,6 @@ INEQUALITY_KINDS = (
     "schrodinger_boundary",
 )
 
-_OPERATOR_KIND = {
-    "wave_full": "wave",
-    "wave_boundary": "wave",
-    "wave_lower_order": "wave",
-    "wave_single_param": "wave",
-    "elliptic": "elliptic",
-    "parabolic_full": "parabolic",
-    "parabolic_boundary": "parabolic",
-    "schrodinger_full": "schrodinger",
-    "schrodinger_boundary": "schrodinger",
-}
-
 _BOUNDARY_KINDS = ("wave_boundary", "parabolic_boundary", "schrodinger_boundary")
 _MAX_REFINEMENT_DRIFT = 0.5  # relative drift of aleph_overall still called stable
 
@@ -94,12 +82,8 @@ class CarlemanSideValues:
 
 
 def _check_finite_sides(values: CarlemanSideValues) -> None:
-    parts = (
-        values.lhs_interior,
-        values.rhs_source,
-        values.rhs_boundary_dmu,
-        values.rhs_boundary_sigma_plus,
-    )
+    parts = (values.lhs_interior, values.rhs_source, values.rhs_boundary_dmu,
+             values.rhs_boundary_sigma_plus)
     if not all(np.isfinite(p) for p in parts):
         raise OverflowError(
             f"non-finite side values at (tau={values.tau}, lambda={values.lam}) "
@@ -158,6 +142,19 @@ def _cubed(x: np.ndarray) -> np.ndarray:
     return out
 
 
+_EXP_ZERO = -746.0  # every double below -745.1332 has exp +0.0
+
+
+def _exp_clipped(x: np.ndarray, keep: np.ndarray, drop: np.ndarray) -> None:
+    """np.exp(x, out=x), with exp taken only where x >= _EXP_ZERO and 0.0
+    stored below: numpy's exp takes a slow path on underflowing lanes.
+    ``keep`` and ``drop`` are bool buffers of the shape of ``x``."""
+    np.greater_equal(x, _EXP_ZERO, out=keep)
+    np.less(x, _EXP_ZERO, out=drop)  # a NaN is in neither and stays NaN
+    np.exp(x, out=x, where=keep)
+    np.copyto(x, 0.0, where=drop)
+
+
 class _Audit:
     """The (tau, lambda)-independent part of one audit: the factors of psi,
     the A-energy weights and the measures.
@@ -177,7 +174,7 @@ class _Audit:
         if kind in _BOUNDARY_KINDS and plus_mask is None:
             raise ValueError("boundary kinds need the plus-boundary mask")
         self.spec, self.kind, self.grid = spec, kind, grid
-        self.op_kind = _OPERATOR_KIND[kind]
+        self.op_kind = kind.split("_")[0]  # the operator kind: wave_full -> wave
         self.lower = _checked_lower(self.op_kind, lower, grid)
         self.mat = assemble_operator(field, self.lower, grid)  # once for every member
         self.spatial = kind == "elliptic"
@@ -190,19 +187,19 @@ class _Audit:
         # is left out; the other kinds weigh |grad u|^2
         self.energy_terms = [(k, k, None) for k in range(grid.n)]
         if kind.startswith("wave") and kind != "wave_single_param":
-            a = field(grid.space_points)[..., None, :, :]  # broadcast over time
-            self.energy_terms = [
-                (k, k, None if np.all(a[..., k, k] == 1.0) else a[..., k, k].copy())
-                for k in range(grid.n)
-            ]
+            a = field(grid.space_points)[..., None]  # broadcast over time
+            self.energy_terms = [(k, k, None if np.all(a[k, k] == 1.0) else a[k, k])
+                                 for k in range(grid.n)]
             for k in range(grid.n):
                 for l in range(k + 1, grid.n):
-                    c = a[..., k, l] + a[..., l, k]
+                    c = a[k, l] + a[l, k]
                     if np.any(c):
                         self.energy_terms.append((k, l, c))
         # psi = psi0(x) + psi1(t) + shift is rebuilt per lambda from its small factors
         self.psi0 = spec.psi0(grid.space_points)
         self.psi1 = None if self.spatial else spec.psi1(grid.times)
+        # masks of the exp of a column whose envelope underflows
+        self.keep, self.drop = (np.empty(self.psi0.size * nt, dtype=bool) for _ in range(2))
 
         self.dmu = grid.dmu_nodes(self.spatial)  # Sigma, then the two time caps
         self.lateral = self.dmu[0]
@@ -295,7 +292,7 @@ class _Audit:
             phi = phi.ravel()
             phi *= lam
             np.exp(phi, out=phi)
-            phi_max = float(np.max(phi))
+            phi_max, phi_min = float(np.max(phi)), float(np.min(phi))
             if kind == "wave_single_param":
                 usq, gsq = d["usq"], d["gsq"]
             else:
@@ -311,7 +308,10 @@ class _Audit:
             for tau in taus:
                 np.subtract(phi, phi_max, out=env)
                 env *= 2.0 * tau
-                np.exp(env, out=env)
+                if (phi_min - phi_max) * (2.0 * tau) < _EXP_ZERO:
+                    _exp_clipped(env, self.keep, self.drop)
+                else:
+                    np.exp(env, out=env)
                 cu, cg, cs = _factors(kind, tau, lam)
                 rhs_dmu = 0.0
                 for idx, b_u, b_g in dmu:
@@ -337,14 +337,8 @@ class _Audit:
 
 
 def evaluate_sides(
-    u: np.ndarray,
-    spec: WeightSpec,
-    field: MatrixField,
-    lower: LowerOrderCoeffs | None,
-    kind: str,
-    tau: float,
-    grid: SpaceTimeGrid,
-    plus_mask: GammaPlusMask | None = None,
+    u: np.ndarray, spec: WeightSpec, field: MatrixField, lower: LowerOrderCoeffs | None,
+    kind: str, tau: float, grid: SpaceTimeGrid, plus_mask: GammaPlusMask | None = None,
 ) -> CarlemanSideValues:
     """Integrate LHS and RHS terms of the selected inequality for one field.
 
@@ -385,22 +379,22 @@ def _smooth_once(u: np.ndarray) -> None:
 
 
 def default_ensemble(
-    grid: SpaceTimeGrid,
-    seed: int,
-    count: int = 20,
-    complex_fields: bool = False,
+    grid: SpaceTimeGrid, seed: int, count: int = 20, complex_fields: bool = False,
     spatial: bool = False,
 ) -> list[np.ndarray]:
     """Half deterministic smooth modes, half seeded smoothed noise.
 
     All members are cut off to vanish to second order on the boundary of
-    the integration domain and normalized to unit max modulus.
+    the integration domain and normalized to unit max modulus.  They are
+    views of one array, which leaves the heap's free space to the sweep's
+    working set (as separate arrays they filled it, and glibc trimmed and
+    re-faulted that working set at the heap top member after member).
     """
     shape = grid.space_shape if spatial else grid.shape
     window = _window(grid, spatial)
     rng = np.random.default_rng(seed)
     n_modes = count // 2
-    members: list[np.ndarray] = []
+    block = np.empty((count,) + shape, dtype=complex if complex_fields else float)
     for m in range(count):
         if m < n_modes:
             u = separable(
@@ -417,12 +411,11 @@ def default_ensemble(
                 u = rng.standard_normal(shape)
             _smooth_once(u)
             _smooth_once(u)
-        u *= window  # every u above is a fresh array
-        peak = float(np.max(np.abs(u)))
+        member = np.multiply(u, window, out=block[m])
+        peak = float(np.max(np.abs(member)))
         if peak > 0:
-            u /= peak
-        members.append(u)
-    return members
+            member /= peak
+    return list(block)
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -462,22 +455,9 @@ class AuditReport:
         return float(np.min(finite)) if finite.size else None
 
 
-def _cell_min(ratios: np.ndarray) -> float:
-    finite = ratios[np.isfinite(ratios)]
-    if finite.size == 0:
-        return float("inf")
-    return float(np.min(finite))
-
-
 def sweep_audit(
-    ensemble: list[np.ndarray],
-    spec: WeightSpec,
-    field: MatrixField,
-    lower: LowerOrderCoeffs | None,
-    kind: str,
-    taus,
-    lams,
-    grid: SpaceTimeGrid,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField,
+    lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
     target: float = 0.0,
 ) -> AuditReport:
     """Evaluate the inequality across a (tau, lambda) grid for the ensemble."""
@@ -498,10 +478,7 @@ def sweep_audit(
     for m, u in enumerate(ensemble):
         ratios[..., m] = [[side.ratio for side in row] for row in audit.member_sides(u, taus, lams)]
 
-    aleph = np.empty((len(taus), len(lams)))
-    for i in range(len(taus)):
-        for j in range(len(lams)):
-            aleph[i, j] = _cell_min(ratios[i, j, :])
+    aleph = np.where(np.isfinite(ratios), ratios, np.inf).min(axis=2)  # inf: all vacuous
     vacuous = bool(np.all(np.isinf(aleph)))
 
     tau_star = None
@@ -520,30 +497,14 @@ def sweep_audit(
                         break
                 break
 
-    return AuditReport(
-        kind=kind,
-        taus=taus,
-        lams=lams,
-        ratios=ratios,
-        aleph_emp=aleph,
-        tau_star=tau_star,
-        lam_star=lam_star,
-        target=target,
-        vacuous=vacuous,
-    )
+    return AuditReport(kind=kind, taus=taus, lams=lams, ratios=ratios, aleph_emp=aleph,
+                       tau_star=tau_star, lam_star=lam_star, target=target, vacuous=vacuous)
 
 
 def negative_control(
-    ensemble: list[np.ndarray],
-    spec: WeightSpec,
-    field: MatrixField,
-    lower: LowerOrderCoeffs | None,
-    kind: str,
-    taus,
-    lams,
-    grid: SpaceTimeGrid,
-    admissibility: WeightAdmissibility,
-    target: float = 0.0,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField,
+    lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
+    admissibility: WeightAdmissibility, target: float = 0.0,
 ) -> AuditReport:
     """Exploratory audit of a weight that failed admissibility.
 

@@ -71,18 +71,6 @@ from .weights import (
     ucp_region_certificate,
 )
 
-COMMANDS = (
-    "certify",
-    "theta",
-    "flatten",
-    "carleman-audit",
-    "ucp-certificate",
-    "solve",
-    "observability",
-    "identities",
-)
-
-
 class ConfigError(Exception):
     pass
 
@@ -223,54 +211,56 @@ def build_weight_from(
     extras: dict = {"family": family}
     lam = _number(w, "weight", "lambda", 1.0, positive=True)
     shift = _number(w, "weight", "shift", 0.0)
-    try:
-        if family == "example":
-            spec = make_example_weight(
-                _get(w, "x0", "weight"),
-                _number(w, "weight", "t0", 0.0),
-                _number(w, "weight", "gamma", 0.0),
-                shift,
-                grid,
-                lam=lam,
-            )
-            return spec, extras
-        if family == "observability":
-            psi0 = _psi0_from(w, grid.n)
-            spec, thresholds = make_observability_weight(
-                psi0,
-                _number(w, "weight", "alpha"),
-                _number(w, "weight", "t_obs", grid.t2),
-                shift,
-                field,
-                grid,
-                lam=lam,
-            )
-            extras["thresholds"] = dataclasses.asdict(thresholds)
-            return spec, extras
-        if family == "custom":
-            psi0 = _psi0_from(w, grid.n)
-            p1 = w.get("psi1", {"family": "zero"})
-            if not isinstance(p1, dict):
-                raise ConfigError(f"weight: psi1 must be a mapping, got {type(p1).__name__}")
-            fam1 = p1.get("family", "zero")
-            where = "weight: psi1"
-            if fam1 == "zero":
-                profile = TimeProfile.zero()
-            elif fam1 == "quadratic":
-                profile = TimeProfile.quadratic(
-                    _number(p1, where, "gamma", 0.0), _number(p1, where, "t0", 0.0)
+    # psi on far nodes may overflow; the node sample's check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if family == "example":
+                spec = make_example_weight(
+                    _get(w, "x0", "weight"),
+                    _number(w, "weight", "t0", 0.0),
+                    _number(w, "weight", "gamma", 0.0),
+                    shift,
+                    grid,
+                    lam=lam,
                 )
-            elif fam1 == "observability":
-                profile = TimeProfile.observability(
-                    _number(p1, where, "alpha"), _number(p1, where, "t_obs", grid.t2)
+                return spec, extras
+            if family == "observability":
+                psi0 = _psi0_from(w, grid.n)
+                spec, thresholds = make_observability_weight(
+                    psi0,
+                    _number(w, "weight", "alpha"),
+                    _number(w, "weight", "t_obs", grid.t2),
+                    shift,
+                    field,
+                    grid,
+                    lam=lam,
                 )
-            else:
-                raise ConfigError(f"unknown psi1 family {fam1!r}")
-            spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
-            return spec.ensure_nonnegative(grid), extras
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weight: {exc}") from exc
-    raise ConfigError(f"unknown weight family {family!r}")
+                extras["thresholds"] = dataclasses.asdict(thresholds)
+                return spec, extras
+            if family == "custom":
+                psi0 = _psi0_from(w, grid.n)
+                p1 = w.get("psi1", {"family": "zero"})
+                if not isinstance(p1, dict):
+                    raise ConfigError(f"weight: psi1 must be a mapping, got {type(p1).__name__}")
+                fam1 = p1.get("family", "zero")
+                where = "weight: psi1"
+                if fam1 == "zero":
+                    profile = TimeProfile.zero()
+                elif fam1 == "quadratic":
+                    profile = TimeProfile.quadratic(
+                        _number(p1, where, "gamma", 0.0), _number(p1, where, "t0", 0.0)
+                    )
+                elif fam1 == "observability":
+                    profile = TimeProfile.observability(
+                        _number(p1, where, "alpha"), _number(p1, where, "t_obs", grid.t2)
+                    )
+                else:
+                    raise ConfigError(f"unknown psi1 family {fam1!r}")
+                spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
+                return spec.ensure_nonnegative(grid), extras
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"weight: {exc}") from exc
+        raise ConfigError(f"unknown weight family {family!r}")
 
 
 def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
@@ -372,11 +362,22 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 # -- commands -------------------------------------------------------------------------
 
 
+_SAMPLE_BOUND = 1e100
+
+
 def _node_sample(field: MatrixField, psi0: Polynomial, pts: np.ndarray):
     """A, its first derivatives and the gradient and Hessian of psi0 at the
-    nodes ``pts``: a command evaluates each once and hands it to every reader."""
-    return (field(pts), field.first_derivatives(pts),
-            psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+    nodes ``pts``, entry-planar: a command evaluates each once, checks it and
+    hands it to every reader.  The readers multiply up to three sample values
+    and add a few dozen products, so every value must be finite and below
+    _SAMPLE_BOUND in size."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample = (field(pts), field.first_derivatives(pts),
+                  psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+    if not all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in sample):
+        raise ConfigError(f"grid: A or a derivative of A or psi0 is not finite or exceeds "
+                          f"{_SAMPLE_BOUND:g} in size on the nodes")
+    return sample
 
 
 def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
@@ -448,12 +449,9 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
 def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     block = _block(cfg, "flatten")
-    terms = block.get("surface_terms", [])
     if grid.n < 2:
         raise ConfigError("flatten needs a spatial dimension of at least 2")
-    surface = poly_from_table(
-        grid.n - 1, [(tuple(t["powers"]), float(t["coeff"])) for t in terms]
-    ) if terms else Polynomial(grid.n - 1, {})
+    surface = poly_from_table(grid.n - 1, _surface_terms(block, grid.n - 1))
     radius = _number(block, "flatten", "radius", 0.5, positive=True)
     chart, cert = flatten_and_certify_hypersurface(field, surface, radius)
     report = {
@@ -468,6 +466,25 @@ def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     write_json(outdir / "flatten.json", report)
     ok = cert.passed and chart.jacobian_bound_ok
     return (0 if ok else 2), []
+
+
+_SURFACE_DEGREE = 6  # the transported A composes the surface: cost grows fast with degree
+
+
+def _surface_terms(block: dict, m: int) -> list:
+    """``flatten.surface_terms`` as (powers, coeff) pairs: ``m`` non-negative
+    integer powers of total degree <= _SURFACE_DEGREE and a finite coeff."""
+    terms = block.get("surface_terms", [])
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise ConfigError(f"flatten: surface_terms must be a list of mappings, got {terms!r}")
+    for t in terms:
+        powers = t["powers"]
+        if (not isinstance(powers, list) or len(powers) != m
+                or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in powers)
+                or sum(powers) > _SURFACE_DEGREE):
+            raise ConfigError(f"flatten: surface_terms powers must be {m} non-negative "
+                              f"integers of total degree <= {_SURFACE_DEGREE}, got {powers!r}")
+    return [(tuple(t["powers"]), _number(t, "flatten", "coeff")) for t in terms]
 
 
 def _positive_list(block: dict, key: str, default: list[float]) -> list[float]:
@@ -507,6 +524,9 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     _, adm = _certify_weight(field, spec, grid, eq_kind)
     count = _integer(block, "audit", "ensemble", 20)
     target = _number(block, "audit", "target", 0.0)
+    refine = block.get("refine", False)
+    if not isinstance(refine, bool):
+        raise ConfigError(f"audit: refine must be true or false, got {refine!r}")
     complex_fields = eq_kind == "schrodinger"
     spatial = eq_kind == "elliptic"
     ensemble = default_ensemble(
@@ -528,7 +548,7 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         status = 2
 
     drift_info = None
-    if block.get("refine", False):
+    if refine:
         fine_nodes = [2 * (m - 1) + 1 for m in grid.space_shape]
         fine = build_grid(
             grid.domain.lows, grid.domain.highs, fine_nodes, grid.t1, grid.t2, grid.nt
@@ -597,14 +617,9 @@ def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     shift = _number(block, "ucp", "shift", 0.0)
     center = _point(block, "ucp", "center", grid.n, [0.0] * grid.n)
     geom = UCPGeometry(
-        center=center,
-        c=c,
-        r=_number(block, "ucp", "r", c / 2.0),
-        r0=_number(block, "ucp", "r0", c / 2.0),
-        rho0=_number(block, "ucp", "rho0", c / 8.0),
-        rho1=_number(block, "ucp", "rho1", c / 4.0),
-        eps=eps,
-        t_span=t_span,
+        center=center, c=c, r=_number(block, "ucp", "r", c / 2.0),
+        r0=_number(block, "ucp", "r0", c / 2.0), rho0=_number(block, "ucp", "rho0", c / 8.0),
+        rho1=_number(block, "ucp", "rho1", c / 4.0), eps=eps, t_span=t_span,
     )
     cert = ucp_region_certificate(geom, lam, shift)
     write_json(outdir / "ucp.json", cert)
@@ -781,6 +796,7 @@ _DISPATCH = {
     "observability": _cmd_observability,
     "identities": _cmd_identities,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(name: str, cfg: dict, outdir: Path, seed: int, strict: bool = False) -> int:

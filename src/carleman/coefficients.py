@@ -4,12 +4,18 @@ Entries are monomial tables, so derivatives of any order are exact and the
 (k,l)/(l,k) entries share one table, making A(x) symmetric by construction.
 Certification scans a grid with closed-form symmetric eigenvalue formulas
 (sizes 2 and 3 need no iterative solver).
+
+Node samples are entry-planar: the component axes come first and the point
+axes last, so A at points of shape ``(*S, n)`` is ``(n, n, *S)``, its first
+derivatives are ``(n, n, n, *S)`` and every entry ``a[k, l]`` is one
+contiguous plane.  Kernels on them are sums over planes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,21 +35,22 @@ _SYM_TOL = 1e-14
 def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of symmetric matrices of size 1..3, closed form.
 
-    ``mats`` has shape (..., n, n); returns (..., n) in ascending order.
-    The 3x3 case uses the trigonometric form of Cardano's solution.
+    ``mats`` has shape (n, n, *S) and only its entries k <= l are read;
+    returns (n, *S) in ascending order.  The 3x3 case uses the trigonometric
+    form of Cardano's solution.
     """
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
+    n = mats.shape[0]
     if n == 1:
-        return mats[..., 0, :].copy()
+        return mats[0].copy()
     if n == 2:
-        a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+        a, b, c = mats[0, 0], mats[0, 1], mats[1, 1]
         mean = 0.5 * (a + c)
         rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b**2, 0.0))
-        return np.stack([mean - rad, mean + rad], axis=-1)
+        return np.stack([mean - rad, mean + rad])
     if n == 3:
-        a11, a22, a33 = mats[..., 0, 0], mats[..., 1, 1], mats[..., 2, 2]
-        a12, a13, a23 = mats[..., 0, 1], mats[..., 0, 2], mats[..., 1, 2]
+        a11, a22, a33 = mats[0, 0], mats[1, 1], mats[2, 2]
+        a12, a13, a23 = mats[0, 1], mats[0, 2], mats[1, 2]
         p1 = a12**2 + a13**2 + a23**2
         q = (a11 + a22 + a33) / 3.0
         p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
@@ -64,8 +71,41 @@ def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
         lo = np.where(p > 0, e3, q)
         mid = np.where(p > 0, e2, q)
         hi = np.where(p > 0, e1, q)
-        return np.stack([lo, mid, hi], axis=-1)
+        return np.stack([lo, mid, hi])
     raise ValueError(f"closed-form eigenvalues only for n <= 3, got {n}")
+
+
+def _sum(terms):
+    """The sum of ``terms``, added left to right."""
+    return reduce(operator.add, terms)
+
+
+def _lane_sum(term, count: int):
+    """The sum of ``term(0), ..., term(count - 1)`` in the order numpy's
+    two-operand einsum adds a contiguous axis, so that sums replacing one stay
+    bitwise equal to it: two lanes take alternate terms, blocks of eight last
+    pair first, and the lane sums are added last.  Each term is formed as it
+    is added."""
+    blocked = count - count % 8
+    order = [b + j for b in range(0, blocked, 8) for j in (6, 4, 2, 0)]
+    order += range(blocked, count, 2)
+    return _sum(_sum(term(i + j) for i in order if i + j < count) for j in (0, 1) if j < count)
+
+
+def _dot(x, y, out=None, tmp=None):
+    """sum_i x_i y_i over planes, added in index order; written to ``out``
+    with the products formed in ``tmp`` where given (fresh planes cost page
+    faults)."""
+    out = np.multiply(x[0], y[0], out=out)
+    for i in range(1, len(x)):
+        out += np.multiply(x[i], y[i], out=tmp)
+    return out
+
+
+def quad_form(x, a: np.ndarray, y):
+    """sum_kl x_k a_kl y_l over planes, each product formed as (x_k a_kl) y_l
+    and added in (k, l) order, as the three-operand einsum does."""
+    return _sum(x[k] * a[k, l] * y[l] for k in range(len(x)) for l in range(len(x)))
 
 
 class MatrixField:
@@ -167,27 +207,24 @@ class MatrixField:
 
     # -- evaluation -------------------------------------------------------------
 
-    # The entry values are written as contiguous planes of an array indexed
-    # entry first, then moved behind the point axes in one copy: written
-    # straight into a (..., n, n) array, each entry strides through all of it.
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        """A at ``points`` of shape ``(*S, n)``; returns ``(n, n, *S)``."""
         pts = np.asarray(points, dtype=float)
         out = np.empty((self.n, self.n) + pts.shape[:-1])
         for k in range(self.n):
             for l in range(k, self.n):
                 out[k, l] = out[l, k] = self.entries[k][l](pts)
-        return np.moveaxis(out, (0, 1), (-2, -1)).copy()
+        return out
 
     def first_derivatives(self, points: np.ndarray) -> np.ndarray:
-        """d1[..., k, l, p] = d_p a_{kl}."""
+        """d1[k, l, p, ...] = d_p a_{kl} at ``points``; shape ``(n, n, n, *S)``."""
         pts = np.asarray(points, dtype=float)
         out = np.empty((self.n, self.n, self.n) + pts.shape[:-1])
         for k in range(self.n):
             for l in range(k, self.n):
                 for p in range(self.n):
                     out[k, l, p] = out[l, k, p] = self._d1[k][l][p](pts)
-        return np.moveaxis(out, (0, 1, 2), (-3, -2, -1)).copy()
+        return out
 
     def higher_derivative_sup(self, points: np.ndarray) -> float:
         """max |d^j a_kl| over the points for derivative orders j = 2, 3.
@@ -205,11 +242,16 @@ class MatrixField:
                             continue
                         v = poly(points)
                         if v.size:
-                            sup = max(sup, float(np.max(np.abs(v))))
+                            sup = max(sup, _abs_max(v))
         return sup
 
     def entry(self, k: int, l: int) -> Polynomial:
         return self.entries[k][l]
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max |x| without the |x| temporary (NaN if x holds one)."""
+    return max(float(np.max(x)), -float(np.min(x)))
 
 
 def _leaves(cell):
@@ -241,38 +283,27 @@ class EllipticityReport:
 
 
 def certify_ellipticity(
-    field: MatrixField,
-    a: np.ndarray,
-    da: np.ndarray,
-    pts: np.ndarray,
-    kappa_tolerance: float = np.inf,
-    m_tolerance: float = np.inf,
+    field: MatrixField, a: np.ndarray, da: np.ndarray, pts: np.ndarray,
+    kappa_tolerance: float = np.inf, m_tolerance: float = np.inf,
 ) -> EllipticityReport:
     """Scan the nodes ``pts`` for kappa = max(lambda_max, 1/lambda_min) and m.
 
-    ``a`` and ``da`` are ``field`` and its first derivatives at ``pts``; the
-    second and third derivatives are evaluated here, once each.
+    ``a`` and ``da`` are ``field`` and its first derivatives at ``pts``
+    (exactly symmetric: ``field`` writes one plane to both a[k, l] and
+    a[l, k]); the second and third derivatives are evaluated here, once each.
     """
     if not np.all(np.isfinite(a)):
-        bad = np.argwhere(~np.isfinite(a).all(axis=(-2, -1)))[0]
+        bad = np.argwhere(~np.isfinite(a).all(axis=(0, 1)))[0]
         node = tuple(float(v) for v in pts[tuple(bad)])
         raise ValueError(f"matrix evaluation failed at node {node}")
-    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
-    if asym > _SYM_TOL:
-        bad = np.argwhere(
-            np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > _SYM_TOL
-        )[0]
-        node = tuple(float(v) for v in pts[tuple(bad)])
-        raise ValueError(f"non-symmetric numeric matrix at node {node}")
     eigs = symmetric_eigenvalues(a)
-    lam_min = float(np.min(eigs[..., 0]))
-    lam_max = float(np.max(eigs[..., -1]))
-    argmin = np.unravel_index(np.argmin(eigs[..., 0]), eigs[..., 0].shape)
-    argmax = np.unravel_index(np.argmax(eigs[..., -1]), eigs[..., -1].shape)
+    lam_min = float(np.min(eigs[0]))
+    lam_max = float(np.max(eigs[-1]))
+    argmin = np.unravel_index(np.argmin(eigs[0]), eigs[0].shape)
+    argmax = np.unravel_index(np.argmax(eigs[-1]), eigs[-1].shape)
     kappa = max(lam_max, 1.0 / lam_min) if lam_min > 0 else float("inf")
 
-    sup = max(float(np.max(np.abs(a))), float(np.max(np.abs(da))),
-              field.higher_derivative_sup(pts))
+    sup = max(_abs_max(a), _abs_max(da), field.higher_derivative_sup(pts))
 
     passed = kappa <= kappa_tolerance and sup <= m_tolerance
     return EllipticityReport(

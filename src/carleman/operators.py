@@ -14,6 +14,10 @@ operators whose coefficient fields (a, b, B, d, c) are assembled here
 analytically from the weight; chi = |grad psi|_A^2 - (dt psi)^2 gives the
 cross-check identities a = tau^2 lam^2 phi^2 chi and
 b = -tau lam^2 phi chi - tau lam phi (wave operator applied to psi).
+
+Node samples of A and the weight are entry-planar (see ``coefficients``), and
+the contractions over them are sums of planes, added in the order of the
+einsums they replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coefficients import MatrixField
+from .coefficients import MatrixField, _dot, _lane_sum, _sum, quad_form
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 from .weights import WeightSpec
@@ -85,10 +89,10 @@ def _central_full(u: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def gradient_space(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Spatial gradient of a space or space-time array, shape (..., n)."""
+    """Spatial gradient of a space or space-time array, entry-planar: shape
+    (n, *u.shape)."""
     h = grid.domain.spacings
-    comps = [_central_full(u, ax, h[ax]) for ax in range(grid.n)]
-    return np.stack(comps, axis=-1)
+    return np.stack([_central_full(u, ax, h[ax]) for ax in range(grid.n)])
 
 
 def gradient_time(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -310,37 +314,31 @@ class ConjugationCoeffs:
     lam: float
     a: np.ndarray
     b: np.ndarray
-    B: np.ndarray  # (..., n)
+    B: np.ndarray  # (n, ...)
     d: np.ndarray | None
     c: np.ndarray | None
     chi: np.ndarray | None
     phi: np.ndarray
 
 
-def _spatial_weight_pieces(a_vals, da_vals, grad0, hess0):
-    gsq = np.einsum("...k,...kl,...l->...", grad0, a_vals, grad0)
-    lap_a_psi0 = np.einsum("...kl,...kl->...", a_vals, hess0) + np.einsum(
-        "...klk,...l->...", da_vals, grad0
-    )
-    a_grad0 = np.einsum("...kl,...l->...k", a_vals, grad0)
+def _spatial_weight_pieces(a, da, grad0, hess0):
+    """|grad psi0|_A^2, Delta_A psi0 and A grad psi0 (n, *S) from planar samples."""
+    n = len(grad0)
+    gsq = quad_form(grad0, a, grad0)
+    div = _sum(_dot(da[k, :, k], grad0) for k in range(n))  # sum_kl d_k a_kl d_l psi0
+    lap_a_psi0 = _lane_sum(lambda i: a[i // n, i % n] * hess0[i // n, i % n], n * n) + div
+    a_grad0 = np.stack([_lane_sum(lambda l: a[k, l] * grad0[l], n) for k in range(n)])
     return gsq, lap_a_psi0, a_grad0
 
 
 def conjugation_coeffs(
-    spec: WeightSpec,
-    a: np.ndarray,
-    da: np.ndarray,
-    grad0: np.ndarray,
-    hess0: np.ndarray,
-    kind: str,
-    tau: float,
-    grid: SpaceTimeGrid,
-    admissibility=None,
+    spec: WeightSpec, a: np.ndarray, da: np.ndarray, grad0: np.ndarray, hess0: np.ndarray,
+    kind: str, tau: float, grid: SpaceTimeGrid, admissibility=None,
 ) -> ConjugationCoeffs:
     """Assemble the split coefficients analytically on the grid.
 
     ``a``, ``da``, ``grad0`` and ``hess0`` are A, its first derivatives and
-    the gradient and Hessian of ``spec.psi0`` on the space nodes.
+    the gradient and Hessian of ``spec.psi0`` on the space nodes, entry-planar.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -354,30 +352,31 @@ def conjugation_coeffs(
             stacklevel=2,
         )
     lam = spec.lam
+    psi = spec.psi_space(grid) if kind == "elliptic" else spec.psi_values(grid)
+    if not lam * float(np.max(psi)) <= _EXP_CAP:  # a Python product: no numpy warning
+        raise OverflowError("weight exponent lambda * psi out of double range")
+    phi = np.exp(lam * psi)
     gsq, lap0, a_grad0 = _spatial_weight_pieces(a, da, grad0, hess0)
 
     if kind == "elliptic":
-        phi = np.exp(lam * spec.psi_space(grid))
         lap_phi = lam * phi * (lam * gsq + lap0)
         a = tau**2 * (lam * phi) ** 2 * gsq
         b = -2.0 * tau * lap_phi
         c = tau * lap_phi
-        big_b = -2.0 * tau * lam * phi[..., None] * a_grad0
+        big_b = (-2.0 * tau * lam * phi) * a_grad0
         chi = gsq
         return ConjugationCoeffs(
             kind=kind, tau=tau, lam=lam, a=a, b=b, B=big_b, d=None, c=c,
             chi=chi, phi=phi,
         )
 
-    psi = spec.psi_values(grid)
-    phi = np.exp(lam * psi)
     dt1 = spec.psi1.dt(grid.times)
 
     grad_phi_sq_a = (lam * phi) ** 2 * gsq[..., None]
     dt_phi = lam * phi * dt1
     lap_phi = lam * phi * (lam * gsq[..., None] + lap0[..., None])
     dtt_phi = lam * phi * (lam * dt1**2 + spec.psi1.dtt)
-    big_b = -2.0 * tau * lam * phi[..., None] * a_grad0[..., None, :]
+    big_b = (-2.0 * tau * lam * phi) * a_grad0[..., None]
 
     chi = gsq[..., None] - dt1**2
 
@@ -411,10 +410,7 @@ def _check_margin_support(u: np.ndarray, grid: SpaceTimeGrid) -> None:
 
 
 def conjugation_residual(
-    u: np.ndarray,
-    coeffs: ConjugationCoeffs,
-    mat: sp.csr_matrix,
-    grid: SpaceTimeGrid,
+    u: np.ndarray, coeffs: ConjugationCoeffs, mat: sp.csr_matrix, grid: SpaceTimeGrid,
 ) -> float:
     """Relative L2 mismatch between Phi^-1 L (Phi u) and the split applied to u.
 
@@ -442,7 +438,7 @@ def conjugation_residual(
 
     first = np.zeros_like(direct)
     for ax in range(grid.n):
-        first = first + coeffs.B[..., ax] * _central_full(u, ax, grid.domain.spacings[ax])
+        first = first + coeffs.B[ax] * _central_full(u, ax, grid.domain.spacings[ax])
 
     principal = _apply_assembled(kind, mat, None, u, grid)
     if kind == "wave":
@@ -474,7 +470,7 @@ def green_residual(
     grid: SpaceTimeGrid,
 ) -> float:
     """Defect of the divergence-form Green formula on spatial fields, from A
-    on the space nodes and ``mat = assemble_operator(field, None, grid)``."""
+    on the space nodes (entry-planar) and ``mat = assemble_operator(field, None, grid)``."""
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape != grid.space_shape or v.shape != grid.space_shape:
@@ -483,14 +479,14 @@ def green_residual(
     interior = complex(np.sum(lap * np.conj(v) * grid.space_weights))
     grad_u = gradient_space(u, grid)
     grad_v = gradient_space(v, grid)
-    cross = np.einsum("...k,...kl,...l->...", grad_u, a_vals, np.conj(grad_v))
+    cross = quad_form(grad_u, a_vals, np.conj(grad_v))
     volume = complex(np.sum(cross * grid.space_weights))
     boundary = 0.0 + 0.0j
     for f in range(grid.num_faces):
         mask = grid.face_mask(f)
         w = grid.face_weights(f)[mask]
-        nu = grid.face_normal(f)
-        flux = np.einsum("...kl,...l,k->...", a_vals[mask], grad_u[mask], nu)
+        # the normal's entries are 0 and +-1, so (nu_k a_kl) g_l = (a_kl g_l) nu_k
+        flux = quad_form(grid.face_normal(f), a_vals[..., mask], grad_u[..., mask])
         boundary += complex(np.sum(flux * np.conj(v[mask]) * w))
     return abs(interior + volume - boundary)
 
@@ -498,27 +494,25 @@ def green_residual(
 class RiemannianField:
     """Conformal metric built from A for n = 3; g = |det A|^(1/(n-2)) A^(-1).
 
-    Built from node samples ``a_vals`` of A and ``da_vals`` of its first
-    derivatives, which it holds.  det A and its gradient come from the 3 x 3
-    cofactors of A, so A is never inverted."""
+    Built from entry-planar node samples ``a_vals`` of A and ``da_vals`` of
+    its first derivatives, which it holds.  det A and its gradient come from
+    the 3 x 3 cofactors of A, so A is never inverted."""
 
     def __init__(self, a_vals: np.ndarray, da_vals: np.ndarray):
-        self.n = a_vals.shape[-1]
+        self.n = a_vals.shape[0]
         if self.n < 3:
             raise ValueError(f"metric exponent undefined for n={self.n}")
         self.a_vals = a_vals
         self.da_vals = da_vals
-        # C_kl = a_(k+1)(l+1) a_(k+2)(l+2) - a_(k+1)(l+2) a_(k+2)(l+1), indices mod 3;
-        # entry by entry, so no temporary is larger than one node array
+        # C_kl = a_(k+1)(l+1) a_(k+2)(l+2) - a_(k+1)(l+2) a_(k+2)(l+1), indices mod 3
         a = a_vals
         self.cofactors = np.empty_like(a)
         for k in range(3):
             k1, k2 = (k + 1) % 3, (k + 2) % 3
             for l in range(3):
                 l1, l2 = (l + 1) % 3, (l + 2) % 3
-                self.cofactors[..., k, l] = (a[..., k1, l1] * a[..., k2, l2]
-                                             - a[..., k1, l2] * a[..., k2, l1])
-        det = sum(a[..., 0, l] * self.cofactors[..., 0, l] for l in range(3))
+                self.cofactors[k, l] = a[k1, l1] * a[k2, l2] - a[k1, l2] * a[k2, l1]
+        det = sum(a[0, l] * self.cofactors[0, l] for l in range(3))
         if float(np.min(np.abs(det))) <= 0.0:
             raise ValueError("det A must be bounded away from zero")
         expo = 1.0 / (self.n - 2.0)
@@ -528,11 +522,12 @@ class RiemannianField:
 
     def inv_scale_gradient(self) -> np.ndarray:
         """Analytic gradient of 1/sqrt|g| via Jacobi's determinant formula,
-        d_p det A = trace(adj(A) d_p A) = sum_kl C_kl d_p a_kl."""
-        ddet = np.einsum("...kl,...klp->...p", self.cofactors, self.da_vals)
+        d_p det A = trace(adj(A) d_p A) = sum_kl C_kl d_p a_kl; shape (n, *S)."""
+        c, da, n = self.cofactors, self.da_vals, self.n
+        ddet = np.stack([_sum(c[k, l] * da[k, l, p] for k in range(n) for l in range(n))
+                         for p in range(n)])
         expo = 1.0 / (self.n - 2.0)
-        sign = np.sign(self.det_a)[..., None]
-        return -expo * np.abs(self.det_a)[..., None] ** (-expo - 1.0) * sign * ddet
+        return -expo * np.abs(self.det_a) ** (-expo - 1.0) * np.sign(self.det_a) * ddet
 
 
 def riemannian_identity_residual(
@@ -545,7 +540,7 @@ def riemannian_identity_residual(
     Delta_g u = Delta_A(s u) - 2 (grad s | grad u)_A - u Delta_A s with
     s = 1/sqrt|g|, so the two routes differ at truncation order only.
     ``a_vals`` and ``da_vals`` are A and its first derivatives on the space
-    nodes and ``mat`` is ``assemble_operator(field, None, grid)``.
+    nodes, entry-planar, and ``mat`` is ``assemble_operator(field, None, grid)``.
     """
     metric = RiemannianField(a_vals, da_vals)
     u = np.asarray(u)
@@ -556,8 +551,7 @@ def riemannian_identity_residual(
     lap_u = _matvec(mat, u)
     lap_su = _matvec(mat, s * u)
     lap_s = _matvec(mat, s)
-    grad_u = gradient_space(u, grid)
-    cross = np.einsum("...k,...kl,...l->...", grad_s, metric.a_vals, grad_u)
+    cross = quad_form(grad_s, metric.a_vals, gradient_space(u, grid))
     delta_g = lap_su - 2.0 * cross - u * lap_s
     resid = lap_u - metric.sqrt_det_g * delta_g
     inner = resid[tuple(slice(2, -2) for _ in range(grid.n))]
@@ -573,18 +567,13 @@ def _centered_magnetic(
     for k in range(len(h)):
         f_k = np.zeros_like(u)
         for l in range(len(h)):
-            f_k = f_k + a_vals[..., k, l] * (
-                _central_full(u, l, h[l]) + 1j * b_vals[..., l] * u
-            )
-        out = out + _central_full(f_k, k, h[k]) + 1j * b_vals[..., k] * f_k
+            f_k = f_k + a_vals[k, l] * (_central_full(u, l, h[l]) + 1j * b_vals[l] * u)
+        out = out + _central_full(f_k, k, h[k]) + 1j * b_vals[k] * f_k
     return out
 
 
 def magnetic_expansion_residual(
-    a_vals: np.ndarray,
-    da_vals: np.ndarray,
-    b_field: list[Polynomial],
-    u: np.ndarray,
+    a_vals: np.ndarray, da_vals: np.ndarray, b_field: list[Polynomial], u: np.ndarray,
     grid: SpaceTimeGrid,
 ) -> float:
     """Composed vs expanded magnetic operator, discretized consistently.
@@ -595,7 +584,7 @@ def magnetic_expansion_residual(
     the i on the divergence term is what makes the operator formally
     self-adjoint for real b.  The two coincide exactly when b = 0.
     ``a_vals`` and ``da_vals`` are A and its first derivatives on the space
-    nodes.
+    nodes, entry-planar.
     """
     if len(b_field) != grid.n:
         raise ValueError("need one magnetic component per axis")
@@ -604,20 +593,18 @@ def magnetic_expansion_residual(
         raise ValueError("expected a spatial field")
     h = grid.domain.spacings
     pts = grid.space_points
-    b_vals = np.stack([b(pts) for b in b_field], axis=-1)
+    n = grid.n
+    b_vals = np.stack([b(pts) for b in b_field])
 
     composed = _centered_magnetic(a_vals, b_vals, u, h)
     grad_u = gradient_space(u, grid)
-    cross = np.einsum("...kl,...l,...k->...", a_vals, grad_u, b_vals)
-    b_sq = np.einsum("...k,...kl,...l->...", b_vals, a_vals, b_vals)
+    # (grad u | b)_A, each product formed as (a_kl d_l u) b_k
+    cross = _sum(a_vals[k, l] * grad_u[l] * b_vals[k] for k in range(n) for l in range(n))
+    b_sq = quad_form(b_vals, a_vals, b_vals)
 
-    db_vals = np.stack(
-        [np.stack([b.diff(p)(pts) for p in range(grid.n)], axis=-1) for b in b_field],
-        axis=-2,
-    )  # (..., l, p) = d_p b_l
-    div_ab = np.einsum("...klk,...l->...", da_vals, b_vals) + np.einsum(
-        "...kl,...lk->...", a_vals, db_vals
-    )
+    # div(A b) = sum_kl d_k a_kl b_l + a_kl d_k b_l, summed over l first
+    div_ab = _sum(_dot(da_vals[k, :, k], b_vals) for k in range(n)) + _sum(
+        _dot(a_vals[k], [b_field[l].diff(k)(pts) for l in range(n)]) for k in range(n))
 
     expanded = (
         _centered_magnetic(a_vals, np.zeros_like(b_vals), u, h)

@@ -132,21 +132,23 @@ class Polynomial:
         return out
 
     def eval_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Gradient values, shape ``(..., nvars)``."""
+        """Gradient values at points ``(*S, nvars)``, entry-planar: shape
+        ``(nvars, *S)``."""
         pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape[:-1] + (self.nvars,), dtype=float)
+        out = np.empty((self.nvars,) + pts.shape[:-1], dtype=float)
         for i, g in enumerate(self.gradient()):
-            out[..., i] = g(pts)
+            out[i] = g(pts)
         return out
 
     def eval_hessian(self, points: np.ndarray) -> np.ndarray:
+        """Hessian values, entry-planar: shape ``(nvars, nvars, *S)``."""
         pts = np.asarray(points, dtype=float)
         n = self.nvars
-        out = np.empty(pts.shape[:-1] + (n, n), dtype=float)
+        out = np.empty((n, n) + pts.shape[:-1], dtype=float)
         hess = self.hessian()
         for i in range(n):
             for j in range(n):
-                out[..., i, j] = hess[i][j](pts)
+                out[i, j] = hess[i][j](pts)
         return out
 
     # -- composition ---------------------------------------------------------

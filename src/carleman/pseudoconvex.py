@@ -17,6 +17,10 @@ superscript with g = grad h gives
 
 with (dA . v)_{kl} = sum_p d_p a_{kl} v_p and (dA . g)_{lp} = sum_m d_p a_{lm} g_m,
 O(n^3) work per node instead of the O(n^4) of Lambda.
+
+Node samples are entry-planar (see ``coefficients``): A is (n, n, *S), dA
+(n, n, n, *S), grad h (n, *S) and hess h (n, n, *S), and every entry of
+Upsilon and Theta is a sum of products of contiguous planes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import MatrixField, symmetric_eigenvalues
+from .coefficients import MatrixField, _dot, symmetric_eigenvalues
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 
@@ -57,15 +61,43 @@ class ThetaDecomposition:
 def upsilon_theta(
     a: np.ndarray, da: np.ndarray, grad_h: np.ndarray, hess_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Upsilon, Theta) from A, its first derivatives and those of h.
+    """(Upsilon, Theta), each (n, n, *S), from entry-planar A, its first
+    derivatives and those of h.
 
     Upsilon is Lambda contracted with ``grad_h``, computed without Lambda.
     """
-    a_g = a @ grad_h[..., :, None]  # (..., p, 1)
-    d_ag = (da @ a_g[..., None, :, :])[..., 0]  # (dA . (A g))_{kl}
-    d_g = (grad_h[..., None, None, :] @ da)[..., 0, :]  # (dA . g)_{lp}
-    ups = -d_ag + 2.0 * (a @ d_g.swapaxes(-1, -2))
-    return ups, 2.0 * (a @ hess_h @ a) + ups
+    n = len(grad_h)
+    tmp = np.empty_like(grad_h[0, ...])
+    ag = [_dot(a[p], grad_h, tmp=tmp) for p in range(n)]  # (A g)_p
+    dg = [[_dot(da[l, :, p], grad_h, tmp=tmp) for p in range(n)]
+          for l in range(n)]  # (dA . g)_lp
+    ah = [[_dot(a[k], hess_h[:, m], tmp=tmp) for m in range(n)]
+          for k in range(n)]  # (A hess h)_km
+    ups, theta = np.empty_like(a), np.empty_like(a)
+    sub = np.empty_like(tmp)
+    for k in range(n):
+        for l in range(n):
+            # ups = 2 (A (dA . g)^T)_kl - (dA . (A g))_kl, theta = 2 (A hess h A)_kl + ups
+            u, t = ups[k, l, ...], theta[k, l, ...]
+            _dot(a[k], dg[l], out=u, tmp=tmp)
+            u *= 2.0
+            u -= _dot(da[k, l], ag, out=sub, tmp=tmp)
+            _dot(ah[k], a[:, l], out=t, tmp=tmp)
+            t *= 2.0
+            t += u
+    return ups, theta
+
+
+def _sym_min(theta: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of sym(Theta), forming only the entries k <= l
+    that the eigenvalue formulas read."""
+    n = len(theta)
+    sym = np.empty_like(theta)
+    for k in range(n):
+        for l in range(k, n):
+            s = np.add(theta[k, l], theta[l, k], out=sym[k, l, ...])
+            s *= 0.5
+    return symmetric_eigenvalues(sym)[0]
 
 
 def theta_decomposition(field: MatrixField, h: Polynomial, x) -> ThetaDecomposition:
@@ -75,9 +107,7 @@ def theta_decomposition(field: MatrixField, h: Polynomial, x) -> ThetaDecomposit
     x = np.asarray(x, dtype=float)
     ups, theta = upsilon_theta(field(x), field.first_derivatives(x),
                                h.eval_gradient(x), h.eval_hessian(x))
-    sym = 0.5 * (theta + theta.T)
-    smin = float(symmetric_eigenvalues(sym)[0])
-    return ThetaDecomposition(Upsilon=ups, Theta=theta, theta_sym_min=smin)
+    return ThetaDecomposition(Upsilon=ups, Theta=theta, theta_sym_min=float(_sym_min(theta)))
 
 
 @dataclass
@@ -103,11 +133,9 @@ def theta_scan(
     a: np.ndarray, da: np.ndarray, grad_h: np.ndarray, hess_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point minimal eigenvalue of sym(Theta) and gradient norm of h, from
-    A, its first derivatives and the gradient and Hessian of h at the points."""
-    _, theta = upsilon_theta(a, da, grad_h, hess_h)
-    sym = 0.5 * (theta + np.swapaxes(theta, -1, -2))
-    smin = symmetric_eigenvalues(sym)[..., 0]
-    gnorm = np.sqrt(np.sum(grad_h**2, axis=-1))
+    entry-planar A, its first derivatives and the gradient and Hessian of h."""
+    smin = _sym_min(upsilon_theta(a, da, grad_h, hess_h)[1])
+    gnorm = np.sqrt(np.sum(grad_h**2, axis=0))
     return smin, gnorm
 
 
@@ -244,23 +272,17 @@ def _jacobian_forward_quadform_min(surface: Polynomial, pts: np.ndarray) -> floa
     """min over chart nodes of the smallest eigenvalue of sym(forward Jacobian)."""
     n = pts.shape[-1]
     tang = pts[..., : n - 1]
-    grad = surface.eval_gradient(tang) if n > 1 else np.zeros(pts.shape[:-1] + (0,))
-    g = -grad + 2.0 * tang  # last Jacobian row, tangential part
-    sym = np.zeros(pts.shape[:-1] + (n, n))
+    g = 2.0 * np.moveaxis(tang, -1, 0) - surface.eval_gradient(tang)  # last Jacobian row
+    sym = np.zeros((n, n) + pts.shape[:-1])
     for i in range(n):
-        sym[..., i, i] = 1.0
+        sym[i, i] = 1.0
     for k in range(n - 1):
-        sym[..., n - 1, k] = 0.5 * g[..., k]
-        sym[..., k, n - 1] = 0.5 * g[..., k]
-    eigs = symmetric_eigenvalues(sym)
-    return float(np.min(eigs[..., 0]))
+        sym[k, n - 1] = sym[n - 1, k] = 0.5 * g[k]
+    return float(np.min(symmetric_eigenvalues(sym)[0]))
 
 
 def flatten_and_certify_hypersurface(
-    field: MatrixField,
-    surface: Polynomial,
-    chart_radius: float,
-    max_halvings: int = 20,
+    field: MatrixField, surface: Polynomial, chart_radius: float, max_halvings: int = 20,
 ) -> tuple[FlattenedChart, PseudoconvexCertificate]:
     """Transport the field through the convexifying chart and certify.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import EllipticityReport, MatrixField
+from .coefficients import EllipticityReport, MatrixField, quad_form
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 from .pseudoconvex import (
@@ -159,11 +159,6 @@ class WeightAdmissibility:
         return [v.code for v in self.violations]
 
 
-def _grad_sq_a(grad: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """|grad psi0|_A^2 from grad psi0 and A at the same nodes."""
-    return np.einsum("...k,...kl,...l->...", grad, a, grad)
-
-
 def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> np.ndarray:
     """chi = |grad psi0|_A^2 - (dt psi1)^2 on all space-time nodes, from the
     space-node values ``gsq_a`` of |grad psi0|_A^2."""
@@ -171,23 +166,18 @@ def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> 
 
 
 def check_admissibility(
-    spec: WeightSpec,
-    a: np.ndarray,
-    da: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    grid: SpaceTimeGrid,
-    kind: str,
-    ellipticity: EllipticityReport | None = None,
+    spec: WeightSpec, a: np.ndarray, da: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+    grid: SpaceTimeGrid, kind: str, ellipticity: EllipticityReport | None = None,
 ) -> WeightAdmissibility:
     """Per-kind admissibility verdict with named violations and witnesses.
 
     ``a``, ``da``, ``grad`` and ``hess`` are A, its first derivatives and the
-    gradient and Hessian of ``spec.psi0`` on the space nodes of ``grid``;
+    gradient and Hessian of ``spec.psi0`` on the space nodes of ``grid``,
+    entry-planar (component axes first);
     ``da`` and ``hess`` are read by the pseudo-convexity scan of the wave and
     Schrodinger kinds only.
     """
-    if spec.n != a.shape[-1]:
+    if spec.n != a.shape[0]:
         raise ValueError("weight and coefficient field dimensions disagree")
     if kind not in ("elliptic", "parabolic", "wave", "schrodinger"):
         raise ValueError(f"unknown equation kind {kind!r}")
@@ -202,8 +192,8 @@ def check_admissibility(
             Violation(COND_NONNEG, f"psi attains {min_psi:.6g} < 0 on the grid")
         )
 
-    gsq_a = _grad_sq_a(grad, a)
-    gnorm = np.sqrt(np.sum(grad**2, axis=-1)).reshape(-1)
+    gsq_a = quad_form(grad, a, grad)  # |grad psi0|_A^2
+    gnorm = np.sqrt(np.sum(grad**2, axis=0)).reshape(-1)
     i_min = int(np.argmin(gnorm))
     delta0_plain = float(gnorm[i_min])
     delta0 = float(np.min(gsq_a))
@@ -284,12 +274,7 @@ def check_admissibility(
 
 
 def make_example_weight(
-    x0,
-    t0: float,
-    gamma: float,
-    shift: float,
-    grid: SpaceTimeGrid,
-    lam: float = 1.0,
+    x0, t0: float, gamma: float, shift: float, grid: SpaceTimeGrid, lam: float = 1.0,
 ) -> WeightSpec:
     """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
     shifted further where needed so that psi >= 0 on the grid."""
@@ -318,13 +303,8 @@ class ObservabilityThresholds:
 
 
 def make_observability_weight(
-    psi0: Polynomial,
-    alpha: float,
-    t_obs: float,
-    shift: float,
-    field: MatrixField,
-    grid: SpaceTimeGrid,
-    lam: float = 1.0,
+    psi0: Polynomial, alpha: float, t_obs: float, shift: float, field: MatrixField,
+    grid: SpaceTimeGrid, lam: float = 1.0,
 ) -> tuple[WeightSpec, ObservabilityThresholds]:
     """Final-time observability weight, shifted where needed so that psi >= 0
     on the grid, plus its time-threshold bookkeeping.
@@ -346,7 +326,8 @@ def make_observability_weight(
     if float(np.min(vals0)) < -1e-12:
         raise ValueError("psi0 must be nonnegative")
     m_sup = float(np.max(vals0))
-    gsq_a = _grad_sq_a(psi0.eval_gradient(pts), field(pts))
+    grad = psi0.eval_gradient(pts)
+    gsq_a = quad_form(grad, field(pts), grad)
     delta0 = float(np.min(gsq_a))
     if delta0 <= 0.0:
         raise ValueError("psi0 must have a nonvanishing A-gradient (delta0 > 0)")

@@ -4,7 +4,8 @@ This is the composed-vs-expanded magnetic identity as it stood with its own
 nested centered Delta_A (``_nested_centered_laplacian``) and its own copy of
 the centered gradient.  ``carleman.operators`` computes both sides with one
 centered magnetic helper instead, called with b and with zeros; the
-equivalence test in ``test_operators.py`` requires the same float.
+equivalence test in ``test_operators.py`` requires the same float.  It reads
+node-major samples (see ``reference_theta``).
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from reference_stencil import central_full
+from reference_theta import node_major
 
 
 def _nested_centered_laplacian(field, u: np.ndarray, grid) -> np.ndarray:
     """sum_k Dc_k(a_{kl} Dc_l u), all centered at nodes."""
     h = grid.domain.spacings
-    a_vals = field(grid.space_points)
+    a_vals = node_major(field(grid.space_points), 2)
     out = np.zeros_like(u, dtype=np.result_type(u, np.float64))
     for k in range(grid.n):
         inner = np.zeros_like(out)
@@ -32,7 +34,7 @@ def magnetic_expansion_residual(field, b_field, u: np.ndarray, grid) -> float:
     u = np.asarray(u, dtype=complex)
     h = grid.domain.spacings
     pts = grid.space_points
-    a_vals = field(pts)
+    a_vals = node_major(field(pts), 2)
     b_vals = np.stack([b(pts) for b in b_field], axis=-1)
 
     composed = np.zeros_like(u)
@@ -48,7 +50,7 @@ def magnetic_expansion_residual(field, b_field, u: np.ndarray, grid) -> float:
     cross = np.einsum("...kl,...l,...k->...", a_vals, grad_u, b_vals)
     b_sq = np.einsum("...k,...kl,...l->...", b_vals, a_vals, b_vals)
 
-    da_vals = field.first_derivatives(pts)
+    da_vals = node_major(field.first_derivatives(pts), 3)
     db_vals = np.stack(
         [np.stack([b.diff(p)(pts) for p in range(grid.n)], axis=-1) for b in b_field],
         axis=-2,

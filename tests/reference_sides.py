@@ -13,7 +13,6 @@ import numpy as np
 
 from carleman.audit import (
     _BOUNDARY_KINDS,
-    _OPERATOR_KIND,
     INEQUALITY_KINDS,
     CarlemanSideValues,
     _check_finite_sides,
@@ -27,6 +26,7 @@ from carleman.operators import (
     gradient_time,
 )
 from reference_stencil import face_trace
+from reference_theta import node_major
 
 
 def _sigma_plus_trace_sq(
@@ -64,7 +64,7 @@ def reference_sides(
         raise ValueError(f"unknown inequality kind {kind!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    op_kind = _OPERATOR_KIND[kind]
+    op_kind = kind.split("_")[0]
     u = np.asarray(u)
     lam = spec.lam
 
@@ -87,8 +87,8 @@ def reference_sides(
     phi_max = float(np.max(phi))
     env = np.exp(2.0 * tau * (phi - phi_max))
 
-    a_vals = field(grid.space_points)
-    grad = gradient_space(u, grid)
+    a_vals = node_major(field(grid.space_points), 2)
+    grad = node_major(gradient_space(u, grid), 1)
     dtu = gradient_time(u, grid)
     grad_a_sq = np.einsum("...k,...kl,...l->...", grad, a_vals[..., None, :, :], np.conj(grad)).real
     grad_sq = np.sum(np.abs(grad) ** 2, axis=-1)
@@ -180,7 +180,7 @@ def _reference_elliptic(
         phi = np.exp(lam * spec.psi_space(grid))
         phi_max = float(np.max(phi))
         env = np.exp(2.0 * tau * (phi - phi_max))
-        grad = gradient_space(u, grid)
+        grad = node_major(gradient_space(u, grid), 1)
         grad_sq = np.sum(np.abs(grad) ** 2, axis=-1)
         usq = np.abs(u) ** 2
 

@@ -90,7 +90,7 @@ def test_criterion_2_scalar_affine_cross_check():
             a = 1.0 + x[0] / 10.0
             d = x - x0
             closed = -a * np.dot(grad_a, d) * np.eye(2) + 2.0 * a * np.outer(grad_a, d)
-            worst_closed = max(worst_closed, float(np.max(np.abs(ups[i] - closed))))
+            worst_closed = max(worst_closed, float(np.max(np.abs(ups[..., i] - closed))))
             # independent finite-difference assembly of the rank-3 tensor
             step = 1e-6
             av = field(x)
@@ -107,7 +107,7 @@ def test_criterion_2_scalar_affine_cross_check():
                             da[k, l, p] * av[p, m] for p in range(2)
                         ) + 2 * sum(av[k, p] * da[l, m, p] for p in range(2))
             ups_fd = np.einsum("klm,m->kl", lam_fd, weight.eval_gradient(x))
-            worst_fd = max(worst_fd, float(np.max(np.abs(ups[i] - ups_fd))))
+            worst_fd = max(worst_fd, float(np.max(np.abs(ups[..., i] - ups_fd))))
         point = theta_decomposition(field, weight, [0.5, 0.0])
         point_err = float(np.max(np.abs(point.Theta - np.diag([2.3625, 2.0475]))))
         return worst_closed, worst_fd, point_err

@@ -76,7 +76,7 @@ def test_sides_deterministic_and_order_independent(canonical):
     grad = gradient_space(u, grid)
     dtu = gradient_time(u, grid)
     dens = 8.0**3 * lam**4 * phi**3 * np.abs(u) ** 2 + 8.0 * lam * phi * (
-        np.sum(np.abs(grad) ** 2, axis=-1) + np.abs(dtu) ** 2
+        np.sum(np.abs(grad) ** 2, axis=0) + np.abs(dtu) ** 2
     )
     w = grid.space_weights[..., None] * grid.time_weights
     alt = float(np.sum((env * dens * w).T))
@@ -131,7 +131,7 @@ def test_normalization_leaves_ratio_unchanged(case, tau):
     phi = np.exp(spec.lam * spec.psi_values(grid))
     lam = spec.lam
     env = np.exp(2.0 * tau * phi)
-    energy = np.sum(gradient_space(u, grid) ** 2, axis=-1) + gradient_time(u, grid) ** 2
+    energy = np.sum(gradient_space(u, grid) ** 2, axis=0) + gradient_time(u, grid) ** 2
     w = grid.space_weights[..., None] * grid.time_weights
     lhs_raw = float(np.sum(env * (tau**3 * lam**4 * phi**3 * u**2 + tau * lam * phi * energy) * w))
     lu = per_call.apply("wave", field, None, u, grid)
@@ -154,7 +154,7 @@ def test_audit_dmu_side_is_the_geometry_integral(canonical, kind):
         u = u * np.exp(1j * grid.space_points[..., 0])[..., None]
     taus, lams = [2.0, 8.0], [1.0, 2.0]
     sides = _Audit(spec, field, None, kind, grid).member_sides(u, taus, lams)
-    gsq = np.sum(np.abs(gradient_space(u, grid)) ** 2, axis=-1)
+    gsq = np.sum(np.abs(gradient_space(u, grid)) ** 2, axis=0)
     dtsq = np.abs(gradient_time(u, grid)) ** 2
     if kind == "wave_full":
         gsq = gsq + dtsq
@@ -271,6 +271,22 @@ def test_sweep_matches_per_cell_reference(canonical, kind, case):
     old = reference_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid, mask)
     for part in ("lhs_interior", "rhs_source", "rhs_boundary_dmu", "rhs_boundary_sigma_plus"):
         assert getattr(one, part) == pytest.approx(getattr(old, part), rel=1e-12, abs=0.0)
+
+
+def test_clipped_exp_equals_numpy_exp():
+    """The audit envelope's underflow route gives np.exp's floats bit for bit:
+    exp is skipped only where it is +0.0; NaN, -inf and inf pass through."""
+    from carleman.audit import _exp_clipped
+
+    x = np.concatenate([np.linspace(-3000.0, 5.0, 200_001), np.nextafter(-746.0, [0.0, -1e3]),
+                        [-745.1332, -745.13321910194, -744.44, np.nan, -np.inf, np.inf, -0.0]])
+    keep, drop = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
+    got = x.copy()
+    with np.errstate(under="ignore"):
+        _exp_clipped(got, keep, drop)
+        ref = np.exp(x)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_sweep_peak_memory_within_one_side_evaluation():

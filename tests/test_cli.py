@@ -184,6 +184,15 @@ def _lower_list(cfg):
     cfg["equation"]["lower"] = [1.0, 2.0]
 
 
+def _surface_powers(powers):
+    def probe(cfg):
+        cfg["flatten"]["surface_terms"] = [{"powers": powers, "coeff": 0.25}]
+    return probe
+
+
+_POWERS = "error: flatten: surface_terms powers must be 1 non-negative integers of total degree <= 6"
+
+
 def _put(block, key, value):
     """A probe that sets ``cfg[block][key]``, or ``cfg[key]`` when block is None."""
     def probe(cfg):
@@ -253,6 +262,19 @@ def _put(block, key, value):
          "error: coefficients: kappa_max must be a positive number, got 'tight'"),
         ("certify", _put("coefficients", "m_max", True),
          "error: coefficients: m_max must be a positive number, got True"),
+        ("flatten", _surface_powers([2.5]), f"{_POWERS}, got [2.5]"),
+        ("flatten", _surface_powers([1e308]), f"{_POWERS}, got [1e+308]"),
+        ("flatten", _surface_powers([True]), f"{_POWERS}, got [True]"),
+        ("flatten", _surface_powers([-1]), f"{_POWERS}, got [-1]"),
+        ("flatten", _surface_powers([7]), f"{_POWERS}, got [7]"),
+        ("flatten", _surface_powers([1, 1]), f"{_POWERS}, got [1, 1]"),
+        ("carleman-audit", _put("audit", "refine", "x"),
+         "error: audit: refine must be true or false, got 'x'"),
+        ("certify", _put("grid", "highs", [1e308, 1]),
+         "error: grid: A or a derivative of A or psi0 is not finite or exceeds 1e+100 in "
+         "size on the nodes"),
+        ("identities", _put("weight", "lambda", 1e308),
+         "error: weight exponent lambda * psi out of double range"),
     ],
     ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list",
          "nodes-fraction", "nodes-too-few", "nt-fraction", "seed-fraction", "seed-text",
@@ -260,7 +282,9 @@ def _put(block, key, value):
          "theta-point-too-short", "grid-t1-nan-solve", "grid-t1-nan-certify", "grid-t2-inf",
          "grid-highs-bool", "grid-lows-not-a-list", "radius-negative", "radius-zero", "radius-inf",
          "radius-nan", "radius-text", "tau-inf", "tau-nan", "tau-negative", "tau-text",
-         "kappa-max-nan", "m-max-nan", "kappa-max-text", "m-max-bool"],
+         "kappa-max-nan", "m-max-nan", "kappa-max-text", "m-max-bool", "powers-fraction",
+         "powers-huge", "powers-bool", "powers-negative", "powers-degree", "powers-too-many",
+         "refine-text", "grid-highs-overflow", "identities-lambda-overflow"],
 )
 def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, probe, message):
     cfg = _shipped_wave_audit()

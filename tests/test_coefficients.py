@@ -83,7 +83,32 @@ def test_symmetry_is_exact():
     )
     pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 3))
     vals = field(pts)
-    assert np.max(np.abs(vals - np.swapaxes(vals, -1, -2))) == 0.0
+    assert vals.shape == (3, 3, 50)
+    assert np.max(np.abs(vals - np.swapaxes(vals, 0, 1))) == 0.0
+
+
+def test_samples_are_entry_planar():
+    """``field(pts)[k, l]`` is entry (k, l) evaluated on its own, and the
+    derivative, gradient and Hessian samples put their component axes first."""
+    field = MatrixField.from_tables(3, {
+        (0, 0): [((0, 0, 0), 2.0), ((1, 0, 2), 0.3)],
+        (0, 2): [((0, 1, 0), -0.4), ((1, 1, 1), 0.1)],
+        (1, 1): [((0, 0, 0), 1.0), ((2, 0, 0), 0.2)],
+        (2, 2): [((0, 0, 0), 1.5)],
+    })
+    pts = np.random.default_rng(4).uniform(-1, 1, size=(7, 5, 3))
+    a, da = field(pts), field.first_derivatives(pts)
+    assert a.shape == (3, 3, 7, 5) and da.shape == (3, 3, 3, 7, 5)
+    assert a.flags.c_contiguous and da.flags.c_contiguous
+    h = poly_from_table(3, [((2, 1, 0), 0.7), ((0, 0, 2), -1.1)])
+    grad, hess = h.eval_gradient(pts), h.eval_hessian(pts)
+    for k in range(3):
+        assert np.array_equal(grad[k], h.diff(k)(pts))
+        for l in range(3):
+            assert np.array_equal(a[k, l], field.entries[k][l](pts))
+            assert np.array_equal(hess[k, l], h.diff(k).diff(l)(pts))
+            for p in range(3):
+                assert np.array_equal(da[k, l, p], field.entries[k][l].diff(p)(pts))
 
 
 def test_degree_cap_enforced():
@@ -96,8 +121,8 @@ def test_closed_form_eigenvalues_match_lapack():
     for n in (1, 2, 3):
         m = rng.normal(size=(40, n, n))
         sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-        ours = symmetric_eigenvalues(sym)
-        ref = np.linalg.eigvalsh(sym)
+        ours = symmetric_eigenvalues(np.moveaxis(sym, 0, -1))
+        ref = np.linalg.eigvalsh(sym).T
         assert np.max(np.abs(ours - ref)) < 1e-10
 
 
@@ -140,8 +165,8 @@ def test_rotation_preserves_spectrum_and_kappa():
     rotated = MatrixField.scalar_affine(2, 1.0, [0.0, 0.1], domain=grid_rot.domain)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(100, 2))
-    e_rot = np.linalg.eigvalsh(rotated(pts))
-    e_src = np.linalg.eigvalsh(field(np.stack([pts[:, 1], -pts[:, 0]], axis=-1)))
+    e_rot = symmetric_eigenvalues(rotated(pts))
+    e_src = symmetric_eigenvalues(field(np.stack([pts[:, 1], -pts[:, 0]], axis=-1)))
     assert np.max(np.abs(e_rot - e_src)) < 1e-10
 
     rep_src = per_call.ellipticity(field, grid)

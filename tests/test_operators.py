@@ -8,9 +8,11 @@ from carleman import (
     make_example_weight,
     riemannian_identity_residual,
 )
-from carleman.operators import LowerOrderCoeffs, assemble_operator
+from carleman.operators import LowerOrderCoeffs, assemble_operator, green_residual
 from carleman.polynomials import Polynomial, poly_from_table
 from conftest import interior_bump_space, interior_bump_spacetime, sine_mode
+import reference_theta
+from reference_theta import node_major
 import per_call
 
 
@@ -145,8 +147,8 @@ def test_wave_b_cross_check(wave_weight_setup):
     grad0 = spec.psi0.eval_gradient(pts)
     av = field(pts)
     dav = field.first_derivatives(pts)
-    lap_psi0 = np.einsum("...kl,...kl->...", av, hess0) + np.einsum(
-        "...klk,...l->...", dav, grad0
+    lap_psi0 = np.einsum("kl...,kl...->...", av, hess0) + np.einsum(
+        "klk...,l...->...", dav, grad0
     )
     lw_psi = lap_psi0[..., None] - spec.psi1.dtt
     alt = -cc.tau * spec.lam**2 * cc.phi * cc.chi - cc.tau * spec.lam * cc.phi * lw_psi
@@ -286,7 +288,7 @@ def test_riemannian_metric_structure():
     metric = RiemannianField(*per_call.field_sample(field, g.space_points))
     # sqrt|g| = |det A|^(1/(n-2)) = 4 for n = 3
     assert np.allclose(metric.sqrt_det_g, 4.0)
-    g_metric = metric.sqrt_det_g[..., None, None] * np.linalg.inv(metric.a_vals)
+    g_metric = metric.sqrt_det_g[..., None, None] * np.linalg.inv(node_major(metric.a_vals, 2))
     eigs = np.linalg.eigvalsh(g_metric)
     assert np.all(eigs > 0)
 
@@ -300,13 +302,13 @@ def test_riemannian_cofactors_match_the_batched_inverse():
     a = a + np.swapaxes(a, -1, -2)
     da = rng.normal(size=(200, 3, 3, 3))
     da = da + np.swapaxes(da, 1, 2)
-    metric = RiemannianField(a, da)
+    metric = RiemannianField(np.moveaxis(a, 0, -1), np.moveaxis(da, 0, -1))
     det = np.linalg.det(a)
     assert np.any(det < 0) and np.any(det > 0)
     assert np.all(np.abs(metric.det_a - det) <= 1e-13 * np.abs(det))
     ddet = det[:, None] * np.einsum("...lk,...klp->...p", np.linalg.inv(a), da)
     expected = -np.abs(det)[:, None] ** -2.0 * np.sign(det)[:, None] * ddet
-    got = metric.inv_scale_gradient()
+    got = metric.inv_scale_gradient().T
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
@@ -387,6 +389,41 @@ def test_magnetic_residual_matches_frozen_nested_laplacian(n):
     coords = [Polynomial.coordinate(n, (ax + 1) % n) for ax in range(n)]
     for b in (coords, [Polynomial(n, {})] * n):
         assert per_call.magnetic(field, b, u, g) == frozen(field, b, u, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_planar_sums_equal_the_frozen_einsums(n):
+    """The sums over planes that replaced the einsums of the weight pieces,
+    the A-norm of grad psi0, the Gamma+ flux and the Green and Riemannian
+    residuals give the einsums' floats: they add in the einsums' order."""
+    from carleman.coefficients import quad_form
+    from carleman.operators import _spatial_weight_pieces
+    from carleman.solvers import gamma_plus
+
+    g = build_grid([0.0] * n, [1.0] * n, [13, 11, 9][:n], 0.0, 1.0, 3)
+    field = MatrixField.from_tables(n, _variable_table(n), domain=g.domain)
+    rng = np.random.default_rng(n)
+    monomials = [m for m in np.ndindex(*(4,) * n) if sum(m) <= 3]
+    psi0 = poly_from_table(n, [(m, float(rng.normal())) for m in monomials])
+    pts = g.space_points
+    a, da = field(pts), field.first_derivatives(pts)
+    grad, hess = psi0.eval_gradient(pts), psi0.eval_hessian(pts)
+    old = [node_major(a, 2), node_major(da, 3), node_major(grad, 1), node_major(hess, 2)]
+    assert np.array_equal(quad_form(grad, a, grad), reference_theta.grad_sq_a(old[2], old[0]))
+    gsq, lap, a_grad = _spatial_weight_pieces(a, da, grad, hess)
+    ref = reference_theta.spatial_weight_pieces(*old)
+    assert np.array_equal(gsq, ref[0]) and np.array_equal(lap, ref[1])
+    assert np.array_equal(node_major(a_grad, 1), ref[2])
+    masks = gamma_plus(field, psi0, g).face_masks
+    assert all(np.array_equal(m, r) for m, r in
+               zip(masks, reference_theta.gamma_plus_masks(old[0], old[2], g)))
+    mat = assemble_operator(field, None, g)
+    u = sine_mode(g, (1, 2, 1)[:n])
+    assert green_residual(u, u**2, a, mat, g) == reference_theta.green_residual(
+        u, u**2, old[0], mat, g)
+    if n == 3:
+        assert riemannian_identity_residual(a, da, mat, u, g) == (
+            reference_theta.riemannian_identity_residual(old[0], old[1], mat, u, g))
 
 
 def test_lower_order_declared_bound_validated():

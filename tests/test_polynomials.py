@@ -36,9 +36,9 @@ def test_diff_matches_finite_differences():
 def test_gradient_hessian_shapes():
     p = Polynomial.squared_distance([0.5, -0.5], scale=0.5)
     pts = np.zeros((4, 2))
-    assert p.eval_gradient(pts).shape == (4, 2)
-    assert p.eval_hessian(pts).shape == (4, 2, 2)
-    assert np.allclose(p.eval_hessian(pts), np.eye(2))
+    assert p.eval_gradient(pts).shape == (2, 4)
+    assert p.eval_hessian(pts).shape == (2, 2, 4)
+    assert np.allclose(p.eval_hessian(pts), np.eye(2)[..., None])
 
 
 def test_general_composition():

@@ -13,8 +13,10 @@ from carleman import (
     theta_decomposition,
 )
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.pseudoconvex import _apply_map, upsilon_theta
+from carleman.pseudoconvex import _apply_map, theta_scan, upsilon_theta
 import per_call
+import reference_theta
+from reference_theta import node_major
 
 
 def lambda_tensor(a_vals, da_vals):
@@ -116,7 +118,7 @@ def test_theta_assembly_identity_random_points():
         ups, theta = per_call.theta(field, h, pts)
         a = field(pts)
         hess = h.eval_hessian(pts)
-        rebuilt = 2.0 * np.einsum("...kp,...pq,...ql->...kl", a, hess, a) + ups
+        rebuilt = 2.0 * np.einsum("kp...,pq...,ql...->kl...", a, hess, a) + ups
         assert np.max(np.abs(theta - rebuilt)) < 1e-12
 
 
@@ -125,10 +127,10 @@ def test_quadratic_form_sees_only_symmetric_part():
     pts = rng.uniform(0, 1, size=(10, 2))
     _, theta = per_call.theta(SCALAR_AFFINE, QUAD_WEIGHT, pts)
     for i in range(10):
-        sym = 0.5 * (theta[i] + theta[i].T)
+        sym = 0.5 * (theta[..., i] + theta[..., i].T)
         for _ in range(10):
             xi = rng.normal(size=2)
-            assert xi @ theta[i] @ xi == pytest.approx(xi @ sym @ xi, abs=1e-12)
+            assert xi @ theta[..., i] @ xi == pytest.approx(xi @ sym @ xi, abs=1e-12)
 
 
 def test_lambda_structural_symmetries():
@@ -139,8 +141,8 @@ def test_lambda_structural_symmetries():
     rng = np.random.default_rng(17)
     field = SCALAR_AFFINE
     pts = rng.uniform(0, 1, size=(25, 2))
-    a = field(pts)
-    da = field.first_derivatives(pts)
+    a = node_major(field(pts), 2)
+    da = node_major(field.first_derivatives(pts), 3)
     first = np.einsum("...klp,...pm->...klm", da, a)
     second = np.einsum("...kp,...lmp->...klm", a, da)
     assert np.max(np.abs(first - np.swapaxes(first, -3, -2))) == 0.0
@@ -304,13 +306,41 @@ def test_contracted_upsilon_matches_lambda_contraction(case):
     field, h, pts = case
     n = field.n
     a, da, g = field(pts), field.first_derivatives(pts), h.eval_gradient(pts)
-    ref = np.einsum("...klm,...m->...kl", lambda_tensor(a, da), g)
+    ref = np.einsum("...klm,...m->...kl", lambda_tensor(node_major(a, 2), node_major(da, 3)),
+                    node_major(g, 1))
     scale = n * n * np.max(np.abs(da)) * np.max(np.abs(a)) * np.max(np.abs(g))
-    hess = h.eval_hessian(pts)
-    ups, theta = upsilon_theta(a, da, g, hess)
-    assert np.max(np.abs(ups - ref)) <= 1e-13 * max(scale, 1e-300)
-    assert np.array_equal(theta, 2.0 * (a @ hess @ a) + ups)
-    ups_scan, theta_scan = per_call.theta(field, h, pts)
-    assert np.array_equal(ups_scan, ups) and np.array_equal(theta_scan, theta)
-    ups0, _ = upsilon_theta(a[0], da[0], g[0], hess[0])
+    ups, _ = upsilon_theta(a, da, g, h.eval_hessian(pts))
+    assert np.max(np.abs(node_major(ups, 2) - ref)) <= 1e-13 * max(scale, 1e-300)
+    ups0, _ = upsilon_theta(a[..., 0], da[..., 0], g[..., 0], h.eval_hessian(pts[0]))
     assert np.max(np.abs(ups0 - ref[0])) <= 1e-13 * max(scale, 1e-300)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_field_weight_points())
+def test_planar_theta_matches_frozen_matmul(case):
+    """The entry-planar Upsilon and Theta agree with the frozen node-major
+    ``matmul`` kernel to 1e-13 of the size of their summands, on the stack
+    and at each single point; the point decomposition reads the same Theta
+    and the same min eigenvalue of sym(Theta) as the scan, bit for bit."""
+    field, h, pts = case
+    n = field.n
+    sample = (field(pts), field.first_derivatives(pts), h.eval_gradient(pts), h.eval_hessian(pts))
+    a, da, g, hess = sample
+    ma = np.max(np.abs(a))
+    scale = n * n * ma * (np.max(np.abs(da)) * np.max(np.abs(g)) + ma * np.max(np.abs(hess)))
+    tol = 1e-13 * max(scale, 1e-300)
+    ups, theta = upsilon_theta(*sample)
+    assert ups.shape == theta.shape == (n, n, len(pts))
+    ref_ups, ref_theta = reference_theta.upsilon_theta(
+        *(node_major(x, x.ndim - 1) for x in sample))
+    assert np.max(np.abs(node_major(ups, 2) - ref_ups)) <= tol
+    assert np.max(np.abs(node_major(theta, 2) - ref_theta)) <= tol
+    smin, gnorm = theta_scan(*sample)
+    assert np.array_equal(gnorm, np.sqrt(np.sum(node_major(g, 1) ** 2, axis=-1)))
+    for i in range(0, len(pts), 7):
+        ups_i, theta_i = upsilon_theta(*(x[..., i] for x in sample))
+        assert np.max(np.abs(theta_i - ref_theta[i])) <= tol
+        dec = theta_decomposition(field, h, pts[i])
+        assert np.array_equal(dec.Theta, theta[..., i]) and np.array_equal(dec.Upsilon, ups[..., i])
+        assert np.array_equal(ups_i, ups[..., i]) and np.array_equal(theta_i, theta[..., i])
+        assert dec.theta_sym_min == smin[i]

@@ -118,7 +118,7 @@ def test_delta_consistency_with_independent_scan(wave_setup):
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     grads = spec.psi0.eval_gradient(grid.space_points)
-    gsq = np.sum(grads**2, axis=-1)
+    gsq = np.sum(grads**2, axis=0)
     dt = spec.psi1.dt(grid.times)
     bracket = gsq[..., None] - dt**2
     assert rep.delta == float(np.min(bracket**2))

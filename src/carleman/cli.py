@@ -22,54 +22,23 @@ import scipy
 import yaml
 
 from . import __version__
-from .audit import (
-    INEQUALITY_KINDS,
-    compare_refinement,
-    default_ensemble,
-    negative_control,
-    sweep_audit,
-)
+from .audit import (INEQUALITY_KINDS, compare_refinement, default_ensemble, negative_control,
+                    sweep_audit)
 from .coefficients import MatrixField, certify_ellipticity
-from .experiments import (
-    _SOLVE_KIND,
-    CheckFailedError,
-    observability_experiment,
-    worst_case_ratio,
-)
+from .experiments import (_SOLVE_KIND, CheckFailedError, observability_experiment,
+                          worst_case_ratio)
 from .geometry import SpaceTimeGrid, build_grid, separable, sine_profile, smooth_bump
-from .operators import (
-    LowerOrderCoeffs,
-    assemble_operator,
-    conjugation_coeffs,
-    conjugation_residual,
-    green_residual,
-    magnetic_expansion_residual,
-    riemannian_identity_residual,
-)
+from .operators import (LowerOrderCoeffs, assemble_operator, conjugation_coeffs,
+                        conjugation_residual, green_residual, magnetic_expansion_residual,
+                        riemannian_identity_residual)
 from .polynomials import Polynomial, poly_from_table
-from .pseudoconvex import (
-    certificate_from_scan,
-    flatten_and_certify_hypersurface,
-    theta_decomposition,
-    theta_scan,
-)
-from .solvers import (
-    HeatData,
-    SchrodingerData,
-    WaveData,
-    cfl_limit,
-    solve_evolution,
-)
+from .pseudoconvex import (certificate_from_scan, flatten_and_certify_hypersurface,
+                           theta_decomposition, theta_scan)
+from .solvers import HeatData, SchrodingerData, WaveData, cfl_limit, solve_evolution
 from .svg import heatmap_svg, histogram_svg, line_svg
-from .weights import (
-    TimeProfile,
-    UCPGeometry,
-    WeightSpec,
-    check_admissibility,
-    make_example_weight,
-    make_observability_weight,
-    ucp_region_certificate,
-)
+from .weights import (TimeProfile, UCPGeometry, WeightSpec, check_admissibility,
+                      make_example_weight, make_observability_weight, ucp_region_certificate)
+
 
 class ConfigError(Exception):
     pass
@@ -105,197 +74,363 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _need(cfg: dict, block: str) -> dict:
-    if block not in cfg:
-        raise ConfigError(f"missing config block {block!r}")
-    return _block(cfg, block)
+# -- the config table ---------------------------------------------------------------
+
+# The commands that read the weight, psi0, A and the lower-order terms
+_WEIGHT = ("certify", "theta", "carleman-audit", "identities")
+_PSI0 = _WEIGHT + ("observability",)
+_FIELD = _PSI0 + ("flatten", "solve")
+_LOWER = ("carleman-audit", "solve", "observability")
+
+# solve kind -> the kind of its lower-order terms
+_LOWER_KIND = {"wave": "wave", "heat": "parabolic", "schrodinger": "schrodinger"}
+
+_REQUIRED = ...  # the default of a key that must be given
+
+# Types: ("number", "finite" | "positive" (finite, > 0) | "unbounded" (> 0,
+# inf allowed)[, cap]), ("integer", lowest[, "n": below n]), ("bool",),
+# ("enum", choices), ("complex",) (a number or a string complex() parses;
+# finite), ("list", item, size: None | "n" | "<=n" | "1+"), ("mapping", table
+# name) and ("terms", offset, cap): a polynomial term table over n + offset
+# variables, every term of total degree <= cap.
+_FINITE = ("number", "finite")
+_POSITIVE = ("number", "positive")
+_UNBOUNDED = ("number", "unbounded")
+_POINT = ("list", _FINITE, "n")
+
+# Every config key, per block, in the order it is checked: key: (type,
+# default, the commands that read it (None: those that read the block), the
+# families that read it (None: every one)).  A command checks every key given
+# in a block it reads and requires the keys it reads.  A block's family is its
+# "family" key, or "kind" in `observability`; a key of another family may only
+# hold its default.
+_TABLE = {
+    "config": {
+        "seed": (("integer", 0), 0, None, None),
+        "grid": (("mapping", "grid"), _REQUIRED, None, None),
+        "coefficients": (("mapping", "coefficients"), _REQUIRED, _FIELD, None),
+        "weight": (("mapping", "weight"), _REQUIRED, _PSI0, None),
+        "equation": (("mapping", "equation"), {}, ("certify", "identities") + _LOWER, None),
+        "audit": (("mapping", "audit"), {}, ("carleman-audit",), None),
+        "ucp": (("mapping", "ucp"), {}, ("ucp-certificate",), None),
+        "flatten": (("mapping", "flatten"), {}, ("flatten",), None),
+        "theta": (("mapping", "theta"), {}, ("theta",), None),
+        "solve": (("mapping", "solve"), {}, ("solve",), None),
+        "observability": (("mapping", "observability"), {}, ("observability",), None),
+        "identities": (("mapping", "identities"), {}, ("identities",), None),
+    },
+    "grid": {
+        "lows": (("list", _FINITE, None), _REQUIRED, None, None),
+        "highs": (("list", _FINITE, None), _REQUIRED, None, None),
+        "nodes": (("list", ("integer", 3), None), _REQUIRED, None, None),
+        "t1": (_FINITE, 0.0, None, None),
+        "t2": (_FINITE, 1.0, None, None),
+        "nt": (("integer", 3), 33, None, None),
+    },
+    "coefficients": {
+        "family": (("enum", ("identity", "constant", "scalar_affine", "polynomial")),
+                   "identity", None, None),
+        "matrix": (("list", _POINT, "n"), _REQUIRED, None, ("constant",)),
+        "a0": (_FINITE, _REQUIRED, None, ("scalar_affine",)),
+        "linear": (_POINT, _REQUIRED, None, ("scalar_affine",)),
+        "entries": (("list", ("mapping", "coefficients: entries"), None), _REQUIRED, None,
+                    ("polynomial",)),
+        "kappa_max": (_UNBOUNDED, np.inf, ("certify",), None),
+        "m_max": (_UNBOUNDED, np.inf, ("certify",), None),
+    },
+    "coefficients: entries": {
+        "k": (("integer", 0, "n"), _REQUIRED, None, None),
+        "l": (("integer", 0, "n"), _REQUIRED, None, None),
+        "terms": (("terms", 0, 3), _REQUIRED, None, None),  # MatrixField's degree cap
+    },
+    "term": {
+        "powers": (("list", ("integer", 0), None), _REQUIRED, None, None),
+        "coeff": (_FINITE, _REQUIRED, None, None),
+    },
+    "weight": {
+        "family": (("enum", ("example", "observability", "custom")), "example", _WEIGHT, None),
+        "lambda": (_POSITIVE, 1.0, _WEIGHT, None),
+        "shift": (_FINITE, 0.0, _WEIGHT, None),
+        # psi0 is psi0_terms where they are read, else |x - x0|^2 / 2
+        "x0": (_POINT, None, _PSI0, None),
+        "psi0_terms": (("terms", 0, 6), None, _PSI0, ("observability", "custom")),
+        "t0": (_FINITE, 0.0, _WEIGHT, ("example",)),
+        "gamma": (_FINITE, 0.0, _WEIGHT, ("example",)),
+        "alpha": (_FINITE, _REQUIRED, _WEIGHT, ("observability",)),
+        "t_obs": (_FINITE, None, _WEIGHT, ("observability",)),  # default: grid.t2
+        "psi1": (("mapping", "weight: psi1"), {}, _WEIGHT, ("custom",)),
+    },
+    "weight: psi1": {
+        "family": (("enum", ("zero", "quadratic", "observability")), "zero", None, None),
+        "gamma": (_FINITE, 0.0, None, ("quadratic",)),
+        "t0": (_FINITE, 0.0, None, ("quadratic",)),
+        "alpha": (_FINITE, _REQUIRED, None, ("observability",)),
+        "t_obs": (_POSITIVE, None, None, ("observability",)),  # default: grid.t2
+    },
+    "equation": {
+        "kind": (("enum", ("elliptic", "parabolic", "wave", "schrodinger")), "wave",
+                 ("certify", "identities"), None),
+        "lower": (("mapping", "equation: lower"), None, _LOWER, None),
+    },
+    "equation: lower": {  # all absent: no lower-order terms
+        "space": (("list", ("complex",), "n"), None, None, None),
+        "time": (("complex",), None, None, None),
+        "zero": (("complex",), None, None, None),
+        "bound": (_UNBOUNDED, None, None, None),
+    },
+    "audit": {
+        "kind": (("enum", INEQUALITY_KINDS), "wave_full", None, None),
+        "taus": (("list", _POSITIVE, "1+"), [2.0, 4.0, 8.0, 16.0], None, None),
+        "lambdas": (("list", _POSITIVE, "1+"), [1.0, 2.0, 4.0], None, None),
+        "ensemble": (("integer", 1), 20, None, None),
+        "target": (_FINITE, 0.0, None, None),
+        "refine": (("bool",), False, None, None),
+    },
+    "ucp": {
+        "c": (_FINITE, _REQUIRED, None, None),
+        "eps": (_FINITE, _REQUIRED, None, None),
+        "t_span": (_FINITE, _REQUIRED, None, None),
+        "lambda": (_POSITIVE, 1.0, None, None),
+        "shift": (_FINITE, 0.0, None, None),
+        "center": (_POINT, None, None, None),  # default: the origin
+        "r": (_FINITE, None, None, None),  # defaults: c/2, c/2, c/8 and c/4
+        "r0": (_FINITE, None, None, None),
+        "rho0": (_FINITE, None, None, None),
+        "rho1": (_FINITE, None, None, None),
+    },
+    "flatten": {
+        # the transported A composes the surface: its cost grows fast with the degree
+        "surface_terms": (("terms", -1, 6), [], None, None),
+        "radius": (("number", "positive", 1e6), 0.5, None, None),
+    },
+    "theta": {
+        "points": (("list", _POINT, None), [], None, None),
+    },
+    "solve": {
+        "kind": (("enum", _LOWER_KIND), "wave", None, None),
+        "mode": (("list", ("integer", 1), "<=n"), [], None, None),  # 1 on the axes left out
+    },
+    "observability": {
+        "kind": (("enum", _SOLVE_KIND), "wave", None, None),
+        "alpha": (_FINITE, 0.5, None, None),
+        "t_obs": (_FINITE, None, None, None),  # default: grid.t2
+        "modes": (("integer", 1), 5, None, None),
+        "worst_case_iterations": (("integer", 0), 0, None, ("wave",)),
+    },
+    "identities": {
+        "tau": (_POSITIVE, 1.0, None, None),
+    },
+}
+
+# blocks that need one of these keys given (a key of another family is not given)
+_ONE_OF = {"weight": ("psi0_terms", "x0")}
 
 
-def _block(cfg: dict, block: str) -> dict:
-    """An optional config block: empty when absent, else it must be a mapping."""
-    val = cfg.get(block, {})
-    if not isinstance(val, dict):
-        raise ConfigError(f"config block {block!r} must be a mapping")
-    return val
+def _describe(typ, n="n", plural=False) -> str:
+    """What a value of type ``typ`` must be (``plural``: what the items of a
+    list must be); ``n`` is the spatial dimension."""
+    kind, *arg = typ
+    if kind == "bool":
+        return "true or false"
+    if kind == "enum":
+        return "one of " + ", ".join(arg[0])
+    if kind == "terms":
+        m = n + arg[0] if isinstance(n, int) else n if arg[0] == 0 else f"{n} - {-arg[0]}"
+        return (f"a list of terms {{powers: {m} non-negative integers, coeff: a finite "
+                f"number}} of total degree <= {arg[1]}")
+    if kind == "list":
+        size = {None: "", "n": f"{n} ", "<=n": f"at most {n} ", "1+": "one or more "}[arg[1]]
+        what = f"list~ of {size}{_describe(arg[0], n, True)}"
+    elif kind == "number":
+        what = {"finite": "finite number~", "positive": "positive finite number~",
+                "unbounded": "positive number~"}[arg[0]] + (
+                    f" at most {arg[1]:g}" if len(arg) > 1 else "")
+    elif kind == "integer":
+        what = {0: "non-negative integer~", 1: "positive integer~"}.get(
+            arg[0], f"integer~ >= {arg[0]}") + (f" below {n}" if len(arg) > 1 else "")
+    else:
+        what = {"complex": "finite complex number~", "mapping": "mapping~"}[kind]
+    if plural:
+        return what.replace("~", "s")
+    return ("an " if what[0] in "aeiou" else "a ") + what.replace("~", "")
 
 
-def _get(block: dict, key: str, where: str, default=_need):
-    if key not in block:
-        if default is _need:
+def _check(value, typ, where: str | None, key: str, n: int | None, command: str | None = None):
+    """``value``, the entry ``key`` of a block named ``where`` (None: the
+    config root), checked against type ``typ``; numbers come back as floats."""
+    kind, *arg = typ
+    if kind == "mapping":
+        if not isinstance(value, dict):
+            raise ConfigError(f"config block {key!r} must be a mapping" if where is None else
+                              f"{where}: {key} must be a mapping, got {type(value).__name__}")
+        return _mapping(value, arg[0], key if where is None else f"{where}: {key}", n, command)
+    if kind == "enum":
+        if not isinstance(value, str) or value not in arg[0]:
+            raise ConfigError(f"{where or key}: unknown {key} {value!r}; expected one of "
+                              f"{', '.join(arg[0])}")
+        return value
+    if kind in ("list", "terms"):
+        size = arg[1] if kind == "list" else None
+        if not isinstance(value, list) or (
+                size == "n" and len(value) != n or size == "<=n" and len(value) > n
+                or size == "1+" and not value):
+            raise ConfigError(f"{where or key}: {key} must be {_describe(typ, n)}, got {value!r}")
+        if kind == "list":
+            return [_check(v, arg[0], where, key, n, command) for v in value]
+        m = n + arg[0]
+        if m < 1:
+            raise ConfigError(f"{where}: {key} needs a spatial dimension of at least "
+                              f"{1 - arg[0]}")
+        terms = [_check(t, ("mapping", "term"), where, key, n) for t in value]
+        for t in terms:
+            if len(t["powers"]) != m or sum(t["powers"]) > arg[1]:
+                raise ConfigError(f"{where}: {key}: powers must be {m} non-negative integers "
+                                  f"of total degree <= {arg[1]}, got {t['powers']!r}")
+        return [(tuple(t["powers"]), t["coeff"]) for t in terms]
+    if kind == "complex":
+        try:
+            c = complex(value) if isinstance(value, (int, float, str)) and not isinstance(
+                value, bool) else None
+        except ValueError:
+            c = None
+        if c is None or not np.isfinite(c):
+            raise ConfigError(f"{where}: {key} must be {_describe(typ)}, got {value!r}")
+        return c if c.imag else c.real  # real terms keep the operator and the solves real
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif kind == "integer":
+        ok = isinstance(value, int) and value >= arg[0] and (len(arg) == 1 or value < n)
+    else:
+        ok = ((abs(value) <= sys.float_info.max or arg[0] == "unbounded" and value == np.inf)
+              and (arg[0] == "finite" or value > 0) and (len(arg) == 1 or value <= arg[1]))
+        value = float(value) if ok else value
+    if not ok:
+        raise ConfigError(f"{where or key}: {key} must be {_describe(typ, n)}, got {value!r}")
+    return value
+
+
+def _mapping(block: dict, name: str, where: str, n: int | None, command: str | None) -> dict:
+    """Every key of table ``name``, as given in ``block`` or by default,
+    checked; a key is required only where ``command`` reads it (every key
+    when None)."""
+    rows = _TABLE[name]
+    for key in block:
+        if key not in rows:
+            raise ConfigError(f"{where}: unknown key {key!r}; expected one of "
+                              f"{', '.join(rows)}")
+    values = {}
+    family = None  # a command that does not read the family is bound by no family
+    for key, (typ, default, commands, families) in rows.items():
+        reads = command is None or commands is None or command in commands
+        value = block.get(key, default)
+        if family is not None and families is not None and family not in families:
+            if key in block and _check(value, typ, where, key, n, command) != default:
+                disc = "family" if "family" in rows else "kind"
+                raise ConfigError(f"{where}: {key} applies only to {disc} "
+                                  f"{' or '.join(families)}, got {value!r} for {disc} {family}")
+            values[key] = None if default is _REQUIRED else default
+            continue
+        if value is _REQUIRED and reads:
             raise ConfigError(f"missing key {key!r} in block {where!r}")
-        return default
-    return block[key]
+        given = value is not _REQUIRED and (key in block or value is not None)
+        values[key] = _check(value, typ, where, key, n, command) if given else None
+        if key in ("family", "kind") and reads and any(row[3] for row in rows.values()):
+            family = values[key]
+    keys = _ONE_OF.get(name, ())
+    if keys and all(values[k] is None for k in keys):
+        raise ConfigError(f"missing key {keys[-1]!r} in block {where!r}")
+    return values
 
 
-def _number(block: dict, name: str, key: str, default=_need, positive: bool = False,
-            finite: bool = True) -> float:
-    """A number entry of config block ``name``: never NaN, finite unless not
-    ``finite``, and > 0 if ``positive``."""
-    value = _get(block, key, name, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or np.isnan(value)
-            or (finite and np.isinf(value)) or (positive and not value > 0)):
-        what = f"a {'positive ' if positive else ''}{'finite ' if finite else ''}number"
-        raise ConfigError(f"{name}: {key} must be {what}, got {value!r}")
-    return float(value)
-
-
-def _point(block: dict, name: str, key: str, n: int | None = None,
-           default=_need) -> tuple[float, ...]:
-    """A point entry of config block ``name``: a list of ``n`` (any number
-    when None) finite numbers."""
-    value = _get(block, key, name, default)
-    if not isinstance(value, list) or (n is not None and len(value) != n):
-        size = "" if n is None else f"{n} "
-        raise ConfigError(f"{name}: {key} must be a list of {size}finite numbers, got {value!r}")
-    return tuple(_number({key: v}, name, key) for v in value)
+def _checked(cfg: dict, block: str, n: int | None = None, command: str | None = None):
+    """The entry ``block`` of the config root, checked for ``command``."""
+    typ, default, _, _ = _TABLE["config"][block]
+    if cfg.get(block, default) is _REQUIRED:
+        raise ConfigError(f"missing config block {block!r}")
+    return _check(cfg.get(block, default), typ, None, block, n, command)
 
 
 def build_grid_from(cfg: dict) -> SpaceTimeGrid:
-    g = _need(cfg, "grid")
+    g = _checked(cfg, "grid")
     try:
-        return build_grid(
-            _point(g, "grid", "lows"),
-            _point(g, "grid", "highs"),
-            _get(g, "nodes", "grid"),
-            _number(g, "grid", "t1", 0.0),
-            _number(g, "grid", "t2", 1.0),
-            _get(g, "nt", "grid", 33),
-        )
+        return build_grid(g["lows"], g["highs"], g["nodes"], g["t1"], g["t2"], g["nt"])
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
 def build_coefficients_from(cfg: dict, grid: SpaceTimeGrid) -> MatrixField:
-    c = _need(cfg, "coefficients")
-    family = _get(c, "family", "coefficients", "identity")
-    n = grid.n
+    c = _checked(cfg, "coefficients", grid.n)
     try:
-        if family == "identity":
-            return MatrixField.identity(n, domain=grid.domain)
-        if family == "constant":
-            return MatrixField.constant(_get(c, "matrix", "coefficients"), domain=grid.domain)
-        if family == "scalar_affine":
-            return MatrixField.scalar_affine(
-                n,
-                _get(c, "a0", "coefficients"),
-                _get(c, "linear", "coefficients"),
-                domain=grid.domain,
-            )
-        if family == "polynomial":
-            entries = {}
-            for item in _get(c, "entries", "coefficients"):
-                k, l = int(item["k"]), int(item["l"])
-                entries[(k, l)] = [
-                    (tuple(t["powers"]), float(t["coeff"])) for t in item["terms"]
-                ]
-            return MatrixField.from_tables(n, entries, domain=grid.domain)
-    except (KeyError, TypeError, ValueError) as exc:
+        if c["family"] == "constant":
+            return MatrixField.constant(c["matrix"], domain=grid.domain)
+        if c["family"] == "scalar_affine":
+            return MatrixField.scalar_affine(grid.n, c["a0"], c["linear"], domain=grid.domain)
+        if c["family"] == "polynomial":
+            tables = {(e["k"], e["l"]): e["terms"] for e in c["entries"]}
+            return MatrixField.from_tables(grid.n, tables, domain=grid.domain)
+    except ValueError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
-    raise ConfigError(f"unknown coefficient family {family!r}")
+    return MatrixField.identity(grid.n, domain=grid.domain)
 
 
 def _psi0_from(w: dict, n: int) -> Polynomial:
-    if "psi0_terms" in w:
-        return poly_from_table(
-            n, [(tuple(t["powers"]), float(t["coeff"])) for t in w["psi0_terms"]]
-        )
-    x0 = _get(w, "x0", "weight")
-    return Polynomial.squared_distance([float(v) for v in x0], scale=0.5)
+    if w["psi0_terms"] is not None:
+        return poly_from_table(n, w["psi0_terms"])
+    return Polynomial.squared_distance(w["x0"], scale=0.5)
 
 
 def build_weight_from(
     cfg: dict, field: MatrixField, grid: SpaceTimeGrid
 ) -> tuple[WeightSpec, dict]:
-    w = _need(cfg, "weight")
-    family = _get(w, "family", "weight", "example")
+    w = _checked(cfg, "weight", grid.n)
+    family, lam, shift = w["family"], w["lambda"], w["shift"]
     extras: dict = {"family": family}
-    lam = _number(w, "weight", "lambda", 1.0, positive=True)
-    shift = _number(w, "weight", "shift", 0.0)
     # psi on far nodes may overflow; the node sample's check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if family == "example":
-                spec = make_example_weight(
-                    _get(w, "x0", "weight"),
-                    _number(w, "weight", "t0", 0.0),
-                    _number(w, "weight", "gamma", 0.0),
-                    shift,
-                    grid,
-                    lam=lam,
-                )
+                spec = make_example_weight(w["x0"], w["t0"], w["gamma"], shift, grid, lam=lam)
                 return spec, extras
+            psi0 = _psi0_from(w, grid.n)
             if family == "observability":
-                psi0 = _psi0_from(w, grid.n)
+                t_obs = grid.t2 if w["t_obs"] is None else w["t_obs"]
                 spec, thresholds = make_observability_weight(
-                    psi0,
-                    _number(w, "weight", "alpha"),
-                    _number(w, "weight", "t_obs", grid.t2),
-                    shift,
-                    field,
-                    grid,
-                    lam=lam,
-                )
+                    psi0, w["alpha"], t_obs, shift, field, grid, lam=lam)
                 extras["thresholds"] = dataclasses.asdict(thresholds)
                 return spec, extras
-            if family == "custom":
-                psi0 = _psi0_from(w, grid.n)
-                p1 = w.get("psi1", {"family": "zero"})
-                if not isinstance(p1, dict):
-                    raise ConfigError(f"weight: psi1 must be a mapping, got {type(p1).__name__}")
-                fam1 = p1.get("family", "zero")
-                where = "weight: psi1"
-                if fam1 == "zero":
-                    profile = TimeProfile.zero()
-                elif fam1 == "quadratic":
-                    profile = TimeProfile.quadratic(
-                        _number(p1, where, "gamma", 0.0), _number(p1, where, "t0", 0.0)
-                    )
-                elif fam1 == "observability":
-                    profile = TimeProfile.observability(
-                        _number(p1, where, "alpha"), _number(p1, where, "t_obs", grid.t2)
-                    )
-                else:
-                    raise ConfigError(f"unknown psi1 family {fam1!r}")
-                spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
-                return spec.ensure_nonnegative(grid), extras
-        except (TypeError, ValueError) as exc:
+            p1 = w["psi1"]
+            if p1["family"] == "quadratic":
+                profile = TimeProfile.quadratic(p1["gamma"], p1["t0"])
+            elif p1["family"] == "observability":
+                profile = TimeProfile.observability(
+                    p1["alpha"], grid.t2 if p1["t_obs"] is None else p1["t_obs"])
+            else:
+                profile = TimeProfile.zero()
+            spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
+            return spec.ensure_nonnegative(grid), extras
+        except ValueError as exc:
             raise ConfigError(f"weight: {exc}") from exc
-        raise ConfigError(f"unknown weight family {family!r}")
 
 
 def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
     """``equation.lower``, with its declared ``bound`` checked on the grid."""
-    eq = _block(cfg, "equation")
-    low = eq.get("lower")
-    if not low:
+    low = _checked(cfg, "equation", grid.n)["lower"]
+    if low is None or all(v is None for v in low.values()):
         return None
-    if not isinstance(low, dict):
-        raise ConfigError(f"equation: lower must be a mapping, got {type(low).__name__}")
-    time = low.get("time")
-    bound = low.get("bound")
-    if bound is not None and (
-        isinstance(bound, bool) or not isinstance(bound, (int, float)) or np.isnan(bound)
-    ):  # a NaN bound would pass every coefficient
-        raise ConfigError(f"equation: lower: bound must be a number, got {bound!r}")
     lower = LowerOrderCoeffs(
         kind=kind,
-        space=tuple(_scalar(v) for v in low.get("space", ())),
-        time=None if time is None else _scalar(time),
-        zero=_scalar(low.get("zero", 0.0)),
-        bound=bound,
+        space=tuple(low["space"] or ()),
+        time=low["time"],
+        zero=0.0 if low["zero"] is None else low["zero"],
+        bound=low["bound"],
     )
     try:
         lower.validate_bound(grid)
     except ValueError as exc:
         raise ConfigError(f"equation: lower: {exc}") from exc
     return lower
-
-
-def _scalar(value) -> complex | float:
-    """A config coefficient: real unless it has an imaginary part, so that
-    real terms keep the assembled operator and the solves real."""
-    c = complex(value)
-    return c if c.imag else c.real
 
 
 # -- output helpers -----------------------------------------------------------------
@@ -343,20 +478,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
-    write_json(
-        outdir / "manifest.json",
-        {
-            "command": command,
-            "config": cfg,
-            "seed": seed,
-            "versions": {
-                "carleman": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-        },
-    )
+    versions = {"carleman": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                "python": sys.version.split()[0]}
+    write_json(outdir / "manifest.json",
+               {"command": command, "config": cfg, "seed": seed, "versions": versions})
 
 
 # -- commands -------------------------------------------------------------------------
@@ -365,71 +490,59 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 _SAMPLE_BOUND = 1e100
 
 
-def _node_sample(field: MatrixField, psi0: Polynomial, pts: np.ndarray):
+def _node_sample(field: MatrixField, spec: WeightSpec, grid: SpaceTimeGrid):
     """A, its first derivatives and the gradient and Hessian of psi0 at the
-    nodes ``pts``, entry-planar: a command evaluates each once, checks it and
+    grid nodes, entry-planar: a command evaluates each once, checks it and
     hands it to every reader.  The readers multiply up to three sample values
-    and add a few dozen products, so every value must be finite and below
+    and add a few dozen products, so every value, and every value of psi1
+    and its time derivative on the grid times, must be finite and below
     _SAMPLE_BOUND in size."""
+    pts = grid.space_points
     with np.errstate(over="ignore", invalid="ignore"):
         sample = (field(pts), field.first_derivatives(pts),
-                  psi0.eval_gradient(pts), psi0.eval_hessian(pts))
-    if not all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in sample):
+                  spec.psi0.eval_gradient(pts), spec.psi0.eval_hessian(pts))
+        profile = (spec.psi1(grid.times), spec.psi1.dt(grid.times))
+
+    def bounded(arrays):
+        return all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in arrays)
+
+    if not bounded(sample):
         raise ConfigError(f"grid: A or a derivative of A or psi0 is not finite or exceeds "
                           f"{_SAMPLE_BOUND:g} in size on the nodes")
+    if not bounded(profile):
+        raise ConfigError(f"weight: psi1 or its time derivative is not finite or exceeds "
+                          f"{_SAMPLE_BOUND:g} in size on the grid times")
     return sample
 
 
 def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
     """Ellipticity and weight admissibility from one node sample."""
-    pts = grid.space_points
-    a, da, grad, hess = _node_sample(field, spec.psi0, pts)
-    ell = certify_ellipticity(field, a, da, pts, kappa_max, m_max)
+    a, da, grad, hess = _node_sample(field, spec, grid)
+    ell = certify_ellipticity(field, a, da, grid.space_points, kappa_max, m_max)
     return ell, check_admissibility(spec, a, da, grad, hess, grid, kind, ellipticity=ell)
 
 
-def _cmd_certify(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_certify(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    c = _block(cfg, "coefficients")
-    kappa_max = _number(c, "coefficients", "kappa_max", np.inf, positive=True, finite=False)
-    m_max = _number(c, "coefficients", "m_max", np.inf, positive=True, finite=False)
-    kind = _block(cfg, "equation").get("kind", "wave")
+    c, kind = blocks["coefficients"], blocks["equation"]["kind"]
     spec, extras = build_weight_from(cfg, field, grid)
-    ell, adm = _certify_weight(field, spec, grid, kind, kappa_max, m_max)
-    report = {
-        "ellipticity": ell,
-        "admissibility": adm,
-        "weight": extras,
-        "kind": kind,
-        "lambda": spec.lam,
-        "shift": spec.shift,
-    }
+    ell, adm = _certify_weight(field, spec, grid, kind, c["kappa_max"], c["m_max"])
+    report = {"ellipticity": ell, "admissibility": adm, "weight": extras, "kind": kind,
+              "lambda": spec.lam, "shift": spec.shift}
     write_json(outdir / "certificate.json", report)
     ok = ell.passed and adm.passed
     return (0 if ok else 2), []
 
 
-def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_theta(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     spec, _ = build_weight_from(cfg, field, grid)
-    block = _block(cfg, "theta")
-    points = block.get("points")
     results = []
-    try:
-        for p in points or []:
-            point = _point({"points": p}, "theta", "points", grid.n)
-            dec = theta_decomposition(field, spec.psi0, np.asarray(point))
-            results.append(
-                {
-                    "point": list(point),
-                    "Theta": dec.Theta,
-                    "Upsilon": dec.Upsilon,
-                    "theta_sym_min": dec.theta_sym_min,
-                }
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta: {exc}") from exc
-    smin, gnorm = theta_scan(*_node_sample(field, spec.psi0, grid.space_points))
+    for point in blocks["theta"]["points"]:
+        dec = theta_decomposition(field, spec.psi0, np.asarray(point))
+        results.append({"point": point, "Theta": dec.Theta, "Upsilon": dec.Upsilon,
+                        "theta_sym_min": dec.theta_sym_min})
+    smin, gnorm = theta_scan(*_node_sample(field, spec, grid))
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
     # node coordinates are axis values: each one is formatted once, as the
@@ -446,122 +559,55 @@ def _cmd_theta(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return 0, []
 
 
-def _cmd_flatten(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_flatten(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = _block(cfg, "flatten")
-    if grid.n < 2:
-        raise ConfigError("flatten needs a spatial dimension of at least 2")
-    surface = poly_from_table(grid.n - 1, _surface_terms(block, grid.n - 1))
-    radius = _number(block, "flatten", "radius", 0.5, positive=True)
-    chart, cert = flatten_and_certify_hypersurface(field, surface, radius)
-    report = {
-        "radius": chart.radius,
-        "halvings": chart.halvings,
-        "theta_origin": chart.theta_origin,
-        "theta_origin_min_eig": chart.theta_origin_min_eig,
-        "jacobian_bound_ok": chart.jacobian_bound_ok,
-        "jacobian_min_quadform": chart.jacobian_min_quadform,
-        "certificate": cert,
-    }
+    block = blocks["flatten"]
+    surface = poly_from_table(grid.n - 1, block["surface_terms"])
+    chart, cert = flatten_and_certify_hypersurface(field, surface, block["radius"])
+    report = {"radius": chart.radius, "halvings": chart.halvings,
+              "theta_origin": chart.theta_origin,
+              "theta_origin_min_eig": chart.theta_origin_min_eig,
+              "jacobian_bound_ok": chart.jacobian_bound_ok,
+              "jacobian_min_quadform": chart.jacobian_min_quadform, "certificate": cert}
     write_json(outdir / "flatten.json", report)
     ok = cert.passed and chart.jacobian_bound_ok
     return (0 if ok else 2), []
 
 
-_SURFACE_DEGREE = 6  # the transported A composes the surface: cost grows fast with degree
-
-
-def _surface_terms(block: dict, m: int) -> list:
-    """``flatten.surface_terms`` as (powers, coeff) pairs: ``m`` non-negative
-    integer powers of total degree <= _SURFACE_DEGREE and a finite coeff."""
-    terms = block.get("surface_terms", [])
-    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
-        raise ConfigError(f"flatten: surface_terms must be a list of mappings, got {terms!r}")
-    for t in terms:
-        powers = t["powers"]
-        if (not isinstance(powers, list) or len(powers) != m
-                or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in powers)
-                or sum(powers) > _SURFACE_DEGREE):
-            raise ConfigError(f"flatten: surface_terms powers must be {m} non-negative "
-                              f"integers of total degree <= {_SURFACE_DEGREE}, got {powers!r}")
-    return [(tuple(t["powers"]), _number(t, "flatten", "coeff")) for t in terms]
-
-
-def _positive_list(block: dict, key: str, default: list[float]) -> list[float]:
-    values = block.get(key, default)
-    try:
-        values = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"audit: {key} must be a list of numbers") from exc
-    if not values:
-        raise ConfigError(f"audit: {key} must not be empty")
-    if not all(v > 0 for v in values):
-        raise ConfigError(f"audit: {key} must be positive, got {values}")
-    return values
-
-
-def _integer(block: dict, name: str, key: str, default: int, positive: bool = True) -> int:
-    """An integer entry of config block ``name``: positive, or non-negative."""
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < int(positive):
-        sign = "positive" if positive else "non-negative"
-        raise ConfigError(f"{name}: {key} must be a {sign} integer, got {value!r}")
-    return value
-
-
-def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_audit(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = _block(cfg, "audit")
-    kind = block.get("kind", "wave_full")
-    if kind not in INEQUALITY_KINDS:
-        known = ", ".join(INEQUALITY_KINDS)
-        raise ConfigError(f"audit: unknown kind {kind!r}; expected one of {known}")
+    block = blocks["audit"]
+    kind, taus, lams, count = block["kind"], block["taus"], block["lambdas"], block["ensemble"]
     eq_kind = kind.split("_")[0]
-    taus = _positive_list(block, "taus", [2.0, 4.0, 8.0, 16.0])
-    lams = _positive_list(block, "lambdas", [1.0, 2.0, 4.0])
     spec, extras = build_weight_from(cfg, field, grid)
     lower = build_lower_from(cfg, eq_kind, grid)
     _, adm = _certify_weight(field, spec, grid, eq_kind)
-    count = _integer(block, "audit", "ensemble", 20)
-    target = _number(block, "audit", "target", 0.0)
-    refine = block.get("refine", False)
-    if not isinstance(refine, bool):
-        raise ConfigError(f"audit: refine must be true or false, got {refine!r}")
-    complex_fields = eq_kind == "schrodinger"
-    spatial = eq_kind == "elliptic"
-    ensemble = default_ensemble(
-        grid, seed, count=count, complex_fields=complex_fields, spatial=spatial
-    )
+    target = block["target"]
+    complex_fields, spatial = eq_kind == "schrodinger", eq_kind == "elliptic"
+    ensemble = default_ensemble(grid, seed, count=count, complex_fields=complex_fields,
+                                spatial=spatial)
     flags = []
     if adm.passed:
-        report = sweep_audit(
-            ensemble, spec, field, lower, kind, taus, lams, grid,
-            target=target,
-        )
+        report = sweep_audit(ensemble, spec, field, lower, kind, taus, lams, grid, target=target)
         status = 0 if report.tau_star is not None else 2
     else:
-        report = negative_control(
-            ensemble, spec, field, lower, kind, taus, lams, grid, adm,
-            target=target,
-        )
+        report = negative_control(ensemble, spec, field, lower, kind, taus, lams, grid, adm,
+                                  target=target)
         flags.append("inadmissible-weight")
         status = 2
 
     drift_info = None
-    if refine:
+    if block["refine"]:
         fine_nodes = [2 * (m - 1) + 1 for m in grid.space_shape]
-        fine = build_grid(
-            grid.domain.lows, grid.domain.highs, fine_nodes, grid.t1, grid.t2, grid.nt
-        )
+        fine = build_grid(grid.domain.lows, grid.domain.highs, fine_nodes, grid.t1, grid.t2,
+                          grid.nt)
         fine_field = build_coefficients_from(cfg, fine)
         fine_spec, _ = build_weight_from(cfg, fine_field, fine)
-        fine_ensemble = default_ensemble(
-            fine, seed, count=count, complex_fields=complex_fields, spatial=spatial
-        )
+        fine_ensemble = default_ensemble(fine, seed, count=count, complex_fields=complex_fields,
+                                         spatial=spatial)
         fine_report = sweep_audit(
             fine_ensemble, fine_spec, fine_field, build_lower_from(cfg, eq_kind, fine),
-            kind, taus, lams, fine, target=target,
-        )
+            kind, taus, lams, fine, target=target)
         drift, stable = compare_refinement(report, fine_report)
         drift = drift[~np.isnan(drift)]  # nan where a cell is inf (or 0) on both grids
         max_drift = float(np.max(drift)) if drift.size else float("nan")
@@ -569,36 +615,17 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         if not stable:
             status = 2
 
-    write_csv(
-        outdir / "audit.csv",
-        ["tau", "lambda", "member", "ratio"],
-        (
-            [tau, lam, m, r]
-            for tau, plane in zip(taus, report.ratios.tolist())
-            for lam, cell in zip(lams, plane)
-            for m, r in enumerate(cell)
-        ),
-    )
-    summary = {
-        "kind": kind,
-        "taus": taus,
-        "lambdas": lams,
-        "aleph_emp": report.aleph_emp,
-        "tau_star": report.tau_star,
-        "lam_star": report.lam_star,
-        "stamp": report.stamp,
-        "admissibility": adm,
-        "refinement": drift_info,
-        "weight": extras,
-        "note": "grid evidence only; no claim about continuum constants",
-    }
+    write_csv(outdir / "audit.csv", ["tau", "lambda", "member", "ratio"],
+              ([tau, lam, m, r] for tau, plane in zip(taus, report.ratios.tolist())
+               for lam, cell in zip(lams, plane) for m, r in enumerate(cell)))
+    summary = {"kind": kind, "taus": taus, "lambdas": lams, "aleph_emp": report.aleph_emp,
+               "tau_star": report.tau_star, "lam_star": report.lam_star, "stamp": report.stamp,
+               "admissibility": adm, "refinement": drift_info, "weight": extras,
+               "note": "grid evidence only; no claim about continuum constants"}
     write_json(outdir / "audit.json", summary)
     # a repeated tau or lambda repeats its cells exactly: one heatmap cell each
-    cells = {
-        (tau, lam): v
-        for tau, row in zip(taus, report.aleph_emp.tolist())
-        for lam, v in zip(lams, row)
-    }
+    cells = {(tau, lam): r for tau, row in zip(taus, report.aleph_emp.tolist())
+             for lam, r in zip(lams, row)}
     tau_axis, lam_axis = sorted(set(taus)), sorted(set(lams))
     (outdir / "audit_heatmap.svg").write_text(heatmap_svg(
         [[cells[t, l] for l in lam_axis] for t in tau_axis],
@@ -608,26 +635,21 @@ def _cmd_audit(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return status, flags
 
 
-def _cmd_ucp(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
-    block = _block(cfg, "ucp")
-    c = _number(block, "ucp", "c")
-    eps = _number(block, "ucp", "eps")
-    t_span = _number(block, "ucp", "t_span")
-    lam = _number(block, "ucp", "lambda", 1.0, positive=True)
-    shift = _number(block, "ucp", "shift", 0.0)
-    center = _point(block, "ucp", "center", grid.n, [0.0] * grid.n)
+def _cmd_ucp(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
+    block = blocks["ucp"]
+    c = block["c"]
+
+    def given(key, default):
+        return default if block[key] is None else block[key]
+
     geom = UCPGeometry(
-        center=center, c=c, r=_number(block, "ucp", "r", c / 2.0),
-        r0=_number(block, "ucp", "r0", c / 2.0), rho0=_number(block, "ucp", "rho0", c / 8.0),
-        rho1=_number(block, "ucp", "rho1", c / 4.0), eps=eps, t_span=t_span,
+        center=tuple(given("center", [0.0] * grid.n)), c=c, r=given("r", c / 2.0),
+        r0=given("r0", c / 2.0), rho0=given("rho0", c / 8.0), rho1=given("rho1", c / 4.0),
+        eps=block["eps"], t_span=block["t_span"],
     )
-    cert = ucp_region_certificate(geom, lam, shift)
+    cert = ucp_region_certificate(geom, block["lambda"], block["shift"])
     write_json(outdir / "ucp.json", cert)
     return (0 if cert.passed else 2), cert.flags
-
-
-# solve kind -> the kind of its lower-order terms
-_LOWER_KIND = {"wave": "wave", "heat": "parabolic", "schrodinger": "schrodinger"}
 
 
 def _sine_data(kind: str, u0: np.ndarray):
@@ -636,24 +658,12 @@ def _sine_data(kind: str, u0: np.ndarray):
         return WaveData(u0=u0, u1=np.zeros_like(u0))
     if kind == "heat":
         return HeatData(u0=u0)
-    if kind == "schrodinger":
-        return SchrodingerData(u0=u0.astype(complex))
-    raise ConfigError(f"unknown solve kind {kind!r}")
+    return SchrodingerData(u0=u0.astype(complex))
 
 
-def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_solve(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = _block(cfg, "solve")
-    kind = block.get("kind", "wave")
-    mode = block.get("mode", [1] * grid.n)
-    if not isinstance(mode, list):
-        raise ConfigError(f"solve: mode must be a list of integers, got {mode!r}")
-    if len(mode) > grid.n:
-        raise ConfigError(f"solve: mode must have at most one entry per axis ({grid.n}), "
-                          f"got {mode!r}")
-    for m in mode:
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ConfigError(f"solve: mode must be a positive integer per axis, got {m!r}")
+    kind, mode = blocks["solve"]["kind"], blocks["solve"]["mode"]
     data = _sine_data(kind, separable(
         grid, [sine_profile(mode[ax] if ax < len(mode) else 1) for ax in range(grid.n)]
     ))
@@ -693,63 +703,39 @@ def _cmd_solve(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
         [(f"face {f}", times, loudest(trace)) for f, trace in enumerate(state.traces)],
         "normal trace time series", "t", "dnu u",
     ))
-    info = {
-        "kind": kind,
-        "cfl_limit": cfl_limit(field, grid) if kind == "wave" else None,
-        "dt": grid.dt,
-        "final_norm": float(state.energy.values[-1]),
-        "initial_norm": float(state.energy.values[0]),
-        "mode": "validation (n=1)" if grid.n == 1 else "standard",
-    }
+    info = {"kind": kind, "cfl_limit": cfl_limit(field, grid) if kind == "wave" else None,
+            "dt": grid.dt, "final_norm": float(state.energy.values[-1]),
+            "initial_norm": float(state.energy.values[0]),
+            "mode": "validation (n=1)" if grid.n == 1 else "standard"}
     write_json(outdir / "solve.json", info)
     return 0, []
 
 
-def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_observability(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    block = _block(cfg, "observability")
-    kind = block.get("kind", "wave")
-    alpha = _number(block, "observability", "alpha", 0.5)
-    t_obs = _number(block, "observability", "t_obs", grid.t2)
-    w = _need(cfg, "weight")
-    psi0 = _psi0_from(w, grid.n)
-    n_modes = _integer(block, "observability", "modes", 5)
-    iterations = _integer(block, "observability", "worst_case_iterations", 0, positive=False)
-    if kind not in _SOLVE_KIND:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    if iterations > 0 and kind != "wave":
-        raise ConfigError(f"observability: worst_case_iterations applies only to kind wave, "
-                          f"got {iterations} for kind {kind}")
+    block = blocks["observability"]
+    kind, alpha, n_modes = block["kind"], block["alpha"], block["modes"]
+    t_obs = grid.t2 if block["t_obs"] is None else block["t_obs"]
+    iterations = block["worst_case_iterations"]
+    psi0 = _psi0_from(blocks["weight"], grid.n)
     solve_kind = _SOLVE_KIND[kind]
     lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid)
-    ensemble = [
-        _sine_data(solve_kind, separable(
-            grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)]
-        ))
-        for m in range(1, n_modes + 1)
-    ]
-    report = observability_experiment(
-        kind, field, psi0, alpha, t_obs, ensemble, grid, lower=lower
-    )
+    ensemble = [_sine_data(solve_kind, separable(
+        grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)]))
+        for m in range(1, n_modes + 1)]
+    report = observability_experiment(kind, field, psi0, alpha, t_obs, ensemble, grid,
+                                      lower=lower)
     result = {"report": report}
     if iterations > 0:
         wc = worst_case_ratio(kind, field, psi0, t_obs, grid, iterations, lower=lower)
-        result["worst_case"] = {
-            "ratio": wc.ratio,
-            "ratios": wc.ratios,
-            "converged": wc.converged,
-            "flag": wc.flag,
-        }
+        result["worst_case"] = {"ratio": wc.ratio, "ratios": wc.ratios,
+                                "converged": wc.converged, "flag": wc.flag}
     write_json(outdir / "observability.json", result)
-    write_csv(
-        outdir / "observability_ratios.csv",
-        ["label", "data_norm", "trace_norm", "ratio", "flag"],
-        [
-            [s.label, s.data_norm, s.trace_norm,
-             s.ratio if s.ratio is not None else float("nan"), s.flag or ""]
-            for s in report.samples
-        ],
-    )
+    write_csv(outdir / "observability_ratios.csv",
+              ["label", "data_norm", "trace_norm", "ratio", "flag"],
+              [[s.label, s.data_norm, s.trace_norm,
+                s.ratio if s.ratio is not None else float("nan"), s.flag or ""]
+               for s in report.samples])
     ratios = [s.ratio for s in report.samples if s.ratio is not None]
     (outdir / "observability_ratios_hist.svg").write_text(
         histogram_svg(ratios, max(4, len(ratios)), "quotient histogram")
@@ -758,12 +744,11 @@ def _cmd_observability(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return status, report.flags
 
 
-def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
+def _cmd_identities(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    tau = _number(_block(cfg, "identities"), "identities", "tau", 1.0, positive=True)
+    tau, kind = blocks["identities"]["tau"], blocks["equation"]["kind"]
     spec, _ = build_weight_from(cfg, field, grid)
-    kind = _block(cfg, "equation").get("kind", "wave")
-    a, da, grad0, hess0 = _node_sample(field, spec.psi0, grid.space_points)
+    a, da, grad0, hess0 = _node_sample(field, spec, grid)
     mat = assemble_operator(field, None, grid)
     results = {}
 
@@ -786,27 +771,39 @@ def _cmd_identities(cfg, grid, outdir, seed) -> tuple[int, list[str]]:
     return (0 if ok else 2), []
 
 
-_DISPATCH = {
-    "certify": _cmd_certify,
-    "theta": _cmd_theta,
-    "flatten": _cmd_flatten,
-    "carleman-audit": _cmd_audit,
-    "ucp-certificate": _cmd_ucp,
-    "solve": _cmd_solve,
-    "observability": _cmd_observability,
-    "identities": _cmd_identities,
-}
+_DISPATCH = {"certify": _cmd_certify, "theta": _cmd_theta, "flatten": _cmd_flatten,
+             "carleman-audit": _cmd_audit, "ucp-certificate": _cmd_ucp, "solve": _cmd_solve,
+             "observability": _cmd_observability, "identities": _cmd_identities}
 COMMANDS = tuple(_DISPATCH)
 
 
-def run_command(name: str, cfg: dict, outdir: Path, seed: int, strict: bool = False) -> int:
-    """Dispatch one command; returns the process exit status."""
+def _check_config(cfg: dict, name: str, seed: int | None = None):
+    """The seed (``seed`` when not None, else the config's), the grid and the
+    checked blocks that command ``name`` reads: the root keys first, then the
+    grid, which gives n, then every other block."""
+    root = _TABLE["config"]
+    for key in cfg:
+        if key not in root:
+            raise ConfigError(f"unknown config block {key!r}; expected one of {', '.join(root)}")
+    seed = _checked(cfg, "seed") if seed is None else _check(seed, root["seed"][0], None,
+                                                              "seed", None)
+    grid = build_grid_from(cfg)
+    return seed, grid, {block: _checked(cfg, block, grid.n, name) for block, row in root.items()
+                        if row[0][0] == "mapping" and (row[2] is None or name in row[2])}
+
+
+def run_command(name: str, cfg: dict, outdir: Path, seed: int | None = None,
+                strict: bool = False) -> int:
+    """Dispatch one command, its config checked before any work; returns the
+    process exit status."""
     if name not in _DISPATCH:
         raise ConfigError(f"unknown command {name!r}")
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid_from(cfg)
+    seed, grid, blocks = _check_config(cfg, name, seed)
     write_manifest(outdir, name, cfg, seed)
-    status, flags = _DISPATCH[name](cfg, grid, outdir, seed)
+    # a value that overflows or turns invalid stops the run, with one error line
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        status, flags = _DISPATCH[name](cfg, blocks, grid, outdir, seed)
     if strict and flags and status == 0:
         status = 2
     return status
@@ -826,20 +823,18 @@ def main(argv=None) -> int:
         if not args.command:
             raise ConfigError("no command given")
         cfg = load_config(args.config)
-        seed = _integer(cfg if args.seed is None else {"seed": args.seed},
-                        "seed", "seed", 0, positive=False)
-        return run_command(args.command, cfg, Path(args.out), seed, args.strict)
+        return run_command(args.command, cfg, Path(args.out), args.seed, args.strict)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailedError as exc:  # a failed mathematical check, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:  # a config entry without a key it needs
-        print(f"error: config: missing key {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # a run that blew up on finite inputs
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from carleman import MatrixField, build_grid
 from carleman.geometry import separable, sine_profile, smooth_bump
@@ -29,3 +30,8 @@ def unit_square_grid():
 @pytest.fixture
 def identity_2d(unit_square_grid):
     return MatrixField.identity(2, domain=unit_square_grid.domain)
+
+
+# `pytest --hypothesis-profile=ci` (the CI workflow's fuzz step): more examples
+# for the properties that read their count from the profile
+settings.register_profile("ci", max_examples=2000)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from carleman.audit import INEQUALITY_KINDS
 from carleman.cli import build_lower_from, main
 from carleman.svg import heatmap_svg, line_svg, map_points
 
@@ -140,57 +141,15 @@ def test_audit_command_artifacts_and_exit(tmp_path):
     assert len(lines) == 1 + 2 * 1 * 4
 
 
-@pytest.mark.parametrize(
-    "audit, message",
-    [
-        ({"kind": "foo_bar"}, "unknown kind 'foo_bar'"),
-        ({"taus": []}, "taus must not be empty"),
-        ({"lambdas": []}, "lambdas must not be empty"),
-        ({"taus": [2.0, -1.0]}, "taus must be positive"),
-        ({"ensemble": "abc"}, "ensemble must be a positive integer, got 'abc'"),
-        ({"ensemble": 2.5}, "ensemble must be a positive integer, got 2.5"),
-        ({"ensemble": 0}, "ensemble must be a positive integer, got 0"),
-        ({"target": "abc"}, "target must be a finite number, got 'abc'"),
-        ({"target": float("nan")}, "target must be a finite number, got nan"),
-    ],
-    ids=["unknown-kind", "empty-taus", "empty-lambdas", "negative-tau", "ensemble-text",
-         "ensemble-fraction", "ensemble-zero", "target-text", "target-nan"],
-)
-def test_audit_config_errors_exit_1_with_one_line(tmp_path, capsys, audit, message):
-    cfg, _ = write_config(tmp_path, extra={"audit": audit})
-    assert run("carleman-audit", cfg, tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: audit: ")
-    assert message in err
-
-
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _shipped(name="wave_audit"):
+    return yaml.safe_load((SHIPPED / f"{name}.yaml").read_text())
+
+
 def _shipped_wave_audit():
-    return yaml.safe_load((SHIPPED / "wave_audit.yaml").read_text())
-
-
-def _no_powers(cfg):
-    cfg["flatten"]["surface_terms"] = [{"coeff": 0.25}]
-
-
-def _no_alpha(cfg):
-    cfg["weight"] = {"family": "custom", "x0": [-0.5, 0.5],
-                     "psi1": {"family": "observability"}}
-
-
-def _lower_list(cfg):
-    cfg["equation"]["lower"] = [1.0, 2.0]
-
-
-def _surface_powers(powers):
-    def probe(cfg):
-        cfg["flatten"]["surface_terms"] = [{"powers": powers, "coeff": 0.25}]
-    return probe
-
-
-_POWERS = "error: flatten: surface_terms powers must be 1 non-negative integers of total degree <= 6"
+    return _shipped()
 
 
 def _put(block, key, value):
@@ -200,180 +159,294 @@ def _put(block, key, value):
     return probe
 
 
-@pytest.mark.parametrize(
-    "command, probe, message",
-    [
-        ("flatten", _no_powers, "error: config: missing key 'powers'"),
-        ("certify", _no_alpha, "error: missing key 'alpha' in block 'weight: psi1'"),
-        ("carleman-audit", _lower_list, "error: equation: lower must be a mapping, got list"),
-        ("certify", _put("grid", "nodes", [17.9, 17]),
-         "error: grid: nodes must be an integer per axis, got 17.9"),
-        ("certify", _put("grid", "nodes", [2, 17]),
-         "error: grid: need at least 3 nodes per axis, got 2"),
-        ("certify", _put("grid", "nt", 33.7), "error: grid: nt must be an integer, got 33.7"),
-        ("certify", _put(None, "seed", 1.5),
-         "error: seed: seed must be a non-negative integer, got 1.5"),
-        ("certify", _put(None, "seed", "abc"),
-         "error: seed: seed must be a non-negative integer, got 'abc'"),
-        ("carleman-audit", _put(None, "seed", -1),
-         "error: seed: seed must be a non-negative integer, got -1"),
-        ("solve", _put("solve", "mode", [1.5]),
-         "error: solve: mode must be a positive integer per axis, got 1.5"),
-        ("solve", _put("solve", "mode", 2), "error: solve: mode must be a list of integers, got 2"),
-        ("certify", _put("weight", "lambda", "big"),
-         "error: weight: lambda must be a positive finite number, got 'big'"),
-        ("certify", _put("weight", "shift", "abc"),
-         "error: weight: shift must be a finite number, got 'abc'"),
-        ("theta", _put("theta", "points", [[0.5]]),
-         "error: theta: points must be a list of 2 finite numbers, got [0.5]"),
-        ("solve", _put("grid", "t1", float("nan")),
-         "error: grid: t1 must be a finite number, got nan"),
-        ("certify", _put("grid", "t1", float("nan")),
-         "error: grid: t1 must be a finite number, got nan"),
-        ("certify", _put("grid", "t2", float("inf")),
-         "error: grid: t2 must be a finite number, got inf"),
-        ("certify", _put("grid", "highs", [True, 1.0]),
-         "error: grid: highs must be a finite number, got True"),
-        ("certify", _put("grid", "lows", 0.0),
-         "error: grid: lows must be a list of finite numbers, got 0.0"),
-        ("flatten", _put("flatten", "radius", -0.5),
-         "error: flatten: radius must be a positive finite number, got -0.5"),
-        ("flatten", _put("flatten", "radius", 0),
-         "error: flatten: radius must be a positive finite number, got 0"),
-        ("flatten", _put("flatten", "radius", float("inf")),
-         "error: flatten: radius must be a positive finite number, got inf"),
-        ("flatten", _put("flatten", "radius", float("nan")),
-         "error: flatten: radius must be a positive finite number, got nan"),
-        ("flatten", _put("flatten", "radius", "wide"),
-         "error: flatten: radius must be a positive finite number, got 'wide'"),
-        ("identities", _put("identities", "tau", float("inf")),
-         "error: identities: tau must be a positive finite number, got inf"),
-        ("identities", _put("identities", "tau", float("nan")),
-         "error: identities: tau must be a positive finite number, got nan"),
-        ("identities", _put("identities", "tau", -1),
-         "error: identities: tau must be a positive finite number, got -1"),
-        ("identities", _put("identities", "tau", "big"),
-         "error: identities: tau must be a positive finite number, got 'big'"),
-        ("certify", _put("coefficients", "kappa_max", float("nan")),
-         "error: coefficients: kappa_max must be a positive number, got nan"),
-        ("certify", _put("coefficients", "m_max", float("nan")),
-         "error: coefficients: m_max must be a positive number, got nan"),
-        ("certify", _put("coefficients", "kappa_max", "tight"),
-         "error: coefficients: kappa_max must be a positive number, got 'tight'"),
-        ("certify", _put("coefficients", "m_max", True),
-         "error: coefficients: m_max must be a positive number, got True"),
-        ("flatten", _surface_powers([2.5]), f"{_POWERS}, got [2.5]"),
-        ("flatten", _surface_powers([1e308]), f"{_POWERS}, got [1e+308]"),
-        ("flatten", _surface_powers([True]), f"{_POWERS}, got [True]"),
-        ("flatten", _surface_powers([-1]), f"{_POWERS}, got [-1]"),
-        ("flatten", _surface_powers([7]), f"{_POWERS}, got [7]"),
-        ("flatten", _surface_powers([1, 1]), f"{_POWERS}, got [1, 1]"),
-        ("carleman-audit", _put("audit", "refine", "x"),
-         "error: audit: refine must be true or false, got 'x'"),
-        ("certify", _put("grid", "highs", [1e308, 1]),
-         "error: grid: A or a derivative of A or psi0 is not finite or exceeds 1e+100 in "
-         "size on the nodes"),
-        ("identities", _put("weight", "lambda", 1e308),
-         "error: weight exponent lambda * psi out of double range"),
-    ],
-    ids=["surface-term-without-powers", "psi1-without-alpha", "lower-is-a-list",
-         "nodes-fraction", "nodes-too-few", "nt-fraction", "seed-fraction", "seed-text",
-         "seed-negative", "mode-fraction", "mode-not-a-list", "lambda-text", "shift-text",
-         "theta-point-too-short", "grid-t1-nan-solve", "grid-t1-nan-certify", "grid-t2-inf",
-         "grid-highs-bool", "grid-lows-not-a-list", "radius-negative", "radius-zero", "radius-inf",
-         "radius-nan", "radius-text", "tau-inf", "tau-nan", "tau-negative", "tau-text",
-         "kappa-max-nan", "m-max-nan", "kappa-max-text", "m-max-bool", "powers-fraction",
-         "powers-huge", "powers-bool", "powers-negative", "powers-degree", "powers-too-many",
-         "refine-text", "grid-highs-overflow", "identities-lambda-overflow"],
-)
-def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, command, probe, message):
-    cfg = _shipped_wave_audit()
-    probe(cfg)
-    path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    assert run(command, path, tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err == message + "\n"
-    # a number checked before any scan: no report is written
-    if command in ("flatten", "identities") or "_max" in message:
-        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+def _surface_powers(powers):
+    return _put("flatten", "surface_terms", [{"powers": powers, "coeff": 0.25}])
+
+
+def _polynomial_field(**entry):
+    """A 2-D polynomial A whose (0, 0) entry is ``entry`` over a valid one."""
+    one = [{"powers": [0, 0], "coeff": 1.0}]
+    return _put(None, "coefficients", {"family": "polynomial", "entries": [
+        {"k": 0, "l": 0, "terms": one, **entry}, {"k": 1, "l": 1, "terms": one}]})
 
 
 _NAN, _INF = float("nan"), float("inf")
+_A = "wave_audit"
+_O = "wave_observability_1d"
+_POWERS = "flatten: surface_terms: powers must be"
+_RADIUS = "flatten: radius must be a positive finite number at most 1e+06"
+_PSI1 = "weight: psi1 or its time derivative is not finite or exceeds 1e+100 in size on the grid times"
+
+# Bad configs, each one line on stderr and exit 1.  A row is (test, id, shipped
+# config, command, probe, the message after "error: ", written): every config
+# error stops before the manifest, so the output directory stays empty, but
+# errors found while the command runs (written=True) come after it.
+BAD_CONFIGS = [
+    ("audit", "unknown-kind", _A, "carleman-audit", _put("audit", "kind", "foo_bar"),
+     f"audit: unknown kind 'foo_bar'; expected one of {', '.join(INEQUALITY_KINDS)}", False),
+    ("audit", "empty-taus", _A, "carleman-audit", _put("audit", "taus", []),
+     "audit: taus must be a list of one or more positive finite numbers, got []", False),
+    ("audit", "empty-lambdas", _A, "carleman-audit", _put("audit", "lambdas", []),
+     "audit: lambdas must be a list of one or more positive finite numbers, got []", False),
+    ("audit", "negative-tau", _A, "carleman-audit", _put("audit", "taus", [2.0, -1.0]),
+     "audit: taus must be a positive finite number, got -1.0", False),
+    ("audit", "ensemble-text", _A, "carleman-audit", _put("audit", "ensemble", "abc"),
+     "audit: ensemble must be a positive integer, got 'abc'", False),
+    ("audit", "ensemble-fraction", _A, "carleman-audit", _put("audit", "ensemble", 2.5),
+     "audit: ensemble must be a positive integer, got 2.5", False),
+    ("audit", "ensemble-zero", _A, "carleman-audit", _put("audit", "ensemble", 0),
+     "audit: ensemble must be a positive integer, got 0", False),
+    ("audit", "target-text", _A, "carleman-audit", _put("audit", "target", "abc"),
+     "audit: target must be a finite number, got 'abc'", False),
+    ("audit", "target-nan", _A, "carleman-audit", _put("audit", "target", _NAN),
+     "audit: target must be a finite number, got nan", False),
+    ("audit", "taus-bool", _A, "carleman-audit", _put("audit", "taus", [True, 4.0]),
+     "audit: taus must be a positive finite number, got True", False),
+    ("audit", "tau-typo", _A, "carleman-audit", _put("audit", "tau", [1.0]),
+     "audit: unknown key 'tau'; expected one of kind, taus, lambdas, ensemble, target, "
+     "refine", False),
+    ("shape", "surface-term-without-powers", _A, "flatten",
+     _put("flatten", "surface_terms", [{"coeff": 0.25}]),
+     "missing key 'powers' in block 'flatten: surface_terms'", False),
+    ("shape", "psi1-without-alpha", _A, "certify", _put(None, "weight", {
+        "family": "custom", "x0": [-0.5, 0.5], "psi1": {"family": "observability"}}),
+     "missing key 'alpha' in block 'weight: psi1'", False),
+    ("shape", "lower-is-a-list", _A, "carleman-audit", _put("equation", "lower", [1.0, 2.0]),
+     "equation: lower must be a mapping, got list", False),
+    ("shape", "nodes-fraction", _A, "certify", _put("grid", "nodes", [17.9, 17]),
+     "grid: nodes must be an integer >= 3, got 17.9", False),
+    ("shape", "nodes-too-few", _A, "certify", _put("grid", "nodes", [2, 17]),
+     "grid: nodes must be an integer >= 3, got 2", False),
+    ("shape", "nt-fraction", _A, "certify", _put("grid", "nt", 33.7),
+     "grid: nt must be an integer >= 3, got 33.7", False),
+    ("shape", "seed-fraction", _A, "certify", _put(None, "seed", 1.5),
+     "seed: seed must be a non-negative integer, got 1.5", False),
+    ("shape", "seed-text", _A, "certify", _put(None, "seed", "abc"),
+     "seed: seed must be a non-negative integer, got 'abc'", False),
+    ("shape", "seed-negative", _A, "carleman-audit", _put(None, "seed", -1),
+     "seed: seed must be a non-negative integer, got -1", False),
+    ("shape", "mode-fraction", _A, "solve", _put("solve", "mode", [1.5]),
+     "solve: mode must be a positive integer, got 1.5", False),
+    ("shape", "mode-not-a-list", _A, "solve", _put("solve", "mode", 2),
+     "solve: mode must be a list of at most 2 positive integers, got 2", False),
+    ("shape", "lambda-text", _A, "certify", _put("weight", "lambda", "big"),
+     "weight: lambda must be a positive finite number, got 'big'", False),
+    ("shape", "shift-text", _A, "certify", _put("weight", "shift", "abc"),
+     "weight: shift must be a finite number, got 'abc'", False),
+    ("shape", "theta-point-too-short", _A, "theta", _put("theta", "points", [[0.5]]),
+     "theta: points must be a list of 2 finite numbers, got [0.5]", False),
+    ("shape", "grid-t1-nan-solve", _A, "solve", _put("grid", "t1", _NAN),
+     "grid: t1 must be a finite number, got nan", False),
+    ("shape", "grid-t1-nan-certify", _A, "certify", _put("grid", "t1", _NAN),
+     "grid: t1 must be a finite number, got nan", False),
+    ("shape", "grid-t2-inf", _A, "certify", _put("grid", "t2", _INF),
+     "grid: t2 must be a finite number, got inf", False),
+    ("shape", "grid-t1-beyond-doubles", _A, "certify", _put("grid", "t1", -10**400),
+     f"grid: t1 must be a finite number, got {-10**400}", False),
+    ("shape", "grid-highs-bool", _A, "certify", _put("grid", "highs", [True, 1.0]),
+     "grid: highs must be a finite number, got True", False),
+    ("shape", "grid-lows-not-a-list", _A, "certify", _put("grid", "lows", 0.0),
+     "grid: lows must be a list of finite numbers, got 0.0", False),
+    ("shape", "radius-negative", _A, "flatten", _put("flatten", "radius", -0.5),
+     f"{_RADIUS}, got -0.5", False),
+    ("shape", "radius-zero", _A, "flatten", _put("flatten", "radius", 0), f"{_RADIUS}, got 0",
+     False),
+    ("shape", "radius-inf", _A, "flatten", _put("flatten", "radius", _INF),
+     f"{_RADIUS}, got inf", False),
+    ("shape", "radius-nan", _A, "flatten", _put("flatten", "radius", _NAN),
+     f"{_RADIUS}, got nan", False),
+    ("shape", "radius-text", _A, "flatten", _put("flatten", "radius", "wide"),
+     f"{_RADIUS}, got 'wide'", False),
+    ("shape", "radius-huge", _A, "flatten", _put("flatten", "radius", 1e308),
+     f"{_RADIUS}, got 1e+308", False),
+    ("shape", "tau-inf", _A, "identities", _put("identities", "tau", _INF),
+     "identities: tau must be a positive finite number, got inf", False),
+    ("shape", "tau-nan", _A, "identities", _put("identities", "tau", _NAN),
+     "identities: tau must be a positive finite number, got nan", False),
+    ("shape", "tau-negative", _A, "identities", _put("identities", "tau", -1),
+     "identities: tau must be a positive finite number, got -1", False),
+    ("shape", "tau-text", _A, "identities", _put("identities", "tau", "big"),
+     "identities: tau must be a positive finite number, got 'big'", False),
+    ("shape", "kappa-max-nan", _A, "certify", _put("coefficients", "kappa_max", _NAN),
+     "coefficients: kappa_max must be a positive number, got nan", False),
+    ("shape", "m-max-nan", _A, "certify", _put("coefficients", "m_max", _NAN),
+     "coefficients: m_max must be a positive number, got nan", False),
+    ("shape", "kappa-max-text", _A, "certify", _put("coefficients", "kappa_max", "tight"),
+     "coefficients: kappa_max must be a positive number, got 'tight'", False),
+    ("shape", "m-max-bool", _A, "certify", _put("coefficients", "m_max", True),
+     "coefficients: m_max must be a positive number, got True", False),
+    ("shape", "powers-fraction", _A, "flatten", _surface_powers([2.5]),
+     f"{_POWERS} a non-negative integer, got 2.5", False),
+    ("shape", "powers-huge", _A, "flatten", _surface_powers([1e308]),
+     f"{_POWERS} a non-negative integer, got 1e+308", False),
+    ("shape", "powers-bool", _A, "flatten", _surface_powers([True]),
+     f"{_POWERS} a non-negative integer, got True", False),
+    ("shape", "powers-negative", _A, "flatten", _surface_powers([-1]),
+     f"{_POWERS} a non-negative integer, got -1", False),
+    ("shape", "powers-degree", _A, "flatten", _surface_powers([7]),
+     f"{_POWERS} 1 non-negative integers of total degree <= 6, got [7]", False),
+    ("shape", "powers-too-many", _A, "flatten", _surface_powers([1, 1]),
+     f"{_POWERS} 1 non-negative integers of total degree <= 6, got [1, 1]", False),
+    ("shape", "refine-text", _A, "carleman-audit", _put("audit", "refine", "x"),
+     "audit: refine must be true or false, got 'x'", False),
+    ("shape", "grid-highs-overflow", _A, "certify", _put("grid", "highs", [1e308, 1]),
+     "grid: A or a derivative of A or psi0 is not finite or exceeds 1e+100 in size on the "
+     "nodes", True),
+    ("shape", "identities-lambda-overflow", _A, "identities", _put("weight", "lambda", 1e308),
+     "identities: weight exponent lambda * psi out of double range", True),
+    ("shape", "entry-k-fraction", _A, "certify", _polynomial_field(k=1.5),
+     "coefficients: entries: k must be a non-negative integer below 2, got 1.5", False),
+    ("shape", "entry-k-out-of-range", _A, "certify", _polynomial_field(k=2),
+     "coefficients: entries: k must be a non-negative integer below 2, got 2", False),
+    ("shape", "entry-powers-fraction", _A, "certify",
+     _polynomial_field(terms=[{"powers": [2.5, 0], "coeff": 1.0}]),
+     "coefficients: entries: terms: powers must be a non-negative integer, got 2.5", False),
+    ("shape", "entry-powers-huge", _A, "certify",
+     _polynomial_field(terms=[{"powers": [1e308, 0], "coeff": 1.0}]),
+     "coefficients: entries: terms: powers must be a non-negative integer, got 1e+308", False),
+    ("shape", "entry-degree", _A, "certify",
+     _polynomial_field(terms=[{"powers": [2, 2], "coeff": 1.0}]),
+     "coefficients: entries: terms: powers must be 2 non-negative integers of total degree "
+     "<= 3, got [2, 2]", False),
+    ("shape", "psi0-powers-fraction", _A, "certify", _put(None, "weight", {
+        "family": "custom", "psi0_terms": [{"powers": [2.5, 0], "coeff": 0.5}]}),
+     "weight: psi0_terms: powers must be a non-negative integer, got 2.5", False),
+    ("shape", "constant-matrix-bool", _A, "certify", _put(None, "coefficients", {
+        "family": "constant", "matrix": [[1.0, 0.0], [0.0, True]]}),
+     "coefficients: matrix must be a finite number, got True", False),
+    ("shape", "lower-zero-bool", _A, "carleman-audit", _put("equation", "lower", {"zero": True}),
+     "equation: lower: zero must be a finite complex number, got True", False),
+    ("shape", "lambda-typo", _A, "certify", _put("weight", "lamda", 2.0),
+     "weight: unknown key 'lamda'; expected one of family, lambda, shift, x0, psi0_terms, t0, "
+     "gamma, alpha, t_obs, psi1", False),
+    ("shape", "x0-bool", _A, "certify", _put("weight", "x0", [-0.5, True]),
+     "weight: x0 must be a finite number, got True", False),
+    ("shape", "theta-points-zero", _A, "theta", _put("theta", "points", 0),
+     "theta: points must be a list of lists of 2 finite numbers, got 0", False),
+    ("shape", "theta-points-mapping", _A, "theta", _put("theta", "points", {}),
+     "theta: points must be a list of lists of 2 finite numbers, got {}", False),
+    ("shape", "modes-typo", _O, "observability", _put("observability", "mode", 9),
+     "observability: unknown key 'mode'; expected one of kind, alpha, t_obs, modes, "
+     "worst_case_iterations", False),
+    ("shape", "unknown-block", _A, "certify", _put(None, "audits", {}),
+     "unknown config block 'audits'; expected one of seed, grid, coefficients, weight, "
+     "equation, audit, ucp, flatten, theta, solve, observability, identities", False),
+    ("shape", "lower-zero-nan-solve", _O, "solve", _put("equation", "lower", {"zero": _NAN}),
+     "equation: lower: zero must be a finite complex number, got nan", False),
+    ("shape", "lower-zero-nanj-observability", _O, "observability",
+     _put("equation", "lower", {"zero": "nanj"}),
+     "equation: lower: zero must be a finite complex number, got 'nanj'", False),
+    ("shape", "lower-zero-huge-solve", _O, "solve", _put("equation", "lower", {"zero": 1e300}),
+     "solve: solver produced non-finite values", True),
+    ("shape", "lower-space-huge-observability", _O, "observability",
+     _put("equation", "lower", {"space": [1e200]}),
+     "observability: solver produced non-finite values", True),
+    ("shape", "highs-huge-solve", _O, "solve", _put("grid", "highs", [1e308]),
+     "solve: overflow encountered in add", True),
+    ("shape", "t2-huge-certify-1d", _O, "certify", _put("grid", "t2", 1e308), _PSI1, True),
+    ("shape", "t2-huge-certify-2d", _A, "certify", _put("grid", "t2", 1e308), _PSI1, True),
+    ("shape", "t0-huge-certify", _A, "certify", _put("weight", "t0", 1e308), _PSI1, True),
+    ("numbers", "weight-gamma-nan", _A, "certify", _put("weight", "gamma", _NAN),
+     "weight: gamma must be a finite number, got nan", False),
+    ("numbers", "weight-t0-nan", _A, "certify", _put("weight", "t0", _NAN),
+     "weight: t0 must be a finite number, got nan", False),
+    ("numbers", "weight-lambda-nan", _A, "certify", _put("weight", "lambda", _NAN),
+     "weight: lambda must be a positive finite number, got nan", False),
+    ("numbers", "weight-lambda-inf", _A, "certify", _put("weight", "lambda", _INF),
+     "weight: lambda must be a positive finite number, got inf", False),
+    ("numbers", "weight-shift-inf", _A, "certify", _put("weight", "shift", _INF),
+     "weight: shift must be a finite number, got inf", False),
+    ("numbers", "weight-t_obs-inf", _O, "certify", _put(None, "weight", {
+        "family": "observability", "x0": [-0.5], "alpha": 0.5, "t_obs": _INF}),
+     "weight: t_obs must be a finite number, got inf", False),
+    ("numbers", "observability-t_obs-inf", _O, "observability",
+     _put("observability", "t_obs", _INF),
+     "observability: t_obs must be a finite number, got inf", False),
+    ("numbers", "observability-t_obs-nan", _O, "observability",
+     _put("observability", "t_obs", _NAN),
+     "observability: t_obs must be a finite number, got nan", False),
+    ("numbers", "ucp-eps-nan", _A, "ucp-certificate", _put("ucp", "eps", _NAN),
+     "ucp: eps must be a finite number, got nan", False),
+    ("numbers", "ucp-t_span-inf", _A, "ucp-certificate", _put("ucp", "t_span", _INF),
+     "ucp: t_span must be a finite number, got inf", False),
+    ("numbers", "ucp-r-inf", _A, "ucp-certificate", _put("ucp", "r", _INF),
+     "ucp: r must be a finite number, got inf", False),
+    ("numbers", "ucp-lambda-inf", _A, "ucp-certificate", _put("ucp", "lambda", _INF),
+     "ucp: lambda must be a positive finite number, got inf", False),
+    ("numbers", "ucp-shift-nan", _A, "ucp-certificate", _put("ucp", "shift", _NAN),
+     "ucp: shift must be a finite number, got nan", False),
+    ("numbers", "ucp-center-nan", _A, "ucp-certificate", _put("ucp", "center", [_NAN, 0.0]),
+     "ucp: center must be a finite number, got nan", False),
+    ("numbers", "ucp-center-too-short", _A, "ucp-certificate", _put("ucp", "center", [0.0]),
+     "ucp: center must be a list of 2 finite numbers, got [0.0]", False),
+    ("numbers", "psi1-not-a-mapping", _A, "certify",
+     _put(None, "weight", {"family": "custom", "x0": [-0.5, 0.5], "psi1": [1, 2]}),
+     "weight: psi1 must be a mapping, got list", False),
+    ("numbers", "theta-point-nan", _A, "theta", _put("theta", "points", [[_NAN, 0.5]]),
+     "theta: points must be a finite number, got nan", False),
+    ("numbers", "theta-point-a-number", _A, "theta", _put("theta", "points", [0.5]),
+     "theta: points must be a list of 2 finite numbers, got 0.5", False),
+    ("numbers", "mode-zero", _O, "solve", _put("solve", "mode", [0]),
+     "solve: mode must be a positive integer, got 0", False),
+    ("numbers", "mode-too-long", _O, "solve", _put("solve", "mode", [1, 2]),
+     "solve: mode must be a list of at most 1 positive integers, got [1, 2]", False),
+    ("blocks", "certify-equation", _A, "certify", _put(None, "equation", ["wave"]),
+     "config block 'equation' must be a mapping", False),
+    ("blocks", "identities-equation", _A, "identities", _put(None, "equation", ["wave"]),
+     "config block 'equation' must be a mapping", False),
+    ("blocks", "audit-equation", _A, "carleman-audit", _put(None, "equation", ["wave"]),
+     "config block 'equation' must be a mapping", False),
+    ("blocks", "audit-audit", _A, "carleman-audit", _put(None, "audit", 3),
+     "config block 'audit' must be a mapping", False),
+    ("blocks", "solve-solve", _A, "solve", _put(None, "solve", "wave"),
+     "config block 'solve' must be a mapping", False),
+    ("blocks", "theta-theta", _A, "theta", _put(None, "theta", [1]),
+     "config block 'theta' must be a mapping", False),
+]
 
 
-def _psi1_list(cfg):
-    cfg["weight"] = {"family": "custom", "x0": [-0.5, 0.5], "psi1": [1, 2]}
+def _bad(test):
+    return [pytest.param(*row[2:], id=row[1]) for row in BAD_CONFIGS if row[0] == test]
 
 
-def _observability_weight(t_obs):
-    def probe(cfg):
-        cfg["weight"] = {"family": "observability", "x0": [-0.5], "alpha": 0.5, "t_obs": t_obs}
-    return probe
-
-
-@pytest.mark.parametrize(
-    "config, command, probe, message",
-    [
-        ("wave_audit", "certify", _put("weight", "gamma", _NAN),
-         "weight: gamma must be a finite number, got nan"),
-        ("wave_audit", "certify", _put("weight", "t0", _NAN),
-         "weight: t0 must be a finite number, got nan"),
-        ("wave_audit", "certify", _put("weight", "lambda", _NAN),
-         "weight: lambda must be a positive finite number, got nan"),
-        ("wave_audit", "certify", _put("weight", "lambda", _INF),
-         "weight: lambda must be a positive finite number, got inf"),
-        ("wave_audit", "certify", _put("weight", "shift", _INF),
-         "weight: shift must be a finite number, got inf"),
-        ("wave_observability_1d", "certify", _observability_weight(_INF),
-         "weight: t_obs must be a finite number, got inf"),
-        ("wave_observability_1d", "observability", _put("observability", "t_obs", _INF),
-         "observability: t_obs must be a finite number, got inf"),
-        ("wave_observability_1d", "observability", _put("observability", "t_obs", _NAN),
-         "observability: t_obs must be a finite number, got nan"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "eps", _NAN),
-         "ucp: eps must be a finite number, got nan"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "t_span", _INF),
-         "ucp: t_span must be a finite number, got inf"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "r", _INF),
-         "ucp: r must be a finite number, got inf"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "lambda", _INF),
-         "ucp: lambda must be a positive finite number, got inf"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "shift", _NAN),
-         "ucp: shift must be a finite number, got nan"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "center", [_NAN, 0.0]),
-         "ucp: center must be a finite number, got nan"),
-        ("wave_audit", "ucp-certificate", _put("ucp", "center", [0.0]),
-         "ucp: center must be a list of 2 finite numbers, got [0.0]"),
-        ("wave_audit", "certify", _psi1_list,
-         "weight: psi1 must be a mapping, got list"),
-        ("wave_audit", "theta", _put("theta", "points", [[_NAN, 0.5]]),
-         "theta: points must be a finite number, got nan"),
-        ("wave_audit", "theta", _put("theta", "points", [0.5]),
-         "theta: points must be a list of 2 finite numbers, got 0.5"),
-        ("wave_observability_1d", "solve", _put("solve", "mode", [0]),
-         "solve: mode must be a positive integer per axis, got 0"),
-        ("wave_observability_1d", "solve", _put("solve", "mode", [1, 2]),
-         "solve: mode must have at most one entry per axis (1), got [1, 2]"),
-    ],
-    ids=["weight-gamma-nan", "weight-t0-nan", "weight-lambda-nan", "weight-lambda-inf",
-         "weight-shift-inf", "weight-t_obs-inf", "observability-t_obs-inf",
-         "observability-t_obs-nan", "ucp-eps-nan", "ucp-t_span-inf", "ucp-r-inf",
-         "ucp-lambda-inf", "ucp-shift-nan", "ucp-center-nan", "ucp-center-too-short",
-         "psi1-not-a-mapping", "theta-point-nan", "theta-point-a-number", "mode-zero",
-         "mode-too-long"],
-)
-def test_bad_command_numbers_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
-                                                  message):
-    """Numbers that no check downstream would catch (a NaN weight certified, an
-    infinite observation time passed every grid check) stop before any scan."""
-    cfg = yaml.safe_load((SHIPPED / f"{config}.yaml").read_text())
+def _exits_1_with_one_line(tmp_path, capsys, config, command, probe, message, written):
+    cfg = _shipped(config)
     probe(cfg)
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    assert run(command, path, tmp_path / "out") == 1
+    out = tmp_path / "out"
+    assert run(command, path, out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+    assert [p.name for p in out.iterdir()] == (["manifest.json"] if written else [])
+
+
+_BAD_FIELDS = "config, command, probe, message, written"
+
+
+@pytest.mark.parametrize(_BAD_FIELDS, _bad("audit"))
+def test_audit_config_errors_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
+                                                  message, written):
+    _exits_1_with_one_line(tmp_path, capsys, config, command, probe, message, written)
+
+
+@pytest.mark.parametrize(_BAD_FIELDS, _bad("shape"))
+def test_config_shape_errors_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
+                                                  message, written):
+    _exits_1_with_one_line(tmp_path, capsys, config, command, probe, message, written)
+
+
+@pytest.mark.parametrize(_BAD_FIELDS, _bad("numbers"))
+def test_bad_command_numbers_exit_1_with_one_line(tmp_path, capsys, config, command, probe,
+                                                  message, written):
+    """Numbers that no check downstream would catch (a NaN weight certified, an
+    infinite observation time passed every grid check) stop before any scan."""
+    _exits_1_with_one_line(tmp_path, capsys, config, command, probe, message, written)
+
+
+def test_non_mapping_config_blocks_exit_1_with_one_line(tmp_path, capsys):
+    for i, row in enumerate(_bad("blocks")):
+        (tmp_path / row.id).mkdir()
+        _exits_1_with_one_line(tmp_path / row.id, capsys, *row.values)
 
 
 def test_certify_accepts_infinite_tolerances(tmp_path):
@@ -386,25 +459,6 @@ def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     assert run("certify", cfg, tmp_path / "out", "--seed", "-1") == 1
     assert capsys.readouterr().err == "error: seed: seed must be a non-negative integer, got -1\n"
-
-
-def test_non_mapping_config_blocks_exit_1_with_one_line(tmp_path, capsys):
-    probes = [
-        ("certify", "equation", ["wave"]),
-        ("identities", "equation", ["wave"]),
-        ("carleman-audit", "equation", ["wave"]),
-        ("carleman-audit", "audit", 3),
-        ("solve", "solve", "wave"),
-        ("theta", "theta", [1]),
-    ]
-    for i, (command, block, value) in enumerate(probes):
-        cfg = _shipped_wave_audit()
-        cfg[block] = value
-        path = tmp_path / f"config{i}.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        assert run(command, path, tmp_path / f"out{i}") == 1, (command, block)
-        err = capsys.readouterr().err
-        assert err == f"error: config block {block!r} must be a mapping\n", (command, block)
 
 
 def test_real_lower_order_terms_stay_real(tmp_path, capsys):
@@ -596,7 +650,7 @@ def test_lower_order_bound_must_be_a_number(tmp_path, capsys, bound):
     )
     assert run("solve", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err == f"error: equation: lower: bound must be a number, got {bound!r}\n"
+    assert err == f"error: equation: lower: bound must be a positive number, got {bound!r}\n"
 
 
 def test_observability_below_threshold_exits_2(tmp_path):

@@ -45,7 +45,6 @@ from .pseudoconvex import (
     FlattenedChart,
     PseudoconvexCertificate,
     ThetaDecomposition,
-    certify_pseudoconvex,
     flatten_and_certify_hypersurface,
     theta_decomposition,
 )

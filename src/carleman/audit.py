@@ -467,7 +467,8 @@ def sweep_audit(
     lams = [float(l) for l in lams]
     plus_mask = None
     if kind in _BOUNDARY_KINDS:
-        plus_mask = gamma_plus(field, spec.psi0, grid)
+        pts = grid.space_points
+        plus_mask = gamma_plus(field(pts), spec.psi0.eval_gradient(pts), grid)
 
     if not taus or not lams:
         raise ValueError("need at least one tau and one lambda")

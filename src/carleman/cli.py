@@ -25,8 +25,7 @@ from . import __version__
 from .audit import (INEQUALITY_KINDS, compare_refinement, default_ensemble, negative_control,
                     sweep_audit)
 from .coefficients import MatrixField, certify_ellipticity
-from .experiments import (_SOLVE_KIND, CheckFailedError, observability_experiment,
-                          worst_case_ratio)
+from .experiments import _SOLVE_KIND, CheckFailedError, observability_experiment
 from .geometry import SpaceTimeGrid, build_grid, separable, sine_profile, smooth_bump
 from .operators import (LowerOrderCoeffs, assemble_operator, conjugation_coeffs,
                         conjugation_residual, green_residual, magnetic_expansion_residual,
@@ -34,7 +33,7 @@ from .operators import (LowerOrderCoeffs, assemble_operator, conjugation_coeffs,
 from .polynomials import Polynomial, poly_from_table
 from .pseudoconvex import (certificate_from_scan, flatten_and_certify_hypersurface,
                            theta_decomposition, theta_scan)
-from .solvers import HeatData, SchrodingerData, WaveData, cfl_limit, solve_evolution
+from .solvers import HeatData, SchrodingerData, WaveData, _held, cfl_limit, solve_evolution
 from .svg import heatmap_svg, histogram_svg, line_svg
 from .weights import (TimeProfile, UCPGeometry, WeightSpec, check_admissibility,
                       make_example_weight, make_observability_weight, ucp_region_certificate)
@@ -384,6 +383,9 @@ def _psi0_from(w: dict, n: int) -> Polynomial:
 def build_weight_from(
     cfg: dict, field: MatrixField, grid: SpaceTimeGrid
 ) -> tuple[WeightSpec, dict]:
+    """The weight and its report extras.  The readers of psi1 multiply its
+    values, so psi1 and its time derivative must be finite and below
+    _SAMPLE_BOUND in size on the grid times."""
     w = _checked(cfg, "weight", grid.n)
     family, lam, shift = w["family"], w["lambda"], w["shift"]
     extras: dict = {"family": family}
@@ -392,26 +394,30 @@ def build_weight_from(
         try:
             if family == "example":
                 spec = make_example_weight(w["x0"], w["t0"], w["gamma"], shift, grid, lam=lam)
-                return spec, extras
-            psi0 = _psi0_from(w, grid.n)
-            if family == "observability":
+            elif family == "observability":
+                psi0, pts = _psi0_from(w, grid.n), grid.space_points
                 t_obs = grid.t2 if w["t_obs"] is None else w["t_obs"]
                 spec, thresholds = make_observability_weight(
-                    psi0, w["alpha"], t_obs, shift, field, grid, lam=lam)
+                    psi0, w["alpha"], t_obs, shift, field(pts), psi0.eval_gradient(pts), grid,
+                    lam=lam)
                 extras["thresholds"] = dataclasses.asdict(thresholds)
-                return spec, extras
-            p1 = w["psi1"]
-            if p1["family"] == "quadratic":
-                profile = TimeProfile.quadratic(p1["gamma"], p1["t0"])
-            elif p1["family"] == "observability":
-                profile = TimeProfile.observability(
-                    p1["alpha"], grid.t2 if p1["t_obs"] is None else p1["t_obs"])
             else:
-                profile = TimeProfile.zero()
-            spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift, lam=lam)
-            return spec.ensure_nonnegative(grid), extras
+                psi0, p1 = _psi0_from(w, grid.n), w["psi1"]
+                if p1["family"] == "quadratic":
+                    profile = TimeProfile.quadratic(p1["gamma"], p1["t0"])
+                elif p1["family"] == "observability":
+                    profile = TimeProfile.observability(
+                        p1["alpha"], grid.t2 if p1["t_obs"] is None else p1["t_obs"])
+                else:
+                    profile = TimeProfile.zero()
+                spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift,
+                                  lam=lam).ensure_nonnegative(grid)
         except ValueError as exc:
             raise ConfigError(f"weight: {exc}") from exc
+        if not _bounded((spec.psi1(grid.times), spec.psi1.dt(grid.times))):
+            raise ConfigError(f"weight: psi1 or its time derivative is not finite or exceeds "
+                              f"{_SAMPLE_BOUND:g} in size on the grid times")
+    return spec, extras
 
 
 def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
@@ -490,34 +496,29 @@ def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
 _SAMPLE_BOUND = 1e100
 
 
-def _node_sample(field: MatrixField, spec: WeightSpec, grid: SpaceTimeGrid):
+def _bounded(arrays) -> bool:
+    return all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in arrays)
+
+
+def _node_sample(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid):
     """A, its first derivatives and the gradient and Hessian of psi0 at the
     grid nodes, entry-planar: a command evaluates each once, checks it and
     hands it to every reader.  The readers multiply up to three sample values
-    and add a few dozen products, so every value, and every value of psi1
-    and its time derivative on the grid times, must be finite and below
+    and add a few dozen products, so every value must be finite and below
     _SAMPLE_BOUND in size."""
     pts = grid.space_points
     with np.errstate(over="ignore", invalid="ignore"):
         sample = (field(pts), field.first_derivatives(pts),
-                  spec.psi0.eval_gradient(pts), spec.psi0.eval_hessian(pts))
-        profile = (spec.psi1(grid.times), spec.psi1.dt(grid.times))
-
-    def bounded(arrays):
-        return all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in arrays)
-
-    if not bounded(sample):
+                  psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+    if not _bounded(sample):
         raise ConfigError(f"grid: A or a derivative of A or psi0 is not finite or exceeds "
                           f"{_SAMPLE_BOUND:g} in size on the nodes")
-    if not bounded(profile):
-        raise ConfigError(f"weight: psi1 or its time derivative is not finite or exceeds "
-                          f"{_SAMPLE_BOUND:g} in size on the grid times")
     return sample
 
 
 def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
     """Ellipticity and weight admissibility from one node sample."""
-    a, da, grad, hess = _node_sample(field, spec, grid)
+    a, da, grad, hess = _node_sample(field, spec.psi0, grid)
     ell = certify_ellipticity(field, a, da, grid.space_points, kappa_max, m_max)
     return ell, check_admissibility(spec, a, da, grad, hess, grid, kind, ellipticity=ell)
 
@@ -542,7 +543,7 @@ def _cmd_theta(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
         dec = theta_decomposition(field, spec.psi0, np.asarray(point))
         results.append({"point": point, "Theta": dec.Theta, "Upsilon": dec.Upsilon,
                         "theta_sym_min": dec.theta_sym_min})
-    smin, gnorm = theta_scan(*_node_sample(field, spec, grid))
+    smin, gnorm = theta_scan(*_node_sample(field, spec.psi0, grid))
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
     # node coordinates are axis values: each one is formatted once, as the
@@ -703,7 +704,7 @@ def _cmd_solve(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
         [(f"face {f}", times, loudest(trace)) for f, trace in enumerate(state.traces)],
         "normal trace time series", "t", "dnu u",
     ))
-    info = {"kind": kind, "cfl_limit": cfl_limit(field, grid) if kind == "wave" else None,
+    info = {"kind": kind, "cfl_limit": _held(field, grid, cfl_limit) if kind == "wave" else None,
             "dt": grid.dt, "final_norm": float(state.energy.values[-1]),
             "initial_norm": float(state.energy.values[0]),
             "mode": "validation (n=1)" if grid.n == 1 else "standard"}
@@ -716,18 +717,17 @@ def _cmd_observability(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]
     block = blocks["observability"]
     kind, alpha, n_modes = block["kind"], block["alpha"], block["modes"]
     t_obs = grid.t2 if block["t_obs"] is None else block["t_obs"]
-    iterations = block["worst_case_iterations"]
     psi0 = _psi0_from(blocks["weight"], grid.n)
     solve_kind = _SOLVE_KIND[kind]
     lower = build_lower_from(cfg, _LOWER_KIND[solve_kind], grid)
     ensemble = [_sine_data(solve_kind, separable(
         grid, [sine_profile(1 + (m + ax) % 3) for ax in range(grid.n)]))
         for m in range(1, n_modes + 1)]
-    report = observability_experiment(kind, field, psi0, alpha, t_obs, ensemble, grid,
-                                      lower=lower)
+    report, wc = observability_experiment(
+        kind, field, psi0, alpha, t_obs, ensemble, grid, _node_sample(field, psi0, grid),
+        lower=lower, worst_case_iterations=block["worst_case_iterations"])
     result = {"report": report}
-    if iterations > 0:
-        wc = worst_case_ratio(kind, field, psi0, t_obs, grid, iterations, lower=lower)
+    if wc is not None:
         result["worst_case"] = {"ratio": wc.ratio, "ratios": wc.ratios,
                                 "converged": wc.converged, "flag": wc.flag}
     write_json(outdir / "observability.json", result)
@@ -748,7 +748,7 @@ def _cmd_identities(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     tau, kind = blocks["identities"]["tau"], blocks["equation"]["kind"]
     spec, _ = build_weight_from(cfg, field, grid)
-    a, da, grad0, hess0 = _node_sample(field, spec, grid)
+    a, da, grad0, hess0 = _node_sample(field, spec.psi0, grid)
     mat = assemble_operator(field, None, grid)
     results = {}
 

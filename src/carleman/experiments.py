@@ -1,11 +1,16 @@
 """Boundary observability experiments and the worst-case ratio estimator.
 
-An experiment solves the whole ensemble as one block (``solvers.solve_block``),
-restricts each member's normal trace to the plus part of the lateral
-boundary, and reports the kind-specific quotient (data energy over observed
-trace energy).  First-order Sobolev norms are gradient seminorms
-||grad_A . ||_{L2} throughout, taken with one assembled operator per
-experiment and matching the energy record of the solvers; reports state this.
+An experiment has one setup, read by everything it reports: the caller's
+node sample of A, dA, grad psi0 and hess psi0, and from it the time
+thresholds, the ellipticity and pseudo-convexity certificates (wave and
+Schrodinger), the Gamma+ mask and the assembled operator.  It solves the
+whole ensemble as one block (``solvers.solve_block``), restricts each
+member's normal trace to the plus part of the lateral boundary, and reports
+the kind-specific quotient (data energy over observed trace energy).
+First-order Sobolev norms are gradient seminorms ||grad_A . ||_{L2}
+throughout, taken with that one operator and matching the energy record of
+the solvers; reports state this.  When asked, the experiment hands its mask
+and operator to the worst-case estimator, which checks nothing of its own.
 
 The worst-case estimator climbs the quotient by shifted power-type steps
 built from a forward solve and a heuristic time-reversed back-propagation
@@ -28,7 +33,7 @@ from .coefficients import MatrixField, certify_ellipticity
 from .geometry import SpaceTimeGrid, separable, sine_profile
 from .operators import LowerOrderCoeffs, _matvec, assemble_operator
 from .polynomials import Polynomial
-from .pseudoconvex import certificate_from_scan, certify_pseudoconvex, theta_scan
+from .pseudoconvex import certificate_from_scan, theta_scan
 from .solvers import (
     BlockState,
     GammaPlusMask,
@@ -62,13 +67,6 @@ _WORST_CASE_REL_TOL = 1e-4  # relative change of the quotient that stops the cli
 
 class CheckFailedError(ValueError):
     """A mathematical precondition of an experiment fails on the grid."""
-
-
-def _require_pseudoconvex(cert) -> None:
-    if not cert.passed:
-        raise CheckFailedError(
-            f"psi0 is not pseudo-convex for this field (kappa={cert.kappa:.6g})"
-        )
 
 
 def _grad_seminorm(u_level: np.ndarray, op: sp.csr_matrix, grid: SpaceTimeGrid) -> float:
@@ -135,20 +133,21 @@ def _block_quotients(
     grid: SpaceTimeGrid,
     mask: GammaPlusMask,
     op: sp.csr_matrix,
-) -> tuple[list[tuple[float, float]], BlockState]:
-    """(data norm, Sigma+ trace norm) of each datum, from one block solve that
-    traces only the faces with plus nodes."""
+) -> tuple[list[tuple[float, float, float | None]], BlockState]:
+    """(data norm, Sigma+ trace norm, quotient) of each datum, from one block
+    solve that traces only the faces with plus nodes; the quotient is None
+    where the observation is zero (at most 1e-12 of the data norm, or of 1)."""
     block = solve_block(_SOLVE_KIND[kind], field, lower, data, t_obs, grid,
                         faces=[f for f, m in enumerate(mask.face_masks) if np.any(m)])
-    norms = []
+    rows = []
     for k, datum in enumerate(data):
         tr = _sigma_plus_norm(block.member_traces(k), mask, grid)
         if kind == "heat_final":
             dn = _grad_seminorm(block.final(k), op, grid)
         else:
             dn = _data_norm(kind, datum, op, grid)
-        norms.append((dn, tr))
-    return norms, block
+        rows.append((dn, tr, None if tr <= _ZERO_OBS_REL * max(dn, 1.0) else dn / tr))
+    return rows, block
 
 
 def observability_experiment(
@@ -159,21 +158,30 @@ def observability_experiment(
     t_obs: float,
     ensemble: list,
     grid: SpaceTimeGrid,
+    sample: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     lower: LowerOrderCoeffs | None = None,
-    validate: bool = True,
-) -> ObservabilityReport:
-    """Solve each ensemble member and report the observed-energy quotients.
+    worst_case_iterations: int = 0,
+) -> tuple[ObservabilityReport, WorstCaseResult | None]:
+    """Solve each ensemble member and report the observed-energy quotients,
+    plus the worst-case estimate when ``worst_case_iterations`` > 0 (wave
+    kind only), else None.
 
-    The two time thresholds are combined with max (the stricter reading);
-    the min combination is also reported, with a flag, since only one of
-    the two appears in some statements of the bound.
+    ``sample`` is A, its first derivatives and the gradient and Hessian of
+    psi0 at the grid nodes, entry-planar; the thresholds, the certificates,
+    the Gamma+ mask and, through the mask and the one assembled operator,
+    the estimator all read it.  The two time thresholds are combined with
+    max (the stricter reading); the min combination is also reported, with a
+    flag, since only one of the two appears in some statements of the bound.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
+    if worst_case_iterations and kind != "wave":
+        raise ValueError("the worst-case estimator currently supports the wave kind")
 
-    _, thresholds = make_observability_weight(psi0, alpha, t_obs, 0.0, field, grid)
+    a, da, grad, hess = sample
+    _, thresholds = make_observability_weight(psi0, alpha, t_obs, 0.0, a, grad, grid)
     flags = []
     if grid.n == 1:
         flags.append("n=1 validation mode")
@@ -182,12 +190,11 @@ def observability_experiment(
     t_required_min = None
     if kind in ("wave", "schrodinger"):
         pts = grid.space_points
-        a, da = field(pts), field.first_derivatives(pts)
         ell = certify_ellipticity(field, a, da, pts)
-        scan = theta_scan(a, da, psi0.eval_gradient(pts), psi0.eval_hessian(pts))
-        cert = certificate_from_scan(*scan, pts)
-        if validate:
-            _require_pseudoconvex(cert)
+        cert = certificate_from_scan(*theta_scan(a, da, grad, hess), pts)
+        if not cert.passed:
+            raise CheckFailedError(
+                f"psi0 is not pseudo-convex for this field (kappa={cert.kappa:.6g})")
         if kind == "wave":
             if cert.kappa > 0:
                 t_secondary = (8.0 * ell.kappa_estimate / cert.kappa) ** (
@@ -220,27 +227,15 @@ def observability_experiment(
             + " and the ".join(failing)
         )
 
-    mask = gamma_plus(field, psi0, grid)
-    norms, _ = _block_quotients(kind, field, lower, ensemble, t_obs, grid, mask,
-                                assemble_operator(field, None, grid))
-    samples: list[SampleResult] = []
-    ratios: list[float] = []
-    for idx, (dn, tr) in enumerate(norms):
-        if tr <= _ZERO_OBS_REL * max(dn, 1.0):
-            samples.append(
-                SampleResult(
-                    label=f"member-{idx}", data_norm=dn, trace_norm=tr,
-                    ratio=None, flag="zero observation",
-                )
-            )
-            continue
-        r = dn / tr
-        ratios.append(r)
-        samples.append(
-            SampleResult(label=f"member-{idx}", data_norm=dn, trace_norm=tr, ratio=r)
-        )
+    mask = gamma_plus(a, grad, grid)
+    op = assemble_operator(field, None, grid)
+    rows, _ = _block_quotients(kind, field, lower, ensemble, t_obs, grid, mask, op)
+    samples = [SampleResult(label=f"member-{idx}", data_norm=dn, trace_norm=tr, ratio=r,
+                            flag="zero observation" if r is None else None)
+               for idx, (dn, tr, r) in enumerate(rows)]
+    ratios = [s.ratio for s in samples if s.ratio is not None]
 
-    return ObservabilityReport(
+    report = ObservabilityReport(
         kind=kind,
         alpha=alpha,
         t_obs=t_obs,
@@ -255,6 +250,11 @@ def observability_experiment(
         aleph_emp=max(ratios) if ratios else None,
         flags=flags,
     )
+    worst = None
+    if worst_case_iterations:
+        worst = worst_case_ratio(field, t_obs, grid, mask, op, worst_case_iterations,
+                                 lower=lower)
+    return report, worst
 
 
 # -- worst-case estimator -------------------------------------------------------
@@ -314,33 +314,26 @@ def _wave_back_propagate(
 
 
 def worst_case_ratio(
-    kind: str,
     field: MatrixField,
-    psi0: Polynomial,
     t_obs: float,
     grid: SpaceTimeGrid,
+    mask: GammaPlusMask,
+    op: sp.csr_matrix,
     iterations: int,
-    seed_data=None,
+    seed_data: WaveData | None = None,
     lower: LowerOrderCoeffs | None = None,
-    validate: bool = True,
 ) -> WorstCaseResult:
-    """Climb the observability quotient; returns the best datum found.
+    """Climb the wave observability quotient; returns the best datum found.
 
-    Wave kind only for the iterative climb; a single iteration returns the
-    seed datum's quotient exactly as observability_experiment computes it.
-    The shifted trials of one iteration are solved as one block and scanned
-    in the order of their shifts; the first accepted one is taken, as a
-    sequential search would.
+    ``mask`` is the Gamma+ mask and ``op`` the all-node operator
+    ``assemble_operator(field, None, grid)`` of the experiment.  A single
+    iteration returns the seed datum's quotient exactly as
+    observability_experiment computes it.  The shifted trials of one
+    iteration are solved as one block and scanned in the order of their
+    shifts; the first accepted one is taken, as a sequential search would.
     """
-    if kind != "wave":
-        raise ValueError("the worst-case estimator currently supports the wave kind")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    mask = gamma_plus(field, psi0, grid)
-    if validate:
-        _require_pseudoconvex(certify_pseudoconvex(field, psi0, grid))
-    op = assemble_operator(field, None, grid)
-
     if seed_data is None:
         x = separable(grid, [sine_profile(1)] * grid.n)
         seed_data = WaveData(u0=x, u1=np.zeros(grid.space_shape))
@@ -348,9 +341,8 @@ def worst_case_ratio(
     datum = _normalize_wave(seed_data, op, grid)
 
     def quotients(data: list[WaveData]) -> tuple[list[float | None], BlockState]:
-        norms, block = _block_quotients("wave", field, lower, data, t_obs, grid, mask, op)
-        return [None if tr <= _ZERO_OBS_REL * max(dn, 1.0) else dn / tr
-                for dn, tr in norms], block
+        rows, block = _block_quotients("wave", field, lower, data, t_obs, grid, mask, op)
+        return [r for _, _, r in rows], block
 
     (r,), block = quotients([datum])
     if r is None:

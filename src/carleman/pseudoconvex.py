@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import MatrixField, _dot, symmetric_eigenvalues
-from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 
 __all__ = [
@@ -40,13 +39,13 @@ __all__ = [
     "theta_decomposition",
     "upsilon_theta",
     "theta_scan",
-    "certify_pseudoconvex",
     "certificate_from_scan",
     "flatten_and_certify_hypersurface",
 ]
 
 DEFAULT_GRAD_TOL = 1e-8
 _CHART_NODES_PER_AXIS = 9  # chart grid of the flattening certificate
+_MAX_HALVINGS = 20  # of the flattening chart radius
 
 
 @dataclass
@@ -165,27 +164,6 @@ def _lipschitz_margin(smin: np.ndarray, pts: np.ndarray, kappa: float) -> float:
     return kappa - hmax * lip
 
 
-def certify_pseudoconvex(
-    field: MatrixField,
-    h: Polynomial,
-    grid_or_points,
-) -> PseudoconvexCertificate:
-    """Scan grid nodes (or an explicit point array) for the Theta bound.
-
-    Evaluates A, dA and the derivatives of h at the points for this scan
-    alone; a caller that holds them already passes them to ``theta_scan``.
-    """
-    if isinstance(grid_or_points, SpaceTimeGrid):
-        pts = grid_or_points.space_points
-    else:
-        pts = np.asarray(grid_or_points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("empty grid")
-    scan = theta_scan(field(pts), field.first_derivatives(pts),
-                      h.eval_gradient(pts), h.eval_hessian(pts))
-    return certificate_from_scan(*scan, pts)
-
-
 def certificate_from_scan(
     smin: np.ndarray, gnorm: np.ndarray, pts: np.ndarray
 ) -> PseudoconvexCertificate:
@@ -282,11 +260,11 @@ def _jacobian_forward_quadform_min(surface: Polynomial, pts: np.ndarray) -> floa
 
 
 def flatten_and_certify_hypersurface(
-    field: MatrixField, surface: Polynomial, chart_radius: float, max_halvings: int = 20,
+    field: MatrixField, surface: Polynomial, chart_radius: float,
 ) -> tuple[FlattenedChart, PseudoconvexCertificate]:
     """Transport the field through the convexifying chart and certify.
 
-    Shrinks the chart radius by halving (at most ``max_halvings`` times)
+    Shrinks the chart radius by halving (at most ``_MAX_HALVINGS`` times)
     until the Jacobian quadratic-form bound >= 1/2 holds on the chart grid
     and the model-weight certificate passes; raises "chart too curved" if
     the Jacobian bound is still violated at the minimum radius.
@@ -345,8 +323,11 @@ def flatten_and_certify_hypersurface(
         pts = _chart_points(n, radius)
         jac_min = _jacobian_forward_quadform_min(surface, pts)
         jac_ok = jac_min >= 0.5 - 1e-12
-        cert = certify_pseudoconvex(transported, psi0_model, _apply_map(forward, pts))
-        if (jac_ok and cert.passed) or halvings >= max_halvings:
+        y = _apply_map(forward, pts)
+        cert = certificate_from_scan(*theta_scan(
+            transported(y), transported.first_derivatives(y),
+            psi0_model.eval_gradient(y), psi0_model.eval_hessian(y)), y)
+        if (jac_ok and cert.passed) or halvings >= _MAX_HALVINGS:
             break
         radius *= 0.5
         halvings += 1

@@ -80,7 +80,6 @@ from .operators import (
     assemble_operator,
     gradient_time,
 )
-from .polynomials import Polynomial
 
 # scipy.sparse, scipy.sparse.linalg and scipy.linalg are imported where first
 # used, not here: they take a good part of start-up, and the commands that scan
@@ -186,14 +185,13 @@ class GammaPlusMask:
         ]
 
 
-def gamma_plus(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid) -> GammaPlusMask:
-    """Strict-sign mask of the analytic flux (grad psi0 | nu)_A per face."""
+def gamma_plus(a: np.ndarray, grad: np.ndarray, grid: SpaceTimeGrid) -> GammaPlusMask:
+    """Strict-sign mask of the analytic flux (grad psi0 | nu)_A per face, from
+    the node sample of A and grad psi0 (entry-planar: ``a`` (n, n, *space),
+    ``grad`` (n, *space)); neither array is changed."""
     face_masks: list[np.ndarray] = []
-    pts = grid.space_points
-    a_vals = field(pts)
-    grads = psi0.eval_gradient(pts)
     # A grad psi0 in the two-lane order of the einsum these sums replaced
-    flux_vec = [_lane_sum(lambda l: a_vals[k, l] * grads[l], grid.n) for k in range(grid.n)]
+    flux_vec = [_lane_sum(lambda l: a[k, l] * grad[l], grid.n) for k in range(grid.n)]
     for f in range(grid.num_faces):
         nu = grid.face_normal(f)
         gm = grid.face_mask(f)

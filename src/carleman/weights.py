@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import EllipticityReport, MatrixField, quad_form
+from .coefficients import EllipticityReport, quad_form
 from .geometry import SpaceTimeGrid
 from .polynomials import Polynomial
 from .pseudoconvex import (
@@ -303,11 +303,13 @@ class ObservabilityThresholds:
 
 
 def make_observability_weight(
-    psi0: Polynomial, alpha: float, t_obs: float, shift: float, field: MatrixField,
-    grid: SpaceTimeGrid, lam: float = 1.0,
+    psi0: Polynomial, alpha: float, t_obs: float, shift: float, a: np.ndarray,
+    grad: np.ndarray, grid: SpaceTimeGrid, lam: float = 1.0,
 ) -> tuple[WeightSpec, ObservabilityThresholds]:
     """Final-time observability weight, shifted where needed so that psi >= 0
-    on the grid, plus its time-threshold bookkeeping.
+    on the grid, plus its time-threshold bookkeeping.  ``a`` and ``grad`` are
+    A and grad psi0 at the grid nodes (entry-planar, as for
+    ``check_admissibility``); neither is changed.
 
     Grid-checks the three working properties of the weight:
       band-positivity: the squared bracket stays positive (delta > 0),
@@ -321,13 +323,11 @@ def make_observability_weight(
     if abs(grid.t1) > 1e-12 or abs(grid.t2 - t_obs) > 1e-9 * max(1.0, t_obs):
         raise ValueError("grid time interval must be (0, t_obs)")
 
-    pts = grid.space_points
-    vals0 = psi0(pts)
+    vals0 = psi0(grid.space_points)
     if float(np.min(vals0)) < -1e-12:
         raise ValueError("psi0 must be nonnegative")
     m_sup = float(np.max(vals0))
-    grad = psi0.eval_gradient(pts)
-    gsq_a = quad_form(grad, field(pts), grad)
+    gsq_a = quad_form(grad, a, grad)
     delta0 = float(np.min(gsq_a))
     if delta0 <= 0.0:
         raise ValueError("psi0 must have a nonvanishing A-gradient (delta0 > 0)")

@@ -7,7 +7,9 @@ these wrappers, which evaluate ``field(grid.space_points)``,
 ``first_derivatives``, ``eval_gradient`` and ``eval_hessian`` (and assemble the
 operator) for that call alone, with the signatures the readers had before.
 The operator products and boundary quadratures that the library forms inline
-have wrappers here too.
+have wrappers here too, and so do the Gamma+ mask, the observability weight,
+the observability experiment and the worst-case estimator, which read the
+setup their caller holds.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from carleman.coefficients import certify_ellipticity
+from carleman.experiments import observability_experiment, worst_case_ratio
 from carleman.operators import (
     _apply_assembled,
     _checked_lower,
@@ -26,9 +29,10 @@ from carleman.operators import (
     magnetic_expansion_residual,
     riemannian_identity_residual,
 )
-from carleman.pseudoconvex import theta_scan, upsilon_theta
+from carleman.pseudoconvex import certificate_from_scan, theta_scan, upsilon_theta
 from carleman.solvers import _dirichlet_form
-from carleman.weights import check_admissibility
+from carleman.solvers import gamma_plus as _gamma_plus
+from carleman.weights import check_admissibility, make_observability_weight
 
 
 def field_sample(field, pts):
@@ -53,6 +57,39 @@ def admissibility(spec, field, grid, kind, ellipticity=None):
 
 def scan(field, h, pts):
     return theta_scan(*field_sample(field, pts), *weight_sample(h, pts))
+
+
+def pseudoconvex(field, h, grid_or_points):
+    """The pseudo-convexity certificate of ``h`` on the grid nodes or on the
+    points of an array."""
+    pts = getattr(grid_or_points, "space_points", grid_or_points)
+    return certificate_from_scan(*scan(field, h, pts), pts)
+
+
+def gamma_plus(field, psi0, grid):
+    pts = grid.space_points
+    return _gamma_plus(field(pts), psi0.eval_gradient(pts), grid)
+
+
+def observability_weight(psi0, alpha, t_obs, shift, field, grid, lam=1.0):
+    pts = grid.space_points
+    return make_observability_weight(psi0, alpha, t_obs, shift, field(pts),
+                                     psi0.eval_gradient(pts), grid, lam=lam)
+
+
+def observability(kind, field, psi0, alpha, t_obs, ensemble, grid, lower=None):
+    """The report of ``observability_experiment``, without the estimator."""
+    sample = field_sample(field, grid.space_points) + weight_sample(psi0, grid.space_points)
+    return observability_experiment(kind, field, psi0, alpha, t_obs, ensemble, grid, sample,
+                                    lower=lower)[0]
+
+
+def worst_case(field, psi0, t_obs, grid, iterations, seed_data=None, lower=None):
+    """``worst_case_ratio`` with a Gamma+ mask and an operator of its own; no
+    pseudo-convexity check."""
+    return worst_case_ratio(field, t_obs, grid, gamma_plus(field, psi0, grid),
+                            assemble_operator(field, None, grid), iterations,
+                            seed_data=seed_data, lower=lower)
 
 
 def theta(field, h, pts):

@@ -21,7 +21,6 @@ from carleman import (
     build_grid,
     flatten_and_certify_hypersurface,
     make_example_weight,
-    observability_experiment,
     solve_evolution,
     smoothing_bound_check,
     theta_decomposition,
@@ -260,7 +259,7 @@ def test_criterion_7_wave_observability_oracle():
         x = g.space_points[..., 0]
         datum = WaveData(u0=np.sin(np.pi * x), u1=np.zeros_like(x))
         psi0 = Polynomial.squared_distance([-0.5], scale=0.5)
-        report = observability_experiment("wave", field, psi0, 0.5, 2.0, [datum], g)
+        report = per_call.observability("wave", field, psi0, 0.5, 2.0, [datum], g)
         return report
 
     report = _timed(7, 5.0, body)

@@ -22,7 +22,6 @@ from carleman.audit import (
 )
 from carleman.geometry import separable, sine_profile
 from carleman.operators import LowerOrderCoeffs
-from carleman.solvers import gamma_plus
 from conftest import interior_bump_spacetime, interior_bump_space
 from reference_sides import reference_sides
 import per_call
@@ -255,7 +254,7 @@ def test_sweep_matches_per_cell_reference(canonical, kind, case):
     )
     taus, lams = [2.0, 16.0, 64.0], [1.0, 4.0]
     report = sweep_audit(ens, spec, field, lower, kind, taus, lams, grid)
-    mask = gamma_plus(field, spec.psi0, grid)
+    mask = per_call.gamma_plus(field, spec.psi0, grid)
     ref = np.empty_like(report.ratios)
     for i, tau in enumerate(taus):
         for j, lam in enumerate(lams):
@@ -360,7 +359,7 @@ def test_refinement_drift_headline_stable(canonical):
 def test_wave_boundary_kind_accepts_windowed_fields(canonical):
     grid, field, spec = canonical
     u = interior_bump_spacetime(grid)
-    mask = gamma_plus(field, spec.psi0, grid)
+    mask = per_call.gamma_plus(field, spec.psi0, grid)
     side = evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid, mask)
     assert side.rhs_boundary_dmu == 0.0
     # compact support: the discrete trace only sees the sub-1e-17 bump tail
@@ -370,7 +369,7 @@ def test_wave_boundary_kind_accepts_windowed_fields(canonical):
 
 def test_wave_boundary_kind_rejects_nonvanishing(canonical):
     grid, field, spec = canonical
-    mask = gamma_plus(field, spec.psi0, grid)
+    mask = per_call.gamma_plus(field, spec.psi0, grid)
     u = np.ones(grid.shape)
     with pytest.raises(ValueError, match="lateral"):
         evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid, mask)
@@ -383,7 +382,7 @@ def test_wave_boundary_kind_rejects_nonvanishing(canonical):
 
 def test_wave_boundary_kind_rejects_cap_velocity(canonical):
     grid, field, spec = canonical
-    mask = gamma_plus(field, spec.psi0, grid)
+    mask = per_call.gamma_plus(field, spec.psi0, grid)
     u = np.zeros(grid.shape)
     t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
     space = interior_bump_space(grid)
@@ -396,7 +395,7 @@ def test_parabolic_and_schrodinger_kinds_run(canonical):
     grid, field, _ = canonical
     spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid, lam=1.0)
     u = interior_bump_spacetime(grid)
-    mask = gamma_plus(field, spec.psi0, grid)
+    mask = per_call.gamma_plus(field, spec.psi0, grid)
     for kind in ("parabolic_full", "schrodinger_full"):
         side = evaluate_sides(u.astype(complex), spec, field, None, kind, 2.0, grid)
         assert side.lhs_interior > 0.0 and np.isfinite(side.rhs_total)

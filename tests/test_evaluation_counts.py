@@ -1,0 +1,99 @@
+"""Evaluation counts per command run: A, dA and the derivatives of psi0 are
+evaluated on the space nodes once, the CFL limit of a wave run once more, and
+the Gamma+ mask and the operator without lower-order terms are built once."""
+
+import sys
+
+import numpy as np
+import yaml
+
+from carleman import operators, solvers
+from carleman.cli import build_grid_from, main
+from carleman.coefficients import MatrixField
+from carleman.polynomials import Polynomial
+
+_SHIPPED_1D = {
+    "seed": 7,
+    "grid": {"lows": [0.0], "highs": [1.0], "nodes": [33], "t1": 0.0, "t2": 2.0, "nt": 257},
+    "coefficients": {"family": "identity"},
+    "weight": {"family": "example", "x0": [-0.5], "lambda": 1.0},
+    "equation": {"kind": "wave"},
+    "observability": {"kind": "wave", "alpha": 0.5, "t_obs": 2.0, "modes": 4,
+                      "worst_case_iterations": 2},
+    "solve": {"kind": "wave", "mode": [1]},
+}
+
+_HEAT_FINAL_2D = {
+    "grid": {"lows": [0.0, 0.0], "highs": [1.0, 1.0], "nodes": [9, 9], "t1": 0.0, "t2": 0.5,
+             "nt": 17},
+    "coefficients": {"family": "identity"},
+    "weight": {"family": "example", "x0": [-0.5, 0.5]},
+    "observability": {"kind": "heat_final", "modes": 2},
+}
+
+
+def _counted(monkeypatch, cfg: dict) -> dict:
+    """Wrap the evaluations of A, dA, grad psi0 and hess psi0 (counted on the
+    space nodes of the config's grid only), ``assemble_operator`` (counted
+    without lower-order terms) and ``gamma_plus``, in every ``carleman``
+    namespace that holds them; returns the counts, filled as the run goes."""
+    nodes = build_grid_from(cfg).space_points.shape
+    counts = dict.fromkeys(("A", "dA", "grad", "hess", "assemble", "gamma_plus"), 0)
+
+    def on_nodes(key, fn):
+        def wrapper(self, points, *args, **kwargs):
+            counts[key] += np.shape(points) == nodes
+            return fn(self, points, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MatrixField, "__call__", on_nodes("A", MatrixField.__call__))
+    monkeypatch.setattr(MatrixField, "first_derivatives",
+                        on_nodes("dA", MatrixField.first_derivatives))
+    monkeypatch.setattr(Polynomial, "eval_gradient", on_nodes("grad", Polynomial.eval_gradient))
+    monkeypatch.setattr(Polynomial, "eval_hessian", on_nodes("hess", Polynomial.eval_hessian))
+
+    assemble_operator, gamma_plus = operators.assemble_operator, solvers.gamma_plus
+
+    def assemble(field, lower, grid):
+        counts["assemble"] += lower is None
+        return assemble_operator(field, lower, grid)
+
+    def mask(*args):
+        counts["gamma_plus"] += 1
+        return gamma_plus(*args)
+
+    for original, wrapper in ((assemble_operator, assemble), (gamma_plus, mask)):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "carleman" and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def _run(tmp_path, command: str, cfg: dict) -> int:
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_observability_takes_one_setup(tmp_path, monkeypatch):
+    """The 1-D validation config on 33 nodes and 257 levels with two
+    estimator iterations: A twice (the sample and the CFL limit held per
+    field and grid), each derivative once, one operator and one mask."""
+    counts = _counted(monkeypatch, _SHIPPED_1D)
+    assert _run(tmp_path, "observability", _SHIPPED_1D) == 2  # below the threshold
+    assert counts == {"A": 2, "dA": 1, "grad": 1, "hess": 1, "assemble": 1, "gamma_plus": 1}
+
+
+def test_heat_final_observability_samples_once(tmp_path, monkeypatch):
+    counts = _counted(monkeypatch, _HEAT_FINAL_2D)
+    assert _run(tmp_path, "observability", _HEAT_FINAL_2D) == 2
+    assert counts == {"A": 1, "dA": 1, "grad": 1, "hess": 1, "assemble": 1, "gamma_plus": 1}
+
+
+def test_wave_solve_evaluates_a_once(tmp_path, monkeypatch):
+    """``solve.json``'s CFL limit is the one the march holds."""
+    counts = _counted(monkeypatch, _SHIPPED_1D)
+    assert _run(tmp_path, "solve", _SHIPPED_1D) == 0
+    assert counts["A"] == 1

@@ -6,14 +6,11 @@ from carleman import (
     SchrodingerData,
     WaveData,
     build_grid,
-    observability_experiment,
     solve_evolution,
-    worst_case_ratio,
 )
-from carleman.experiments import CheckFailedError, _sigma_plus_norm
+from carleman.experiments import CheckFailedError, _sigma_plus_norm, observability_experiment
 from carleman.polynomials import Polynomial, poly_from_table
-from carleman.solvers import HeatData, gamma_plus
-from carleman.weights import make_observability_weight
+from carleman.solvers import HeatData
 from conftest import sine_mode
 import per_call
 
@@ -38,7 +35,7 @@ def validation_1d():
 
 def test_wave_validation_ratio(validation_1d):
     g, field, datum = validation_1d
-    report = observability_experiment(
+    report = per_call.observability(
         "wave", field, PSI0_1D, 0.5, 2.0, [datum], g
     )
     sample = report.samples[0]
@@ -50,7 +47,7 @@ def test_wave_validation_ratio(validation_1d):
 def test_zero_data_flagged_not_dropped(validation_1d):
     g, field, datum = validation_1d
     zero = WaveData(u0=np.zeros(g.space_shape), u1=np.zeros(g.space_shape))
-    report = observability_experiment(
+    report = per_call.observability(
         "wave", field, PSI0_1D, 0.5, 2.0, [datum, zero], g
     )
     flags = [s.flag for s in report.samples]
@@ -61,13 +58,11 @@ def test_zero_data_flagged_not_dropped(validation_1d):
 
 def test_threshold_bookkeeping_matches_weights_module(validation_1d):
     g, field, datum = validation_1d
-    report = observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
-    _, thr = make_observability_weight(PSI0_1D, 0.5, 2.0, 1.0, field, g)
+    report = per_call.observability("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
+    _, thr = per_call.observability_weight(PSI0_1D, 0.5, 2.0, 1.0, field, g)
     assert report.t_alpha == thr.t_alpha
-    from carleman import certify_pseudoconvex
-
     ell = per_call.ellipticity(field, g)
-    cert = certify_pseudoconvex(field, PSI0_1D, g)
+    cert = per_call.pseudoconvex(field, PSI0_1D, g)
     expected_secondary = (8.0 * ell.kappa_estimate / cert.kappa) ** (1.0 / 1.5)
     assert report.t_secondary == pytest.approx(expected_secondary, rel=1e-12)
     assert report.t_required == max(report.t_alpha, report.t_secondary)
@@ -80,8 +75,8 @@ def test_threshold_bookkeeping_matches_weights_module(validation_1d):
 def test_scale_invariance_of_ratios(validation_1d):
     g, field, datum = validation_1d
     scaled = WaveData(u0=3.0 * datum.u0, u1=3.0 * datum.u1)
-    r1 = observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
-    r2 = observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [scaled], g)
+    r1 = per_call.observability("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
+    r2 = per_call.observability("wave", field, PSI0_1D, 0.5, 2.0, [scaled], g)
     assert r2.samples[0].ratio == pytest.approx(r1.samples[0].ratio, rel=1e-12)
 
 
@@ -95,7 +90,7 @@ def test_trace_norm_monotone_in_observation_time(validation_1d):
         state = solve_evolution(
             "wave", f, None, WaveData(np.sin(np.pi * x), np.zeros_like(x)), t_final, g
         )
-        mask = gamma_plus(f, PSI0_1D, g)
+        mask = per_call.gamma_plus(f, PSI0_1D, g)
         norms.append(_sigma_plus_norm(state.traces, mask, g))
     assert norms[0] <= norms[1] + 1e-12
     assert norms[1] <= norms[2] + 1e-12
@@ -113,7 +108,7 @@ def test_2d_ensemble_ratios_finite_and_stable():
                      u1=np.zeros(g.space_shape))
             for m in range(3)
         ]
-        rep = observability_experiment("wave", field, psi0, 0.5, 2.3, ensemble, g)
+        rep = per_call.observability("wave", field, psi0, 0.5, 2.3, ensemble, g)
         assert all(s.ratio is not None and np.isfinite(s.ratio) for s in rep.samples)
         return rep.aleph_emp
 
@@ -125,12 +120,12 @@ def test_heat_final_and_schrodinger_kinds_run():
     g = build_grid([0, 0], [1, 1], [17, 17], 0.0, 0.4, 81)
     field = MatrixField.identity(2, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    heat_rep = observability_experiment(
+    heat_rep = per_call.observability(
         "heat_final", field, psi0, 0.5, 0.4,
         [HeatData(u0=sine_mode(g, (1, 1)))], g,
     )
     assert heat_rep.samples[0].ratio is not None
-    schro_rep = observability_experiment(
+    schro_rep = per_call.observability(
         "schrodinger", field, psi0, 0.5, 0.4,
         [SchrodingerData(u0=sine_mode(g, (1, 2)).astype(complex))], g,
     )
@@ -143,14 +138,14 @@ def test_heat_final_and_schrodinger_kinds_run():
 
 def test_worst_case_single_iteration_is_definitional(validation_1d):
     g, field, datum = validation_1d
-    report = observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
-    wc = worst_case_ratio("wave", field, PSI0_1D, 2.0, g, 1, seed_data=datum)
+    report = per_call.observability("wave", field, PSI0_1D, 0.5, 2.0, [datum], g)
+    wc = per_call.worst_case(field, PSI0_1D, 2.0, g, 1, seed_data=datum)
     assert wc.ratio == pytest.approx(report.samples[0].ratio, abs=1e-12)
 
 
 def test_worst_case_dominates_single_mode(validation_1d):
     g, field, datum = validation_1d
-    wc = worst_case_ratio("wave", field, PSI0_1D, 2.0, g, 6, seed_data=datum)
+    wc = per_call.worst_case(field, PSI0_1D, 2.0, g, 6, seed_data=datum)
     assert wc.ratio >= 2.0**-0.5 * (1.0 - 0.02)
 
 
@@ -159,7 +154,7 @@ def test_worst_case_iterates_nondecreasing():
                    int(np.ceil(2.2 / (0.45 / 12 / np.sqrt(2)))) + 1)
     field = MatrixField.identity(2, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    wc = worst_case_ratio("wave", field, psi0, 2.2, g, 10)
+    wc = per_call.worst_case(field, psi0, 2.2, g, 10)
     diffs = np.diff(wc.ratios)
     assert np.all(diffs >= -1e-9 * np.asarray(wc.ratios[:-1]))
 
@@ -169,34 +164,54 @@ def test_worst_case_unobservable_flag():
     field = MatrixField.identity(1, domain=g.domain)
     const = Polynomial.constant(1, 1.0)
     x = g.space_points[..., 0]
-    wc = worst_case_ratio(
-        "wave", field, const, 1.0, g, 3,
-        seed_data=WaveData(np.sin(np.pi * x), np.zeros_like(x)), validate=False,
-    )
+    wc = per_call.worst_case(field, const, 1.0, g, 3,
+                             seed_data=WaveData(np.sin(np.pi * x), np.zeros_like(x)))
     assert wc.flag == "unobservable"
     assert wc.ratio == float("inf")
-
-
-def test_worst_case_requires_pseudoconvex_weight(validation_1d):
-    g, field, datum = validation_1d
-    with pytest.raises(ValueError, match="pseudo-convex"):
-        worst_case_ratio("wave", field, Polynomial.constant(1, 1.0), 2.0, g, 2,
-                         seed_data=datum)
 
 
 def test_non_pseudoconvex_weight_is_a_failed_check(validation_1d):
     g, field, datum = validation_1d
     concave = poly_from_table(1, [((0,), 2.75), ((1,), -1.0), ((2,), -1.0)])
     with pytest.raises(CheckFailedError, match=r"not pseudo-convex .*kappa="):
-        worst_case_ratio("wave", field, concave, 2.0, g, 2, seed_data=datum)
-    with pytest.raises(CheckFailedError, match=r"not pseudo-convex .*kappa="):
-        observability_experiment("wave", field, concave, 0.5, 2.0, [datum], g)
+        per_call.observability("wave", field, concave, 0.5, 2.0, [datum], g)
+
+
+def test_experiment_hands_its_setup_to_the_estimator():
+    """The estimate the experiment returns is the estimator's own, run with a
+    mask and an operator of its own."""
+    g = build_grid([0, 0], [1, 1], [13, 13], 0.0, 2.2,
+                   int(np.ceil(2.2 / (0.45 / 12 / np.sqrt(2)))) + 1)
+    field = MatrixField.identity(2, domain=g.domain)
+    psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
+    sample = per_call.field_sample(field, g.space_points) + per_call.weight_sample(
+        psi0, g.space_points)
+    datum = WaveData(sine_mode(g, (1, 2)), np.zeros(g.space_shape))
+    report, got = observability_experiment("wave", field, psi0, 0.5, 2.2, [datum], g, sample,
+                                           worst_case_iterations=3)
+    ref = per_call.worst_case(field, psi0, 2.2, g, 3)
+    assert report.samples == per_call.observability("wave", field, psi0, 0.5, 2.2, [datum],
+                                                    g).samples
+    assert (got.ratios, got.flag, got.converged) == (ref.ratios, ref.flag, ref.converged)
+    assert got.data.u0.tobytes() == ref.data.u0.tobytes()
+
+
+def test_worst_case_estimate_needs_the_wave_kind():
+    g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 0.4, 17)
+    field = MatrixField.identity(2, domain=g.domain)
+    psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
+    sample = per_call.field_sample(field, g.space_points) + per_call.weight_sample(
+        psi0, g.space_points)
+    with pytest.raises(ValueError, match="wave kind"):
+        observability_experiment("heat_final", field, psi0, 0.5, 0.4,
+                                 [HeatData(u0=sine_mode(g, (1, 1)))], g, sample,
+                                 worst_case_iterations=1)
 
 
 def test_experiment_requires_nonempty_ensemble(validation_1d):
     g, field, _ = validation_1d
     with pytest.raises(ValueError, match="nonempty"):
-        observability_experiment("wave", field, PSI0_1D, 0.5, 2.0, [], g)
+        per_call.observability("wave", field, PSI0_1D, 0.5, 2.0, [], g)
 
 
 # -- block solves against the sequential path -----------------------------------
@@ -232,7 +247,7 @@ def test_worst_case_block_climb_matches_sequential(case):
 
     g, psi0, iterations, seed = case()
     field = MatrixField.identity(g.n, domain=g.domain)
-    got = worst_case_ratio("wave", field, psi0, g.t2, g, iterations, seed_data=seed)
+    got = per_call.worst_case(field, psi0, g.t2, g, iterations, seed_data=seed)
     ref = reference_worst_case(field, psi0, g.t2, g, iterations, seed_data=seed)
     assert (got.ratios, got.flag, got.converged, got.iterations_run) == (
         ref.ratios, ref.flag, ref.converged, ref.iterations_run)
@@ -257,9 +272,8 @@ def test_ensemble_block_matches_member_solves(kind):
         ensemble = [SchrodingerData(sine_mode(g, m).astype(complex)) for m in modes]
     else:
         ensemble = [HeatData(sine_mode(g, m)) for m in modes]
-    report = observability_experiment(kind, field, psi0, 0.5, g.t2, ensemble, g,
-                                      validate=False)
-    mask = gamma_plus(field, psi0, g)
+    report = per_call.observability(kind, field, psi0, 0.5, g.t2, ensemble, g)
+    mask = per_call.gamma_plus(field, psi0, g)
     solve_kind = {"heat_final": "heat"}.get(kind, kind)
     for sample, datum in zip(report.samples, ensemble, strict=True):
         state = solve_evolution(solve_kind, field, None, datum, g.t2, g)

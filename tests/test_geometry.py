@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 import carleman.cli as cli
 import reference_fields as ref
-from carleman import (
-    MatrixField,
-    WaveData,
-    build_grid,
-    worst_case_ratio,
-)
+from carleman import MatrixField, WaveData, build_grid
 from carleman.audit import _window, default_ensemble
 from carleman.geometry import separable, sine_profile, smooth_bump
 from carleman.polynomials import Polynomial
@@ -300,7 +295,7 @@ def test_worst_case_default_seed_matches_frozen_builder():
     field = MatrixField.identity(1, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5], scale=0.5)
     seed = WaveData(u0=ref.first_sine_mode(g), u1=np.zeros(g.space_shape))
-    new = worst_case_ratio("wave", field, psi0, 2.0, g, 1)
-    old = worst_case_ratio("wave", field, psi0, 2.0, g, 1, seed_data=seed)
+    new = per_call.worst_case(field, psi0, 2.0, g, 1)
+    old = per_call.worst_case(field, psi0, 2.0, g, 1, seed_data=seed)
     assert _same(new.data.u0, old.data.u0)
     assert new.ratio == old.ratio

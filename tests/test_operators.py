@@ -414,7 +414,7 @@ def test_planar_sums_equal_the_frozen_einsums(n):
     ref = reference_theta.spatial_weight_pieces(*old)
     assert np.array_equal(gsq, ref[0]) and np.array_equal(lap, ref[1])
     assert np.array_equal(node_major(a_grad, 1), ref[2])
-    masks = gamma_plus(field, psi0, g).face_masks
+    masks = gamma_plus(a, grad, g).face_masks
     assert all(np.array_equal(m, r) for m, r in
                zip(masks, reference_theta.gamma_plus_masks(old[0], old[2], g)))
     mat = assemble_operator(field, None, g)

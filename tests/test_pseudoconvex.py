@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from carleman import (
     MatrixField,
     build_grid,
-    certify_pseudoconvex,
     flatten_and_certify_hypersurface,
     theta_decomposition,
 )
@@ -154,7 +153,7 @@ def test_lambda_structural_symmetries():
 def test_certify_quadratic_weight_identity_field():
     grid = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 3)
     field = MatrixField.identity(2, domain=grid.domain)
-    cert = certify_pseudoconvex(field, QUAD_WEIGHT, grid)
+    cert = per_call.pseudoconvex(field, QUAD_WEIGHT, grid)
     assert cert.passed
     assert cert.kappa == pytest.approx(2.0, abs=1e-14)
 
@@ -163,7 +162,7 @@ def test_certify_scalar_affine_nodewise_bound():
     grid = build_grid([0, 0], [1, 1], [17, 17], 0.0, 1.0, 3)
     field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=grid.domain)
     h = Polynomial.squared_distance([-1.0, 0.5], scale=0.5)
-    cert = certify_pseudoconvex(field, h, grid)
+    cert = per_call.pseudoconvex(field, h, grid)
     assert cert.passed
     pts = grid.space_points.reshape(-1, 2)
     dist = np.linalg.norm(pts - np.array([-1.0, 0.5]), axis=-1)
@@ -174,7 +173,7 @@ def test_certify_scalar_affine_nodewise_bound():
 def test_certify_constant_weight_fails_on_gradient():
     grid = build_grid([0, 0], [1, 1], [5, 5], 0.0, 1.0, 3)
     field = MatrixField.identity(2, domain=grid.domain)
-    cert = certify_pseudoconvex(field, Polynomial.constant(2, 3.0), grid)
+    cert = per_call.pseudoconvex(field, Polynomial.constant(2, 3.0), grid)
     assert not cert.passed
     assert cert.grad_min == 0.0
 
@@ -189,15 +188,15 @@ def test_certify_rotation_compatibility():
     rotated = MatrixField.scalar_affine(2, 1.0, [0.0, 0.1])
     grid_rot = build_grid([-1, 0], [0, 1], [13, 13], 0.0, 1.0, 3)
     h_rot = Polynomial.squared_distance([-0.5, -1.0], scale=0.5)
-    c1 = certify_pseudoconvex(field, h, grid)
-    c2 = certify_pseudoconvex(rotated, h_rot, grid_rot)
+    c1 = per_call.pseudoconvex(field, h, grid)
+    c2 = per_call.pseudoconvex(rotated, h_rot, grid_rot)
     assert c2.kappa == pytest.approx(c1.kappa, abs=1e-6)
 
 
 def test_certify_empty_grid_rejected():
     field = MatrixField.identity(2)
     with pytest.raises(ValueError, match="empty"):
-        certify_pseudoconvex(field, QUAD_WEIGHT, np.zeros((0, 2)))
+        per_call.pseudoconvex(field, QUAD_WEIGHT, np.zeros((0, 2)))
 
 
 # -- flattening --------------------------------------------------------------
@@ -272,9 +271,11 @@ def test_theta_dimension_mismatch_rejected():
 
 
 def test_flatten_chart_too_curved_at_radius_floor():
+    # the Jacobian bound needs radius <= 1/2; twenty halvings of 1e6 (the largest
+    # radius a config may give) leave 0.95
     field = MatrixField.identity(2)
     with pytest.raises(ValueError, match="chart too curved"):
-        flatten_and_certify_hypersurface(field, Polynomial(1, {}), 8.0, max_halvings=0)
+        flatten_and_certify_hypersurface(field, Polynomial(1, {}), 1e6)
 
 
 _COEFF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

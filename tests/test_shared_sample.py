@@ -1,5 +1,6 @@
-"""One node sample per command: the certify-family readers give the same bits
-from the arrays a command evaluates once as from a sample of their own."""
+"""One node sample per command: the readers of the certify-family commands and
+of ``observability`` give the same bits from the arrays a command evaluates
+once as from a sample of their own."""
 
 import itertools
 
@@ -20,7 +21,9 @@ from carleman.operators import (
 )
 from carleman.polynomials import Polynomial, poly_from_table
 from carleman.pseudoconvex import theta_scan
-from carleman.weights import TimeProfile, WeightSpec, check_admissibility
+from carleman.solvers import gamma_plus
+from carleman.weights import (TimeProfile, WeightSpec, check_admissibility,
+                              make_observability_weight)
 import per_call
 
 _SMALL = st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False)
@@ -61,13 +64,24 @@ def _same(x, y) -> bool:
     return repr(x) == repr(y)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return exc
+
+
+# A fixed draw of 40 examples in tier-1; the "ci" profile of tests/conftest.py,
+# with more examples, draws more of the same fixed sequence.
+@settings(max_examples=max(1, settings.default.max_examples * 2 // 5), derandomize=True,
+          deadline=None)
 @given(_cases())
 def test_shared_sample_matches_per_call_evaluations(case):
-    """Every certificate and residual computed from one sample of A, dA,
-    grad psi0 and hess psi0 (and one assembled operator), read in the order
-    of the commands, equals the one computed from evaluations of its own,
-    and no reader changes the arrays it shares."""
+    """Every certificate, weight, mask and residual computed from one sample
+    of A, dA, grad psi0 and hess psi0 (and one assembled operator), read in
+    the order of the commands, equals the one computed from evaluations of
+    its own, and no reader changes the arrays it shares."""
     grid, field, spec, kind = case
     pts = grid.space_points
     sample = field(pts), field.first_derivatives(pts), spec.psi0.eval_gradient(pts), \
@@ -97,6 +111,16 @@ def test_shared_sample_matches_per_call_evaluations(case):
     coeffs = conjugation_coeffs(spec, a, da, grad, hess, kind, 1.0, grid)
     assert _same(conjugation_residual(member, coeffs, mat, grid),
                  per_call.conjugation(member, spec, field, kind, 1.0, grid))
+
+    # observability: the weight thresholds (on psi0 lifted to be nonnegative on
+    # the nodes; a constant leaves its derivatives as they are) and the mask
+    lifted = spec.psi0 + Polynomial.constant(grid.n, max(0.0, -float(np.min(spec.psi0(pts)))))
+    assert _same(_outcome(make_observability_weight, lifted, 0.5, grid.t2, 0.0, a, grad, grid),
+                 _outcome(per_call.observability_weight, lifted, 0.5, grid.t2, 0.0, field,
+                          grid))
+    assert all(np.array_equal(x, y) for x, y in zip(
+        gamma_plus(a, grad, grid).face_masks,
+        per_call.gamma_plus(field, spec.psi0, grid).face_masks, strict=True))
 
     fresh = field(pts), field.first_derivatives(pts), spec.psi0.eval_gradient(pts), \
         spec.psi0.eval_hessian(pts)

@@ -11,7 +11,6 @@ from carleman import (
     SchrodingerData,
     WaveData,
     build_grid,
-    gamma_plus,
     smoothing_bound_check,
     solve_block,
     solve_evolution,
@@ -733,7 +732,7 @@ def test_gamma_plus_1d_right_endpoint():
     g = build_grid([0.0], [1.0], [17], 0.0, 1.0, 5)
     field = MatrixField.identity(1, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5], scale=0.5)
-    mask = gamma_plus(field, psi0, g)
+    mask = per_call.gamma_plus(field, psi0, g)
     assert not mask.face_masks[0].any()
     assert mask.face_masks[1].all()
 
@@ -742,7 +741,7 @@ def test_gamma_plus_linear_weight_right_face():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 5)
     field = MatrixField.identity(2, domain=g.domain)
     psi0 = poly_from_table(2, [((1, 0), 1.0)])
-    mask = gamma_plus(field, psi0, g)
+    mask = per_call.gamma_plus(field, psi0, g)
     assert not mask.face_masks[0].any()  # x low
     assert mask.face_masks[1].all()  # x high
     assert not mask.face_masks[2].any() and not mask.face_masks[3].any()
@@ -751,7 +750,7 @@ def test_gamma_plus_linear_weight_right_face():
 def test_gamma_plus_constant_weight_empty():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1.0, 5)
     field = MatrixField.identity(2, domain=g.domain)
-    mask = gamma_plus(field, Polynomial.constant(2, 1.0), g)
+    mask = per_call.gamma_plus(field, Polynomial.constant(2, 1.0), g)
     assert not any(m.any() for m in mask.face_masks)
     assert mask.describe() == "empty"
 

@@ -7,7 +7,6 @@ from carleman import (
     MatrixField,
     build_grid,
     make_example_weight,
-    make_observability_weight,
     ucp_region_certificate,
 )
 from carleman.polynomials import Polynomial
@@ -133,7 +132,7 @@ def test_observability_threshold_arithmetic():
     grid = build_grid([0], [2.23606797749979 - 0.5], [9], 0.0, 6500.0, 9)
     psi0 = Polynomial.squared_distance([-0.5], scale=0.5)
     field = MatrixField.identity(1, domain=grid.domain)
-    spec, thr = make_observability_weight(psi0, 0.5, 6500.0, 30.0, field, grid)
+    spec, thr = per_call.observability_weight(psi0, 0.5, 6500.0, 30.0, field, grid)
     assert thr.delta0 == pytest.approx(0.25)
     assert thr.m_sup == pytest.approx(2.5)
     assert thr.t_alpha == pytest.approx(6400.0)
@@ -143,7 +142,7 @@ def test_observability_checks_above_threshold():
     grid = build_grid([0, 0], [1, 1], [9, 9], 0.0, 1601.0, 9)
     field = MatrixField.identity(2, domain=grid.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    spec, thr = make_observability_weight(psi0, 0.5, 1601.0, 11.0, field, grid)
+    spec, thr = per_call.observability_weight(psi0, 0.5, 1601.0, 11.0, field, grid)
     assert thr.t_alpha == pytest.approx(1600.0)
     assert all(thr.checks.values())
     assert spec.min_psi(grid) >= 0.0
@@ -153,7 +152,7 @@ def test_observability_checks_fail_below_threshold():
     grid = build_grid([0, 0], [1, 1], [9, 9], 0.0, 800.0, 9)
     field = MatrixField.identity(2, domain=grid.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    _, thr = make_observability_weight(psi0, 0.5, 800.0, 8.0, field, grid)
+    _, thr = per_call.observability_weight(psi0, 0.5, 800.0, 8.0, field, grid)
     assert not all(thr.checks.values())
     assert not thr.checks["outer-band-upper-bound"]
 
@@ -164,7 +163,7 @@ def test_observability_rejects_bad_alpha():
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="alpha"):
-            make_observability_weight(psi0, alpha, 1.0, 0.0, field, grid)
+            per_call.observability_weight(psi0, alpha, 1.0, 0.0, field, grid)
 
 
 # -- UCP region certificate -----------------------------------------------------------
@@ -261,7 +260,7 @@ def test_observability_rejects_nonpositive_time():
     field = MatrixField.identity(2, domain=grid.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
     with pytest.raises(ValueError, match="positive"):
-        make_observability_weight(psi0, 0.5, -1.0, 0.0, field, grid)
+        per_call.observability_weight(psi0, 0.5, -1.0, 0.0, field, grid)
 
 
 def test_admissibility_unknown_kind_rejected(unit_square_grid):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -809,7 +810,10 @@ def run_command(name: str, cfg: dict, outdir: Path, seed: int | None = None,
     return status
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call of ``main`` and reused
+    by every later one (building it takes about a millisecond)."""
     parser = _Parser(prog="carleman", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
@@ -818,8 +822,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--strict", action="store_true")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not args.command:
             raise ConfigError("no command given")
         cfg = load_config(args.config)

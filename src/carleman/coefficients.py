@@ -49,30 +49,78 @@ def symmetric_eigenvalues(mats: np.ndarray) -> np.ndarray:
         rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b**2, 0.0))
         return np.stack([mean - rad, mean + rad])
     if n == 3:
-        a11, a22, a33 = mats[0, 0], mats[1, 1], mats[2, 2]
-        a12, a13, a23 = mats[0, 1], mats[0, 2], mats[1, 2]
-        p1 = a12**2 + a13**2 + a23**2
-        q = (a11 + a22 + a33) / 3.0
-        p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-        p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-        safe_p = np.where(p > 0, p, 1.0)
-        b11, b22, b33 = (a11 - q) / safe_p, (a22 - q) / safe_p, (a33 - q) / safe_p
-        b12, b13, b23 = a12 / safe_p, a13 / safe_p, a23 / safe_p
-        detb = (
-            b11 * (b22 * b33 - b23**2)
-            - b12 * (b12 * b33 - b23 * b13)
-            + b13 * (b12 * b23 - b22 * b13)
-        )
-        r = np.clip(detb / 2.0, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        e1 = q + 2.0 * p * np.cos(phi)
-        e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-        e2 = 3.0 * q - e1 - e3
-        lo = np.where(p > 0, e3, q)
-        mid = np.where(p > 0, e2, q)
-        hi = np.where(p > 0, e1, q)
-        return np.stack([lo, mid, hi])
+        return _eigenvalues_3x3(mats)
     raise ValueError(f"closed-form eigenvalues only for n <= 3, got {n}")
+
+
+def _eigenvalues_3x3(mats: np.ndarray) -> np.ndarray:
+    """The 3x3 branch of ``symmetric_eigenvalues``, written into a few
+    preallocated planes (fresh node-size planes page-fault on first touch);
+    each value is formed by the operations, in the order, of
+
+        p1 = a12**2 + a13**2 + a23**2
+        q = (a11 + a22 + a33) / 3
+        p = sqrt(max(((a11 - q)**2 + (a22 - q)**2 + (a33 - q)**2 + 2 p1) / 6, 0))
+        b = (A - q I) / (p if p > 0 else 1)
+        phi = arccos(clip(det(b) / 2, -1, 1)) / 3
+        e1 = q + 2 p cos(phi),  e3 = q + 2 p cos(phi + 2 pi / 3),  e2 = 3 q - e1 - e3
+
+    with det(b) = b11 (b22 b33 - b23^2) - b12 (b12 b33 - b23 b13)
+    + b13 (b12 b23 - b22 b13), and every eigenvalue q where p is not positive.
+    """
+    a11, a22, a33 = mats[0, 0], mats[1, 1], mats[2, 2]
+    a12, a13, a23 = mats[0, 1], mats[0, 2], mats[1, 2]
+    shape = np.shape(a11)
+    work = np.empty((10,) + shape)
+    q, p, d1, d2, d3, b12, b13, b23, t, u = (work[i, ...] for i in range(10))
+    out = np.empty((3,) + shape)
+    lo, mid, hi = (out[i, ...] for i in range(3))
+
+    p1 = np.square(a12, out=b12)
+    p1 += np.square(a13, out=t)
+    p1 += np.square(a23, out=t)
+    np.add(a11, a22, out=q)
+    q += a33
+    q /= 3.0
+    p2 = np.square(np.subtract(a11, q, out=d1), out=p)
+    p2 += np.square(np.subtract(a22, q, out=d2), out=t)
+    p2 += np.square(np.subtract(a33, q, out=d3), out=t)
+    p2 += np.multiply(2.0, p1, out=t)
+    p2 /= 6.0
+    np.sqrt(np.maximum(p2, 0.0, out=p), out=p)
+    positive = p > 0
+    safe = u
+    safe.fill(1.0)
+    np.copyto(safe, p, where=positive)
+    b11, b22, b33 = d1, d2, d3
+    for b in (b11, b22, b33):
+        b /= safe
+    np.divide(a12, safe, out=b12)
+    np.divide(a13, safe, out=b13)
+    np.divide(a23, safe, out=b23)
+
+    det = mid
+    np.multiply(b11, np.subtract(np.multiply(b22, b33, out=det), np.square(b23, out=t),
+                                 out=det), out=det)
+    det -= np.multiply(b12, np.subtract(np.multiply(b12, b33, out=t),
+                                        np.multiply(b23, b13, out=u), out=t), out=t)
+    det += np.multiply(b13, np.subtract(np.multiply(b12, b23, out=t),
+                                        np.multiply(b22, b13, out=u), out=t), out=t)
+    det /= 2.0
+    phi = np.clip(det, -1.0, 1.0, out=det)
+    np.arccos(phi, out=phi)
+    phi /= 3.0
+
+    two_p = np.multiply(2.0, p, out=d1)
+    e1 = np.add(q, np.multiply(two_p, np.cos(phi, out=t), out=t), out=hi)
+    np.add(phi, 2.0 * np.pi / 3.0, out=t)
+    e3 = np.add(q, np.multiply(two_p, np.cos(t, out=t), out=t), out=lo)
+    e2 = np.subtract(np.multiply(3.0, q, out=t), e1, out=mid)
+    e2 -= e3
+    flat = ~positive
+    for e in (lo, mid, hi):
+        np.copyto(e, q, where=flat)
+    return out
 
 
 def _sum(terms):

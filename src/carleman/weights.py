@@ -123,14 +123,19 @@ class WeightSpec:
     def psi_space(self, grid: SpaceTimeGrid) -> np.ndarray:
         return self.psi0(grid.space_points) + self.shift
 
-    def min_psi(self, grid: SpaceTimeGrid) -> float:
-        space_min = float(np.min(self.psi0(grid.space_points)))
+    def min_psi(self, grid: SpaceTimeGrid, space_min: float | None = None) -> float:
+        """min psi on the grid; ``space_min`` is min psi0 on the nodes, where
+        the caller holds it."""
+        if space_min is None:
+            space_min = float(np.min(self.psi0(grid.space_points)))
         time_min = float(np.min(self.psi1(grid.times)))
         return space_min + time_min + self.shift
 
-    def ensure_nonnegative(self, grid: SpaceTimeGrid) -> "WeightSpec":
+    def ensure_nonnegative(
+        self, grid: SpaceTimeGrid, space_min: float | None = None
+    ) -> "WeightSpec":
         """Auto-shift so psi >= 0 on the grid (minimal shift plus headroom)."""
-        m = self.min_psi(grid)
+        m = self.min_psi(grid, space_min)
         if m >= 0.0:
             return self
         return self.with_shift(self.shift - m + AUTO_SHIFT_HEADROOM)
@@ -159,10 +164,28 @@ class WeightAdmissibility:
         return [v.code for v in self.violations]
 
 
-def _bracket_values(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray) -> np.ndarray:
-    """chi = |grad psi0|_A^2 - (dt psi1)^2 on all space-time nodes, from the
-    space-node values ``gsq_a`` of |grad psi0|_A^2."""
-    return gsq_a[..., None] - psi1.dt(times) ** 2
+def _bracket_extremes(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray):
+    """The bracket chi = |grad psi0|_A^2 - (dt psi1)^2 over all space-time
+    nodes, read from its space values g = ``gsq_a`` and time values
+    e = (dt psi1)^2 alone: (min chi, the flat space index of its first C-order
+    minimizer, min chi^2).
+
+    Rounded subtraction and squaring are monotone, so min chi is
+    fl(min g - max e), its rows are g - max e, and chi^2 is least where |chi|
+    is: at the extreme bracket when chi keeps one sign, else for each g at its
+    nearest e from below or above.  Both extreme brackets are squared, so a
+    square that overflows anywhere on the grid overflows here too."""
+    g, e = gsq_a.reshape(-1), psi1.dt(times) ** 2
+    low, high = np.subtract([np.min(g), np.max(g)], [np.max(e), np.min(e)])
+    squares = np.square([low, high])
+    if low >= 0.0 or high <= 0.0:
+        delta = squares[0 if low >= 0.0 else 1]
+    else:
+        e = np.sort(e)
+        k = np.searchsorted(e, g, side="right")
+        delta = min(np.min(np.square(g - e[np.maximum(k - 1, 0)])),
+                    np.min(np.square(g - e[np.minimum(k, e.size - 1)])))
+    return float(low), int(np.argmin(g - np.max(e))), float(delta)
 
 
 def check_admissibility(
@@ -231,20 +254,13 @@ def check_admissibility(
         if ellipticity is None:
             raise ValueError("wave admissibility needs an ellipticity report for varkappa")
         varkappa = ellipticity.kappa_estimate
-        bracket = _bracket_values(gsq_a, spec.psi1, grid.times)
-        delta = float(np.min(bracket**2))
-        bmin = float(np.min(bracket))
+        bmin, space_idx, delta = _bracket_extremes(gsq_a, spec.psi1, grid.times)
         if bmin <= 0.0:
-            flat = bracket.reshape(-1)
-            j = int(np.argmin(flat))
-            space_idx = j // grid.nt
             violations.append(
                 Violation(
                     COND_WAVE_CONE,
                     f"|grad psi0|_A^2 - (dt psi1)^2 reaches {bmin:.6g} <= 0",
-                    witness_node=tuple(
-                        float(v) for v in pts.reshape(-1, spec.n)[space_idx]
-                    ),
+                    witness_node=tuple(float(v) for v in flat_pts[space_idx]),
                     witness_value=bmin,
                 )
             )
@@ -324,9 +340,9 @@ def make_observability_weight(
         raise ValueError("grid time interval must be (0, t_obs)")
 
     vals0 = psi0(grid.space_points)
-    if float(np.min(vals0)) < -1e-12:
+    space_min, m_sup = float(np.min(vals0)), float(np.max(vals0))
+    if space_min < -1e-12:
         raise ValueError("psi0 must be nonnegative")
-    m_sup = float(np.max(vals0))
     gsq_a = quad_form(grad, a, grad)
     delta0 = float(np.min(gsq_a))
     if delta0 <= 0.0:
@@ -339,20 +355,22 @@ def make_observability_weight(
         psi1=TimeProfile.observability(alpha, t_obs),
         shift=float(shift),
         lam=lam,
-    ).ensure_nonnegative(grid)
+    ).ensure_nonnegative(grid, space_min)
 
-    bracket = _bracket_values(gsq_a, spec.psi1, grid.times)
-    delta = float(np.min(bracket**2))
-    check_delta = bool(np.min(bracket) > 0.0)
+    bmin, _, delta = _bracket_extremes(gsq_a, spec.psi1, grid.times)
+    check_delta = bool(bmin > 0.0)
 
-    psi_vals = spec.psi_values(grid)
-    times = grid.times
-    inner = (times >= 3.0 * t_obs / 8.0 - 1e-12) & (times <= 5.0 * t_obs / 8.0 + 1e-12)
-    outer = (times <= t_obs / 4.0 + 1e-12) | (times >= 3.0 * t_obs / 4.0 - 1e-12)
+    # psi = psi0 + psi1 + shift, rounded, is monotone in psi0 and in psi1: its
+    # extremes over a band pair those of psi0 with those of psi1 on the band's
+    # times, and the sums over all times overflow where some psi value would
+    times, vals1 = grid.times, spec.psi1(grid.times)
+    np.add(np.add([space_min, m_sup], [np.min(vals1), np.max(vals1)]), spec.shift)
+    inner = vals1[(times >= 3.0 * t_obs / 8.0 - 1e-12) & (times <= 5.0 * t_obs / 8.0 + 1e-12)]
+    outer = vals1[(times <= t_obs / 4.0 + 1e-12) | (times >= 3.0 * t_obs / 4.0 - 1e-12)]
     lower = -(t_obs**alpha) / 64.0 + spec.shift
     upper = -2.0 * (t_obs**alpha) / 64.0 + spec.shift
-    check_inner = bool(np.all(psi_vals[..., inner] >= lower - 1e-12))
-    check_outer = bool(np.all(psi_vals[..., outer] <= upper + 1e-12))
+    check_inner = bool(inner.size == 0 or space_min + np.min(inner) + spec.shift >= lower - 1e-12)
+    check_outer = bool(outer.size == 0 or m_sup + np.max(outer) + spec.shift <= upper + 1e-12)
 
     thresholds = ObservabilityThresholds(
         t_alpha=t_alpha,

@@ -11,6 +11,7 @@ from carleman import (
 from carleman.coefficients import symmetric_eigenvalues
 from carleman.polynomials import poly_from_table
 import per_call
+import reference_eigenvalues
 
 
 @pytest.fixture
@@ -124,6 +125,23 @@ def test_closed_form_eigenvalues_match_lapack():
         ours = symmetric_eigenvalues(np.moveaxis(sym, 0, -1))
         ref = np.linalg.eigvalsh(sym).T
         assert np.max(np.abs(ours - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40,), (6, 7), (3, 4, 5)])
+def test_eigenvalues_3x3_match_out_of_place_form(shape):
+    """The in-place 3x3 branch gives the bits of the out-of-place one, at
+    nodes with p == 0 (A = c I) too."""
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 1e3):
+        m = rng.normal(size=(3, 3) + shape) * scale
+        m = m + np.swapaxes(m, 0, 1)
+        flat = rng.random(shape) < 0.3
+        for k, l in itertools.product(range(3), repeat=2):
+            m[k, l, ...][flat] = 2.5 * (k == l)
+        ours = symmetric_eigenvalues(m)
+        theirs = reference_eigenvalues.eigenvalues_3x3(m)
+        assert ours.shape == theirs.shape == (3,) + shape
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_certify_identity(grid2):

@@ -1,13 +1,14 @@
-"""Evaluation counts per command run: A, dA and the derivatives of psi0 are
-evaluated on the space nodes once, the CFL limit of a wave run once more, and
-the Gamma+ mask and the operator without lower-order terms are built once."""
+"""Evaluation counts per command run: A, dA, psi0 and the derivatives of psi0
+are evaluated on the space nodes once, the CFL limit of a wave run once more,
+and the Gamma+ mask and the operator without lower-order terms are built
+once."""
 
 import sys
 
 import numpy as np
 import yaml
 
-from carleman import operators, solvers
+from carleman import cli, operators, solvers
 from carleman.cli import build_grid_from, main
 from carleman.coefficients import MatrixField
 from carleman.polynomials import Polynomial
@@ -33,12 +34,14 @@ _HEAT_FINAL_2D = {
 
 
 def _counted(monkeypatch, cfg: dict) -> dict:
-    """Wrap the evaluations of A, dA, grad psi0 and hess psi0 (counted on the
-    space nodes of the config's grid only), ``assemble_operator`` (counted
-    without lower-order terms) and ``gamma_plus``, in every ``carleman``
-    namespace that holds them; returns the counts, filled as the run goes."""
+    """Wrap the evaluations of A, dA, psi0, grad psi0 and hess psi0 (counted on
+    the space nodes of the config's grid only; psi0 as read from the config's
+    ``weight`` block), ``assemble_operator`` (counted without lower-order terms)
+    and ``gamma_plus``, in every ``carleman`` namespace that holds them;
+    returns the counts, filled as the run goes."""
     nodes = build_grid_from(cfg).space_points.shape
-    counts = dict.fromkeys(("A", "dA", "grad", "hess", "assemble", "gamma_plus"), 0)
+    counts = dict.fromkeys(("A", "dA", "psi0", "grad", "hess", "assemble", "gamma_plus"), 0)
+    psi0s = []
 
     def on_nodes(key, fn):
         def wrapper(self, points, *args, **kwargs):
@@ -51,6 +54,20 @@ def _counted(monkeypatch, cfg: dict) -> dict:
                         on_nodes("dA", MatrixField.first_derivatives))
     monkeypatch.setattr(Polynomial, "eval_gradient", on_nodes("grad", Polynomial.eval_gradient))
     monkeypatch.setattr(Polynomial, "eval_hessian", on_nodes("hess", Polynomial.eval_hessian))
+    evaluate = Polynomial.__call__
+
+    def psi0_values(self, points):
+        counts["psi0"] += np.shape(points) == nodes and any(self is p for p in psi0s)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Polynomial, "__call__", psi0_values)
+    psi0_from = cli._psi0_from
+
+    def read_psi0(*args):
+        psi0s.append(psi0_from(*args))
+        return psi0s[-1]
+
+    monkeypatch.setattr(cli, "_psi0_from", read_psi0)
 
     assemble_operator, gamma_plus = operators.assemble_operator, solvers.gamma_plus
 
@@ -80,16 +97,19 @@ def _run(tmp_path, command: str, cfg: dict) -> int:
 def test_observability_takes_one_setup(tmp_path, monkeypatch):
     """The 1-D validation config on 33 nodes and 257 levels with two
     estimator iterations: A twice (the sample and the CFL limit held per
-    field and grid), each derivative once, one operator and one mask."""
+    field and grid), psi0 and each derivative once, one operator and one
+    mask."""
     counts = _counted(monkeypatch, _SHIPPED_1D)
     assert _run(tmp_path, "observability", _SHIPPED_1D) == 2  # below the threshold
-    assert counts == {"A": 2, "dA": 1, "grad": 1, "hess": 1, "assemble": 1, "gamma_plus": 1}
+    assert counts == {"A": 2, "dA": 1, "psi0": 1, "grad": 1, "hess": 1, "assemble": 1,
+                      "gamma_plus": 1}
 
 
 def test_heat_final_observability_samples_once(tmp_path, monkeypatch):
     counts = _counted(monkeypatch, _HEAT_FINAL_2D)
     assert _run(tmp_path, "observability", _HEAT_FINAL_2D) == 2
-    assert counts == {"A": 1, "dA": 1, "grad": 1, "hess": 1, "assemble": 1, "gamma_plus": 1}
+    assert counts == {"A": 1, "dA": 1, "psi0": 1, "grad": 1, "hess": 1, "assemble": 1,
+                      "gamma_plus": 1}
 
 
 def test_wave_solve_evaluates_a_once(tmp_path, monkeypatch):

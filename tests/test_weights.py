@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carleman import (
     MatrixField,
@@ -9,6 +12,7 @@ from carleman import (
     make_example_weight,
     ucp_region_certificate,
 )
+from carleman.coefficients import EllipticityReport
 from carleman.polynomials import Polynomial
 from carleman.weights import (
     COND_WAVE_CONE,
@@ -16,8 +20,11 @@ from carleman.weights import (
     TimeProfile,
     UCPGeometry,
     WeightSpec,
+    check_admissibility,
+    make_observability_weight,
 )
 import per_call
+import reference_weights
 
 
 @pytest.fixture
@@ -164,6 +171,167 @@ def test_observability_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             per_call.observability_weight(psi0, alpha, 1.0, 0.0, field, grid)
+
+
+# -- the bracket and the bands from the space and time samples ------------------------
+
+
+class _Sampled:
+    """A stand-in for psi0 with given values on the nodes."""
+
+    nvars = 1
+
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, points):
+        return self.values.copy()
+
+
+def _duck_grid(count: int, t_obs: float, nt: int):
+    """Space nodes 0..count-1 on a line and nt levels of [0, t_obs], one node
+    and one level included (a built grid needs three of each)."""
+    return SimpleNamespace(space_points=np.arange(float(count))[:, None], t1=0.0, t2=t_obs,
+                           nt=nt, times=np.linspace(0.0, t_obs, nt))
+
+
+def _sample(g):
+    """A, dA, grad psi0 and hess psi0 on a line with |grad psi0|_A^2 = g."""
+    count = g.size
+    return (g.reshape(1, 1, count), np.zeros((1, 1, 1, count)), np.ones((1, count)),
+            np.zeros((1, 1, count)))
+
+
+# varkappa = 1: the (2.2) check reads it, the (2.1) bracket does not
+_ELLIPTICITY = EllipticityReport(kappa_estimate=1.0, m_estimate=0.0, lambda_min=1.0,
+                                 lambda_max=1.0, passed=True, kappa_tolerance=np.inf,
+                                 m_tolerance=np.inf)
+
+
+def _wave_admissibility(psi1, sample, grid):
+    """The wave-kind admissibility report of psi1 on a line sample."""
+    spec = WeightSpec(psi0=Polynomial.squared_distance([-1.0]), psi1=psi1, shift=1.0, lam=1.0)
+    return check_admissibility(spec, *sample, grid, "wave", ellipticity=_ELLIPTICITY)
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the ValueError or ArithmeticError it
+    raises (a tiny delta0 overflows the first threshold)."""
+    try:
+        return call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+@st.composite
+def _weight_cases(draw):
+    """The observability profile on 1..12 or 8k + 1 levels of [0, T] and
+    1..24 nodes with space values of |grad psi0|_A^2 and of psi0.
+
+    The gradient values lie above, below or across the values e = (dt psi1)^2
+    on the levels: ties with e, float neighbours of e, repeats of earlier
+    values and uniform draws, so the bracket keeps either sign or takes both,
+    with zeros.  The psi0 values sit at and next to 0, T^alpha/128, the
+    outer-band bound T^alpha/32, twice it and T^alpha/4, up to a drawn top
+    value; one of them may sit next to the nonnegativity tolerance -1e-12."""
+    alpha = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    t_obs = draw(st.sampled_from([0.5, 1.0, 3.0, 16.0, 1601.0]))
+    # 8k + 1 levels put times on the band edges 3T/8 and 5T/8
+    count = draw(st.integers(1, 24))
+    nt = draw(st.one_of(st.integers(1, 12), st.sampled_from([9, 17, 25, 33])))
+    grid = _duck_grid(count, t_obs, nt)
+    e = TimeProfile.observability(alpha, t_obs).dt(grid.times) ** 2
+    side = draw(st.sampled_from(["above", "across", "below"]))
+    span = {"above": (np.max(e), 2.0 * np.max(e) + 1.0), "across": (0.0, 2.0 * np.max(e) + 1.0),
+            "below": (0.0, np.min(e))}[side]
+    steps = {"above": [np.inf], "across": [-np.inf, np.inf], "below": [-np.inf]}[side]
+    kinds = draw(st.lists(st.sampled_from(["tie", "step", "uniform", "repeat"]), min_size=1,
+                          unique=True))
+    g = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat" and g:
+            g.append(draw(st.sampled_from(g)))
+        elif kind in ("uniform", "repeat"):
+            g.append(draw(st.floats(*map(float, span))))
+        else:
+            tie = float({"above": np.max(e), "below": np.min(e)}.get(
+                side, e[draw(st.integers(0, nt - 1))]))
+            g.append(tie if kind == "tie" else float(np.nextafter(tie, draw(st.sampled_from(steps)))))
+    bound = t_obs**alpha / 32.0
+    bases = [0.0, bound / 4.0, bound, 2.0 * bound, 8.0 * bound]
+    top = draw(st.integers(0, 4))
+    s = [bases[top]] + [draw(st.sampled_from(bases[: top + 1])) for _ in range(count - 1)]
+    s = [float(np.nextafter(v, draw(st.sampled_from([v, np.inf] + [-np.inf] * (v > 0.0)))))
+         for v in s]
+    if count > 1 and draw(st.booleans()):
+        # a nonnegative sup of psi0: a negative one makes the second threshold complex
+        s[draw(st.integers(1, count - 1))] = float(
+            np.nextafter(-1e-12, draw(st.sampled_from([-np.inf, -1e-12, np.inf]))))
+    # a large shift rounds psi coarser than the bands' 1e-12 tolerance
+    shift = draw(st.sampled_from([0.0, -1.0, 1e-3, 0.5, 1e4, 1e6]))
+    return alpha, t_obs, grid, np.array(g), np.array(s), shift
+
+
+def _edge_case(alpha, t_obs, nt, shift):
+    """psi0 at the nonnegativity tolerance with levels on the band edges: the
+    inner-band check fails by rounding."""
+    return (alpha, t_obs, _duck_grid(2, t_obs, nt), np.array([100.0, 200.0]),
+            np.array([-1e-12, t_obs**alpha / 32.0]), shift)
+
+
+# A fixed draw of 100 examples in tier-1; the "ci" profile of tests/conftest.py
+# draws 2000 of the same fixed sequence.
+@settings(max_examples=settings.default.max_examples, derandomize=True, deadline=None)
+@given(_weight_cases())
+@example(_edge_case(0.25, 3.0, 25, 0.0))
+@example(_edge_case(0.5, 0.5, 9, 0.5))
+def test_weight_checks_match_space_time_arrays(case):
+    """delta, the (2.1) minimum and witness node, the three observability
+    checks, T_alpha and the auto-shift equal those of the (space x time)
+    arrays bit for bit."""
+    alpha, t_obs, grid, g, s, shift = case
+    a, _, grad, _ = sample = _sample(g)
+
+    psi1 = TimeProfile.observability(alpha, t_obs)
+    adm = _wave_admissibility(psi1, sample, grid)
+    bmin, space_idx, delta = reference_weights.bracket(g, psi1, grid.times)
+    assert repr(adm.delta) == repr(delta)
+    cone = [v for v in adm.violations if v.code == COND_WAVE_CONE]
+    if bmin <= 0.0:
+        assert repr((cone[0].witness_value, cone[0].witness_node)) == \
+            repr((bmin, (float(space_idx),)))
+    else:
+        assert not cone
+
+    psi0 = _Sampled(s)
+    ours = _outcome(make_observability_weight, psi0, alpha, t_obs, shift, a, grad, grid)
+    theirs = _outcome(reference_weights.observability_weight, psi0, alpha, t_obs, shift, a,
+                      grad, grid)
+    assert repr(ours) == repr(theirs)
+
+
+def test_weight_checks_overflow_where_the_arrays_did():
+    """Under the commands' error state a bracket square or a psi sum that
+    overflowed on some space-time node still raises, with the same message."""
+    grid = _duck_grid(2, 1.0, 5)
+    psi1 = TimeProfile.observability(0.5, 1.0)
+    huge = _sample(np.array([1.0, 1e200]))
+    cases = [
+        (lambda: _wave_admissibility(psi1, huge, grid),
+         lambda: reference_weights.bracket(huge[0].reshape(-1), psi1, grid.times)),
+    ]
+    for values, shift, sample in (([0.5, 1.0], 0.0, huge),
+                                  ([0.5, 1.7e308], 1e308, _sample(np.ones(2)))):
+        args = (_Sampled(np.array(values)), 0.5, 1.0, shift, sample[0], sample[2], grid)
+        cases.append((lambda args=args: make_observability_weight(*args),
+                      lambda args=args: reference_weights.observability_weight(*args)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for ours, theirs in cases:
+            with pytest.raises(FloatingPointError) as expected:
+                theirs()
+            with pytest.raises(FloatingPointError, match=str(expected.value)):
+                ours()
 
 
 # -- UCP region certificate -----------------------------------------------------------

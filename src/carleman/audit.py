@@ -27,7 +27,7 @@ from .operators import (
     assemble_operator,
     gradient_time,
 )
-from .solvers import GammaPlusMask, _face_trace, gamma_plus
+from .solvers import _face_trace, gamma_plus
 from .weights import WeightAdmissibility, WeightSpec
 
 __all__ = [
@@ -165,14 +165,13 @@ class _Audit:
     caps, plus boundary) and d a density of the member alone: |u|^2, the
     gradient energy, |Lu|^2, |dt u|^2 or the squared normal trace.  So each
     member's densities are computed once, and each (tau, lambda) cell costs
-    one exp over the nodes and a few dot products.
+    one exp over the nodes and a few dot products.  ``a``, ``vals0`` and
+    ``grad`` are A, psi0 and grad psi0 on the space nodes; none is changed.
     """
 
-    def __init__(self, spec, field, lower, kind, grid, plus_mask=None):
+    def __init__(self, spec, field, a, vals0, grad, lower, kind, grid):
         if kind not in INEQUALITY_KINDS:
             raise ValueError(f"unknown inequality kind {kind!r}")
-        if kind in _BOUNDARY_KINDS and plus_mask is None:
-            raise ValueError("boundary kinds need the plus-boundary mask")
         self.spec, self.kind, self.grid = spec, kind, grid
         self.op_kind = kind.split("_")[0]  # the operator kind: wave_full -> wave
         self.lower = _checked_lower(self.op_kind, lower, grid)
@@ -187,16 +186,16 @@ class _Audit:
         # is left out; the other kinds weigh |grad u|^2
         self.energy_terms = [(k, k, None) for k in range(grid.n)]
         if kind.startswith("wave") and kind != "wave_single_param":
-            a = field(grid.space_points)[..., None]  # broadcast over time
-            self.energy_terms = [(k, k, None if np.all(a[k, k] == 1.0) else a[k, k])
+            at = a[..., None]  # broadcast over time
+            self.energy_terms = [(k, k, None if np.all(at[k, k] == 1.0) else at[k, k])
                                  for k in range(grid.n)]
             for k in range(grid.n):
                 for l in range(k + 1, grid.n):
-                    c = a[k, l] + a[l, k]
+                    c = at[k, l] + at[l, k]
                     if np.any(c):
                         self.energy_terms.append((k, l, c))
         # psi = psi0(x) + psi1(t) + shift is rebuilt per lambda from its small factors
-        self.psi0 = spec.psi0(grid.space_points)
+        self.psi0 = vals0
         self.psi1 = None if self.spatial else spec.psi1(grid.times)
         # masks of the exp of a column whose envelope underflows
         self.keep, self.drop = (np.empty(self.psi0.size * nt, dtype=bool) for _ in range(2))
@@ -205,7 +204,8 @@ class _Audit:
         self.lateral = self.dmu[0]
         # (face, its plus nodes, their dsigma dt weights); boundary kinds are
         # space-time kinds
-        sigma_plus = plus_mask.sigma_plus_weights(grid) if kind in _BOUNDARY_KINDS else []
+        sigma_plus = (gamma_plus(a, grad, grid).sigma_plus_weights(grid)
+                      if kind in _BOUNDARY_KINDS else [])
         self.plus = [(f, m, w.ravel()) for f, m, w in sigma_plus]
         idx = [(np.flatnonzero(grid.face_mask(f))[m][:, None] * nt + np.arange(nt)).ravel()
                for f, m, _ in self.plus]
@@ -283,7 +283,7 @@ class _Audit:
         kind, spec, lat = self.kind, self.spec, self.lateral[0]
         out = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the same sums, in the same order, as spec.psi_space / psi_values
+            # psi = psi0 + psi1 + shift, summed in that order
             if self.spatial:
                 phi = self.psi0 + spec.shift
             else:
@@ -338,13 +338,15 @@ class _Audit:
 
 def evaluate_sides(
     u: np.ndarray, spec: WeightSpec, field: MatrixField, lower: LowerOrderCoeffs | None,
-    kind: str, tau: float, grid: SpaceTimeGrid, plus_mask: GammaPlusMask | None = None,
+    kind: str, tau: float, grid: SpaceTimeGrid,
 ) -> CarlemanSideValues:
     """Integrate LHS and RHS terms of the selected inequality for one field.
 
-    The one-cell, one-member case of ``sweep_audit``.
+    The one-cell, one-member case of ``sweep_audit``, on a node sample of its own.
     """
-    audit = _Audit(spec, field, lower, kind, grid, plus_mask)
+    pts = grid.space_points
+    audit = _Audit(spec, field, field(pts), spec.psi0(pts), spec.psi0.eval_gradient(pts), lower,
+                   kind, grid)
     if tau <= 0:
         raise ValueError("tau must be positive")
     return audit.member_sides(u, [tau], [spec.lam])[0][0]
@@ -456,25 +458,22 @@ class AuditReport:
 
 
 def sweep_audit(
-    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, sample: tuple,
     lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
     target: float = 0.0,
 ) -> AuditReport:
-    """Evaluate the inequality across a (tau, lambda) grid for the ensemble."""
+    """Evaluate the inequality across a (tau, lambda) grid for the ensemble;
+    ``sample`` is the command's node sample of A, dA, psi0, grad and hess psi0."""
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
     taus = [float(t) for t in taus]
     lams = [float(l) for l in lams]
-    plus_mask = None
-    if kind in _BOUNDARY_KINDS:
-        pts = grid.space_points
-        plus_mask = gamma_plus(field(pts), spec.psi0.eval_gradient(pts), grid)
-
     if not taus or not lams:
         raise ValueError("need at least one tau and one lambda")
     if min(taus) <= 0 or min(lams) <= 0:
         raise ValueError("tau and lambda must be positive")
-    audit = _Audit(spec, field, lower, kind, grid, plus_mask)
+    a, _, vals0, grad, _ = sample
+    audit = _Audit(spec, field, a, vals0, grad, lower, kind, grid)
     ratios = np.empty((len(taus), len(lams), len(ensemble)))
     for m, u in enumerate(ensemble):
         ratios[..., m] = [[side.ratio for side in row] for row in audit.member_sides(u, taus, lams)]
@@ -503,7 +502,7 @@ def sweep_audit(
 
 
 def negative_control(
-    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, sample: tuple,
     lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
     admissibility: WeightAdmissibility, target: float = 0.0,
 ) -> AuditReport:
@@ -513,7 +512,8 @@ def negative_control(
     """
     if admissibility.passed:
         raise ValueError("weight is admissible: use sweep_audit")
-    report = sweep_audit(ensemble, spec, field, lower, kind, taus, lams, grid, target=target)
+    report = sweep_audit(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
+                         target=target)
     report.stamp = "INADMISSIBLE WEIGHT: exploratory"
     report.admissibility_codes = admissibility.codes()
     return report

@@ -36,8 +36,9 @@ from .pseudoconvex import (certificate_from_scan, flatten_and_certify_hypersurfa
                            theta_decomposition, theta_scan)
 from .solvers import HeatData, SchrodingerData, WaveData, _held, cfl_limit, solve_evolution
 from .svg import heatmap_svg, histogram_svg, line_svg
-from .weights import (TimeProfile, UCPGeometry, WeightSpec, check_admissibility,
-                      make_example_weight, make_observability_weight, ucp_region_certificate)
+from .weights import (TimeProfile, UCPGeometry, WeightSpec, _observability_profile, _outside_box,
+                      check_admissibility, make_example_weight, make_observability_weight,
+                      ucp_region_certificate)
 
 
 class ConfigError(Exception):
@@ -381,44 +382,53 @@ def _psi0_from(w: dict, n: int) -> Polynomial:
     return Polynomial.squared_distance(w["x0"], scale=0.5)
 
 
-def build_weight_from(
-    cfg: dict, field: MatrixField, grid: SpaceTimeGrid
-) -> tuple[WeightSpec, dict]:
-    """The weight and its report extras.  The readers of psi1 multiply its
-    values, so psi1 and its time derivative must be finite and below
-    _SAMPLE_BOUND in size on the grid times."""
+def _weight_and_sample(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
+    """The weight, its report extras and the command's node sample.  What
+    reads no node is checked first: x0 outside the box, the observability
+    parameters and psi1, whose readers multiply its values, so psi1 and its
+    time derivative must be finite and below _SAMPLE_BOUND in size on the
+    grid times.  The weight then reads psi0, A and grad psi0 from the sample."""
     w = _checked(cfg, "weight", grid.n)
-    family, lam, shift = w["family"], w["lambda"], w["shift"]
+    family, lam, shift, p1 = w["family"], w["lambda"], w["shift"], w["psi1"]
+    psi0, t_obs = _psi0_from(w, grid.n), grid.t2 if w["t_obs"] is None else w["t_obs"]
     extras: dict = {"family": family}
-    # psi on far nodes may overflow; the node sample's check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
+    try:
+        if family == "example":
+            _outside_box(w["x0"], grid)
+            psi1 = TimeProfile.quadratic(w["gamma"], w["t0"])
+        elif family == "observability":
+            psi1 = _observability_profile(w["alpha"], t_obs, grid)
+        elif p1["family"] == "quadratic":
+            psi1 = TimeProfile.quadratic(p1["gamma"], p1["t0"])
+        elif p1["family"] == "observability":
+            psi1 = TimeProfile.observability(p1["alpha"], p1["t_obs"] or grid.t2)
+        else:
+            psi1 = TimeProfile.zero()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _bounded((psi1(grid.times), psi1.dt(grid.times))):
+                raise ConfigError(f"weight: psi1 or its time derivative is not finite or "
+                                  f"exceeds {_SAMPLE_BOUND:g} in size on the grid times")
+        sample = a, _, vals0, grad, _ = _node_sample(field, psi0, grid)
+        # a squared (2.1) bracket may overflow on far nodes: delta then reads inf
+        with np.errstate(over="ignore", invalid="ignore"):
             if family == "example":
-                spec = make_example_weight(w["x0"], w["t0"], w["gamma"], shift, grid, lam=lam)
+                spec = make_example_weight(w["x0"], w["t0"], w["gamma"], shift, vals0, grid,
+                                           lam=lam)
             elif family == "observability":
-                psi0, pts = _psi0_from(w, grid.n), grid.space_points
-                t_obs = grid.t2 if w["t_obs"] is None else w["t_obs"]
-                spec, thresholds = make_observability_weight(
-                    psi0, w["alpha"], t_obs, shift, field(pts), psi0.eval_gradient(pts), grid,
-                    lam=lam)
+                spec, thresholds = make_observability_weight(psi0, w["alpha"], t_obs, shift, a,
+                                                             vals0, grad, grid, lam=lam)
                 extras["thresholds"] = dataclasses.asdict(thresholds)
             else:
-                psi0, p1 = _psi0_from(w, grid.n), w["psi1"]
-                if p1["family"] == "quadratic":
-                    profile = TimeProfile.quadratic(p1["gamma"], p1["t0"])
-                elif p1["family"] == "observability":
-                    profile = TimeProfile.observability(
-                        p1["alpha"], grid.t2 if p1["t_obs"] is None else p1["t_obs"])
-                else:
-                    profile = TimeProfile.zero()
-                spec = WeightSpec(psi0=psi0, psi1=profile, shift=shift,
-                                  lam=lam).ensure_nonnegative(grid)
-        except ValueError as exc:
-            raise ConfigError(f"weight: {exc}") from exc
-        if not _bounded((spec.psi1(grid.times), spec.psi1.dt(grid.times))):
-            raise ConfigError(f"weight: psi1 or its time derivative is not finite or exceeds "
-                              f"{_SAMPLE_BOUND:g} in size on the grid times")
-    return spec, extras
+                spec = WeightSpec(psi0=psi0, psi1=psi1, shift=shift,
+                                  lam=lam).ensure_nonnegative(grid, float(np.min(vals0)))
+    except ValueError as exc:
+        raise ConfigError(f"weight: {exc}") from exc
+    return spec, extras, sample
+
+
+def build_weight_from(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
+    """The weight and its report extras, from a node sample of their own."""
+    return _weight_and_sample(cfg, field, grid)[:2]
 
 
 def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
@@ -502,33 +512,27 @@ def _bounded(arrays) -> bool:
 
 
 def _node_sample(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid):
-    """A, its first derivatives and the gradient and Hessian of psi0 at the
-    grid nodes, entry-planar: a command evaluates each once, checks it and
-    hands it to every reader.  The readers multiply up to three sample values
-    and add a few dozen products, so every value must be finite and below
-    _SAMPLE_BOUND in size."""
+    """A, its first derivatives and psi0 with its gradient and Hessian at the
+    grid nodes, entry-planar: a command evaluates each once and hands it to
+    every reader.  The readers multiply up to three values of A and of the
+    derivatives and add a few dozen products, so each must be finite and
+    below _SAMPLE_BOUND in size; psi0, evaluated after that check, is not."""
     pts = grid.space_points
     with np.errstate(over="ignore", invalid="ignore"):
-        sample = (field(pts), field.first_derivatives(pts),
-                  psi0.eval_gradient(pts), psi0.eval_hessian(pts))
+        a, da, grad, hess = sample = (field(pts), field.first_derivatives(pts),
+                                      psi0.eval_gradient(pts), psi0.eval_hessian(pts))
     if not _bounded(sample):
         raise ConfigError(f"grid: A or a derivative of A or psi0 is not finite or exceeds "
                           f"{_SAMPLE_BOUND:g} in size on the nodes")
-    return sample
-
-
-def _certify_weight(field, spec, grid, kind, kappa_max=np.inf, m_max=np.inf):
-    """Ellipticity and weight admissibility from one node sample."""
-    a, da, grad, hess = _node_sample(field, spec.psi0, grid)
-    ell = certify_ellipticity(field, a, da, grid.space_points, kappa_max, m_max)
-    return ell, check_admissibility(spec, a, da, grad, hess, grid, kind, ellipticity=ell)
+    return a, da, psi0(pts), grad, hess
 
 
 def _cmd_certify(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     c, kind = blocks["coefficients"], blocks["equation"]["kind"]
-    spec, extras = build_weight_from(cfg, field, grid)
-    ell, adm = _certify_weight(field, spec, grid, kind, c["kappa_max"], c["m_max"])
+    spec, extras, sample = _weight_and_sample(cfg, field, grid)
+    ell = certify_ellipticity(field, *sample[:2], grid.space_points, c["kappa_max"], c["m_max"])
+    adm = check_admissibility(spec, *sample, grid, kind, ellipticity=ell)
     report = {"ellipticity": ell, "admissibility": adm, "weight": extras, "kind": kind,
               "lambda": spec.lam, "shift": spec.shift}
     write_json(outdir / "certificate.json", report)
@@ -538,13 +542,13 @@ def _cmd_certify(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
 
 def _cmd_theta(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
-    spec, _ = build_weight_from(cfg, field, grid)
+    spec, _, (a, da, _, grad, hess) = _weight_and_sample(cfg, field, grid)
     results = []
     for point in blocks["theta"]["points"]:
         dec = theta_decomposition(field, spec.psi0, np.asarray(point))
         results.append({"point": point, "Theta": dec.Theta, "Upsilon": dec.Upsilon,
                         "theta_sym_min": dec.theta_sym_min})
-    smin, gnorm = theta_scan(*_node_sample(field, spec.psi0, grid))
+    smin, gnorm = theta_scan(a, da, grad, hess)
     cert = certificate_from_scan(smin, gnorm, grid.space_points)
     write_json(outdir / "theta.json", {"points": results, "certificate": cert})
     # node coordinates are axis values: each one is formatted once, as the
@@ -581,20 +585,22 @@ def _cmd_audit(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     block = blocks["audit"]
     kind, taus, lams, count = block["kind"], block["taus"], block["lambdas"], block["ensemble"]
     eq_kind = kind.split("_")[0]
-    spec, extras = build_weight_from(cfg, field, grid)
+    spec, extras, sample = _weight_and_sample(cfg, field, grid)
     lower = build_lower_from(cfg, eq_kind, grid)
-    _, adm = _certify_weight(field, spec, grid, eq_kind)
+    ell = certify_ellipticity(field, *sample[:2], grid.space_points)
+    adm = check_admissibility(spec, *sample, grid, eq_kind, ellipticity=ell)
     target = block["target"]
     complex_fields, spatial = eq_kind == "schrodinger", eq_kind == "elliptic"
     ensemble = default_ensemble(grid, seed, count=count, complex_fields=complex_fields,
                                 spatial=spatial)
     flags = []
     if adm.passed:
-        report = sweep_audit(ensemble, spec, field, lower, kind, taus, lams, grid, target=target)
+        report = sweep_audit(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
+                             target=target)
         status = 0 if report.tau_star is not None else 2
     else:
-        report = negative_control(ensemble, spec, field, lower, kind, taus, lams, grid, adm,
-                                  target=target)
+        report = negative_control(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
+                                  adm, target=target)
         flags.append("inadmissible-weight")
         status = 2
 
@@ -604,12 +610,12 @@ def _cmd_audit(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
         fine = build_grid(grid.domain.lows, grid.domain.highs, fine_nodes, grid.t1, grid.t2,
                           grid.nt)
         fine_field = build_coefficients_from(cfg, fine)
-        fine_spec, _ = build_weight_from(cfg, fine_field, fine)
+        fine_spec, _, fine_sample = _weight_and_sample(cfg, fine_field, fine)
         fine_ensemble = default_ensemble(fine, seed, count=count, complex_fields=complex_fields,
                                          spatial=spatial)
         fine_report = sweep_audit(
-            fine_ensemble, fine_spec, fine_field, build_lower_from(cfg, eq_kind, fine),
-            kind, taus, lams, fine, target=target)
+            fine_ensemble, fine_spec, fine_field, fine_sample,
+            build_lower_from(cfg, eq_kind, fine), kind, taus, lams, fine, target=target)
         drift, stable = compare_refinement(report, fine_report)
         drift = drift[~np.isnan(drift)]  # nan where a cell is inf (or 0) on both grids
         max_drift = float(np.max(drift)) if drift.size else float("nan")
@@ -748,8 +754,8 @@ def _cmd_observability(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]
 def _cmd_identities(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     field = build_coefficients_from(cfg, grid)
     tau, kind = blocks["identities"]["tau"], blocks["equation"]["kind"]
-    spec, _ = build_weight_from(cfg, field, grid)
-    a, da, grad0, hess0 = _node_sample(field, spec.psi0, grid)
+    spec, _, sample = _weight_and_sample(cfg, field, grid)
+    a, da = sample[:2]
     mat = assemble_operator(field, None, grid)
     results = {}
 
@@ -765,7 +771,7 @@ def _cmd_identities(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
         return smooth_bump(s, 0.15, 0.85)
 
     member = separable(grid, [bump] * grid.n, None if kind == "elliptic" else bump)
-    coeffs = conjugation_coeffs(spec, a, da, grad0, hess0, kind, tau, grid)
+    coeffs = conjugation_coeffs(spec, *sample, kind, tau, grid)
     results["conjugation_residual"] = conjugation_residual(member, coeffs, mat, grid)
     write_json(outdir / "identities.json", results)
     ok = all(np.isfinite(v) for v in results.values())

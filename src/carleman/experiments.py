@@ -1,7 +1,7 @@
 """Boundary observability experiments and the worst-case ratio estimator.
 
 An experiment has one setup, read by everything it reports: the caller's
-node sample of A, dA, grad psi0 and hess psi0, and from it the time
+node sample of A, dA, psi0, grad psi0 and hess psi0, and from it the time
 thresholds, the ellipticity and pseudo-convexity certificates (wave and
 Schrodinger), the Gamma+ mask and the assembled operator.  It solves the
 whole ensemble as one block (``solvers.solve_block``), restricts each
@@ -158,7 +158,7 @@ def observability_experiment(
     t_obs: float,
     ensemble: list,
     grid: SpaceTimeGrid,
-    sample: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    sample: tuple[np.ndarray, ...],
     lower: LowerOrderCoeffs | None = None,
     worst_case_iterations: int = 0,
 ) -> tuple[ObservabilityReport, WorstCaseResult | None]:
@@ -166,8 +166,8 @@ def observability_experiment(
     plus the worst-case estimate when ``worst_case_iterations`` > 0 (wave
     kind only), else None.
 
-    ``sample`` is A, its first derivatives and the gradient and Hessian of
-    psi0 at the grid nodes, entry-planar; the thresholds, the certificates,
+    ``sample`` is A, its first derivatives and psi0 with its gradient and
+    Hessian at the grid nodes, entry-planar; the thresholds, the certificates,
     the Gamma+ mask and, through the mask and the one assembled operator,
     the estimator all read it.  The two time thresholds are combined with
     max (the stricter reading); the min combination is also reported, with a
@@ -180,8 +180,8 @@ def observability_experiment(
     if worst_case_iterations and kind != "wave":
         raise ValueError("the worst-case estimator currently supports the wave kind")
 
-    a, da, grad, hess = sample
-    _, thresholds = make_observability_weight(psi0, alpha, t_obs, 0.0, a, grad, grid)
+    a, da, vals0, grad, hess = sample
+    _, thresholds = make_observability_weight(psi0, alpha, t_obs, 0.0, a, vals0, grad, grid)
     flags = []
     if grid.n == 1:
         flags.append("n=1 validation mode")

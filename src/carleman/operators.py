@@ -332,13 +332,14 @@ def _spatial_weight_pieces(a, da, grad0, hess0):
 
 
 def conjugation_coeffs(
-    spec: WeightSpec, a: np.ndarray, da: np.ndarray, grad0: np.ndarray, hess0: np.ndarray,
-    kind: str, tau: float, grid: SpaceTimeGrid, admissibility=None,
+    spec: WeightSpec, a: np.ndarray, da: np.ndarray, vals0: np.ndarray, grad0: np.ndarray,
+    hess0: np.ndarray, kind: str, tau: float, grid: SpaceTimeGrid, admissibility=None,
 ) -> ConjugationCoeffs:
     """Assemble the split coefficients analytically on the grid.
 
-    ``a``, ``da``, ``grad0`` and ``hess0`` are A, its first derivatives and
-    the gradient and Hessian of ``spec.psi0`` on the space nodes, entry-planar.
+    ``a``, ``da``, ``vals0``, ``grad0`` and ``hess0`` are A, its first
+    derivatives and ``spec.psi0`` with its gradient and Hessian on the space
+    nodes, entry-planar.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -352,7 +353,8 @@ def conjugation_coeffs(
             stacklevel=2,
         )
     lam = spec.lam
-    psi = spec.psi_space(grid) if kind == "elliptic" else spec.psi_values(grid)
+    psi = (vals0 + spec.shift if kind == "elliptic"
+           else vals0[..., None] + spec.psi1(grid.times) + spec.shift)
     if not lam * float(np.max(psi)) <= _EXP_CAP:  # a Python product: no numpy warning
         raise OverflowError("weight exponent lambda * psi out of double range")
     phi = np.exp(lam * psi)

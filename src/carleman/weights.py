@@ -116,25 +116,14 @@ class WeightSpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def psi_values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        space = self.psi0(grid.space_points)
-        return space[..., None] + self.psi1(grid.times) + self.shift
-
-    def psi_space(self, grid: SpaceTimeGrid) -> np.ndarray:
-        return self.psi0(grid.space_points) + self.shift
-
-    def min_psi(self, grid: SpaceTimeGrid, space_min: float | None = None) -> float:
-        """min psi on the grid; ``space_min`` is min psi0 on the nodes, where
-        the caller holds it."""
-        if space_min is None:
-            space_min = float(np.min(self.psi0(grid.space_points)))
+    def min_psi(self, grid: SpaceTimeGrid, space_min: float) -> float:
+        """min psi on the grid; ``space_min`` is min psi0 on the nodes."""
         time_min = float(np.min(self.psi1(grid.times)))
         return space_min + time_min + self.shift
 
-    def ensure_nonnegative(
-        self, grid: SpaceTimeGrid, space_min: float | None = None
-    ) -> "WeightSpec":
-        """Auto-shift so psi >= 0 on the grid (minimal shift plus headroom)."""
+    def ensure_nonnegative(self, grid: SpaceTimeGrid, space_min: float) -> "WeightSpec":
+        """Auto-shift so psi >= 0 on the grid (minimal shift plus headroom);
+        ``space_min`` is min psi0 on the nodes."""
         m = self.min_psi(grid, space_min)
         if m >= 0.0:
             return self
@@ -189,14 +178,15 @@ def _bracket_extremes(gsq_a: np.ndarray, psi1: TimeProfile, times: np.ndarray):
 
 
 def check_admissibility(
-    spec: WeightSpec, a: np.ndarray, da: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-    grid: SpaceTimeGrid, kind: str, ellipticity: EllipticityReport | None = None,
+    spec: WeightSpec, a: np.ndarray, da: np.ndarray, vals0: np.ndarray, grad: np.ndarray,
+    hess: np.ndarray, grid: SpaceTimeGrid, kind: str,
+    ellipticity: EllipticityReport | None = None,
 ) -> WeightAdmissibility:
     """Per-kind admissibility verdict with named violations and witnesses.
 
-    ``a``, ``da``, ``grad`` and ``hess`` are A, its first derivatives and the
-    gradient and Hessian of ``spec.psi0`` on the space nodes of ``grid``,
-    entry-planar (component axes first);
+    ``a``, ``da``, ``vals0``, ``grad`` and ``hess`` are A, its first
+    derivatives and ``spec.psi0`` with its gradient and Hessian on the space
+    nodes of ``grid``, entry-planar (component axes first);
     ``da`` and ``hess`` are read by the pseudo-convexity scan of the wave and
     Schrodinger kinds only.
     """
@@ -209,7 +199,7 @@ def check_admissibility(
     pts = grid.space_points
     flat_pts = pts.reshape(-1, spec.n)
 
-    min_psi = spec.min_psi(grid)
+    min_psi = spec.min_psi(grid, float(np.min(vals0)))
     if min_psi < 0.0:
         violations.append(
             Violation(COND_NONNEG, f"psi attains {min_psi:.6g} < 0 on the grid")
@@ -289,22 +279,24 @@ def check_admissibility(
     )
 
 
-def make_example_weight(
-    x0, t0: float, gamma: float, shift: float, grid: SpaceTimeGrid, lam: float = 1.0,
-) -> WeightSpec:
-    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
-    shifted further where needed so that psi >= 0 on the grid."""
+def _outside_box(x0, grid: SpaceTimeGrid) -> tuple[float, ...]:
+    """``x0`` as floats, checked to lie outside the closed box of ``grid``."""
     x0 = tuple(float(v) for v in x0)
     if grid.domain.contains(np.asarray(x0)):
         raise ValueError(f"x0={x0} lies inside the closed box")
-    psi0 = Polynomial.squared_distance(x0, scale=0.5)
-    spec = WeightSpec(
-        psi0=psi0,
-        psi1=TimeProfile.quadratic(gamma, t0),
-        shift=float(shift),
-        lam=lam,
-    )
-    return spec.ensure_nonnegative(grid)
+    return x0
+
+
+def make_example_weight(
+    x0, t0: float, gamma: float, shift: float, vals0: np.ndarray, grid: SpaceTimeGrid,
+    lam: float = 1.0,
+) -> WeightSpec:
+    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
+    shifted further where needed so that psi >= 0 on the grid; ``vals0`` is
+    |x - x0|^2 / 2 on the space nodes."""
+    psi0 = Polynomial.squared_distance(_outside_box(x0, grid), scale=0.5)
+    return WeightSpec(psi0=psi0, psi1=TimeProfile.quadratic(gamma, t0), shift=float(shift),
+                      lam=lam).ensure_nonnegative(grid, float(np.min(vals0)))
 
 
 @dataclass
@@ -318,30 +310,34 @@ class ObservabilityThresholds:
     checks: dict[str, bool]
 
 
-def make_observability_weight(
-    psi0: Polynomial, alpha: float, t_obs: float, shift: float, a: np.ndarray,
-    grad: np.ndarray, grid: SpaceTimeGrid, lam: float = 1.0,
-) -> tuple[WeightSpec, ObservabilityThresholds]:
-    """Final-time observability weight, shifted where needed so that psi >= 0
-    on the grid, plus its time-threshold bookkeeping.  ``a`` and ``grad`` are
-    A and grad psi0 at the grid nodes (entry-planar, as for
-    ``check_admissibility``); neither is changed.
-
-    Grid-checks the three working properties of the weight:
-      band-positivity: the squared bracket stays positive (delta > 0),
-      inner-band lower bound: psi >= -T^alpha/64 + shift on [3T/8, 5T/8],
-      outer-band upper bound: psi <= -2 T^alpha/64 + shift on the outer ends.
-    """
+def _observability_profile(alpha: float, t_obs: float, grid: SpaceTimeGrid) -> TimeProfile:
+    """psi1 of the final-time observability weight, its parameters checked."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if t_obs <= 0.0:
         raise ValueError("observation time must be positive")
     if abs(grid.t1) > 1e-12 or abs(grid.t2 - t_obs) > 1e-9 * max(1.0, t_obs):
         raise ValueError("grid time interval must be (0, t_obs)")
+    return TimeProfile.observability(alpha, t_obs)
 
-    vals0 = psi0(grid.space_points)
+
+def make_observability_weight(
+    psi0: Polynomial, alpha: float, t_obs: float, shift: float, a: np.ndarray,
+    vals0: np.ndarray, grad: np.ndarray, grid: SpaceTimeGrid, lam: float = 1.0,
+) -> tuple[WeightSpec, ObservabilityThresholds]:
+    """Final-time observability weight, shifted where needed so that psi >= 0
+    on the grid, plus its time-threshold bookkeeping.  ``a``, ``vals0`` and
+    ``grad`` are A, psi0 and grad psi0 at the grid nodes (entry-planar, as
+    for ``check_admissibility``); none is changed.
+
+    Grid-checks the three working properties of the weight:
+      band-positivity: the squared bracket stays positive (delta > 0),
+      inner-band lower bound: psi >= -T^alpha/64 + shift on [3T/8, 5T/8],
+      outer-band upper bound: psi <= -2 T^alpha/64 + shift on the outer ends.
+    """
+    psi1 = _observability_profile(alpha, t_obs, grid)
     space_min, m_sup = float(np.min(vals0)), float(np.max(vals0))
-    if space_min < -1e-12:
+    if space_min < -1e-12 or m_sup < 0.0:  # (32 m)^(1/alpha) is complex for m < 0
         raise ValueError("psi0 must be nonnegative")
     gsq_a = quad_form(grad, a, grad)
     delta0 = float(np.min(gsq_a))
@@ -350,12 +346,8 @@ def make_observability_weight(
 
     t_alpha = max(delta0 ** (-1.0 / (2.0 * (1.0 - alpha))), (32.0 * m_sup) ** (1.0 / alpha))
 
-    spec = WeightSpec(
-        psi0=psi0,
-        psi1=TimeProfile.observability(alpha, t_obs),
-        shift=float(shift),
-        lam=lam,
-    ).ensure_nonnegative(grid, space_min)
+    spec = WeightSpec(psi0=psi0, psi1=psi1, shift=float(shift), lam=lam).ensure_nonnegative(
+        grid, space_min)
 
     bmin, _, delta = _bracket_extremes(gsq_a, spec.psi1, grid.times)
     check_delta = bool(bmin > 0.0)

@@ -1,21 +1,24 @@
-"""Per-call node samples: the readers of A, dA, grad psi0 and hess psi0 called
-with a sample of their own.
+"""Per-call node samples: the readers of A, dA, psi0, grad psi0 and hess psi0
+called with a sample of their own.
 
 The library's readers take the node arrays a command evaluates once and hands
 to all of them.  Tests that exercise one reader at a time call it through
 these wrappers, which evaluate ``field(grid.space_points)``,
-``first_derivatives``, ``eval_gradient`` and ``eval_hessian`` (and assemble the
-operator) for that call alone, with the signatures the readers had before.
-The operator products and boundary quadratures that the library forms inline
-have wrappers here too, and so do the Gamma+ mask, the observability weight,
-the observability experiment and the worst-case estimator, which read the
-setup their caller holds.
+``first_derivatives``, ``psi0`` itself, ``eval_gradient`` and ``eval_hessian``
+(and assemble the operator) for that call alone, with the signatures the
+readers had before.  The operator products and boundary quadratures that the
+library forms inline have wrappers here too, and so do the Gamma+ mask, the
+example and observability weights, the auto-shift, the audit sweep, the
+observability experiment and the worst-case estimator, which read the setup
+their caller holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from carleman.audit import negative_control as _negative_control
+from carleman.audit import sweep_audit
 from carleman.coefficients import certify_ellipticity
 from carleman.experiments import observability_experiment, worst_case_ratio
 from carleman.operators import (
@@ -32,7 +35,8 @@ from carleman.operators import (
 from carleman.pseudoconvex import certificate_from_scan, theta_scan, upsilon_theta
 from carleman.solvers import _dirichlet_form
 from carleman.solvers import gamma_plus as _gamma_plus
-from carleman.weights import check_admissibility, make_observability_weight
+from carleman.polynomials import Polynomial
+from carleman.weights import check_admissibility, make_example_weight, make_observability_weight
 
 
 def field_sample(field, pts):
@@ -43,6 +47,24 @@ def weight_sample(psi0, pts):
     return psi0.eval_gradient(pts), psi0.eval_hessian(pts)
 
 
+def node_sample(field, psi0, pts):
+    """A, dA, psi0, grad psi0 and hess psi0 at ``pts``, as a command holds them."""
+    return (*field_sample(field, pts), psi0(pts), *weight_sample(psi0, pts))
+
+
+def min_psi(spec, grid):
+    return spec.min_psi(grid, float(np.min(spec.psi0(grid.space_points))))
+
+
+def ensure_nonnegative(spec, grid):
+    return spec.ensure_nonnegative(grid, float(np.min(spec.psi0(grid.space_points))))
+
+
+def example_weight(x0, t0, gamma, shift, grid, lam=1.0):
+    vals0 = Polynomial.squared_distance(x0, scale=0.5)(grid.space_points)
+    return make_example_weight(x0, t0, gamma, shift, vals0, grid, lam=lam)
+
+
 def ellipticity(field, grid, **tolerances):
     pts = grid.space_points
     return certify_ellipticity(field, *field_sample(field, pts), pts, **tolerances)
@@ -50,8 +72,7 @@ def ellipticity(field, grid, **tolerances):
 
 def admissibility(spec, field, grid, kind, ellipticity=None):
     pts = grid.space_points
-    return check_admissibility(spec, *field_sample(field, pts),
-                               *weight_sample(spec.psi0, pts), grid, kind,
+    return check_admissibility(spec, *node_sample(field, spec.psi0, pts), grid, kind,
                                ellipticity=ellipticity)
 
 
@@ -73,15 +94,14 @@ def gamma_plus(field, psi0, grid):
 
 def observability_weight(psi0, alpha, t_obs, shift, field, grid, lam=1.0):
     pts = grid.space_points
-    return make_observability_weight(psi0, alpha, t_obs, shift, field(pts),
+    return make_observability_weight(psi0, alpha, t_obs, shift, field(pts), psi0(pts),
                                      psi0.eval_gradient(pts), grid, lam=lam)
 
 
 def observability(kind, field, psi0, alpha, t_obs, ensemble, grid, lower=None):
     """The report of ``observability_experiment``, without the estimator."""
-    sample = field_sample(field, grid.space_points) + weight_sample(psi0, grid.space_points)
-    return observability_experiment(kind, field, psi0, alpha, t_obs, ensemble, grid, sample,
-                                    lower=lower)[0]
+    return observability_experiment(kind, field, psi0, alpha, t_obs, ensemble, grid,
+                                    node_sample(field, psi0, grid.space_points), lower=lower)[0]
 
 
 def worst_case(field, psi0, t_obs, grid, iterations, seed_data=None, lower=None):
@@ -99,8 +119,7 @@ def theta(field, h, pts):
 
 def coeffs(spec, field, kind, tau, grid, admissibility=None):
     pts = grid.space_points
-    return conjugation_coeffs(spec, *field_sample(field, pts),
-                              *weight_sample(spec.psi0, pts), kind, tau, grid,
+    return conjugation_coeffs(spec, *node_sample(field, spec.psi0, pts), kind, tau, grid,
                               admissibility=admissibility)
 
 
@@ -122,6 +141,18 @@ def riemannian(field, u, grid):
 def magnetic(field, b_field, u, grid):
     return magnetic_expansion_residual(*field_sample(field, grid.space_points),
                                        b_field, u, grid)
+
+
+def sweep(ensemble, spec, field, lower, kind, taus, lams, grid, target=0.0):
+    return sweep_audit(ensemble, spec, field, node_sample(field, spec.psi0, grid.space_points),
+                       lower, kind, taus, lams, grid, target=target)
+
+
+def negative_control(ensemble, spec, field, lower, kind, taus, lams, grid, admissibility,
+                     target=0.0):
+    return _negative_control(ensemble, spec, field,
+                             node_sample(field, spec.psi0, grid.space_points), lower, kind,
+                             taus, lams, grid, admissibility, target=target)
 
 
 def apply(kind, field, lower, u, grid):

@@ -83,7 +83,8 @@ def reference_sides(
             raise ValueError("single-parameter audit needs fields vanishing on dQ")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(spec.lam * spec.psi_values(grid))
+        psi = spec.psi0(grid.space_points)[..., None] + spec.psi1(grid.times) + spec.shift
+        phi = np.exp(spec.lam * psi)
     phi_max = float(np.max(phi))
     env = np.exp(2.0 * tau * (phi - phi_max))
 
@@ -177,7 +178,7 @@ def _reference_elliptic(
         raise ValueError(f"expected spatial shape {grid.space_shape}, got {u.shape}")
     lam = spec.lam
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(lam * spec.psi_space(grid))
+        phi = np.exp(lam * (spec.psi0(grid.space_points) + spec.shift))
         phi_max = float(np.max(phi))
         env = np.exp(2.0 * tau * (phi - phi_max))
         grad = node_major(gradient_space(u, grid), 1)

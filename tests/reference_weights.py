@@ -52,7 +52,7 @@ def observability_weight(psi0, alpha, t_obs, shift, a, grad, grid, lam=1.0):
         psi1=TimeProfile.observability(alpha, t_obs),
         shift=float(shift),
         lam=lam,
-    ).ensure_nonnegative(grid)
+    ).ensure_nonnegative(grid, float(np.min(psi0(grid.space_points))))
 
     chi = gsq_a[..., None] - spec.psi1.dt(grid.times) ** 2
     delta = float(np.min(chi**2))

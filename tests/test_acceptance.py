@@ -20,12 +20,11 @@ from carleman import (
     WaveData,
     build_grid,
     flatten_and_certify_hypersurface,
-    make_example_weight,
     solve_evolution,
     smoothing_bound_check,
     theta_decomposition,
 )
-from carleman.audit import compare_refinement, default_ensemble, sweep_audit
+from carleman.audit import compare_refinement, default_ensemble
 from carleman.polynomials import Polynomial
 from conftest import interior_bump_spacetime, sine_mode
 import per_call
@@ -166,7 +165,7 @@ def test_criterion_4_conjugation_identity_refinement():
         for nodes in (17, 33):
             g = build_grid([0, 0], [1, 1], [nodes, nodes], -1.0, 1.0, nodes)
             field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
-            spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=1.0)
+            spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=1.0)
             u = interior_bump_spacetime(g)
             res.append(per_call.conjugation(u, spec, field, "wave", 2.0, g))
         return res
@@ -185,10 +184,9 @@ def test_criterion_5_canonical_wave_audit():
     def run(nodes):
         g = build_grid([0, 0], [1, 1], [nodes, nodes], -1.0, 1.0, 33)
         field = MatrixField.identity(2, domain=g.domain)
-        spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=2.0)
+        spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=2.0)
         ens = default_ensemble(g, 20250810, count=20)
-        return g, field, sweep_audit(ens, spec, field, None, "wave_full",
-                                     taus, lams, g)
+        return g, field, per_call.sweep(ens, spec, field, None, "wave_full", taus, lams, g)
 
     def body():
         g17, field17, coarse = run(17)
@@ -197,11 +195,11 @@ def test_criterion_5_canonical_wave_audit():
 
         # negative controls must name the violated conditions exactly
         ell = per_call.ellipticity(field17, g17)
-        bad_curvature = make_example_weight([-0.5, 0.5], 0.0, 1.0, 0.0, g17, lam=2.0)
+        bad_curvature = per_call.example_weight([-0.5, 0.5], 0.0, 1.0, 0.0, g17, lam=2.0)
         codes_both = per_call.admissibility(
             bad_curvature, field17, g17, "wave", ellipticity=ell
         ).codes()
-        bad_cone = make_example_weight([-0.5, 0.5], 0.0, 0.5, 0.0, g17, lam=2.0)
+        bad_cone = per_call.example_weight([-0.5, 0.5], 0.0, 0.5, 0.0, g17, lam=2.0)
         codes_cone = per_call.admissibility(
             bad_cone, field17, g17, "wave", ellipticity=ell
         ).codes()

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carleman import (
-    MatrixField,
-    build_grid,
-    make_example_weight,
-    negative_control,
-    sweep_audit,
-)
+from carleman import MatrixField, build_grid, sweep_audit
 from carleman.audit import (
     INEQUALITY_KINDS,
     _Audit,
@@ -27,11 +21,16 @@ from reference_sides import reference_sides
 import per_call
 
 
+def _psi(spec, grid):
+    """psi = psi0 + psi1 + shift on every space-time node."""
+    return spec.psi0(grid.space_points)[..., None] + spec.psi1(grid.times) + spec.shift
+
+
 @pytest.fixture
 def canonical():
     grid = build_grid([0, 0], [1, 1], [17, 17], -1.0, 1.0, 33)
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     return grid, field, spec
 
 
@@ -67,7 +66,7 @@ def test_sides_deterministic_and_order_independent(canonical):
     second = evaluate_sides(u.copy(), spec, field, None, "wave_full", 8.0, grid)
     assert first.ratio == second.ratio  # bit identical
     # independent evaluation order: integrate with transposed reductions
-    phi = np.exp(spec.lam * spec.psi_values(grid))
+    phi = np.exp(spec.lam * _psi(spec, grid))
     env = np.exp(2.0 * 8.0 * (phi - np.max(phi)))
     lam = spec.lam
     from carleman.operators import gradient_space, gradient_time
@@ -103,7 +102,7 @@ def _windowed_modes(draw):
 def test_scaling_law_exact(case, tau, power, mantissa):
     grid, u = case
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     one = evaluate_sides(u, spec, field, None, "wave_full", tau, grid)
     # a power of two scales every product exactly
     two = evaluate_sides(2.0**power * u, spec, field, None, "wave_full", tau, grid)
@@ -125,9 +124,9 @@ def test_normalization_leaves_ratio_unchanged(case, tau):
 
     grid, u = case
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     side = evaluate_sides(u, spec, field, None, "wave_full", tau, grid)
-    phi = np.exp(spec.lam * spec.psi_values(grid))
+    phi = np.exp(spec.lam * _psi(spec, grid))
     lam = spec.lam
     env = np.exp(2.0 * tau * phi)
     energy = np.sum(gradient_space(u, grid) ** 2, axis=0) + gradient_time(u, grid) ** 2
@@ -152,14 +151,16 @@ def test_audit_dmu_side_is_the_geometry_integral(canonical, kind):
     if kind.startswith("schrodinger"):
         u = u * np.exp(1j * grid.space_points[..., 0])[..., None]
     taus, lams = [2.0, 8.0], [1.0, 2.0]
-    sides = _Audit(spec, field, None, kind, grid).member_sides(u, taus, lams)
+    pts = grid.space_points
+    sides = _Audit(spec, field, field(pts), spec.psi0(pts), spec.psi0.eval_gradient(pts), None,
+                   kind, grid).member_sides(u, taus, lams)
     gsq = np.sum(np.abs(gradient_space(u, grid)) ** 2, axis=0)
     dtsq = np.abs(gradient_time(u, grid)) ** 2
     if kind == "wave_full":
         gsq = gsq + dtsq
     for i, tau in enumerate(taus):
         for j, lam in enumerate(lams):
-            phi = np.exp(lam * spec.psi_values(grid))
+            phi = np.exp(lam * _psi(spec, grid))
             env = np.exp(2.0 * tau * (phi - np.max(phi)))
             want = per_call.integrate_dmu(
                 env * (tau**3 * lam**3 * phi**3 * np.abs(u) ** 2 + tau * lam * phi * gsq), grid
@@ -179,7 +180,7 @@ def test_positivity_for_nonzero_members(canonical):
 
 def test_vacuous_ensemble_reported(canonical):
     grid, field, spec = canonical
-    report = sweep_audit(
+    report = per_call.sweep(
         [np.zeros(grid.shape)], spec, field, None, "wave_full", [2.0], [1.0], grid
     )
     assert report.vacuous
@@ -197,7 +198,7 @@ def test_ensemble_members_vanish_on_boundary(canonical):
 def test_sweep_reports_thresholds(canonical):
     grid, field, spec = canonical
     ens = default_ensemble(grid, 5, count=6)
-    report = sweep_audit(
+    report = per_call.sweep(
         ens, spec, field, None, "wave_full", [2.0, 4.0], [1.0, 2.0], grid
     )
     assert report.tau_star == 2.0
@@ -233,7 +234,7 @@ def _variable_field_3d(grid):
 def _case_3d(m: int, nt: int):
     """An m^3 x nt grid with a variable 3x3 A(x) and its example weight."""
     grid = build_grid([0, 0, 0], [1, 1, 1], [m, m, m], -1.0, 1.0, nt)
-    spec = make_example_weight([-0.5, 0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     return grid, _variable_field_3d(grid), spec
 
 
@@ -253,7 +254,7 @@ def test_sweep_matches_per_cell_reference(canonical, kind, case):
         grid, 3, count=4, complex_fields=eq_kind == "schrodinger", spatial=eq_kind == "elliptic"
     )
     taus, lams = [2.0, 16.0, 64.0], [1.0, 4.0]
-    report = sweep_audit(ens, spec, field, lower, kind, taus, lams, grid)
+    report = per_call.sweep(ens, spec, field, lower, kind, taus, lams, grid)
     mask = per_call.gamma_plus(field, spec.psi0, grid)
     ref = np.empty_like(report.ratios)
     for i, tau in enumerate(taus):
@@ -266,7 +267,7 @@ def test_sweep_matches_per_cell_reference(canonical, kind, case):
     finite = np.isfinite(ref)
     assert np.allclose(report.ratios[finite], ref[finite], rtol=1e-12, atol=0.0)
     # the one-cell entry point agrees side by side, not only in the ratio
-    one = evaluate_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid, mask)
+    one = evaluate_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid)
     old = reference_sides(ens[1], spec.with_lambda(4.0), field, lower, kind, 16.0, grid, mask)
     for part in ("lhs_interior", "rhs_source", "rhs_boundary_dmu", "rhs_boundary_sigma_plus"):
         assert getattr(one, part) == pytest.approx(getattr(old, part), rel=1e-12, abs=0.0)
@@ -295,9 +296,10 @@ def test_sweep_peak_memory_within_one_side_evaluation():
     # cache), far below one more grid-sized array
     grid = build_grid([0, 0], [1, 1], [33, 33], -1.0, 1.0, 33)
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     ens = default_ensemble(grid, 5, count=6)
     args = (spec, field, None, "wave_full")
+    sample = per_call.node_sample(field, spec.psi0, grid.space_points)
     evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
 
     def peak(call) -> int:
@@ -310,7 +312,8 @@ def test_sweep_peak_memory_within_one_side_evaluation():
             tracemalloc.stop()
 
     one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
-    sweep = peak(lambda: sweep_audit(ens, *args, [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
+    sweep = peak(lambda: sweep_audit(ens, spec, field, sample, None, "wave_full",
+                                     [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
     assert sweep <= one + ens[0].nbytes / 16
 
 
@@ -320,6 +323,7 @@ def test_sweep_peak_memory_3d_variable_a_within_one_side_evaluation():
     grid, field, spec = _case_3d(13, 17)
     ens = default_ensemble(grid, 5, count=6)
     args = (spec, field, None, "wave_full")
+    sample = per_call.node_sample(field, spec.psi0, grid.space_points)
     evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
 
     def peak(call) -> int:
@@ -332,7 +336,8 @@ def test_sweep_peak_memory_3d_variable_a_within_one_side_evaluation():
             tracemalloc.stop()
 
     one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
-    sweep = peak(lambda: sweep_audit(ens, *args, [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
+    sweep = peak(lambda: sweep_audit(ens, spec, field, sample, None, "wave_full",
+                                     [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
     assert sweep <= one + ens[0].nbytes / 16
 
 
@@ -340,11 +345,11 @@ def test_refinement_drift_headline_stable(canonical):
     grid, field, spec = canonical
     taus, lams = [2.0, 4.0], [1.0]
     ens = default_ensemble(grid, 5, count=8)
-    coarse = sweep_audit(ens, spec, field, None, "wave_full", taus, lams, grid)
+    coarse = per_call.sweep(ens, spec, field, None, "wave_full", taus, lams, grid)
     fine_grid = build_grid([0, 0], [1, 1], [33, 33], -1.0, 1.0, 33)
     fine_field = MatrixField.identity(2, domain=fine_grid.domain)
-    fine_spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, fine_grid, lam=2.0)
-    fine = sweep_audit(
+    fine_spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, fine_grid, lam=2.0)
+    fine = per_call.sweep(
         default_ensemble(fine_grid, 5, count=8), fine_spec, fine_field, None,
         "wave_full", taus, lams, fine_grid,
     )
@@ -359,8 +364,7 @@ def test_refinement_drift_headline_stable(canonical):
 def test_wave_boundary_kind_accepts_windowed_fields(canonical):
     grid, field, spec = canonical
     u = interior_bump_spacetime(grid)
-    mask = per_call.gamma_plus(field, spec.psi0, grid)
-    side = evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid, mask)
+    side = evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid)
     assert side.rhs_boundary_dmu == 0.0
     # compact support: the discrete trace only sees the sub-1e-17 bump tail
     assert side.rhs_boundary_sigma_plus <= 1e-15 * side.lhs_interior
@@ -369,38 +373,35 @@ def test_wave_boundary_kind_accepts_windowed_fields(canonical):
 
 def test_wave_boundary_kind_rejects_nonvanishing(canonical):
     grid, field, spec = canonical
-    mask = per_call.gamma_plus(field, spec.psi0, grid)
     u = np.ones(grid.shape)
     with pytest.raises(ValueError, match="lateral"):
-        evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid, mask)
+        evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid)
     # vanishing laterally but not at the caps
     v = np.zeros(grid.shape)
     v[5:-5, 5:-5, :] = 1.0
     with pytest.raises(ValueError, match="cap"):
-        evaluate_sides(v, spec, field, None, "wave_boundary", 4.0, grid, mask)
+        evaluate_sides(v, spec, field, None, "wave_boundary", 4.0, grid)
 
 
 def test_wave_boundary_kind_rejects_cap_velocity(canonical):
     grid, field, spec = canonical
-    mask = per_call.gamma_plus(field, spec.psi0, grid)
     u = np.zeros(grid.shape)
     t = (grid.times - grid.t1) / (grid.t2 - grid.t1)
     space = interior_bump_space(grid)
     u = space[..., None] * np.sin(np.pi * t)  # first-order vanishing at caps
     with pytest.raises(ValueError, match="time derivative"):
-        evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid, mask)
+        evaluate_sides(u, spec, field, None, "wave_boundary", 4.0, grid)
 
 
 def test_parabolic_and_schrodinger_kinds_run(canonical):
     grid, field, _ = canonical
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid, lam=1.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid, lam=1.0)
     u = interior_bump_spacetime(grid)
-    mask = per_call.gamma_plus(field, spec.psi0, grid)
     for kind in ("parabolic_full", "schrodinger_full"):
         side = evaluate_sides(u.astype(complex), spec, field, None, kind, 2.0, grid)
         assert side.lhs_interior > 0.0 and np.isfinite(side.rhs_total)
     for kind in ("parabolic_boundary", "schrodinger_boundary"):
-        side = evaluate_sides(u.astype(complex), spec, field, None, kind, 2.0, grid, mask)
+        side = evaluate_sides(u.astype(complex), spec, field, None, kind, 2.0, grid)
         assert side.lhs_interior > 0.0
 
 
@@ -417,7 +418,7 @@ def test_single_param_kind_weights_by_tau(canonical):
 
 def test_elliptic_kind_spatial_fields(canonical):
     grid, field, _ = canonical
-    spec = make_example_weight([-1.0, 0.5], 0.0, 0.0, 0.0, grid, lam=1.0)
+    spec = per_call.example_weight([-1.0, 0.5], 0.0, 0.0, 0.0, grid, lam=1.0)
     u = interior_bump_space(grid)
     side = evaluate_sides(u, spec, field, None, "elliptic", 2.0, grid)
     assert side.lhs_interior > 0.0
@@ -429,9 +430,9 @@ def test_lower_order_terms_reduce_ratio(canonical):
     from carleman.operators import LowerOrderCoeffs
 
     ens = default_ensemble(grid, 5, count=6)
-    plain = sweep_audit(ens, spec, field, None, "wave_full", [8.0], [2.0], grid)
+    plain = per_call.sweep(ens, spec, field, None, "wave_full", [8.0], [2.0], grid)
     lower = LowerOrderCoeffs(kind="wave", space=(1.0, 1.0), time=1.0, zero=1.0)
-    with_lower = sweep_audit(
+    with_lower = per_call.sweep(
         ens, spec, field, lower, "wave_lower_order", [8.0], [2.0], grid
     )
     assert with_lower.aleph_emp[0, 0] > 0.0
@@ -446,11 +447,11 @@ def test_lower_order_terms_reduce_ratio(canonical):
 def test_negative_control_stamps_report(canonical):
     grid, field, _ = canonical
     ell = per_call.ellipticity(field, grid)
-    bad = make_example_weight([-0.5, 0.5], 0.0, 10.0 * 0.5, 0.0, grid, lam=2.0)
+    bad = per_call.example_weight([-0.5, 0.5], 0.0, 10.0 * 0.5, 0.0, grid, lam=2.0)
     adm = per_call.admissibility(bad, field, grid, "wave", ellipticity=ell)
     assert not adm.passed
     ens = default_ensemble(grid, 5, count=4)
-    report = negative_control(
+    report = per_call.negative_control(
         ens, bad, field, None, "wave_full", [2.0], [1.0], grid, adm
     )
     assert report.stamp == "INADMISSIBLE WEIGHT: exploratory"
@@ -464,14 +465,14 @@ def test_negative_control_rejects_admissible(canonical):
     adm = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert adm.passed
     with pytest.raises(ValueError, match="sweep_audit"):
-        negative_control([np.zeros(grid.shape)], spec, field, None, "wave_full",
-                         [2.0], [1.0], grid, adm)
+        per_call.negative_control([np.zeros(grid.shape)], spec, field, None, "wave_full",
+                                  [2.0], [1.0], grid, adm)
 
 
 def test_overflow_is_reported_with_cell():
     grid = build_grid([0, 0], [1, 1], [9, 9], -1.0, 1.0, 9)
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=200.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=200.0)
     u = interior_bump_spacetime(grid)
     with pytest.raises(OverflowError, match="tau"):
         evaluate_sides(u, spec, field, None, "wave_full", 4.0, grid)
@@ -480,7 +481,7 @@ def test_overflow_is_reported_with_cell():
 def test_sweep_rejects_empty_ensemble(canonical):
     grid, field, spec = canonical
     with pytest.raises(ValueError, match="nonempty"):
-        sweep_audit([], spec, field, None, "wave_full", [2.0], [1.0], grid)
+        per_call.sweep([], spec, field, None, "wave_full", [2.0], [1.0], grid)
 
 
 def test_unknown_inequality_kind_rejected(canonical):
@@ -492,10 +493,10 @@ def test_unknown_inequality_kind_rejected(canonical):
 def test_sweep_overflow_names_the_cell():
     grid = build_grid([0, 0], [1, 1], [9, 9], -1.0, 1.0, 9)
     field = MatrixField.identity(2, domain=grid.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     ens = [interior_bump_spacetime(grid)]
     with pytest.raises(OverflowError, match=r"tau=4\.0, lambda=200\.0"):
-        sweep_audit(ens, spec, field, None, "wave_full", [4.0], [1.0, 200.0], grid)
+        per_call.sweep(ens, spec, field, None, "wave_full", [4.0], [1.0, 200.0], grid)
 
 
 @pytest.mark.parametrize("kind", ["wave_boundary", "parabolic_boundary", "schrodinger_boundary"])
@@ -503,17 +504,17 @@ def test_sweep_boundary_kinds_reject_nonvanishing(canonical, kind):
     grid, field, spec = canonical
     good = interior_bump_spacetime(grid)
     with pytest.raises(ValueError, match=r"lateral boundary \(\d+ nodes\)"):
-        sweep_audit([good, np.ones(grid.shape)], spec, field, None, kind, [2.0], [1.0], grid)
+        per_call.sweep([good, np.ones(grid.shape)], spec, field, None, kind, [2.0], [1.0], grid)
     capped = np.zeros(grid.shape)
     capped[5:-5, 5:-5, :] = 1.0
     with pytest.raises(ValueError, match=r"time cap \(level 0\)"):
-        sweep_audit([capped], spec, field, None, kind, [2.0], [1.0], grid)
+        per_call.sweep([capped], spec, field, None, kind, [2.0], [1.0], grid)
 
 
 def test_sweep_rejects_empty_or_nonpositive_parameters(canonical):
     grid, field, spec = canonical
     ens = [interior_bump_spacetime(grid)]
     with pytest.raises(ValueError, match="at least one"):
-        sweep_audit(ens, spec, field, None, "wave_full", [], [1.0], grid)
+        per_call.sweep(ens, spec, field, None, "wave_full", [], [1.0], grid)
     with pytest.raises(ValueError, match="positive"):
-        sweep_audit(ens, spec, field, None, "wave_full", [2.0], [0.0], grid)
+        per_call.sweep(ens, spec, field, None, "wave_full", [2.0], [0.0], grid)

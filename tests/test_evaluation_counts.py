@@ -3,9 +3,12 @@ are evaluated on the space nodes once, the CFL limit of a wave run once more,
 and the Gamma+ mask and the operator without lower-order terms are built
 once."""
 
+import copy
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from carleman import cli, operators, solvers
@@ -24,6 +27,51 @@ _SHIPPED_1D = {
     "solve": {"kind": "wave", "mode": [1]},
 }
 
+_SHIPPED = {name: yaml.safe_load((Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+                                 .read_text()) for name in ("wave_audit", "wave_observability_1d")}
+
+# a 9^2 x 17 wave audit on (0, 1/2), so an observability weight fits its times
+_AUDIT_2D = {
+    "grid": {"lows": [0.0, 0.0], "highs": [1.0, 1.0], "nodes": [9, 9], "t1": 0.0, "t2": 0.5,
+             "nt": 17},
+    "coefficients": {"family": "identity"},
+    "weight": {"family": "example", "x0": [-0.5, 0.5], "gamma": 0.25, "lambda": 2.0},
+    "equation": {"kind": "wave"},
+    "audit": {"kind": "wave_full", "taus": [2.0, 4.0], "lambdas": [1.0], "ensemble": 2},
+}
+
+_CONFIG_3D = {
+    "grid": {"lows": [0.0, 0.0, 0.0], "highs": [1.0, 1.0, 1.0], "nodes": [9, 8, 8],
+             "t1": 0.0, "t2": 1.0, "nt": 3},
+    "coefficients": {"family": "scalar_affine", "a0": 1.0, "linear": [0.2, -0.1, 0.05]},
+    "weight": {"family": "example", "x0": [-0.5, 0.5, 0.5], "lambda": 1.0},
+    "theta": {"points": [[0.5, 0.5, 0.5]]},
+    "identities": {"tau": 1.0},
+}
+
+
+def _variant(cfg: dict, **blocks) -> dict:
+    """``cfg`` with the entries of some blocks replaced."""
+    out = copy.deepcopy(cfg)
+    for block, entries in blocks.items():
+        out[block] = {**out.get(block, {}), **entries}
+    return out
+
+
+_OBSERVABILITY_WEIGHT = {"family": "observability", "gamma": 0.0, "alpha": 0.5}
+
+# every command that reads the weight, on the shipped configs and on a boundary
+# kind, an observability weight and a variable A in 3-D
+_WEIGHT_RUNS = [
+    *[(command, name, _SHIPPED[name]) for name in _SHIPPED
+      for command in ("certify", "theta", "identities", "carleman-audit")],
+    ("carleman-audit", "wave_boundary", _variant(_AUDIT_2D, audit={"kind": "wave_boundary"})),
+    *[(command, "observability-weight", _variant(_AUDIT_2D, weight=_OBSERVABILITY_WEIGHT))
+      for command in ("certify", "theta", "identities", "carleman-audit")],
+    *[(command, "variable-A-3d", _variant(_CONFIG_3D, equation={"kind": kind}))
+      for command, kind in (("certify", "wave"), ("theta", "wave"), ("identities", "elliptic"))],
+]
+
 _HEAT_FINAL_2D = {
     "grid": {"lows": [0.0, 0.0], "highs": [1.0, 1.0], "nodes": [9, 9], "t1": 0.0, "t2": 0.5,
              "nt": 17},
@@ -36,9 +84,9 @@ _HEAT_FINAL_2D = {
 def _counted(monkeypatch, cfg: dict) -> dict:
     """Wrap the evaluations of A, dA, psi0, grad psi0 and hess psi0 (counted on
     the space nodes of the config's grid only; psi0 as read from the config's
-    ``weight`` block), ``assemble_operator`` (counted without lower-order terms)
-    and ``gamma_plus``, in every ``carleman`` namespace that holds them;
-    returns the counts, filled as the run goes."""
+    ``weight`` block or built from its ``x0``), ``assemble_operator`` (counted
+    without lower-order terms) and ``gamma_plus``, in every ``carleman``
+    namespace that holds them; returns the counts, filled as the run goes."""
     nodes = build_grid_from(cfg).space_points.shape
     counts = dict.fromkeys(("A", "dA", "psi0", "grad", "hess", "assemble", "gamma_plus"), 0)
     psi0s = []
@@ -68,6 +116,13 @@ def _counted(monkeypatch, cfg: dict) -> dict:
         return psi0s[-1]
 
     monkeypatch.setattr(cli, "_psi0_from", read_psi0)
+    squared_distance = Polynomial.squared_distance
+
+    def example_psi0(cls, *args, **kwargs):
+        psi0s.append(squared_distance(*args, **kwargs))
+        return psi0s[-1]
+
+    monkeypatch.setattr(Polynomial, "squared_distance", classmethod(example_psi0))
 
     assemble_operator, gamma_plus = operators.assemble_operator, solvers.gamma_plus
 
@@ -92,6 +147,22 @@ def _run(tmp_path, command: str, cfg: dict) -> int:
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command, name, cfg", _WEIGHT_RUNS,
+                         ids=[f"{command}-{name}" for command, name, _ in _WEIGHT_RUNS])
+def test_weight_commands_sample_the_nodes_once(tmp_path, monkeypatch, command, name, cfg):
+    """A certify-family command or an audit evaluates A, dA, psi0, grad psi0
+    and hess psi0 on its grid's nodes once each, for the weight, the
+    certificates, the audit and the conjugation coefficients; identities
+    assembles the operator once, and a boundary-kind audit builds one mask."""
+    counts = _counted(monkeypatch, cfg)
+    # that weight fails the (2.1) and (2.2) conditions of the wave admissibility
+    fails = name == "observability-weight" and command in ("certify", "carleman-audit")
+    assert _run(tmp_path, command, cfg) == (2 if fails else 0)
+    assert counts == {"A": 1, "dA": 1, "psi0": 1, "grad": 1, "hess": 1,
+                      "assemble": command == "identities",
+                      "gamma_plus": name == "wave_boundary"}
 
 
 def test_observability_takes_one_setup(tmp_path, monkeypatch):

@@ -184,8 +184,7 @@ def test_experiment_hands_its_setup_to_the_estimator():
                    int(np.ceil(2.2 / (0.45 / 12 / np.sqrt(2)))) + 1)
     field = MatrixField.identity(2, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    sample = per_call.field_sample(field, g.space_points) + per_call.weight_sample(
-        psi0, g.space_points)
+    sample = per_call.node_sample(field, psi0, g.space_points)
     datum = WaveData(sine_mode(g, (1, 2)), np.zeros(g.space_shape))
     report, got = observability_experiment("wave", field, psi0, 0.5, 2.2, [datum], g, sample,
                                            worst_case_iterations=3)
@@ -200,8 +199,7 @@ def test_worst_case_estimate_needs_the_wave_kind():
     g = build_grid([0, 0], [1, 1], [9, 9], 0.0, 0.4, 17)
     field = MatrixField.identity(2, domain=g.domain)
     psi0 = Polynomial.squared_distance([-0.5, 0.5], scale=0.5)
-    sample = per_call.field_sample(field, g.space_points) + per_call.weight_sample(
-        psi0, g.space_points)
+    sample = per_call.node_sample(field, psi0, g.space_points)
     with pytest.raises(ValueError, match="wave kind"):
         observability_experiment("heat_final", field, psi0, 0.5, 0.4,
                                  [HeatData(u0=sine_mode(g, (1, 1)))], g, sample,

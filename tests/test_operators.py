@@ -5,7 +5,6 @@ from carleman import (
     MatrixField,
     RiemannianField,
     build_grid,
-    make_example_weight,
     riemannian_identity_residual,
 )
 from carleman.operators import LowerOrderCoeffs, assemble_operator, green_residual
@@ -128,7 +127,7 @@ def test_nonfinite_input_rejected(grid2):
 def wave_weight_setup():
     g = build_grid([0, 0], [1, 1], [17, 17], -1.0, 1.0, 17)
     field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, g, lam=2.0)
     return g, field, spec
 
 
@@ -157,7 +156,7 @@ def test_wave_b_cross_check(wave_weight_setup):
 
 def test_zero_time_profile_kills_d(wave_weight_setup):
     g, field, _ = wave_weight_setup
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, g, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, g, lam=2.0)
     cc = per_call.coeffs(spec, field, "wave", 2.0, g)
     assert np.max(np.abs(cc.d)) == 0.0
 
@@ -185,7 +184,7 @@ def test_conjugation_rejects_bad_tau(wave_weight_setup):
 
 def test_conjugation_warns_on_inadmissible(wave_weight_setup):
     g, field, spec = wave_weight_setup
-    bad = make_example_weight([-0.5, 0.5], 0.0, 5.0, 0.0, g, lam=2.0)
+    bad = per_call.example_weight([-0.5, 0.5], 0.0, 5.0, 0.0, g, lam=2.0)
     adm = per_call.admissibility(bad, field, g, "wave",
                                  ellipticity=per_call.ellipticity(field, g))
     with pytest.warns(UserWarning, match="not admissible"):
@@ -214,7 +213,7 @@ def test_conjugation_residual_second_order(kind):
             g = build_grid([0, 0], [1, 1], [nodes, nodes], -1.0, 1.0, nodes)
         field = MatrixField.scalar_affine(2, 1.0, [0.1, 0.0], domain=g.domain)
         gamma = 0.0 if kind == "elliptic" else 0.25
-        spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, g, lam=1.0)
+        spec = per_call.example_weight([-0.5, 0.5], 0.0, gamma, 0.0, g, lam=1.0)
         u = interior_bump_space(g) if kind == "elliptic" else interior_bump_spacetime(g)
         res.append(per_call.conjugation(u, spec, field, kind, 2.0, g))
     assert 3.0 <= res[0] / res[1] <= 5.0

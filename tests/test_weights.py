@@ -6,12 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carleman import (
-    MatrixField,
-    build_grid,
-    make_example_weight,
-    ucp_region_certificate,
-)
+from carleman import MatrixField, build_grid, ucp_region_certificate
 from carleman.coefficients import EllipticityReport
 from carleman.polynomials import Polynomial
 from carleman.weights import (
@@ -39,23 +34,23 @@ def wave_setup():
 
 
 def test_example_weight_no_shift_needed(unit_square_grid):
-    spec = make_example_weight([-1.0, 0.0], 0.0, 0.0, 0.0, unit_square_grid)
+    spec = per_call.example_weight([-1.0, 0.0], 0.0, 0.0, 0.0, unit_square_grid)
     assert spec.shift == 0.0
-    assert spec.min_psi(unit_square_grid) >= 0.0
+    assert per_call.min_psi(spec, unit_square_grid) >= 0.0
 
 
 def test_example_weight_minimal_shift(unit_square_grid):
     g = unit_square_grid  # t in (-1, 1)
-    spec = make_example_weight([-1.0, 0.0], 0.0, -0.25, 0.0, g)
+    spec = per_call.example_weight([-1.0, 0.0], 0.0, -0.25, 0.0, g)
     min_sq = float(np.min(np.sum((g.space_points - np.array([-1.0, 0.0])) ** 2, axis=-1)))
     expected = max(0.0, 0.125 - min_sq / 2.0)
     assert spec.shift == pytest.approx(expected, abs=2e-9)
-    assert spec.min_psi(g) >= 0.0
+    assert per_call.min_psi(spec, g) >= 0.0
 
 
 def test_example_weight_interior_center_rejected(unit_square_grid):
     with pytest.raises(ValueError, match="inside"):
-        make_example_weight([0.5, 0.5], 0.0, 0.0, 0.0, unit_square_grid)
+        per_call.example_weight([0.5, 0.5], 0.0, 0.0, 0.0, unit_square_grid)
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -63,14 +58,14 @@ def test_example_weight_interior_center_rejected(unit_square_grid):
 
 def test_elliptic_admissibility_quadratic_weight(wave_setup):
     grid, field, ell = wave_setup
-    spec = make_example_weight([-1.0, 0.5], 0.0, 0.0, 0.0, grid)
+    spec = per_call.example_weight([-1.0, 0.5], 0.0, 0.0, 0.0, grid)
     rep = per_call.admissibility(spec, field, grid, "elliptic", ellipticity=ell)
     assert rep.passed
 
 
 def test_wave_admissibility_canonical_pass(wave_setup):
     grid, field, ell = wave_setup
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert rep.passed
     assert rep.kappa == pytest.approx(2.0)
@@ -84,7 +79,7 @@ def test_wave_admissibility_gamma_at_twice_bound_fails(wave_setup):
     sigma = 1.0
     kappa, vk = 2.0, 1.0
     gamma = 2.0 * min(d / sigma, kappa / (4.0 * vk))
-    spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
     rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     assert not rep.passed
     codes = rep.codes()
@@ -98,7 +93,7 @@ def test_wave_admissibility_monotone_in_gamma(wave_setup):
     gammas = [0.05, 0.1, 0.2, 0.4, 0.8]
     passes = []
     for gamma in gammas:
-        spec = make_example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
+        spec = per_call.example_weight([-0.5, 0.5], 0.0, gamma, 0.0, grid, lam=2.0)
         passes.append(per_call.admissibility(spec, field, grid, "wave", ellipticity=ell).passed)
     for small, big in zip(passes, passes[1:]):
         if big:
@@ -107,21 +102,21 @@ def test_wave_admissibility_monotone_in_gamma(wave_setup):
 
 def test_wave_admissibility_requires_ellipticity_report(wave_setup):
     grid, field, _ = wave_setup
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid)
     with pytest.raises(ValueError, match="ellipticity"):
         per_call.admissibility(spec, field, grid, "wave")
 
 
 def test_schrodinger_admissibility_uses_pseudoconvexity(wave_setup):
     grid, field, ell = wave_setup
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.0, 0.0, grid)
     rep = per_call.admissibility(spec, field, grid, "schrodinger", ellipticity=ell)
     assert rep.passed and rep.kappa == pytest.approx(2.0)
 
 
 def test_delta_consistency_with_independent_scan(wave_setup):
     grid, field, ell = wave_setup
-    spec = make_example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
+    spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
     rep = per_call.admissibility(spec, field, grid, "wave", ellipticity=ell)
     grads = spec.psi0.eval_gradient(grid.space_points)
     gsq = np.sum(grads**2, axis=0)
@@ -152,7 +147,7 @@ def test_observability_checks_above_threshold():
     spec, thr = per_call.observability_weight(psi0, 0.5, 1601.0, 11.0, field, grid)
     assert thr.t_alpha == pytest.approx(1600.0)
     assert all(thr.checks.values())
-    assert spec.min_psi(grid) >= 0.0
+    assert per_call.min_psi(spec, grid) >= 0.0
 
 
 def test_observability_checks_fail_below_threshold():
@@ -211,7 +206,9 @@ _ELLIPTICITY = EllipticityReport(kappa_estimate=1.0, m_estimate=0.0, lambda_min=
 def _wave_admissibility(psi1, sample, grid):
     """The wave-kind admissibility report of psi1 on a line sample."""
     spec = WeightSpec(psi0=Polynomial.squared_distance([-1.0]), psi1=psi1, shift=1.0, lam=1.0)
-    return check_admissibility(spec, *sample, grid, "wave", ellipticity=_ELLIPTICITY)
+    a, da, grad, hess = sample
+    return check_admissibility(spec, a, da, spec.psi0(grid.space_points), grad, hess, grid,
+                               "wave", ellipticity=_ELLIPTICITY)
 
 
 def _outcome(call, *args):
@@ -305,7 +302,7 @@ def test_weight_checks_match_space_time_arrays(case):
         assert not cone
 
     psi0 = _Sampled(s)
-    ours = _outcome(make_observability_weight, psi0, alpha, t_obs, shift, a, grad, grid)
+    ours = _outcome(make_observability_weight, psi0, alpha, t_obs, shift, a, s, grad, grid)
     theirs = _outcome(reference_weights.observability_weight, psi0, alpha, t_obs, shift, a,
                       grad, grid)
     assert repr(ours) == repr(theirs)
@@ -323,9 +320,11 @@ def test_weight_checks_overflow_where_the_arrays_did():
     ]
     for values, shift, sample in (([0.5, 1.0], 0.0, huge),
                                   ([0.5, 1.7e308], 1e308, _sample(np.ones(2)))):
-        args = (_Sampled(np.array(values)), 0.5, 1.0, shift, sample[0], sample[2], grid)
-        cases.append((lambda args=args: make_observability_weight(*args),
-                      lambda args=args: reference_weights.observability_weight(*args)))
+        psi0 = _Sampled(np.array(values))
+        ours = (psi0, 0.5, 1.0, shift, sample[0], psi0.values, sample[2], grid)
+        theirs = (psi0, 0.5, 1.0, shift, sample[0], sample[2], grid)
+        cases.append((lambda args=ours: make_observability_weight(*args),
+                      lambda args=theirs: reference_weights.observability_weight(*args)))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for ours, theirs in cases:
             with pytest.raises(FloatingPointError) as expected:
@@ -433,6 +432,6 @@ def test_observability_rejects_nonpositive_time():
 
 def test_admissibility_unknown_kind_rejected(unit_square_grid):
     field = MatrixField.identity(2, domain=unit_square_grid.domain)
-    spec = make_example_weight([-1.0, 0.0], 0.0, 0.0, 0.0, unit_square_grid)
+    spec = per_call.example_weight([-1.0, 0.0], 0.0, 0.0, 0.0, unit_square_grid)
     with pytest.raises(ValueError, match="kind"):
         per_call.admissibility(spec, field, unit_square_grid, "hyperbolic")

@@ -65,7 +65,6 @@ from .weights import (
     WeightAdmissibility,
     WeightSpec,
     check_admissibility,
-    make_example_weight,
     make_observability_weight,
     ucp_region_certificate,
 )

@@ -458,12 +458,12 @@ class AuditReport:
 
 
 def sweep_audit(
-    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, sample: tuple,
-    lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
-    target: float = 0.0,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, a: np.ndarray,
+    vals0: np.ndarray, grad: np.ndarray, lower: LowerOrderCoeffs | None, kind: str, taus, lams,
+    grid: SpaceTimeGrid, target: float = 0.0,
 ) -> AuditReport:
     """Evaluate the inequality across a (tau, lambda) grid for the ensemble;
-    ``sample`` is the command's node sample of A, dA, psi0, grad and hess psi0."""
+    ``a``, ``vals0`` and ``grad`` are A, psi0 and grad psi0 on the space nodes."""
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
     taus = [float(t) for t in taus]
@@ -472,7 +472,6 @@ def sweep_audit(
         raise ValueError("need at least one tau and one lambda")
     if min(taus) <= 0 or min(lams) <= 0:
         raise ValueError("tau and lambda must be positive")
-    a, _, vals0, grad, _ = sample
     audit = _Audit(spec, field, a, vals0, grad, lower, kind, grid)
     ratios = np.empty((len(taus), len(lams), len(ensemble)))
     for m, u in enumerate(ensemble):
@@ -502,9 +501,9 @@ def sweep_audit(
 
 
 def negative_control(
-    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, sample: tuple,
-    lower: LowerOrderCoeffs | None, kind: str, taus, lams, grid: SpaceTimeGrid,
-    admissibility: WeightAdmissibility, target: float = 0.0,
+    ensemble: list[np.ndarray], spec: WeightSpec, field: MatrixField, a: np.ndarray,
+    vals0: np.ndarray, grad: np.ndarray, lower: LowerOrderCoeffs | None, kind: str, taus, lams,
+    grid: SpaceTimeGrid, admissibility: WeightAdmissibility, target: float = 0.0,
 ) -> AuditReport:
     """Exploratory audit of a weight that failed admissibility.
 
@@ -512,7 +511,7 @@ def negative_control(
     """
     if admissibility.passed:
         raise ValueError("weight is admissible: use sweep_audit")
-    report = sweep_audit(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
+    report = sweep_audit(ensemble, spec, field, a, vals0, grad, lower, kind, taus, lams, grid,
                          target=target)
     report.stamp = "INADMISSIBLE WEIGHT: exploratory"
     report.admissibility_codes = admissibility.codes()

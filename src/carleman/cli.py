@@ -37,7 +37,7 @@ from .pseudoconvex import (certificate_from_scan, flatten_and_certify_hypersurfa
 from .solvers import HeatData, SchrodingerData, WaveData, _held, cfl_limit, solve_evolution
 from .svg import heatmap_svg, histogram_svg, line_svg
 from .weights import (TimeProfile, UCPGeometry, WeightSpec, _observability_profile, _outside_box,
-                      check_admissibility, make_example_weight, make_observability_weight,
+                      check_admissibility, make_observability_weight,
                       ucp_region_certificate)
 
 
@@ -382,12 +382,14 @@ def _psi0_from(w: dict, n: int) -> Polynomial:
     return Polynomial.squared_distance(w["x0"], scale=0.5)
 
 
-def _weight_and_sample(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
-    """The weight, its report extras and the command's node sample.  What
-    reads no node is checked first: x0 outside the box, the observability
-    parameters and psi1, whose readers multiply its values, so psi1 and its
-    time derivative must be finite and below _SAMPLE_BOUND in size on the
-    grid times.  The weight then reads psi0, A and grad psi0 from the sample."""
+def _weight_and_sample(cfg: dict, field: MatrixField, grid: SpaceTimeGrid,
+                       derivatives: bool = True):
+    """The weight, its report extras and the command's node sample (without
+    ``derivatives``, dA and hess psi0 are None).  What reads no node is
+    checked first: x0 outside the box, the observability parameters and
+    psi1, whose readers multiply its values, so psi1 and its time derivative
+    must be finite and below _SAMPLE_BOUND in size on the grid times.  The
+    weight then reads psi0, A and grad psi0 from the sample."""
     w = _checked(cfg, "weight", grid.n)
     family, lam, shift, p1 = w["family"], w["lambda"], w["shift"], w["psi1"]
     psi0, t_obs = _psi0_from(w, grid.n), grid.t2 if w["t_obs"] is None else w["t_obs"]
@@ -408,13 +410,10 @@ def _weight_and_sample(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
             if not _bounded((psi1(grid.times), psi1.dt(grid.times))):
                 raise ConfigError(f"weight: psi1 or its time derivative is not finite or "
                                   f"exceeds {_SAMPLE_BOUND:g} in size on the grid times")
-        sample = a, _, vals0, grad, _ = _node_sample(field, psi0, grid)
+        sample = a, _, vals0, grad, _ = _node_sample(field, psi0, grid, derivatives)
         # a squared (2.1) bracket may overflow on far nodes: delta then reads inf
         with np.errstate(over="ignore", invalid="ignore"):
-            if family == "example":
-                spec = make_example_weight(w["x0"], w["t0"], w["gamma"], shift, vals0, grid,
-                                           lam=lam)
-            elif family == "observability":
+            if family == "observability":
                 spec, thresholds = make_observability_weight(psi0, w["alpha"], t_obs, shift, a,
                                                              vals0, grad, grid, lam=lam)
                 extras["thresholds"] = dataclasses.asdict(thresholds)
@@ -428,7 +427,7 @@ def _weight_and_sample(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
 
 def build_weight_from(cfg: dict, field: MatrixField, grid: SpaceTimeGrid):
     """The weight and its report extras, from a node sample of their own."""
-    return _weight_and_sample(cfg, field, grid)[:2]
+    return _weight_and_sample(cfg, field, grid, derivatives=False)[:2]
 
 
 def build_lower_from(cfg: dict, kind: str, grid: SpaceTimeGrid) -> LowerOrderCoeffs | None:
@@ -511,17 +510,21 @@ def _bounded(arrays) -> bool:
     return all(-_SAMPLE_BOUND < np.min(x) and np.max(x) < _SAMPLE_BOUND for x in arrays)
 
 
-def _node_sample(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid):
+def _node_sample(field: MatrixField, psi0: Polynomial, grid: SpaceTimeGrid,
+                 derivatives: bool = True):
     """A, its first derivatives and psi0 with its gradient and Hessian at the
     grid nodes, entry-planar: a command evaluates each once and hands it to
-    every reader.  The readers multiply up to three values of A and of the
-    derivatives and add a few dozen products, so each must be finite and
-    below _SAMPLE_BOUND in size; psi0, evaluated after that check, is not."""
+    every reader.  Without ``derivatives``, dA and hess psi0 are None: an
+    audit sweep reads A, psi0 and grad psi0 alone.  The readers multiply up
+    to three values of A and of the derivatives and add a few dozen products,
+    so each must be finite and below _SAMPLE_BOUND in size; psi0, evaluated
+    after that check, is not."""
     pts = grid.space_points
     with np.errstate(over="ignore", invalid="ignore"):
-        a, da, grad, hess = sample = (field(pts), field.first_derivatives(pts),
-                                      psi0.eval_gradient(pts), psi0.eval_hessian(pts))
-    if not _bounded(sample):
+        a, grad = field(pts), psi0.eval_gradient(pts)
+        da, hess = ((field.first_derivatives(pts), psi0.eval_hessian(pts)) if derivatives
+                    else (None, None))
+    if not _bounded(x for x in (a, da, grad, hess) if x is not None):
         raise ConfigError(f"grid: A or a derivative of A or psi0 is not finite or exceeds "
                           f"{_SAMPLE_BOUND:g} in size on the nodes")
     return a, da, psi0(pts), grad, hess
@@ -585,24 +588,26 @@ def _cmd_audit(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
     block = blocks["audit"]
     kind, taus, lams, count = block["kind"], block["taus"], block["lambdas"], block["ensemble"]
     eq_kind = kind.split("_")[0]
-    spec, extras, sample = _weight_and_sample(cfg, field, grid)
+    spec, extras, (a, da, vals0, grad, hess) = _weight_and_sample(cfg, field, grid)
     lower = build_lower_from(cfg, eq_kind, grid)
-    ell = certify_ellipticity(field, *sample[:2], grid.space_points)
-    adm = check_admissibility(spec, *sample, grid, eq_kind, ellipticity=ell)
+    ell = certify_ellipticity(field, a, da, grid.space_points)
+    adm = check_admissibility(spec, a, da, vals0, grad, hess, grid, eq_kind, ellipticity=ell)
+    del da, hess  # the sweep reads A, psi0 and grad psi0 alone
     target = block["target"]
     complex_fields, spatial = eq_kind == "schrodinger", eq_kind == "elliptic"
     ensemble = default_ensemble(grid, seed, count=count, complex_fields=complex_fields,
                                 spatial=spatial)
     flags = []
     if adm.passed:
-        report = sweep_audit(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
-                             target=target)
+        report = sweep_audit(ensemble, spec, field, a, vals0, grad, lower, kind, taus, lams,
+                             grid, target=target)
         status = 0 if report.tau_star is not None else 2
     else:
-        report = negative_control(ensemble, spec, field, sample, lower, kind, taus, lams, grid,
-                                  adm, target=target)
+        report = negative_control(ensemble, spec, field, a, vals0, grad, lower, kind, taus, lams,
+                                  grid, adm, target=target)
         flags.append("inadmissible-weight")
         status = 2
+    del a, vals0, grad  # the fine grid samples its own nodes
 
     drift_info = None
     if block["refine"]:
@@ -610,11 +615,12 @@ def _cmd_audit(cfg, blocks, grid, outdir, seed) -> tuple[int, list[str]]:
         fine = build_grid(grid.domain.lows, grid.domain.highs, fine_nodes, grid.t1, grid.t2,
                           grid.nt)
         fine_field = build_coefficients_from(cfg, fine)
-        fine_spec, _, fine_sample = _weight_and_sample(cfg, fine_field, fine)
+        fine_spec, _, (a, _, vals0, grad, _) = _weight_and_sample(cfg, fine_field, fine,
+                                                                  derivatives=False)
         fine_ensemble = default_ensemble(fine, seed, count=count, complex_fields=complex_fields,
                                          spatial=spatial)
         fine_report = sweep_audit(
-            fine_ensemble, fine_spec, fine_field, fine_sample,
+            fine_ensemble, fine_spec, fine_field, a, vals0, grad,
             build_lower_from(cfg, eq_kind, fine), kind, taus, lams, fine, target=target)
         drift, stable = compare_refinement(report, fine_report)
         drift = drift[~np.isnan(drift)]  # nan where a cell is inf (or 0) on both grids

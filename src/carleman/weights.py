@@ -42,7 +42,6 @@ __all__ = [
     "UCPGeometry",
     "UCPRegionCertificate",
     "check_admissibility",
-    "make_example_weight",
     "make_observability_weight",
     "ObservabilityThresholds",
     "ucp_region_certificate",
@@ -285,18 +284,6 @@ def _outside_box(x0, grid: SpaceTimeGrid) -> tuple[float, ...]:
     if grid.domain.contains(np.asarray(x0)):
         raise ValueError(f"x0={x0} lies inside the closed box")
     return x0
-
-
-def make_example_weight(
-    x0, t0: float, gamma: float, shift: float, vals0: np.ndarray, grid: SpaceTimeGrid,
-    lam: float = 1.0,
-) -> WeightSpec:
-    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
-    shifted further where needed so that psi >= 0 on the grid; ``vals0`` is
-    |x - x0|^2 / 2 on the space nodes."""
-    psi0 = Polynomial.squared_distance(_outside_box(x0, grid), scale=0.5)
-    return WeightSpec(psi0=psi0, psi1=TimeProfile.quadratic(gamma, t0), shift=float(shift),
-                      lam=lam).ensure_nonnegative(grid, float(np.min(vals0)))
 
 
 @dataclass

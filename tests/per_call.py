@@ -36,7 +36,8 @@ from carleman.pseudoconvex import certificate_from_scan, theta_scan, upsilon_the
 from carleman.solvers import _dirichlet_form
 from carleman.solvers import gamma_plus as _gamma_plus
 from carleman.polynomials import Polynomial
-from carleman.weights import check_admissibility, make_example_weight, make_observability_weight
+from carleman.weights import (TimeProfile, WeightSpec, _outside_box, check_admissibility,
+                              make_observability_weight)
 
 
 def field_sample(field, pts):
@@ -61,8 +62,11 @@ def ensure_nonnegative(spec, grid):
 
 
 def example_weight(x0, t0, gamma, shift, grid, lam=1.0):
-    vals0 = Polynomial.squared_distance(x0, scale=0.5)(grid.space_points)
-    return make_example_weight(x0, t0, gamma, shift, vals0, grid, lam=lam)
+    """psi = (|x - x0|^2 + gamma (t + t0)^2)/2 + shift, x0 outside the box,
+    shifted where needed as a command's ``example`` weight is."""
+    psi0 = Polynomial.squared_distance(_outside_box(x0, grid), scale=0.5)
+    return WeightSpec(psi0=psi0, psi1=TimeProfile.quadratic(gamma, t0), shift=float(shift),
+                      lam=lam).ensure_nonnegative(grid, float(np.min(psi0(grid.space_points))))
 
 
 def ellipticity(field, grid, **tolerances):
@@ -143,15 +147,20 @@ def magnetic(field, b_field, u, grid):
                                        b_field, u, grid)
 
 
+def audit_sample(field, psi0, pts):
+    """A, psi0 and grad psi0 at ``pts``: the arrays the audit reads."""
+    return field(pts), psi0(pts), psi0.eval_gradient(pts)
+
+
 def sweep(ensemble, spec, field, lower, kind, taus, lams, grid, target=0.0):
-    return sweep_audit(ensemble, spec, field, node_sample(field, spec.psi0, grid.space_points),
+    return sweep_audit(ensemble, spec, field, *audit_sample(field, spec.psi0, grid.space_points),
                        lower, kind, taus, lams, grid, target=target)
 
 
 def negative_control(ensemble, spec, field, lower, kind, taus, lams, grid, admissibility,
                      target=0.0):
     return _negative_control(ensemble, spec, field,
-                             node_sample(field, spec.psi0, grid.space_points), lower, kind,
+                             *audit_sample(field, spec.psi0, grid.space_points), lower, kind,
                              taus, lams, grid, admissibility, target=target)
 
 

@@ -289,56 +289,45 @@ def test_clipped_exp_equals_numpy_exp():
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_sweep_peak_within_one_evaluation(grid, field, spec):
+    """Over 6 members and 9 cells the sweep's peak is that of one member in
+    one cell, up to ens[0].nbytes / 16.  A, psi0 and grad psi0 are the
+    caller's arrays: both are measured on the same ones, built beforehand."""
+    ens = default_ensemble(grid, 5, count=6)
+    a, vals0, grad = per_call.audit_sample(field, spec.psi0, grid.space_points)
+    evaluate_sides(ens[0], spec, field, None, "wave_full", 2.0, grid)  # fill the cached geometry
+    one = _peak_bytes(lambda: _Audit(spec, field, a, vals0, grad, None, "wave_full", grid)
+                      .member_sides(ens[0], [2.0], [spec.lam]))
+    sweep = _peak_bytes(lambda: sweep_audit(ens, spec, field, a, vals0, grad, None, "wave_full",
+                                            [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
+    assert sweep <= one + ens[0].nbytes / 16
+
+
 def test_sweep_peak_memory_within_one_side_evaluation():
     # the sweep keeps one member's densities at a time: over 6 members and 9
-    # cells its peak is that of a single evaluate_sides call, up to a few kB
-    # of Python and numpy bookkeeping (the ratio table, numpy's small-block
-    # cache), far below one more grid-sized array
+    # cells its peak is that of a single evaluation, up to a few kB of Python
+    # and numpy bookkeeping (the ratio table, numpy's small-block cache), far
+    # below one more grid-sized array
     grid = build_grid([0, 0], [1, 1], [33, 33], -1.0, 1.0, 33)
     field = MatrixField.identity(2, domain=grid.domain)
     spec = per_call.example_weight([-0.5, 0.5], 0.0, 0.25, 0.0, grid, lam=2.0)
-    ens = default_ensemble(grid, 5, count=6)
-    args = (spec, field, None, "wave_full")
-    sample = per_call.node_sample(field, spec.psi0, grid.space_points)
-    evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
-
-    def peak(call) -> int:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
-    sweep = peak(lambda: sweep_audit(ens, spec, field, sample, None, "wave_full",
-                                     [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
-    assert sweep <= one + ens[0].nbytes / 16
+    _assert_sweep_peak_within_one_evaluation(grid, field, spec)
 
 
 def test_sweep_peak_memory_3d_variable_a_within_one_side_evaluation():
     # the same bound for the A-energy of a variable 3x3 A(x): one centered
     # derivative per axis and one product per pair of axes, one member at a time
-    grid, field, spec = _case_3d(13, 17)
-    ens = default_ensemble(grid, 5, count=6)
-    args = (spec, field, None, "wave_full")
-    sample = per_call.node_sample(field, spec.psi0, grid.space_points)
-    evaluate_sides(ens[0], *args, 2.0, grid)  # fill the grid's cached geometry
-
-    def peak(call) -> int:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    one = peak(lambda: evaluate_sides(ens[0], *args, 2.0, grid))
-    sweep = peak(lambda: sweep_audit(ens, spec, field, sample, None, "wave_full",
-                                     [2.0, 4.0, 8.0], [1.0, 2.0, 4.0], grid))
-    assert sweep <= one + ens[0].nbytes / 16
+    _assert_sweep_peak_within_one_evaluation(*_case_3d(13, 17))
 
 
 def test_refinement_drift_headline_stable(canonical):

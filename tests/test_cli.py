@@ -760,6 +760,24 @@ def test_negative_psi0_within_tolerance_exits_1_with_one_line(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {prefix}psi0 must be nonnegative\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "theta", "identities", "carleman-audit"])
+def test_psi0_overflowing_on_the_nodes_exits_1_with_one_line(tmp_path, capsys, command):
+    """psi0 = 1e-300 x^6 + 1e-60 x on [0, 1e52]: x^6 overflows on the far
+    nodes while the derivatives of psi0 stay far below the sample bound.
+    Every weight command evaluates psi0 on the nodes with its sample, under
+    the run's raising error state, and stops there with one line; theta
+    too, although it reads psi0's values for the auto-shift alone."""
+    cfg, _ = write_config(
+        tmp_path, grid={"lows": [0.0], "highs": [1e52], "nodes": [9], "t1": -1.0, "t2": 1.0,
+                        "nt": 9},
+        weight={"family": "custom", "psi0_terms": [
+            {"powers": [6], "coeff": 1e-300}, {"powers": [1], "coeff": 1e-60}]},
+        theta={"points": [[0.5]]}, identities={"tau": 1.0},
+        audit={"kind": "wave_full", "taus": [1.0], "lambdas": [1.0], "ensemble": 2})
+    assert run(command, cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {command}: overflow encountered in power\n"
+
+
 def test_observability_solves_once_per_basis_without_csr_products(tmp_path, monkeypatch):
     """One ``observability`` command with the worst-case estimator (the
     shipped 1-D config, cut to 33 nodes and 257 levels) computes the per-axis

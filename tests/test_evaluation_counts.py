@@ -81,13 +81,14 @@ _HEAT_FINAL_2D = {
 }
 
 
-def _counted(monkeypatch, cfg: dict) -> dict:
+def _counted(monkeypatch, cfg: dict, nodes: tuple | None = None) -> dict:
     """Wrap the evaluations of A, dA, psi0, grad psi0 and hess psi0 (counted on
-    the space nodes of the config's grid only; psi0 as read from the config's
-    ``weight`` block or built from its ``x0``), ``assemble_operator`` (counted
-    without lower-order terms) and ``gamma_plus``, in every ``carleman``
-    namespace that holds them; returns the counts, filled as the run goes."""
-    nodes = build_grid_from(cfg).space_points.shape
+    the space nodes of the config's grid only, or on points of shape
+    ``nodes``; psi0 as read from the config's ``weight`` block or built from
+    its ``x0``), ``assemble_operator`` (counted without lower-order terms) and
+    ``gamma_plus``, in every ``carleman`` namespace that holds them; returns
+    the counts, filled as the run goes."""
+    nodes = nodes or build_grid_from(cfg).space_points.shape
     counts = dict.fromkeys(("A", "dA", "psi0", "grad", "hess", "assemble", "gamma_plus"), 0)
     psi0s = []
 
@@ -163,6 +164,17 @@ def test_weight_commands_sample_the_nodes_once(tmp_path, monkeypatch, command, n
     assert counts == {"A": 1, "dA": 1, "psi0": 1, "grad": 1, "hess": 1,
                       "assemble": command == "identities",
                       "gamma_plus": name == "wave_boundary"}
+
+
+def test_refined_audit_samples_the_fine_nodes_without_derivatives(tmp_path, monkeypatch):
+    """The fine grid of a refined 9^2 audit has 17^2 nodes: its weight and
+    its sweep read A, psi0 and grad psi0 from one sample, and dA and hess
+    psi0, which no fine reader takes, are not evaluated there."""
+    cfg = _variant(_AUDIT_2D, audit={"refine": True})
+    counts = _counted(monkeypatch, cfg, nodes=(17, 17, 2))
+    assert _run(tmp_path, "carleman-audit", cfg) in (0, 2)
+    assert counts == {"A": 1, "dA": 0, "psi0": 1, "grad": 1, "hess": 0, "assemble": 0,
+                      "gamma_plus": 0}
 
 
 def test_observability_takes_one_setup(tmp_path, monkeypatch):

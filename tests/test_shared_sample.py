@@ -129,8 +129,8 @@ def test_shared_sample_matches_per_call_evaluations(case):
     # the audit sweep, on 2 members and 2 cells, for a full and a boundary kind
     members = default_ensemble(grid, 3, count=2)
     for audit_kind in ("wave_full", "wave_boundary"):
-        shared = _outcome(sweep_audit, members, spec, field, sample, None, audit_kind,
-                          [1.0, 4.0], [0.5], grid)
+        shared = _outcome(sweep_audit, members, spec, field, a, vals0, grad, None,
+                          audit_kind, [1.0, 4.0], [0.5], grid)
         own = _outcome(per_call.sweep, members, spec, field, None, audit_kind, [1.0, 4.0],
                        [0.5], grid)
         assert _same(shared, own) and (isinstance(own, ValueError) or (
